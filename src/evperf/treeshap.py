@@ -297,24 +297,39 @@ def explain_matrix(
     ]
 
 
-def _coalition_expectation(t: _FlatTree, x: Sequence[float], in_coalition: Sequence[bool]) -> float:
+def _coalition_expectation(node: TreeNode, x: Sequence[float], in_coalition: Sequence[bool]) -> float:
     """Tree expectation with coalition features fixed to x, rest marginalized."""
-
-    def walk(node: int) -> float:
-        f = t.feature[node]
-        if f < 0:
-            return t.value[node]
-        if in_coalition[f]:
-            child = t.left[node] if x[f] < t.threshold[node] else t.right[node]
-            return walk(child)
-        l, r = t.left[node], t.right[node]
-        w = t.cover[node]
-        return (t.cover[l] * walk(l) + t.cover[r] * walk(r)) / w
-
-    return walk(0)
+    if node.is_leaf:
+        return node.weight
+    if in_coalition[node.feature]:
+        return _coalition_expectation(
+            node.left if x[node.feature] < node.threshold else node.right, x, in_coalition
+        )
+    return (
+        node.left.cover * _coalition_expectation(node.left, x, in_coalition)
+        + node.right.cover * _coalition_expectation(node.right, x, in_coalition)
+    ) / node.cover
 
 
 MAX_BRUTE_FORCE_FEATURES = 12
+
+
+def _coalition_values(model: Ensemble, x: np.ndarray) -> np.ndarray:
+    """Margin contribution of the trees for every coalition, shape (2^d, num_class).
+
+    Row ``mask`` fixes the features whose bits are set in ``mask`` to x.
+    """
+    d = len(model.feature_names)
+    if d > MAX_BRUTE_FORCE_FEATURES:
+        raise ValueError(f"brute force is limited to {MAX_BRUTE_FORCE_FEATURES} features, got {d}")
+    eta = model.config.learning_rate
+    xs = x.tolist()
+    v = np.zeros((1 << d, model.num_class))
+    for mask in range(1 << d):
+        members = [bool(mask >> j & 1) for j in range(d)]
+        for ct in model.trees:
+            v[mask, ct.class_index] += eta * _coalition_expectation(ct.root, xs, members)
+    return v
 
 
 def brute_force_shapley(model: Ensemble, x: np.ndarray) -> np.ndarray:
@@ -325,31 +340,47 @@ def brute_force_shapley(model: Ensemble, x: np.ndarray) -> np.ndarray:
     permutation weights. Shape (n_features, num_class).
     """
     x = _check_input(model, x)
+    v = _coalition_values(model, x)
     d = len(model.feature_names)
-    if d > MAX_BRUTE_FORCE_FEATURES:
-        raise ValueError(f"brute force is limited to {MAX_BRUTE_FORCE_FEATURES} features, got {d}")
-    by_class = _flatten_by_class(model)
-    eta = model.config.learning_rate
-    xs = x.tolist()
-
-    n_masks = 1 << d
-    v = np.zeros((n_masks, model.num_class))
-    for mask in range(n_masks):
-        members = [bool(mask >> j & 1) for j in range(d)]
-        for k in range(model.num_class):
-            v[mask, k] = eta * sum(_coalition_expectation(t, xs, members) for t in by_class[k])
-
     fact = [math.factorial(i) for i in range(d + 1)]
     phi = np.zeros((d, model.num_class))
     for i in range(d):
         bit = 1 << i
-        for mask in range(n_masks):
+        for mask in range(1 << d):
             if mask & bit:
                 continue
             size = bin(mask).count("1")
-            weight = fact[size] * fact[d - size - 1] / fact[d]
-            phi[i] += weight * (v[mask | bit] - v[mask])
+            phi[i] += fact[size] * fact[d - size - 1] / fact[d] * (v[mask | bit] - v[mask])
     return phi
+
+
+def brute_force_interactions(model: Ensemble, x: np.ndarray) -> np.ndarray:
+    """Shapley interaction values straight from the definition; test-only.
+
+    Off-diagonal (i, j) sums, over every coalition S without i and j, the
+    weight |S|!(d-|S|-2)!/(2(d-1)!) times v(S+i+j) - v(S+i) - v(S+j) + v(S);
+    the diagonal is the brute-force phi_i minus the off-diagonal row sum.
+    Shape (n_features, n_features, num_class).
+    """
+    x = _check_input(model, x)
+    v = _coalition_values(model, x)
+    d = len(model.feature_names)
+    fact = [math.factorial(i) for i in range(d + 1)]
+    phi_ij = np.zeros((d, d, model.num_class))
+    for i in range(d):
+        for j in range(i + 1, d):
+            bi, bj = 1 << i, 1 << j
+            for mask in range(1 << d):
+                if mask & (bi | bj):
+                    continue
+                size = bin(mask).count("1")
+                weight = fact[size] * fact[d - size - 2] / (2 * fact[d - 1])
+                phi_ij[i, j] += weight * (v[mask | bi | bj] - v[mask | bi] - v[mask | bj] + v[mask])
+            phi_ij[j, i] = phi_ij[i, j]
+    phi = brute_force_shapley(model, x)
+    for i in range(d):
+        phi_ij[i, i] = phi[i] - phi_ij[i].sum(axis=0)
+    return phi_ij
 
 
 def interaction_values(model: Ensemble, x: np.ndarray) -> InteractionExplanation:

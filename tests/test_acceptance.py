@@ -46,7 +46,14 @@ from evperf.physics import (
     saturation_synth_config,
     synth_dataset,
 )
-from evperf.treeshap import brute_force_shapley, explain_matrix, dependence_data, shap_values
+from evperf.treeshap import (
+    brute_force_interactions,
+    brute_force_shapley,
+    dependence_data,
+    explain_matrix,
+    interaction_values,
+    shap_values,
+)
 
 
 def _report(number, name, fn):
@@ -123,6 +130,27 @@ def test_criterion_1_shapley_oracle_equivalence():
         assert elapsed < 30.0, f"oracle comparison took {elapsed:.1f}s"
 
     _report(1, "Shapley oracle equivalence", body)
+
+
+def test_criterion_1b_interaction_oracle_equivalence():
+    def body():
+        rng = np.random.default_rng(2024)
+        models = [_random_ensemble(rng) for _ in range(40)]
+        # few features and depth 6 force repeated splits on one path
+        for _ in range(15):
+            d = int(rng.integers(1, 5))
+            trees = [ClassTree(0, int(rng.integers(0, 2)), _random_tree(rng, 6, d, 30.0))
+                     for _ in range(3)]
+            cfg = TrainConfig(n_rounds=1, num_class=2, learning_rate=0.4)
+            models.append(Ensemble(trees, rng.normal(size=2), 2,
+                                   tuple(f"f{i}" for i in range(d)), cfg))
+        for model in models:
+            x = rng.normal(size=len(model.feature_names))
+            exact = interaction_values(model, x).phi_ij
+            oracle = brute_force_interactions(model, x)
+            assert np.max(np.abs(exact - oracle)) < 1e-9
+
+    _report("1b", "interaction oracle equivalence", body)
 
 
 def test_criterion_2_local_accuracy(default_dataset, default_model):
