@@ -33,6 +33,7 @@ from .data import (
 )
 from .gbdt import (
     Ensemble,
+    ModelInputError,
     TrainConfig,
     TreeNode,
     gain_importance,
@@ -79,6 +80,7 @@ from .physics import (
 from .treeshap import (
     Explanation,
     InteractionExplanation,
+    brute_force_interactions,
     brute_force_shapley,
     dependence_data,
     explain_matrix,

@@ -10,7 +10,7 @@ fit to the softmax cross-entropy gradients and Hessians.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,10 @@ from .data import Dataset, ScalerParams
 HESS_EPS = 1e-16  # floor on per-sample Hessians; keeps covers positive
 
 MODEL_FORMAT_VERSION = 1
+
+
+class ModelInputError(ValueError):
+    """Input a model cannot be applied to: non-finite features or a node cover <= 0."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,10 @@ class Ensemble:
     feature_names: tuple[str, ...]
     config: TrainConfig
     scaler: ScalerParams | None = None
+    # Root-to-leaf path arrays built by evperf.treeshap on first use; derived
+    # from the trees, so never persisted or compared. Two threads racing to
+    # build it store equal values.
+    _shap_paths: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -280,18 +288,26 @@ def _tree_predict_batch(root: TreeNode, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_dim(model: Ensemble, x: np.ndarray) -> np.ndarray:
+def check_features(model: Ensemble, x: np.ndarray, ndim: int) -> np.ndarray:
+    """``x`` as floats: one sample (ndim 1) or a sample matrix (ndim 2).
+
+    Raises ValueError when the shape does not match the model's inputs and
+    ModelInputError on NaN or infinite values, which every split would send
+    right and every explanation would silently misattribute.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (len(model.feature_names),):
-        raise ValueError(
-            f"input has shape {x.shape}, model expects ({len(model.feature_names)},)"
-        )
+    d = len(model.feature_names)
+    if x.ndim != ndim or x.shape[-1] != d:
+        expects = f"({d},)" if ndim == 1 else f"(n, {d})"
+        raise ValueError(f"input has shape {x.shape}, model expects {expects}")
+    if not np.isfinite(x).all():
+        raise ModelInputError("input has NaN or infinite feature values")
     return x
 
 
 def predict_margin(model: Ensemble, x: np.ndarray) -> np.ndarray:
     """Per-class margins (log-odds scores) for one sample."""
-    x = _check_dim(model, x)
+    x = check_features(model, x, 1)
     margin = model.base_score.astype(float).copy()
     eta = model.config.learning_rate
     for ct in model.trees:
@@ -306,9 +322,7 @@ def predict_proba(model: Ensemble, x: np.ndarray) -> np.ndarray:
 
 def predict_margin_batch(model: Ensemble, x: np.ndarray) -> np.ndarray:
     """Per-class margins for a sample matrix, shape (n, num_class)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != len(model.feature_names):
-        raise ValueError("feature matrix does not match model inputs")
+    x = check_features(model, x, 2)
     margins = np.tile(model.base_score.astype(float), (x.shape[0], 1))
     eta = model.config.learning_rate
     for ct in model.trees:

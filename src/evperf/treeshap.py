@@ -1,11 +1,17 @@
 """Exact additive Shapley attributions for boosted-tree ensembles.
 
-Implements the polynomial-time path-dependent algorithm: node covers act as
-the marginalization distribution, so each tree's attributions decompose its
-own output exactly (local accuracy) without any background dataset. A direct
-exponential-time evaluation of the Shapley definition is included as an
-independent oracle, plus the derived analyses: global importance ranking,
-dependence data, pairwise interaction values, and force-plot decompositions.
+Implements path-dependent TreeSHAP: node covers act as the marginalization
+distribution, so each tree's attributions decompose its own output exactly
+(local accuracy) without any background dataset. The ensemble is split once
+into root-to-leaf paths with repeated features merged; each path's
+attributions and pairwise interaction values are closed-form polynomials in
+its features' cover fractions and in-interval bits, evaluated for a batch of
+rows with numpy. Attributions, interactions and base values all come from
+that one path set, which is built on first use and kept on the Ensemble.
+
+Direct exponential-time evaluations of the Shapley value and interaction
+definitions are included as independent oracles, plus the derived analyses:
+global importance ranking, dependence data and force-plot decompositions.
 
 Attributions live in margin (pre-softmax) space, where additivity is exact;
 downstream figure labels should say so.
@@ -20,7 +26,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .gbdt import Ensemble, TreeNode, predict_margin
+from .gbdt import Ensemble, ModelInputError, TreeNode, check_features
 
 
 @dataclass(frozen=True)
@@ -59,218 +65,199 @@ class InteractionExplanation:
     feature_names: tuple[str, ...]
 
 
-class _FlatTree:
-    """Array view of a TreeNode tree for fast traversal.
-
-    feature[i] < 0 marks a leaf; value then holds the leaf weight.
-    """
-
-    __slots__ = ("feature", "threshold", "left", "right", "value", "cover")
-
-    def __init__(self, root: TreeNode):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.cover: list[float] = []
-        self._add(root)
-
-    def _add(self, node: TreeNode) -> int:
-        i = len(self.feature)
-        self.feature.append(node.feature)
-        self.threshold.append(node.threshold)
-        self.value.append(node.weight)
-        self.cover.append(node.cover)
-        self.left.append(-1)
-        self.right.append(-1)
-        if not node.is_leaf:
-            self.left[i] = self._add(node.left)
-            self.right[i] = self._add(node.right)
-        return i
-
-    def expectation(self, node: int = 0) -> float:
-        """Cover-weighted mean leaf value: the tree's output expectation."""
-        if self.feature[node] < 0:
-            return self.value[node]
-        l, r = self.left[node], self.right[node]
-        return (
-            self.cover[l] * self.expectation(l) + self.cover[r] * self.expectation(r)
-        ) / self.cover[node]
-
-
-def _flatten_by_class(model: Ensemble) -> list[list[_FlatTree]]:
-    by_class: list[list[_FlatTree]] = [[] for _ in range(model.num_class)]
-    for ct in model.trees:
-        by_class[ct.class_index].append(_FlatTree(ct.root))
-    return by_class
-
-
-# --- the path-dependent recursion -------------------------------------------
+# --- merged root-to-leaf paths ------------------------------------------------
 #
-# The path is a list of [feature, zero_fraction, one_fraction, weight] entries
-# tracking, for each unique feature split on so far, the proportion of cover
-# that flows down when the feature is marginalized (zero) versus when it is
-# known (one), together with the permutation weights of all subset sizes.
-# Extending adds a feature to every tracked subset size; unwinding removes one
-# feature, which is needed both when a feature reappears deeper in the tree
-# and to read out each feature's contribution at a leaf.
+# Path-dependent TreeSHAP decomposes each tree into its root-to-leaf paths
+# (GPUTreeShap, Mitchell et al. 2022). A feature split several times on one
+# path is merged into one interval [lo, hi) and one zero fraction z, the
+# product of child/parent covers over its splits. With leaf value v and the
+# bits o_j = [lo_j <= x_j < hi_j] of the path's L unique features, the path's
+# share of the tree's expected output given a coalition S is
+# v * prod_{j in S} o_j * prod_{j not in S} z_j. That product game has closed
+# forms (Lundberg et al. 2018) in the coefficients e_k of t^k in the product
+# of (z_m + o_m t) over the path's other features:
+#
+#   phi_i  = v (o_i - z_i) sum_k k!(L-1-k)!/L! e_k
+#   phi_ij = v/2 (o_i - z_i)(o_j - z_j) sum_k k!(L-2-k)!/(L-1)! e_k
+#
+# Every path of the ensemble is stored once, grouped by L, so a batch of rows
+# is explained with array operations over (rows, paths, features).
 
 
-def _extend(path: list[list[float]], pz: float, po: float, pf: int) -> None:
-    l = len(path)
-    path.append([pf, pz, po, 1.0 if l == 0 else 0.0])
-    for i in range(l - 1, -1, -1):
-        path[i + 1][3] += po * path[i][3] * (i + 1) / (l + 1)
-        path[i][3] = pz * path[i][3] * (l - i) / (l + 1)
+@dataclass(frozen=True)
+class _PathGroup:
+    """The ensemble's paths with L unique features each, as (P, L) arrays."""
+
+    feature: np.ndarray      # (P, L) feature indices
+    lo: np.ndarray           # (P, L) merged interval, lo <= x < hi
+    hi: np.ndarray           # (P, L)
+    zero: np.ndarray         # (P, L) zero fractions
+    value: np.ndarray        # (P,) learning rate times leaf weight
+    class_index: np.ndarray  # (P,)
 
 
-def _unwind(path: list[list[float]], k: int) -> list[list[float]]:
-    depth = len(path) - 1
-    zf, of = path[k][1], path[k][2]
-    out = [entry[:] for entry in path[:depth]]
-    n = path[depth][3]
-    for i in range(depth - 1, -1, -1):
-        if of != 0.0:
-            tmp = out[i][3]
-            out[i][3] = n * (depth + 1) / ((i + 1) * of)
-            n = tmp - out[i][3] * zf * (depth - i) / (depth + 1)
-        else:
-            out[i][3] = out[i][3] * (depth + 1) / (zf * (depth - i))
-    for i in range(k, depth):
-        out[i][0], out[i][1], out[i][2] = path[i + 1][0], path[i + 1][1], path[i + 1][2]
+@dataclass(frozen=True)
+class _PathSet:
+    groups: tuple[_PathGroup, ...]  # L >= 1; leaf-only trees only shift the base
+    base_value: np.ndarray          # (num_class,) base score + sum of v * prod(z)
+
+
+def _build_paths(model: Ensemble) -> _PathSet:
+    eta = model.config.learning_rate
+    by_length: dict[int, list[tuple[dict, float, int]]] = {}
+
+    def walk(node: TreeNode, path: dict[int, tuple[float, float, float]], k: int) -> None:
+        if node.is_leaf:
+            by_length.setdefault(len(path), []).append((path, eta * node.weight, k))
+            return
+        if not node.cover > 0:
+            raise ModelInputError(
+                f"node splitting feature {node.feature} has cover {node.cover!r}; "
+                "internal node covers must be positive"
+            )
+        f, thr = node.feature, node.threshold
+        lo, hi, z = path.get(f, (-math.inf, math.inf, 1.0))
+        walk(node.left, {**path, f: (lo, min(hi, thr), z * (node.left.cover / node.cover))}, k)
+        walk(node.right, {**path, f: (max(lo, thr), hi, z * (node.right.cover / node.cover))}, k)
+
+    for ct in model.trees:
+        walk(ct.root, {}, ct.class_index)
+
+    base = model.base_score.astype(float).copy()
+    groups = []
+    for length in sorted(by_length):
+        items = by_length[length]
+        bounds = np.array([list(p.values()) for p, _, _ in items], dtype=float)
+        bounds = bounds.reshape(len(items), length, 3)
+        group = _PathGroup(
+            feature=np.array([list(p) for p, _, _ in items], dtype=np.intp).reshape(len(items), length),
+            lo=bounds[:, :, 0].copy(),
+            hi=bounds[:, :, 1].copy(),
+            zero=bounds[:, :, 2].copy(),
+            value=np.array([v for _, v, _ in items]),
+            class_index=np.array([k for _, _, k in items], dtype=np.intp),
+        )
+        base += np.bincount(group.class_index, group.value * group.zero.prod(axis=1),
+                            minlength=model.num_class)
+        if length:
+            groups.append(group)
+    return _PathSet(groups=tuple(groups), base_value=base)
+
+
+def _paths(model: Ensemble) -> _PathSet:
+    """The model's path set, built on first use and kept on the model."""
+    if model._shap_paths is None:
+        model._shap_paths = _build_paths(model)
+    return model._shap_paths
+
+
+def _weights(m: int) -> np.ndarray:
+    """Shapley permutation weights k!(m-1-k)!/m! for coalition sizes k < m."""
+    return np.array([math.factorial(k) * math.factorial(m - 1 - k) / math.factorial(m)
+                     for k in range(m)])
+
+
+def _weighted_products(zero, one, excluded, weights) -> np.ndarray:
+    """sum_k weights[k] e_k, e_k the t^k coefficients of prod (zero_j + one_j t).
+
+    The product runs over the features j of each path not marked in a row of
+    ``excluded``. zero (P, L), one (n, P, L) bool, excluded (M, L) bool;
+    returns (n, P, M). No product has more than len(weights) - 1 factors.
+    """
+    coef = np.zeros(one.shape[:2] + (len(excluded), len(weights)))
+    coef[..., 0] = 1.0
+    for j in range(zero.shape[1]):
+        keep = ~excluded[:, j]
+        carried = coef[..., :-1] * (one[:, :, j, None] & keep)[..., None]
+        coef *= np.where(keep, zero[:, j, None], 1.0)[..., None]
+        coef[..., 1:] += carried
+    return (coef * weights).sum(axis=-1)
+
+
+# Elements of one block's coefficient tensor; bounds per-call temporaries.
+_BLOCK = 1 << 14
+
+
+def _blocks(group: _PathGroup, x: np.ndarray, per_pair: int):
+    """Row offset, path slice and in-interval bits (rows, paths, L) per block.
+
+    Blocks are sized so that a coefficient tensor of rows x paths x per_pair
+    holds about _BLOCK elements. Path slices depend only on the group, so every row sums its paths in the
+    same order whatever the batch, and one-row calls repeat batch rows
+    exactly.
+    """
+    n_paths = len(group.value)
+    width = max(1, _BLOCK // per_pair)
+    for p0 in range(0, n_paths, width):
+        cols = slice(p0, p0 + width)
+        n_cols = min(width, n_paths - p0)
+        height = max(1, _BLOCK // (n_cols * per_pair))
+        for r0 in range(0, x.shape[0], height):
+            xv = x[r0:r0 + height][:, group.feature[cols]]
+            yield r0, cols, (group.lo[cols] <= xv) & (xv < group.hi[cols])
+
+
+def _scatter(out: np.ndarray, r0: int, index: np.ndarray, values: np.ndarray) -> None:
+    """Add values into out[r0 + row].flat[index], where index is per row."""
+    rows = values.shape[0]
+    size = out[0].size
+    flat = (np.arange(rows).reshape((rows,) + (1,) * index.ndim) * size + index).ravel()
+    out[r0:r0 + rows] += np.bincount(flat, values.ravel(), minlength=rows * size).reshape(
+        (rows,) + out.shape[1:]
+    )
+
+
+def _phi(model: Ensemble, x: np.ndarray) -> np.ndarray:
+    """Attributions for the rows of x, shape (n, n_features, num_class)."""
+    d, k = len(model.feature_names), model.num_class
+    out = np.zeros((x.shape[0], d, k))
+    for g in _paths(model).groups:
+        length = g.feature.shape[1]
+        excluded, weights = np.eye(length, dtype=bool), _weights(length)
+        for r0, cols, one in _blocks(g, x, length * length):
+            zero = g.zero[cols]
+            s = _weighted_products(zero, one, excluded, weights)
+            index = g.feature[cols] * k + g.class_index[cols, None]
+            _scatter(out, r0, index, g.value[cols, None] * (one - zero) * s)
     return out
 
 
-def _unwound_sum(path: list[list[float]], k: int) -> float:
-    depth = len(path) - 1
-    zf, of = path[k][1], path[k][2]
-    total = 0.0
-    n = path[depth][3]
-    if of != 0.0:
-        for i in range(depth - 1, -1, -1):
-            tmp = n / ((i + 1) * of)
-            total += tmp
-            n = path[i][3] - tmp * zf * (depth - i)
-    else:
-        for i in range(depth - 1, -1, -1):
-            total += path[i][3] / (zf * (depth - i))
-    return total * (depth + 1)
-
-
-def _recurse(
-    t: _FlatTree,
-    node: int,
-    path: list[list[float]],
-    pz: float,
-    po: float,
-    pf: int,
-    x: Sequence[float],
-    phi: list[float],
-    condition: int,
-    condition_feature: int,
-    condition_fraction: float,
-) -> None:
-    if condition_fraction == 0.0:
-        return
-    path = [entry[:] for entry in path]
-    if condition == 0 or condition_feature != pf:
-        _extend(path, pz, po, pf)
-    f = t.feature[node]
-    if f < 0:
-        value = t.value[node]
-        for i in range(1, len(path)):
-            w = _unwound_sum(path, i)
-            entry = path[i]
-            phi[entry[0]] += w * (entry[2] - entry[1]) * value * condition_fraction
-        return
-    if x[f] < t.threshold[node]:
-        hot, cold = t.left[node], t.right[node]
-    else:
-        hot, cold = t.right[node], t.left[node]
-    w = t.cover[node]
-    hot_zero = t.cover[hot] / w
-    cold_zero = t.cover[cold] / w
-    incoming_zero = 1.0
-    incoming_one = 1.0
-    for k in range(len(path)):
-        if path[k][0] == f:
-            incoming_zero, incoming_one = path[k][1], path[k][2]
-            path = _unwind(path, k)
-            break
-    hot_fraction = cold_fraction = condition_fraction
-    if condition > 0 and f == condition_feature:
-        cold_fraction = 0.0
-    elif condition < 0 and f == condition_feature:
-        hot_fraction *= hot_zero
-        cold_fraction *= cold_zero
-    _recurse(t, hot, path, incoming_zero * hot_zero, incoming_one, f, x, phi,
-             condition, condition_feature, hot_fraction)
-    _recurse(t, cold, path, incoming_zero * cold_zero, 0.0, f, x, phi,
-             condition, condition_feature, cold_fraction)
-
-
-def _class_phi(
-    flat_trees: list[_FlatTree],
-    n_features: int,
-    x: Sequence[float],
-    scale: float,
-    condition: int = 0,
-    condition_feature: int = -1,
-) -> list[float]:
-    """Summed attributions over one class's trees, scaled by the learn rate.
-
-    The scale rides along as the initial condition fraction, which every leaf
-    contribution is multiplied by.
-    """
-    phi = [0.0] * n_features
-    for t in flat_trees:
-        _recurse(t, 0, [], 1.0, 1.0, -1, x, phi, condition, condition_feature, scale)
-    return phi
-
-
-def _base_values(model: Ensemble, by_class: list[list[_FlatTree]]) -> np.ndarray:
-    eta = model.config.learning_rate
-    base = model.base_score.astype(float).copy()
-    for k, trees in enumerate(by_class):
-        base[k] += eta * sum(t.expectation() for t in trees)
-    return base
-
-
-def _check_input(model: Ensemble, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(model.feature_names),):
-        raise ValueError(
-            f"input has shape {x.shape}, model expects ({len(model.feature_names)},)"
-        )
-    return x
+def _interactions(model: Ensemble, x: np.ndarray) -> np.ndarray:
+    """Interaction values for the rows of x, shape (n, d, d, num_class)."""
+    d, k = len(model.feature_names), model.num_class
+    upper = np.zeros((x.shape[0], d, d, k))
+    for g in _paths(model).groups:
+        length = g.feature.shape[1]
+        if length < 2:
+            continue
+        first, second = np.triu_indices(length, 1)
+        eye = np.eye(length, dtype=bool)
+        excluded, weights = eye[first] | eye[second], _weights(length - 1)
+        for r0, cols, one in _blocks(g, x, len(first) * (length - 1)):
+            zero = g.zero[cols]
+            s = _weighted_products(zero, one, excluded, weights)
+            delta = one - zero
+            feature = g.feature[cols]
+            index = (feature[:, first] * d + feature[:, second]) * k + g.class_index[cols, None]
+            _scatter(upper, r0, index,
+                     0.5 * g.value[cols, None] * delta[..., first] * delta[..., second] * s)
+    # paths list their features in any order, so each pair may land on either
+    # side; adding the transpose makes the tensor exactly symmetric
+    phi_ij = upper + upper.transpose(0, 2, 1, 3)
+    diag = np.arange(d)
+    phi_ij[:, diag, diag] = _phi(model, x) - phi_ij.sum(axis=2)
+    return phi_ij
 
 
 def shap_values(model: Ensemble, x: np.ndarray, x_raw: np.ndarray | None = None) -> Explanation:
     """Exact per-feature, per-class attributions for one sample.
 
-    Cost is O(trees * leaves * depth^2); the result satisfies
+    A one-row explain_matrix; the result satisfies
     base_value + phi.sum(axis=0) == predict_margin(model, x).
     """
-    x = _check_input(model, x)
-    by_class = _flatten_by_class(model)
-    return _explain_prepared(model, by_class, _base_values(model, by_class), x, x_raw)
-
-
-def _explain_prepared(model, by_class, base, x, x_raw=None) -> Explanation:
-    d = len(model.feature_names)
-    eta = model.config.learning_rate
-    xs = x.tolist()
-    phi = np.empty((d, model.num_class))
-    for k in range(model.num_class):
-        phi[:, k] = _class_phi(by_class[k], d, xs, eta)
-    return Explanation(
-        base_value=base.copy(),
-        phi=phi,
-        x=x,
-        feature_names=model.feature_names,
-        x_raw=None if x_raw is None else np.asarray(x_raw, dtype=float),
-    )
+    x = check_features(model, x, 1)
+    raw = None if x_raw is None else np.asarray(x_raw, dtype=float)[None]
+    return explain_matrix(model, x[None], raw)[0]
 
 
 def explain_matrix(
@@ -278,20 +265,23 @@ def explain_matrix(
 ) -> list[Explanation]:
     """Explanations for every row of a feature matrix.
 
-    Flattens the ensemble once; rows are independent, so this is the batch
-    entry point worth parallelizing if it ever matters.
+    Raw values default to the unscaled features when the model carries a
+    scaler. Work is O(L^3) per row and path for a path with L unique
+    features (L <= max_depth), done in blocks of rows and paths whose
+    temporaries stay bounded; the path set is built once per model.
     """
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[1] != len(model.feature_names):
-        raise ValueError("feature matrix does not match model inputs")
+    features = check_features(model, features, 2)
     if raw_features is None and model.scaler is not None:
         raw_features = features * model.scaler.std + model.scaler.mean
-    by_class = _flatten_by_class(model)
-    base = _base_values(model, by_class)
+    paths = _paths(model)
+    phi = _phi(model, features)
     return [
-        _explain_prepared(
-            model, by_class, base, features[i],
-            None if raw_features is None else raw_features[i],
+        Explanation(
+            base_value=paths.base_value.copy(),
+            phi=phi[i],
+            x=features[i],
+            feature_names=model.feature_names,
+            x_raw=None if raw_features is None else np.asarray(raw_features[i], dtype=float),
         )
         for i in range(features.shape[0])
     ]
@@ -339,7 +329,7 @@ def brute_force_shapley(model: Ensemble, x: np.ndarray) -> np.ndarray:
     expectation, and combines marginal contributions with the factorial
     permutation weights. Shape (n_features, num_class).
     """
-    x = _check_input(model, x)
+    x = check_features(model, x, 1)
     v = _coalition_values(model, x)
     d = len(model.feature_names)
     fact = [math.factorial(i) for i in range(d + 1)]
@@ -362,7 +352,7 @@ def brute_force_interactions(model: Ensemble, x: np.ndarray) -> np.ndarray:
     the diagonal is the brute-force phi_i minus the off-diagonal row sum.
     Shape (n_features, n_features, num_class).
     """
-    x = _check_input(model, x)
+    x = check_features(model, x, 1)
     v = _coalition_values(model, x)
     d = len(model.feature_names)
     fact = [math.factorial(i) for i in range(d + 1)]
@@ -386,42 +376,15 @@ def brute_force_interactions(model: Ensemble, x: np.ndarray) -> np.ndarray:
 def interaction_values(model: Ensemble, x: np.ndarray) -> InteractionExplanation:
     """Pairwise Shapley interaction values for one sample.
 
-    Off-diagonal entries contrast attributions with a partner feature forced
-    present versus forced absent; values from conditioning on either partner
-    are averaged so the tensor is exactly symmetric. Diagonals absorb the
-    remainder, making every row sum equal the plain attribution. Costs
-    2 * n_features + 1 full attribution passes.
+    Off-diagonal entries are the Shapley interaction index split evenly
+    between (i, j) and (j, i), so the tensor is exactly symmetric. Diagonals
+    absorb the remainder, making every row sum equal the plain attribution.
+    One pass over the paths, O(L^4) per path with L unique features.
     """
-    x = _check_input(model, x)
-    d = len(model.feature_names)
-    by_class = _flatten_by_class(model)
-    eta = model.config.learning_rate
-    xs = x.tolist()
-
-    def all_class_phi(condition: int, condition_feature: int) -> np.ndarray:
-        out = np.empty((d, model.num_class))
-        for k in range(model.num_class):
-            out[:, k] = _class_phi(by_class[k], d, xs, eta, condition, condition_feature)
-        return out
-
-    phi = all_class_phi(0, -1)
-    deltas = np.zeros((d, d, model.num_class))
-    for j in range(d):
-        present = all_class_phi(1, j)
-        absent = all_class_phi(-1, j)
-        deltas[:, j, :] = 0.5 * (present - absent)
-
-    phi_ij = np.zeros((d, d, model.num_class))
-    for i in range(d):
-        for j in range(i + 1, d):
-            pair = 0.5 * (deltas[i, j] + deltas[j, i])
-            phi_ij[i, j] = pair
-            phi_ij[j, i] = pair
-    for i in range(d):
-        phi_ij[i, i] = phi[i] - phi_ij[i].sum(axis=0)
+    x = check_features(model, x, 1)
     return InteractionExplanation(
-        base_value=_base_values(model, by_class),
-        phi_ij=phi_ij,
+        base_value=_paths(model).base_value.copy(),
+        phi_ij=_interactions(model, x[None])[0],
         feature_names=model.feature_names,
     )
 

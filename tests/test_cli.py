@@ -141,6 +141,17 @@ class TestExplainCommand:
         assert code == 2
         assert "model" in capsys.readouterr().err.lower()
 
+    def test_zero_cover_model_exit_2(self, trained_dir, tmp_path, capsys):
+        doc = json.loads((trained_dir / "model.json").read_text())
+        root = next(t["root"] for t in doc["trees"] if "feature" in t["root"])
+        root["cover"] = 0.0
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["explain", "--synth", "--model", bad, "--out-dir", tmp_path / "x",
+                    "--n-samples", "10", "--no-svg"])
+        assert code == 2
+        assert "cover" in capsys.readouterr().err
+
     def test_artifact_list_contract(self, trained_dir, tmp_path):
         args = build_parser().parse_args([
             "explain", "--synth", "--model", str(trained_dir / "model.json"),

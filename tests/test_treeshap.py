@@ -4,10 +4,22 @@ import io
 import numpy as np
 import pytest
 
+from evperf import treeshap
 from evperf.data import Dataset
-from evperf.gbdt import ClassTree, Ensemble, TrainConfig, TreeNode, predict_margin, train
+from evperf.gbdt import (
+    ClassTree,
+    Ensemble,
+    ModelInputError,
+    TrainConfig,
+    TreeNode,
+    model_to_dict,
+    predict_margin,
+    predict_margin_batch,
+    train,
+)
 from evperf.treeshap import (
     Explanation,
+    brute_force_interactions,
     brute_force_shapley,
     dependence_data,
     explain_matrix,
@@ -128,6 +140,117 @@ class TestShapValues:
         model = make_model([ClassTree(0, 0, TreeNode(cover=1.0, weight=0.0))], [0.0, 0.0], 13)
         with pytest.raises(ValueError, match="12"):
             brute_force_shapley(model, np.zeros(13))
+
+
+def stump(feature, threshold, left=1.0, right=-1.0, cover=(1.0, 1.0)):
+    return TreeNode(cover=sum(cover), feature=feature, threshold=threshold, gain=1.0,
+                    left=TreeNode(cover=cover[0], weight=left),
+                    right=TreeNode(cover=cover[1], weight=right))
+
+
+def assert_matches_oracles(model, x):
+    e = shap_values(model, x)
+    assert np.allclose(e.phi, brute_force_shapley(model, x), atol=1e-12)
+    assert np.allclose(e.margins(), predict_margin(model, x), atol=1e-12)
+    assert np.allclose(interaction_values(model, x).phi_ij, brute_force_interactions(model, x),
+                       atol=1e-12)
+
+
+class TestEdgeCases:
+    def test_threshold_value_goes_right(self):
+        model = make_model([ClassTree(0, 0, stump(0, 0.5, left=2.0, right=-1.0, cover=(3.0, 1.0)))],
+                           [0.0, 0.0], 1, eta=0.5)
+        x = np.array([0.5])
+        assert predict_margin(model, x)[0] == pytest.approx(0.5 * -1.0)
+        e = shap_values(model, x)
+        assert e.phi[0, 0] == pytest.approx(0.5 * (-1.0 - (3.0 * 2.0 + 1.0 * -1.0) / 4.0))
+        assert_matches_oracles(model, x)
+
+    @pytest.mark.parametrize("x0", [0.5, -0.5, 1.5, 3.0])
+    def test_feature_split_three_times_on_one_path(self, x0):
+        # the path to leaf 5.0 tests feature 0 against 0, 2 and 1, merging into
+        # [0, 1); a feature 1 split sits between the repeats
+        inner = TreeNode(cover=6.0, feature=0, threshold=1.0, gain=1.0,
+                         left=TreeNode(cover=2.0, weight=5.0),
+                         right=TreeNode(cover=4.0, weight=-2.0))
+        middle = TreeNode(cover=10.0, feature=1, threshold=0.0, gain=1.0,
+                          left=inner, right=TreeNode(cover=4.0, weight=1.0))
+        upper = TreeNode(cover=16.0, feature=0, threshold=2.0, gain=1.0,
+                         left=middle, right=TreeNode(cover=6.0, weight=3.0))
+        root = TreeNode(cover=20.0, feature=0, threshold=0.0, gain=1.0,
+                        left=TreeNode(cover=4.0, weight=-4.0), right=upper)
+        model = make_model([ClassTree(0, 1, root)], [0.2, -0.1], 2, eta=0.7)
+        assert_matches_oracles(model, np.array([x0, -1.0]))
+        assert_matches_oracles(model, np.array([x0, 1.0]))
+
+    def test_leaf_only_trees(self):
+        trees = [
+            ClassTree(0, 0, TreeNode(cover=5.0, weight=0.8)),
+            ClassTree(0, 1, stump(1, 0.0, cover=(2.0, 3.0))),
+            ClassTree(1, 1, TreeNode(cover=5.0, weight=-0.3)),
+        ]
+        model = make_model(trees, [0.1, 0.2], 2, eta=0.5)
+        e = shap_values(model, np.array([1.0, -1.0]))
+        assert e.base_value == pytest.approx([0.1 + 0.5 * 0.8, 0.2 + 0.5 * ((2.0 - 3.0) / 5.0 - 0.3)])
+        assert np.array_equal(e.phi[:, 0], np.zeros(2))
+        assert_matches_oracles(model, np.array([1.0, -1.0]))
+
+    def test_explain_matrix_rows_equal_shap_values(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(40, 4))
+        y = (x[:, 0] + x[:, 1] * x[:, 2] > 0).astype(int)
+        model = train(Dataset(x, y, ("a", "b", "c", "d")), TrainConfig(n_rounds=10, num_class=2))
+        whole = explain_matrix(model, x)
+        # small blocks split both the rows and each group's paths
+        monkeypatch.setattr(treeshap, "_BLOCK", 50)
+        blocked = explain_matrix(model, x)
+        for i, row in enumerate(x):
+            single = shap_values(model, row)
+            assert np.array_equal(blocked[i].phi, single.phi)
+            assert np.array_equal(blocked[i].base_value, single.base_value)
+            assert np.allclose(whole[i].phi, single.phi, atol=1e-12)
+
+    def test_path_set_is_cached_and_not_persisted(self):
+        model = random_model(np.random.default_rng(5))
+        doc = model_to_dict(model)
+        x = np.zeros(len(model.feature_names))
+        shap_values(model, x)
+        paths = model._shap_paths
+        assert paths is not None
+        interaction_values(model, x)
+        assert model._shap_paths is paths
+        assert model_to_dict(model) == doc
+        assert "_shap_paths" not in repr(model)
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [
+        lambda m, x: shap_values(m, x),
+        lambda m, x: explain_matrix(m, np.stack([np.zeros_like(x), x])),
+        lambda m, x: interaction_values(m, x),
+        lambda m, x: predict_margin(m, x),
+        lambda m, x: predict_margin_batch(m, np.stack([np.zeros_like(x), x])),
+    ], ids=["shap_values", "explain_matrix", "interaction_values", "predict_margin",
+            "predict_margin_batch"])
+    def test_non_finite_features(self, entry, bad):
+        model = make_model([ClassTree(0, 0, stump(1, 0.0))], [0.0, 0.0], 3)
+        with pytest.raises(ModelInputError, match="NaN or infinite"):
+            entry(model, np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("cover", [0.0, -1.0, np.nan])
+    def test_non_positive_internal_cover(self, cover):
+        root = TreeNode(cover=4.0, feature=0, threshold=0.0, gain=1.0,
+                        left=stump(1, 0.0, cover=(0.0, 0.0)),
+                        right=TreeNode(cover=4.0, weight=1.0))
+        root.left.cover = cover
+        model = make_model([ClassTree(0, 0, root)], [0.0, 0.0], 2)
+        with pytest.raises(ModelInputError, match="cover"):
+            shap_values(model, np.zeros(2))
+
+    def test_zero_leaf_cover_is_allowed(self):
+        model = make_model([ClassTree(0, 0, stump(0, 0.0, cover=(0.0, 2.0)))], [0.0, 0.0], 1)
+        assert_matches_oracles(model, np.array([-1.0]))
 
 
 class TestGlobalImportance:
