@@ -274,10 +274,13 @@ def _train_config(run: RunConfig) -> TrainConfig:
     )
 
 
+def _synth_config(run: RunConfig) -> SynthConfig:
+    return SynthConfig(n_samples=run.n_samples, seed=run.seed, noise_sd=run.noise_sd)
+
+
 def _load_records(run: RunConfig) -> list[VehicleRecord]:
     if run.synth:
-        return synth_records(SynthConfig(n_samples=run.n_samples, seed=run.seed,
-                                         noise_sd=run.noise_sd))
+        return synth_records(_synth_config(run))
     aliases = read_alias_table(run.aliases) if run.aliases else None
     records = load_csv(run.input, aliases=aliases)
     return drop_missing(records, [CELL_COUNT])
@@ -341,8 +344,7 @@ def cmd_train(run: RunConfig) -> FigureArtifact:
 def _explain_features(run: RunConfig, model: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Raw and model-space feature matrices for the explain command."""
     if run.synth:
-        records = synth_records(SynthConfig(n_samples=run.n_samples, seed=run.seed,
-                                            noise_sd=run.noise_sd))
+        records = _load_records(run)
     else:
         aliases = read_alias_table(run.aliases) if run.aliases else None
         records = load_csv(run.input, schema=model.feature_names, aliases=aliases)
@@ -451,8 +453,7 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
 
 def cmd_synth(run: RunConfig) -> None:
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    sc = SynthConfig(n_samples=run.n_samples, seed=run.seed, noise_sd=run.noise_sd)
-    records = synth_records(sc)
+    records = synth_records(_synth_config(run))
     columns = list(records[0].values.keys())
     _write_csv(
         run.out_dir / "synthetic.csv",
@@ -466,7 +467,7 @@ def cmd_synth(run: RunConfig) -> None:
         ["cell_count", ACCEL_S],
         [[n, _fmt(t)] for n, t in sweep],
     )
-    print(f"wrote synthetic.csv ({sc.n_samples} rows) and sweep.csv "
+    print(f"wrote synthetic.csv ({len(records)} rows) and sweep.csv "
           f"({len(sweep)} points) to {run.out_dir}")
 
 

@@ -88,12 +88,13 @@ class ClassTree:
     root: TreeNode
 
 
-@dataclass
+@dataclass(eq=False)
 class Ensemble:
     """A trained boosted-tree classifier: num_class trees per round.
 
     Leaf weights are stored unscaled; the learning rate is applied at
     prediction time. Immutable in practice and safe to share across threads.
+    Two models are equal iff their model_to_dict documents are equal.
     """
 
     trees: list[ClassTree]
@@ -105,7 +106,12 @@ class Ensemble:
     # Root-to-leaf path arrays built by evperf.treeshap on first use; derived
     # from the trees, so never persisted or compared. Two threads racing to
     # build it store equal values.
-    _shap_paths: object = field(default=None, init=False, repr=False, compare=False)
+    _shap_paths: object = field(default=None, init=False, repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ensemble):
+            return NotImplemented
+        return model_to_dict(self) == model_to_dict(other)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -266,12 +272,6 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Ensemble:
     )
 
 
-def _tree_predict_one(node: TreeNode, x: np.ndarray) -> float:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] < node.threshold else node.right
-    return node.weight
-
-
 def _tree_predict_batch(root: TreeNode, x: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape[0])
     stack = [(root, np.arange(x.shape[0]))]
@@ -306,13 +306,8 @@ def check_features(model: Ensemble, x: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def predict_margin(model: Ensemble, x: np.ndarray) -> np.ndarray:
-    """Per-class margins (log-odds scores) for one sample."""
-    x = check_features(model, x, 1)
-    margin = model.base_score.astype(float).copy()
-    eta = model.config.learning_rate
-    for ct in model.trees:
-        margin[ct.class_index] += eta * _tree_predict_one(ct.root, x)
-    return margin
+    """Per-class margins (log-odds scores) for one sample: a one-row batch."""
+    return predict_margin_batch(model, check_features(model, x, 1)[None, :])[0]
 
 
 def predict_proba(model: Ensemble, x: np.ndarray) -> np.ndarray:

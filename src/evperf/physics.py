@@ -3,12 +3,19 @@
 Computes pack voltage/resistance/power from the series-parallel cell layout,
 integrates the 0-100 km/h sprint, sweeps cell count to expose the
 power-versus-mass trade-off, and generates labeled synthetic datasets.
+
+There is one sprint integrator, a fixed-step RK4 over a batch of vehicles.
+The cell-count sweep and the synthetic fleet are one batch each, and
+accel_time_0_100 is a one-vehicle batch. The pack, mass and force helpers
+work elementwise, so a pack or vehicle whose varying fields are numpy arrays
+describes a whole fleet and every formula is written once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +50,10 @@ class PackConfig:
 
     n_series cells in a string set the voltage; n_parallel strings divide the
     resistance and multiply current capability.
+
+    n_series, n_parallel and r_cell may also be numpy arrays of one shape:
+    a fleet of packs that share the other fields, which the physics helpers
+    evaluate elementwise. Such an instance is not hashable or comparable.
     """
 
     n_series: int
@@ -56,9 +67,9 @@ class PackConfig:
     pack_overhead_mass_fraction: float = 0.0  # housing/cooling mass per cell mass
 
     def __post_init__(self) -> None:
-        if self.n_series < 1 or self.n_parallel < 1:
+        if np.any(self.n_series < 1) or np.any(self.n_parallel < 1):
             raise PhysicsError("cell counts must be at least 1")
-        if self.r_cell <= 0 or self.v_cell_nominal <= 0 or self.cell_mass <= 0:
+        if np.any(self.r_cell <= 0) or self.v_cell_nominal <= 0 or self.cell_mass <= 0:
             raise PhysicsError("r_cell, v_cell_nominal and cell_mass must be positive")
         if not 0 < self.v_cell_min < self.v_cell_nominal:
             raise PhysicsError("v_cell_min must lie in (0, v_cell_nominal)")
@@ -74,7 +85,11 @@ class PackConfig:
 
 @dataclass(frozen=True)
 class VehicleParams:
-    """Chassis, motor and drivetrain constants (everything but the pack)."""
+    """Chassis, motor and drivetrain constants (everything but the pack).
+
+    base_mass and motor_torque_max may also be numpy arrays of one shape, a
+    fleet of vehicles, as for PackConfig.
+    """
 
     base_mass: float            # kg, vehicle without battery pack
     c_d: float                  # aerodynamic drag coefficient
@@ -94,7 +109,7 @@ class VehicleParams:
             self.wheel_radius, self.gear_ratio, self.driveline_efficiency,
             self.motor_torque_max, self.traction_limit_accel, self.air_density, self.g,
         )
-        if any(v <= 0 for v in fields):
+        if any(np.any(v <= 0) for v in fields):
             raise PhysicsError("all vehicle parameters must be positive")
         if self.driveline_efficiency > 1:
             raise PhysicsError("driveline_efficiency cannot exceed 1")
@@ -148,6 +163,45 @@ def total_mass(v: VehicleParams, p: PackConfig) -> float:
     return v.base_mass + p.cell_count * p.cell_mass * (1.0 + p.pack_overhead_mass_fraction)
 
 
+class _ForceTerms(NamedTuple):
+    """Speed-independent terms of the sprint ODE, scalars or per-vehicle arrays.
+
+    dv/dt = (min(wheel_force_cap, wheel_power / max(v, SPEED_EPS),
+    traction_force) - drag_coeff * v^2 - rolling_force) / mass.
+    """
+
+    wheel_force_cap: np.ndarray  # N, motor torque through the driveline
+    wheel_power: np.ndarray      # W, peak pack power through the driveline
+    traction_force: np.ndarray   # N, tire grip cap
+    drag_coeff: float            # N per (m/s)^2
+    rolling_force: np.ndarray    # N
+    mass: np.ndarray             # kg
+
+
+def _force_terms(v: VehicleParams, p: PackConfig) -> _ForceTerms:
+    eta = v.driveline_efficiency
+    mass = total_mass(v, p)
+    return _ForceTerms(
+        wheel_force_cap=v.motor_torque_max * v.gear_ratio * eta / v.wheel_radius,
+        wheel_power=eta * pack_max_power(p),
+        traction_force=mass * v.traction_limit_accel,
+        drag_coeff=0.5 * v.air_density * v.c_d * v.frontal_area,
+        rolling_force=v.c_rr * mass * v.g,
+        mass=mass,
+    )
+
+
+def _drive_force(f: _ForceTerms, speed: np.ndarray) -> np.ndarray:
+    return np.minimum(
+        np.minimum(f.wheel_force_cap, f.wheel_power / np.maximum(speed, SPEED_EPS)),
+        f.traction_force,
+    )
+
+
+def _drag_force(f: _ForceTerms, speed: np.ndarray) -> np.ndarray:
+    return f.drag_coeff * speed * speed
+
+
 def tractive_force(v: VehicleParams, p: PackConfig, speed: float) -> float:
     """Force at the wheels: the binding one of three limits.
 
@@ -155,58 +209,70 @@ def tractive_force(v: VehicleParams, p: PackConfig, speed: float) -> float:
     capped by tire grip throughout. Speed is floored at SPEED_EPS so the
     power limit stays finite at standstill.
     """
-    torque_limited = v.motor_torque_max * v.gear_ratio * v.driveline_efficiency / v.wheel_radius
-    power_limited = v.driveline_efficiency * pack_max_power(p) / max(speed, SPEED_EPS)
-    traction_cap = total_mass(v, p) * v.traction_limit_accel
-    return min(torque_limited, power_limited, traction_cap)
+    return _drive_force(_force_terms(v, p), speed)
 
 
 def resistive_forces(v: VehicleParams, p: PackConfig, speed: float) -> float:
     """Aerodynamic drag plus rolling resistance at the given speed."""
-    aero = 0.5 * v.air_density * v.c_d * v.frontal_area * speed * speed
-    rolling = v.c_rr * total_mass(v, p) * v.g
-    return aero + rolling
+    f = _force_terms(v, p)
+    return _drag_force(f, speed) + f.rolling_force
 
 
-def accel_time_0_100(
-    v: VehicleParams,
-    p: PackConfig,
-    dt: float = 1e-3,
-    target_speed: float = TARGET_SPEED,
-) -> float:
-    """Seconds to accelerate from rest to 100 km/h.
+def _sprint_times(f: _ForceTerms, dt: float = 1e-3) -> np.ndarray:
+    """Seconds from rest to 100 km/h for every vehicle the terms describe.
 
-    Fixed-step RK4 on dv/dt = (F_tractive - F_resistive) / m, starting at
-    SPEED_EPS. The final partial step is linearly interpolated to the target
-    crossing. Raises PhysicsError if the force balance prevents reaching the
-    target within MAX_SPRINT_TIME.
+    Fixed-step RK4 on dv/dt, all vehicles stepped together from SPEED_EPS.
+    A vehicle's final partial step is linearly interpolated to the target
+    crossing; after that it keeps its pre-crossing speed, so it repeats the
+    crossing step and never trips the stall check. Raises PhysicsError if a
+    vehicle cannot move off the line, stops gaining speed, or has not reached
+    the target within MAX_SPRINT_TIME.
     """
-    m = total_mass(v, p)
 
-    def dvdt(speed: float) -> float:
-        return (tractive_force(v, p, speed) - resistive_forces(v, p, speed)) / m
+    def dvdt(speed: np.ndarray) -> np.ndarray:
+        return (_drive_force(f, speed) - _drag_force(f, speed) - f.rolling_force) / f.mass
 
-    speed = SPEED_EPS
-    if dvdt(speed) <= 0:
+    # shape () when every term is a scalar (one vehicle): numpy then steps in
+    # scalars, which is faster than a 1-element array
+    speed = np.full(np.broadcast(*f).shape, SPEED_EPS)
+    if (dvdt(speed) <= 0).any():
         raise PhysicsError("vehicle cannot accelerate from standstill")
+    times = np.full(speed.shape, np.nan)
+    running = np.ones(speed.shape, dtype=bool)
     t = 0.0
-    while speed < target_speed:
+    while running.any():
         if t >= MAX_SPRINT_TIME:
             raise PhysicsError(
-                f"target speed not reached within {MAX_SPRINT_TIME:.0f} s (stuck near {speed:.1f} m/s)"
+                f"target speed not reached within {MAX_SPRINT_TIME:.0f} s "
+                f"(stuck near {speed[running].min():.1f} m/s)"
             )
         k1 = dvdt(speed)
         k2 = dvdt(speed + 0.5 * dt * k1)
         k3 = dvdt(speed + 0.5 * dt * k2)
         k4 = dvdt(speed + dt * k3)
         new_speed = speed + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        if new_speed <= speed:
-            raise PhysicsError(f"force balance stalls at {speed:.2f} m/s")
-        if new_speed >= target_speed:
-            return t + dt * (target_speed - speed) / (new_speed - speed)
+        stalled = new_speed <= speed
+        if stalled.any():
+            raise PhysicsError(f"force balance stalls at {speed[stalled].min():.2f} m/s")
+        crossed = running & (new_speed >= TARGET_SPEED)
+        if crossed.any():
+            frac = (TARGET_SPEED - speed[crossed]) / (new_speed[crossed] - speed[crossed])
+            times[crossed] = t + dt * frac
+            running &= ~crossed
+        speed = np.where(running, new_speed, speed)
         t += dt
-        speed = new_speed
-    return t
+    return times
+
+
+def accel_time_0_100(v: VehicleParams, p: PackConfig, dt: float = 1e-3) -> float:
+    """Seconds to accelerate from rest to 100 km/h: a one-vehicle sprint.
+
+    Fixed-step RK4 on dv/dt = (F_tractive - F_resistive) / m, starting at
+    SPEED_EPS, with the final partial step interpolated to the crossing.
+    Raises PhysicsError if the force balance prevents reaching the target
+    within MAX_SPRINT_TIME.
+    """
+    return float(_sprint_times(_force_terms(v, p), dt))
 
 
 def diminishing_returns_sweep(
@@ -216,18 +282,16 @@ def diminishing_returns_sweep(
 ) -> list[tuple[int, float]]:
     """Sprint time as a function of total cell count.
 
-    For each parallel-string count the pack mass, resistance and peak power
-    are recomputed from the template; returns (cell count, seconds) pairs in
-    the order given.
+    One pack per parallel-string count, built from the template, all
+    integrated in one batch; each time equals accel_time_0_100 on that pack.
+    Returns (cell count, seconds) pairs in the order given.
     """
-    values = list(n_parallel_values)
-    if not values:
+    n_parallel = np.array(n_parallel_values, dtype=np.int64)
+    if n_parallel.size == 0:
         raise PhysicsError("n_parallel range is empty")
-    curve = []
-    for n_par in values:
-        pack = replace(template, n_parallel=int(n_par))
-        curve.append((pack.cell_count, accel_time_0_100(v, pack)))
-    return curve
+    packs = replace(template, n_parallel=n_parallel)
+    times = _sprint_times(_force_terms(v, packs))
+    return list(zip(packs.cell_count.tolist(), times.tolist()))
 
 
 def default_vehicle() -> VehicleParams:
@@ -305,54 +369,6 @@ class SynthConfig:
         _check_range("consumption", *self.consumption_range)
 
 
-def _sprint_times_vectorized(
-    wheel_force_cap: np.ndarray,
-    wheel_power: np.ndarray,
-    traction_force: np.ndarray,
-    drag_coeff: np.ndarray,
-    rolling_force: np.ndarray,
-    mass: np.ndarray,
-    dt: float = 1e-3,
-) -> np.ndarray:
-    """RK4 sprint integration over many vehicles at once.
-
-    Same stepping rule as accel_time_0_100 with all per-vehicle force terms
-    precomputed: F(v) = min(force cap, power/max(v, eps), traction) minus
-    drag_coeff*v^2 + rolling.
-    """
-    n = mass.shape[0]
-
-    def dvdt(speed: np.ndarray) -> np.ndarray:
-        drive = np.minimum(
-            np.minimum(wheel_force_cap, wheel_power / np.maximum(speed, SPEED_EPS)),
-            traction_force,
-        )
-        return (drive - drag_coeff * speed * speed - rolling_force) / mass
-
-    speed = np.full(n, SPEED_EPS)
-    if np.any(dvdt(speed) <= 0):
-        raise PhysicsError("a sampled vehicle cannot accelerate from standstill")
-    times = np.full(n, np.nan)
-    running = np.ones(n, dtype=bool)
-    t = 0.0
-    while np.any(running):
-        if t >= MAX_SPRINT_TIME:
-            raise PhysicsError("a sampled vehicle cannot reach 100 km/h in time")
-        k1 = dvdt(speed)
-        k2 = dvdt(speed + 0.5 * dt * k1)
-        k3 = dvdt(speed + 0.5 * dt * k2)
-        k4 = dvdt(speed + dt * k3)
-        new_speed = speed + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        crossed = running & (new_speed >= TARGET_SPEED)
-        if np.any(crossed):
-            frac = (TARGET_SPEED - speed[crossed]) / (new_speed[crossed] - speed[crossed])
-            times[crossed] = t + dt * frac
-            running &= ~crossed
-        speed = np.where(running, new_speed, speed)
-        t += dt
-    return times
-
-
 def synth_records(
     sc: SynthConfig,
     v: VehicleParams | None = None,
@@ -391,24 +407,12 @@ def synth_records(
         consumption[i] = rng.uniform(*sc.consumption_range)
         noise[i] = rng.normal(0.0, 1.0)
 
-    cells = n_series * n_parallel
-    mass = base_mass + cells * template.cell_mass * (1.0 + template.pack_overhead_mass_fraction)
-    v_ocv = n_series * template.v_cell_nominal
-    v_min = n_series * template.v_cell_min
-    resistance = n_series * r_cell / n_parallel + template.r_interconnects
-    p_max = v_ocv * (v_ocv - v_min) / resistance
-
-    eta = v.driveline_efficiency
-    times = _sprint_times_vectorized(
-        wheel_force_cap=torque * v.gear_ratio * eta / v.wheel_radius,
-        wheel_power=eta * p_max,
-        traction_force=mass * v.traction_limit_accel,
-        drag_coeff=np.full(sc.n_samples, 0.5 * v.air_density * v.c_d * v.frontal_area),
-        rolling_force=v.c_rr * mass * v.g,
-        mass=mass,
-    )
+    pack = replace(template, n_series=n_series, n_parallel=n_parallel, r_cell=r_cell)
+    forces = _force_terms(replace(v, base_mass=base_mass, motor_torque_max=torque), pack)
+    times = _sprint_times(forces)
     noisy_times = times * np.exp(sc.noise_sd * noise)
 
+    cells = pack.cell_count
     capacity = cells * template.v_cell_nominal * cell_cap / 1000.0
     range_km = capacity / consumption
     records = []
@@ -418,7 +422,7 @@ def synth_records(
                 {
                     CAPACITY_KWH: float(capacity[i]),
                     CELL_COUNT: float(cells[i]),
-                    WEIGHT_KG: float(mass[i]),
+                    WEIGHT_KG: float(forces.mass[i]),
                     TORQUE_NM: float(torque[i]),
                     RANGE_KM: float(range_km[i]),
                     ACCEL_S: float(noisy_times[i]),

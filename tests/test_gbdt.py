@@ -259,6 +259,12 @@ class TestPredict:
         assert np.array_equal(margins.argmax(axis=1), probs.argmax(axis=1))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_one_row_equals_batch_row(self, blob_dataset):
+        model = train(blob_dataset, TrainConfig(n_rounds=5))
+        batch = predict_margin_batch(model, blob_dataset.features)
+        for x, row in zip(blob_dataset.features[::7], batch[::7]):
+            assert np.array_equal(predict_margin(model, x), row)
+
     def test_dimension_mismatch(self):
         model = _single_leaf_model()
         with pytest.raises(ValueError):
@@ -283,6 +289,16 @@ class TestPersistence:
         save_model(model, p1)
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_multiclass_equality_is_a_bool(self, blob_dataset):
+        model = train(blob_dataset, TrainConfig(n_rounds=3))
+        assert model.num_class == 3
+        loaded = model_from_dict(model_to_dict(model))
+        assert (model == loaded) is True
+        assert (model != loaded) is False
+        shifted = model_from_dict({**model_to_dict(model), "base_score": [0.0, 0.0, 0.0]})
+        assert (model == shifted) is False
+        assert model != "model"
 
     def test_version_check(self):
         with pytest.raises(ValueError, match="format version"):

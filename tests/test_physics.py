@@ -197,6 +197,30 @@ class TestSprintIntegration:
             accel_time_0_100(v, make_pack())
 
 
+def _reference_sprint(v, p, dt=1e-3):
+    """Plain-float RK4 sprint, kept as the reference for the batch integrator."""
+    m = total_mass(v, p)
+    force_cap = v.motor_torque_max * v.gear_ratio * v.driveline_efficiency / v.wheel_radius
+    wheel_power = v.driveline_efficiency * pack_max_power(p)
+
+    def dvdt(speed):
+        drive = min(force_cap, wheel_power / max(speed, 0.1), m * v.traction_limit_accel)
+        aero = 0.5 * v.air_density * v.c_d * v.frontal_area * speed * speed
+        return (drive - (aero + v.c_rr * m * v.g)) / m
+
+    speed, t = 0.1, 0.0
+    while True:
+        k1 = dvdt(speed)
+        k2 = dvdt(speed + 0.5 * dt * k1)
+        k3 = dvdt(speed + 0.5 * dt * k2)
+        k4 = dvdt(speed + dt * k3)
+        new_speed = speed + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        if new_speed >= TARGET_SPEED:
+            return t + dt * (TARGET_SPEED - speed) / (new_speed - speed)
+        t += dt
+        speed = new_speed
+
+
 def _sign_changes(values, tol):
     signs = [v for v in values if abs(v) > tol]
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
@@ -228,6 +252,26 @@ class TestSweep:
     def test_empty_range_rejected(self):
         with pytest.raises(PhysicsError):
             diminishing_returns_sweep(default_vehicle(), default_pack(), [])
+
+    def test_points_equal_single_sprints_in_any_order(self):
+        v, pack = default_vehicle(), default_pack()
+        curve = diminishing_returns_sweep(v, pack, DEFAULT_SWEEP_PARALLEL)
+        for n_par, (cells, seconds) in zip(DEFAULT_SWEEP_PARALLEL, curve):
+            single = replace(pack, n_parallel=n_par)
+            assert cells == single.cell_count
+            assert seconds == accel_time_0_100(v, single)
+        backwards = diminishing_returns_sweep(v, pack, DEFAULT_SWEEP_PARALLEL[::-1])
+        assert backwards == curve[::-1]
+
+    def test_matches_plain_float_reference(self):
+        # the batch integrator subtracts drag and rolling force one at a time
+        # and interpolates the crossing as dt * fraction, so it may differ
+        # from the reference by rounding only
+        v, pack = default_vehicle(), default_pack()
+        curve = diminishing_returns_sweep(v, pack, DEFAULT_SWEEP_PARALLEL)
+        for n_par, (_, seconds) in zip(DEFAULT_SWEEP_PARALLEL, curve):
+            reference = _reference_sprint(v, replace(pack, n_parallel=n_par))
+            assert seconds == pytest.approx(reference, rel=1e-15, abs=0)
 
 
 class TestSynth:
