@@ -8,14 +8,36 @@ said wherever that is done.
 
 import hashlib
 
+import pytest
+
 from evperf.cli import main
+from evperf.gbdt import load_model, save_model
 
 SYNTHETIC_CSV_SHA256 = "ae65abc90f152119194651f09e885d749b9a18460095b078760c425157bd1180"
 MODEL_JSON_SHA256 = "743e176ac5730526d966ed9ad226d8a7ae75bf83eb37c2aab108d063b8fe64de"
+METRICS_JSON_SHA256 = "599c6f85c64e147d46004967f6cb65806ba32f110b2613b03c5e5e3294eb9590"
+
+# explain --synth --seed 0 --no-svg --swarm-samples 2 on the golden model.json:
+# attributions, interactions, gain importance and the loaded model's margins
+EXPLAIN_SHA256 = {
+    "shap_values.csv": "f96f43a3a252f91ff1e2692039a71e3569ed3abdfc4b12d56d6cf49fbe5ef5b9",
+    "shap_swarm.csv": "e6972d8354880795c3474994d7213810fe0234ce446e6a70b42088ab7b7f8814",
+    "gain_importance.csv": "30bd7715beae49501295bca7305774510f90da174c7fd6f48d08717ead1c4e2b",
+    "force.csv": "f3acd80431d6902431ac74db421c20897e2ca52d8202f89ea9be4f9041bdc945",
+}
 
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def train_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("train")
+    argv = ["train", "--synth", "--seed", "0", "--rounds", "20", "--folds", "2",
+            "--out-dir", str(out)]
+    assert main(argv) == 0
+    return out
 
 
 def test_synthetic_csv_golden_hash(tmp_path):
@@ -23,8 +45,21 @@ def test_synthetic_csv_golden_hash(tmp_path):
     assert _sha256(tmp_path / "synthetic.csv") == SYNTHETIC_CSV_SHA256
 
 
-def test_model_json_golden_hash(tmp_path):
-    argv = ["train", "--synth", "--seed", "0", "--rounds", "20", "--folds", "2",
-            "--out-dir", str(tmp_path)]
+def test_model_json_golden_hash(train_dir):
+    assert _sha256(train_dir / "model.json") == MODEL_JSON_SHA256
+
+
+def test_metrics_json_golden_hash(train_dir):
+    assert _sha256(train_dir / "metrics.json") == METRICS_JSON_SHA256
+
+
+def test_model_json_load_save_round_trip(train_dir, tmp_path):
+    save_model(load_model(train_dir / "model.json"), tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_bytes() == (train_dir / "model.json").read_bytes()
+
+
+def test_explain_golden_hashes(train_dir, tmp_path):
+    argv = ["explain", "--synth", "--seed", "0", "--model", str(train_dir / "model.json"),
+            "--no-svg", "--swarm-samples", "2", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
-    assert _sha256(tmp_path / "model.json") == MODEL_JSON_SHA256
+    assert {name: _sha256(tmp_path / name) for name in EXPLAIN_SHA256} == EXPLAIN_SHA256
