@@ -445,7 +445,7 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
             f"Prediction decomposition, sample 0, class {CLASS_NAMES[force_class]}"),
     ))
 
-    print(f"explained {len(explanations)} samples with {len(model.trees)} trees")
+    print(f"explained {len(explanations)} samples with {len(model.trees.root)} trees")
     print(f"wrote shap_values plus figures {', '.join(a.kind for a in artifacts)} "
           f"to {run.out_dir}")
     return artifacts

@@ -5,13 +5,20 @@ consecutive distinct feature values, scoring splits with the regularized
 second-order gain (L2 on leaf weights, L1 via soft thresholding of the
 gradient sum, and a flat per-split penalty). One tree per class per round is
 fit to the softmax cross-entropy gradients and Hessians.
+
+Trees are grown as ``TreeNode`` graphs and then stored, once, in the
+ensemble's node table: flat arrays over every node of every tree, in
+pre-order, tree after tree, as in XGBoost's ``RegTree`` (Chen & Guestrin
+2016). Prediction, training's margin updates, gain importance, TreeSHAP and
+``model.json`` all read that table.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -81,11 +88,27 @@ class TreeNode:
         return self.feature < 0
 
 
-@dataclass
-class ClassTree:
-    round_index: int
-    class_index: int
-    root: TreeNode
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """Every node of every tree as flat arrays, in pre-order, tree after tree.
+
+    Per node: ``feature`` and child indices ``left``/``right`` (all -1 at
+    leaves), ``threshold``, leaf ``weight`` (0 at splits), ``cover`` and split
+    ``gain`` (0 at leaves). Per tree: the index of its ``root`` node, its
+    ``class_index`` and its ``round_index``. A tree's nodes lie between its
+    root and the next tree's, children after their parent.
+    """
+
+    feature: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    threshold: np.ndarray
+    weight: np.ndarray
+    cover: np.ndarray
+    gain: np.ndarray
+    root: np.ndarray
+    class_index: np.ndarray
+    round_index: np.ndarray
 
 
 @dataclass(eq=False)
@@ -97,7 +120,7 @@ class Ensemble:
     Two models are equal iff their model_to_dict documents are equal.
     """
 
-    trees: list[ClassTree]
+    trees: NodeTable
     base_score: np.ndarray
     num_class: int
     feature_names: tuple[str, ...]
@@ -115,15 +138,10 @@ class Ensemble:
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a score vector."""
+    """Numerically stable softmax over the last axis."""
     s = np.asarray(scores, dtype=float)
-    z = np.exp(s - s.max())
-    return z / z.sum()
-
-
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    z = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+    z = np.exp(s - s.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def mlogloss_grad_hess(probs: np.ndarray, label: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,6 +247,58 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
     return grow(np.arange(x.shape[0]), 0)
 
 
+def node_table(trees: Sequence[tuple[int, int, TreeNode]]) -> NodeTable:
+    """Node table of (round, class, root) trees, kept in the order given."""
+    return _flatten([{"round": r, "class_index": k, "root": _node_to_dict(root)}
+                     for r, k, root in trees])
+
+
+def _flatten(tree_docs: Sequence[dict]) -> NodeTable:
+    """Node table of model.json tree documents; the one conversion into it.
+
+    Raises ValueError naming the tree when a document lacks a key.
+    """
+    nodes: list[list[float]] = []  # one row per node, in NodeTable field order
+
+    def add(node: dict) -> int:
+        i = len(nodes)
+        if "feature" not in node:
+            nodes.append([-1, -1, -1, 0.0, float(node["weight"]), float(node["cover"]), 0.0])
+            return i
+        nodes.append([int(node["feature"]), -1, -1, float(node["threshold"]), 0.0,
+                      float(node["cover"]), float(node.get("gain", 0.0))])
+        nodes[i][1] = add(node["left"])
+        nodes[i][2] = add(node["right"])
+        return i
+
+    trees = []
+    for t, doc in enumerate(tree_docs):
+        try:
+            trees.append((add(doc["root"]), int(doc["class_index"]), int(doc["round"])))
+        except KeyError as exc:
+            raise ValueError(f"model tree {t} is missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"model tree {t} is malformed: {exc}") from None
+    columns = np.array(nodes, dtype=float).reshape(-1, 7).T.copy()
+    per_tree = np.array(trees, dtype=np.intp).reshape(-1, 3).T.copy()
+    return NodeTable(*columns[:3].astype(np.intp), *columns[3:], *per_tree)
+
+
+def _leaves(trees: NodeTable, x: np.ndarray) -> np.ndarray:
+    """Index of the leaf each row of x reaches in each tree, shape (n, n_trees).
+
+    Descends one level per step over every row and tree at once; a value
+    strictly below a split's threshold goes left, and leaves stay put.
+    """
+    node = np.tile(trees.root, (x.shape[0], 1))
+    rows = np.arange(x.shape[0])[:, None]
+    while (trees.feature[node] >= 0).any():
+        f = trees.feature[node]
+        go_left = x[rows, f] < trees.threshold[node]
+        node = np.where(f < 0, node, np.where(go_left, trees.left[node], trees.right[node]))
+    return node
+
+
 def train(dataset: Dataset, cfg: TrainConfig) -> Ensemble:
     """Fit a softmax-boosted ensemble on a complete dataset.
 
@@ -253,39 +323,23 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Ensemble:
     margins = np.tile(base_score, (n, 1))
     onehot = np.zeros((n, cfg.num_class))
     onehot[np.arange(n), y] = 1.0
-    trees: list[ClassTree] = []
+    grown: list[tuple[int, int, TreeNode]] = []
     for r in range(cfg.n_rounds):
-        probs = _softmax_rows(margins)
+        probs = softmax(margins)
         grad = probs - onehot
         hess = np.maximum(probs * (1.0 - probs), HESS_EPS)
         for k in range(cfg.num_class):
-            root = build_tree(x, grad[:, k], hess[:, k], cfg)
-            trees.append(ClassTree(round_index=r, class_index=k, root=root))
-            margins[:, k] += cfg.learning_rate * _tree_predict_batch(root, x)
+            grown.append((r, k, build_tree(x, grad[:, k], hess[:, k], cfg)))
+            tree = node_table(grown[-1:])
+            margins[:, k] += cfg.learning_rate * tree.weight[_leaves(tree, x)[:, 0]]
     return Ensemble(
-        trees=trees,
+        trees=node_table(grown),
         base_score=base_score,
         num_class=cfg.num_class,
         feature_names=dataset.feature_names,
         config=cfg,
         scaler=dataset.scaler,
     )
-
-
-def _tree_predict_batch(root: TreeNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape[0])
-    stack = [(root, np.arange(x.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if node.is_leaf:
-            out[rows] = node.weight
-        else:
-            mask = x[rows, node.feature] < node.threshold
-            stack.append((node.left, rows[mask]))
-            stack.append((node.right, rows[~mask]))
-    return out
 
 
 def check_features(model: Ensemble, x: np.ndarray, ndim: int) -> np.ndarray:
@@ -311,38 +365,32 @@ def predict_margin(model: Ensemble, x: np.ndarray) -> np.ndarray:
 
 
 def predict_proba(model: Ensemble, x: np.ndarray) -> np.ndarray:
-    """Per-class probabilities for one sample (softmax of the margins)."""
-    return softmax(predict_margin(model, x))
+    """Per-class probabilities for one sample: a one-row batch."""
+    return predict_proba_batch(model, check_features(model, x, 1)[None, :])[0]
 
 
 def predict_margin_batch(model: Ensemble, x: np.ndarray) -> np.ndarray:
     """Per-class margins for a sample matrix, shape (n, num_class)."""
     x = check_features(model, x, 2)
+    trees = model.trees
+    outputs = model.config.learning_rate * trees.weight[_leaves(trees, x)]
     margins = np.tile(model.base_score.astype(float), (x.shape[0], 1))
-    eta = model.config.learning_rate
-    for ct in model.trees:
-        margins[:, ct.class_index] += eta * _tree_predict_batch(ct.root, x)
+    # adds tree by tree, in order, so each margin is the same sum in any batch
+    np.add.at(margins, (slice(None), trees.class_index), outputs)
     return margins
 
 
 def predict_proba_batch(model: Ensemble, x: np.ndarray) -> np.ndarray:
     """Per-class probabilities for a sample matrix."""
-    return _softmax_rows(predict_margin_batch(model, x))
+    return softmax(predict_margin_batch(model, x))
 
 
 def gain_importance(model: Ensemble) -> np.ndarray:
     """Total realized split gain per feature across the whole ensemble."""
-    totals = np.zeros(len(model.feature_names))
-
-    def walk(node: TreeNode) -> None:
-        if not node.is_leaf:
-            totals[node.feature] += node.gain
-            walk(node.left)
-            walk(node.right)
-
-    for ct in model.trees:
-        walk(ct.root)
-    return totals
+    trees = model.trees
+    split = trees.feature >= 0
+    return np.bincount(trees.feature[split], trees.gain[split],
+                       minlength=len(model.feature_names))
 
 
 def _node_to_dict(node: TreeNode) -> dict:
@@ -358,17 +406,41 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(d: dict) -> TreeNode:
-    if "feature" not in d:
-        return TreeNode(cover=float(d["cover"]), weight=float(d["weight"]))
-    return TreeNode(
-        cover=float(d["cover"]),
-        feature=int(d["feature"]),
-        threshold=float(d["threshold"]),
-        gain=float(d.get("gain", 0.0)),
-        left=_node_from_dict(d["left"]),
-        right=_node_from_dict(d["right"]),
-    )
+def _tree_dicts(trees: NodeTable) -> list[dict]:
+    """The model.json documents of every tree in a node table."""
+    feature, left, right, threshold, weight, cover, gain, roots, classes, rounds = (
+        a.tolist() for a in astuple(trees))
+
+    def node(i: int) -> dict:
+        if feature[i] < 0:
+            return {"cover": cover[i], "weight": weight[i]}
+        return {"cover": cover[i], "feature": feature[i], "threshold": threshold[i],
+                "gain": gain[i], "left": node(left[i]), "right": node(right[i])}
+
+    return [{"round": r, "class_index": k, "root": node(i)}
+            for i, k, r in zip(roots, classes, rounds)]
+
+
+def _check_table(trees: NodeTable, n_features: int, num_class: int) -> None:
+    """Raise ValueError naming the first tree the model cannot be applied with.
+
+    Split features must lie in [0, n_features), thresholds and leaf weights
+    must be finite, and class indices must lie in [0, num_class). Covers are
+    checked when explaining, so that a zero-cover model still predicts.
+    """
+    bad_class = (trees.class_index < 0) | (trees.class_index >= num_class)
+    if bad_class.any():
+        raise ValueError(f"model tree {np.argmax(bad_class)} has a class index outside [0, {num_class})")
+    split = trees.left >= 0
+    bad = np.where(split, (trees.feature < 0) | (trees.feature >= n_features)
+                   | ~np.isfinite(trees.threshold), ~np.isfinite(trees.weight))
+    if bad.any():
+        i = int(np.argmax(bad))
+        tree = int(np.searchsorted(trees.root, i, side="right")) - 1
+        what = (f"a split on feature {trees.feature[i]} at threshold {trees.threshold[i]!r}"
+                if split[i] else f"a leaf weight {trees.weight[i]!r}")
+        raise ValueError(f"model tree {tree} has {what}; split features must lie in "
+                         f"[0, {n_features}) and thresholds and weights must be finite")
 
 
 def model_to_dict(model: Ensemble) -> dict:
@@ -378,29 +450,11 @@ def model_to_dict(model: Ensemble) -> dict:
         "num_class": model.num_class,
         "base_score": [float(b) for b in model.base_score],
         "feature_names": list(model.feature_names),
-        "config": {
-            "n_rounds": model.config.n_rounds,
-            "learning_rate": model.config.learning_rate,
-            "max_depth": model.config.max_depth,
-            "reg_lambda": model.config.reg_lambda,
-            "reg_alpha": model.config.reg_alpha,
-            "gamma": model.config.gamma,
-            "min_child_hessian": model.config.min_child_hessian,
-            "num_class": model.config.num_class,
-            "seed": model.config.seed,
-        },
-        "scaler": (
-            None
-            if model.scaler is None
-            else {
-                "mean": [float(m) for m in model.scaler.mean],
-                "std": [float(s) for s in model.scaler.std],
-            }
-        ),
-        "trees": [
-            {"round": ct.round_index, "class_index": ct.class_index, "root": _node_to_dict(ct.root)}
-            for ct in model.trees
-        ],
+        "config": asdict(model.config),
+        "scaler": (None if model.scaler is None else
+                   {"mean": [float(m) for m in model.scaler.mean],
+                    "std": [float(s) for s in model.scaler.std]}),
+        "trees": _tree_dicts(model.trees),
     }
 
 
@@ -415,16 +469,8 @@ def model_from_dict(doc: dict) -> Ensemble:
             mean=np.asarray(doc["scaler"]["mean"], dtype=float),
             std=np.asarray(doc["scaler"]["std"], dtype=float),
         )
-    trees = [
-        ClassTree(
-            round_index=int(t["round"]),
-            class_index=int(t["class_index"]),
-            root=_node_from_dict(t["root"]),
-        )
-        for t in doc["trees"]
-    ]
-    if any(not 0 <= ct.class_index < int(doc["num_class"]) for ct in trees):
-        raise ValueError("model document has a tree with an out-of-range class index")
+    trees = _flatten(doc["trees"])
+    _check_table(trees, len(doc["feature_names"]), int(doc["num_class"]))
     return Ensemble(
         trees=trees,
         base_score=np.asarray(doc["base_score"], dtype=float),

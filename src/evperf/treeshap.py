@@ -2,15 +2,17 @@
 
 Implements path-dependent TreeSHAP: node covers act as the marginalization
 distribution, so each tree's attributions decompose its own output exactly
-(local accuracy) without any background dataset. The ensemble is split once
-into root-to-leaf paths with repeated features merged; each path's
-attributions and pairwise interaction values are closed-form polynomials in
-its features' cover fractions and in-interval bits, evaluated for a batch of
-rows with numpy. Attributions, interactions and base values all come from
-that one path set, which is built on first use and kept on the Ensemble.
+(local accuracy) without any background dataset. The ensemble's node table is
+split once, with numpy, one tree level at a time, into root-to-leaf paths with
+repeated features merged; each path's attributions and pairwise interaction
+values are closed-form polynomials in its features' cover fractions and
+in-interval bits, evaluated for a batch of rows with numpy. Attributions,
+interactions and base values all come from that one path set, which is built
+on first use and kept on the Ensemble.
 
 Direct exponential-time evaluations of the Shapley value and interaction
-definitions are included as independent oracles, plus the derived analyses:
+definitions, by recursion over the node table, are included as independent
+oracles that share no code with the path set, plus the derived analyses:
 global importance ranking, dependence data and force-plot decompositions.
 
 Attributions live in margin (pre-softmax) space, where additivity is exact;
@@ -26,7 +28,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .gbdt import Ensemble, ModelInputError, TreeNode, check_features
+from .gbdt import Ensemble, ModelInputError, check_features
 
 
 @dataclass(frozen=True)
@@ -103,43 +105,55 @@ class _PathSet:
 
 
 def _build_paths(model: Ensemble) -> _PathSet:
-    eta = model.config.learning_rate
-    by_length: dict[int, list[tuple[dict, float, int]]] = {}
+    """Every root-to-leaf path of the node table, built one tree level at a time.
 
-    def walk(node: TreeNode, path: dict[int, tuple[float, float, float]], k: int) -> None:
-        if node.is_leaf:
-            by_length.setdefault(len(path), []).append((path, eta * node.weight, k))
-            return
-        if not node.cover > 0:
+    ``path[i]`` is the merged path above node i: a (W, 4) block of (feature,
+    lo, hi, zero) for the path's unique features in order of first use, with
+    ``length[i]`` of them filled. Each level gains a column; every split on
+    it merges its feature into that feature's slot (the next free one if
+    new) and hands the result to both children.
+    """
+    t = model.trees
+    n = len(t.feature)
+    path = np.zeros((n, 0, 4))
+    length = np.zeros(n, dtype=np.intp)
+    node = t.root[t.feature[t.root] >= 0]
+    while node.size:
+        cover = t.cover[node]
+        if not (cover > 0).all():
+            i = node[np.argmin(cover > 0)]
             raise ModelInputError(
-                f"node splitting feature {node.feature} has cover {node.cover!r}; "
+                f"node splitting feature {t.feature[i]} has cover {t.cover[i]!r}; "
                 "internal node covers must be positive"
             )
-        f, thr = node.feature, node.threshold
-        lo, hi, z = path.get(f, (-math.inf, math.inf, 1.0))
-        walk(node.left, {**path, f: (lo, min(hi, thr), z * (node.left.cover / node.cover))}, k)
-        walk(node.right, {**path, f: (max(lo, thr), hi, z * (node.right.cover / node.cover))}, k)
+        fresh = np.broadcast_to([-1.0, -math.inf, math.inf, 1.0], (n, 1, 4))
+        path = np.concatenate([path, fresh], axis=1)
+        f, thr, above, rows = t.feature[node], t.threshold[node], path[node], np.arange(len(node))
+        seen = above[:, :, 0] == f[:, None]
+        slot = np.where(seen.any(axis=1), seen.argmax(axis=1), length[node])
+        above[rows, slot, 0] = f
+        for child, bound, clip in ((t.left[node], 2, np.minimum), (t.right[node], 1, np.maximum)):
+            merged = above.copy()
+            merged[rows, slot, bound] = clip(above[rows, slot, bound], thr)
+            merged[rows, slot, 3] *= t.cover[child] / cover
+            path[child], length[child] = merged, length[node] + ~seen.any(axis=1)
+        node = np.concatenate([t.left[node], t.right[node]])
+        node = node[t.feature[node] >= 0]
 
-    for ct in model.trees:
-        walk(ct.root, {}, ct.class_index)
-
+    leaf = np.flatnonzero(t.feature < 0)  # in pre-order, tree after tree
+    cls = t.class_index[np.searchsorted(t.root, leaf, side="right") - 1]
     base = model.base_score.astype(float).copy()
     groups = []
-    for length in sorted(by_length):
-        items = by_length[length]
-        bounds = np.array([list(p.values()) for p, _, _ in items], dtype=float)
-        bounds = bounds.reshape(len(items), length, 3)
-        group = _PathGroup(
-            feature=np.array([list(p) for p, _, _ in items], dtype=np.intp).reshape(len(items), length),
-            lo=bounds[:, :, 0].copy(),
-            hi=bounds[:, :, 1].copy(),
-            zero=bounds[:, :, 2].copy(),
-            value=np.array([v for _, v, _ in items]),
-            class_index=np.array([k for _, _, k in items], dtype=np.intp),
-        )
+    for size in np.unique(length[leaf]):
+        member = length[leaf] == size
+        feature, lo, hi, zero = (np.ascontiguousarray(path[leaf[member], :size, j])
+                                 for j in range(4))
+        group = _PathGroup(feature=feature.astype(np.intp), lo=lo, hi=hi, zero=zero,
+                           value=model.config.learning_rate * t.weight[leaf[member]],
+                           class_index=cls[member])
         base += np.bincount(group.class_index, group.value * group.zero.prod(axis=1),
                             minlength=model.num_class)
-        if length:
+        if size:
             groups.append(group)
     return _PathSet(groups=tuple(groups), base_value=base)
 
@@ -287,18 +301,25 @@ def explain_matrix(
     ]
 
 
-def _coalition_expectation(node: TreeNode, x: Sequence[float], in_coalition: Sequence[bool]) -> float:
-    """Tree expectation with coalition features fixed to x, rest marginalized."""
-    if node.is_leaf:
-        return node.weight
-    if in_coalition[node.feature]:
+def _coalition_expectation(nodes: tuple[list, ...], i: int, x: Sequence[float],
+                           in_coalition: Sequence[bool]) -> float:
+    """Expectation of the subtree at node i with coalition features fixed to x.
+
+    ``nodes`` holds the node table's feature, threshold, left, right, weight
+    and cover columns as lists; other features are marginalized by cover.
+    """
+    feature, threshold, left, right, weight, cover = nodes
+    f = feature[i]
+    if f < 0:
+        return weight[i]
+    if in_coalition[f]:
         return _coalition_expectation(
-            node.left if x[node.feature] < node.threshold else node.right, x, in_coalition
+            nodes, left[i] if x[f] < threshold[i] else right[i], x, in_coalition
         )
     return (
-        node.left.cover * _coalition_expectation(node.left, x, in_coalition)
-        + node.right.cover * _coalition_expectation(node.right, x, in_coalition)
-    ) / node.cover
+        cover[left[i]] * _coalition_expectation(nodes, left[i], x, in_coalition)
+        + cover[right[i]] * _coalition_expectation(nodes, right[i], x, in_coalition)
+    ) / cover[i]
 
 
 MAX_BRUTE_FORCE_FEATURES = 12
@@ -313,12 +334,14 @@ def _coalition_values(model: Ensemble, x: np.ndarray) -> np.ndarray:
     if d > MAX_BRUTE_FORCE_FEATURES:
         raise ValueError(f"brute force is limited to {MAX_BRUTE_FORCE_FEATURES} features, got {d}")
     eta = model.config.learning_rate
+    t = model.trees
+    nodes = tuple(a.tolist() for a in (t.feature, t.threshold, t.left, t.right, t.weight, t.cover))
     xs = x.tolist()
     v = np.zeros((1 << d, model.num_class))
     for mask in range(1 << d):
         members = [bool(mask >> j & 1) for j in range(d)]
-        for ct in model.trees:
-            v[mask, ct.class_index] += eta * _coalition_expectation(ct.root, xs, members)
+        for root, k in zip(t.root.tolist(), t.class_index.tolist()):
+            v[mask, k] += eta * _coalition_expectation(nodes, root, xs, members)
     return v
 
 

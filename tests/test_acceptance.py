@@ -14,12 +14,12 @@ import pytest
 from evperf.cli import main as cli_main
 from evperf.data import Dataset, PerfClass, apply_scaler, fit_scaler
 from evperf.gbdt import (
-    ClassTree,
     Ensemble,
     TrainConfig,
     TreeNode,
     mlogloss_grad_hess,
     model_to_dict,
+    node_table,
     predict_margin,
     save_model,
     train,
@@ -107,12 +107,12 @@ def _random_ensemble(rng):
                           learning_rate=float(rng.uniform(0.1, 1.0)))
         return train(Dataset(x, y, tuple(f"f{i}" for i in range(d))), cfg)
     trees = [
-        ClassTree(0, int(rng.integers(0, num_class)),
+        (0, int(rng.integers(0, num_class)),
                   _random_tree(rng, 3, d, float(rng.uniform(5.0, 50.0))))
         for _ in range(int(rng.integers(1, 6)))
     ]
     cfg = TrainConfig(n_rounds=1, num_class=num_class, learning_rate=float(rng.uniform(0.05, 1.0)))
-    return Ensemble(trees, rng.normal(size=num_class), num_class,
+    return Ensemble(node_table(trees), rng.normal(size=num_class), num_class,
                     tuple(f"f{i}" for i in range(d)), cfg)
 
 
@@ -139,10 +139,10 @@ def test_criterion_1b_interaction_oracle_equivalence():
         # few features and depth 6 force repeated splits on one path
         for _ in range(15):
             d = int(rng.integers(1, 5))
-            trees = [ClassTree(0, int(rng.integers(0, 2)), _random_tree(rng, 6, d, 30.0))
+            trees = [(0, int(rng.integers(0, 2)), _random_tree(rng, 6, d, 30.0))
                      for _ in range(3)]
             cfg = TrainConfig(n_rounds=1, num_class=2, learning_rate=0.4)
-            models.append(Ensemble(trees, rng.normal(size=2), 2,
+            models.append(Ensemble(node_table(trees), rng.normal(size=2), 2,
                                    tuple(f"f{i}" for i in range(d)), cfg))
         for model in models:
             x = rng.normal(size=len(model.feature_names))

@@ -93,6 +93,12 @@ class TestTrainCommand:
         assert code == 2
 
 
+def _rightmost_leaf(node):
+    while "right" in node:
+        node = node["right"]
+    return node
+
+
 @pytest.fixture(scope="module")
 def trained_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -151,6 +157,27 @@ class TestExplainCommand:
                     "--n-samples", "10", "--no-svg"])
         assert code == 2
         assert "cover" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda tree: tree["root"].update(feature=7),
+        lambda tree: tree["root"].update(feature=-2),
+        lambda tree: tree["root"].pop("left"),
+        lambda tree: tree.pop("round"),
+        lambda tree: tree["root"].update(threshold=float("nan")),
+        lambda tree: _rightmost_leaf(tree["root"]).update(weight=float("inf")),
+    ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
+            "inf_leaf_weight"])
+    def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit):
+        doc = json.loads((trained_dir / "model.json").read_text())
+        assert len(doc["feature_names"]) < 7
+        tree = next(t for t in doc["trees"][1:] if "feature" in t["root"])
+        edit(tree)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["explain", "--synth", "--model", bad, "--out-dir", tmp_path / "x",
+                    "--n-samples", "10", "--no-svg"])
+        assert code == 2
+        assert f"tree {doc['trees'].index(tree)}" in capsys.readouterr().err
 
     def test_artifact_list_contract(self, trained_dir, tmp_path):
         args = build_parser().parse_args([

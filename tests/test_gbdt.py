@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from evperf.data import Dataset
 from evperf.gbdt import (
     HESS_EPS,
-    ClassTree,
     Ensemble,
     TrainConfig,
     TreeNode,
@@ -18,6 +17,7 @@ from evperf.gbdt import (
     mlogloss_grad_hess,
     model_from_dict,
     model_to_dict,
+    node_table,
     predict_margin,
     predict_margin_batch,
     predict_proba,
@@ -225,15 +225,57 @@ class TestTrain:
         ds = Dataset(np.ones((2, 1)), np.array([0, 1]), ("a",))
         cfg = TrainConfig(n_rounds=1, num_class=2, learning_rate=0.3)
         model = train(ds, cfg)
-        weights = np.array([ct.root.weight for ct in model.trees])
-        assert all(ct.root.is_leaf for ct in model.trees)
+        weights = model.trees.weight[model.trees.root]
+        assert np.all(model.trees.feature[model.trees.root] == -1)
         expected = softmax(model.base_score + 0.3 * weights)
         assert np.allclose(predict_proba(model, np.array([1.0])), expected, atol=1e-15)
 
 
+def _check_node_table(trees):
+    n = len(trees.feature)
+    node = np.arange(n)
+    split = trees.feature >= 0
+    left, right = trees.left[split], trees.right[split]
+    assert np.all(trees.left[~split] == -1) and np.all(trees.right[~split] == -1)
+    # pre-order: children after their parent, the left child first
+    assert np.array_equal(left, node[split] + 1)
+    assert np.all(right > left)
+    np.testing.assert_allclose(trees.cover[split], trees.cover[left] + trees.cover[right],
+                               rtol=1e-9, atol=0)
+    # each tree's nodes lie between its root and the next tree's
+    assert trees.root[0] == 0 and np.all(np.diff(trees.root) > 0)
+    end = np.append(trees.root[1:], n)[np.searchsorted(trees.root, node[split], side="right") - 1]
+    assert np.all(right < end)
+    # every node is a root or the child of exactly one split
+    assert np.array_equal(np.sort(np.concatenate([trees.root, left, right])), node)
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize("depth", [1, 4, 6])
+    def test_invariants_trained_and_reloaded(self, blob_dataset, depth):
+        model = train(blob_dataset, TrainConfig(n_rounds=4, max_depth=depth, reg_lambda=0.1))
+        reloaded = model_from_dict(model_to_dict(model))
+        assert len(model.trees.root) == 4 * 3
+        assert np.any(model.trees.feature >= 0)
+        for trees in (model.trees, reloaded.trees):
+            _check_node_table(trees)
+        for name in ("feature", "left", "right", "threshold", "weight", "cover", "gain",
+                     "root", "class_index", "round_index"):
+            a, b = getattr(model.trees, name), getattr(reloaded.trees, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_invariants_physics_model(self):
+        ds = synth_dataset(SynthConfig(n_samples=120, seed=5))
+        model = train(ds, TrainConfig(n_rounds=3, max_depth=5))
+        _check_node_table(model.trees)
+        _check_node_table(model_from_dict(model_to_dict(model)).trees)
+        assert np.array_equal(model.trees.round_index, np.repeat(np.arange(3), 3))
+        assert np.array_equal(model.trees.class_index, np.tile(np.arange(3), 3))
+
+
 def _single_leaf_model(weight=2.0, eta=0.3, num_class=2):
     # one tree for class 0 only; class 1 keeps its base score
-    trees = [ClassTree(0, 0, TreeNode(cover=4.0, weight=weight))]
+    trees = node_table([(0, 0, TreeNode(cover=4.0, weight=weight))])
     cfg = TrainConfig(n_rounds=1, learning_rate=eta, num_class=num_class)
     return Ensemble(trees, np.array([0.1, -0.2]), num_class, ("a", "b"), cfg)
 
@@ -241,7 +283,7 @@ def _single_leaf_model(weight=2.0, eta=0.3, num_class=2):
 class TestPredict:
     def test_zero_tree_ensemble_returns_base(self):
         cfg = TrainConfig(num_class=2)
-        model = Ensemble([], np.array([0.3, -0.3]), 2, ("a",), cfg)
+        model = Ensemble(node_table([]), np.array([0.3, -0.3]), 2, ("a",), cfg)
         assert np.array_equal(predict_margin(model, np.array([1.0])), [0.3, -0.3])
         probs = predict_proba(model, np.array([1.0]))
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -264,6 +306,32 @@ class TestPredict:
         batch = predict_margin_batch(model, blob_dataset.features)
         for x, row in zip(blob_dataset.features[::7], batch[::7]):
             assert np.array_equal(predict_margin(model, x), row)
+
+    def test_batch_equals_tree_walk(self):
+        # reference: walk each hand-built tree per row, adding tree by tree
+        rng = np.random.default_rng(8)
+
+        def grow(depth):
+            if depth == 0 or rng.random() < 0.2:
+                return TreeNode(cover=1.0, weight=float(rng.normal()))
+            return TreeNode(cover=1.0, feature=int(rng.integers(0, 3)),
+                            threshold=float(rng.integers(-2, 3)), gain=1.0,
+                            left=grow(depth - 1), right=grow(depth - 1))
+
+        def walk(node, row):
+            while not node.is_leaf:
+                node = node.left if row[node.feature] < node.threshold else node.right
+            return node.weight
+
+        trees = [(r, k, grow(5)) for r in range(4) for k in range(3)]
+        cfg = TrainConfig(n_rounds=4, learning_rate=0.3)
+        model = Ensemble(node_table(trees), np.array([0.1, 0.2, -0.3]), 3, ("a", "b", "c"), cfg)
+        x = rng.integers(-3, 4, size=(50, 3)).astype(float)  # many values on thresholds
+        expected = np.tile(model.base_score, (len(x), 1))
+        for i, row in enumerate(x):
+            for _, k, root in trees:
+                expected[i, k] += 0.3 * walk(root, row)
+        assert np.array_equal(predict_margin_batch(model, x), expected)
 
     def test_dimension_mismatch(self):
         model = _single_leaf_model()

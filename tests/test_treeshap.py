@@ -7,12 +7,12 @@ import pytest
 from evperf import treeshap
 from evperf.data import Dataset
 from evperf.gbdt import (
-    ClassTree,
     Ensemble,
     ModelInputError,
     TrainConfig,
     TreeNode,
     model_to_dict,
+    node_table,
     predict_margin,
     predict_margin_batch,
     train,
@@ -34,7 +34,7 @@ from evperf.treeshap import (
 def make_model(trees, base, d, eta=0.3):
     base = np.asarray(base, dtype=float)
     cfg = TrainConfig(n_rounds=1, learning_rate=eta, num_class=base.shape[0])
-    return Ensemble(trees, base, base.shape[0], tuple(f"f{i}" for i in range(d)), cfg)
+    return Ensemble(node_table(trees), base, base.shape[0], tuple(f"f{i}" for i in range(d)), cfg)
 
 
 def random_tree(rng, depth, d, cover, leaf_p=0.25):
@@ -56,7 +56,7 @@ def random_model(rng, max_trees=5, max_depth=3, max_d=6):
     d = int(rng.integers(1, max_d + 1))
     num_class = int(rng.integers(2, 4))
     trees = [
-        ClassTree(0, int(rng.integers(0, num_class)), random_tree(rng, max_depth, d, float(rng.uniform(5, 50))))
+        (0, int(rng.integers(0, num_class)), random_tree(rng, max_depth, d, float(rng.uniform(5, 50))))
         for _ in range(int(rng.integers(1, max_trees + 1)))
     ]
     return make_model(trees, rng.normal(size=num_class), d, eta=float(rng.uniform(0.05, 1.0)))
@@ -64,7 +64,7 @@ def random_model(rng, max_trees=5, max_depth=3, max_d=6):
 
 class TestShapValues:
     def test_single_leaf_tree(self):
-        model = make_model([ClassTree(0, 0, TreeNode(cover=3.0, weight=4.0))], [0.5, 0.0], 2)
+        model = make_model([(0, 0, TreeNode(cover=3.0, weight=4.0))], [0.5, 0.0], 2)
         e = shap_values(model, np.zeros(2))
         assert np.array_equal(e.phi, np.zeros((2, 2)))
         assert e.base_value[0] == pytest.approx(0.5 + 0.3 * 4.0)
@@ -75,7 +75,7 @@ class TestShapValues:
         root = TreeNode(cover=10.0, feature=0, threshold=0.0, gain=1.0,
                         left=TreeNode(cover=4.0, weight=2.0),
                         right=TreeNode(cover=6.0, weight=-1.0))
-        model = make_model([ClassTree(0, 0, root)], [0.0, 0.0], 2, eta=0.5)
+        model = make_model([(0, 0, root)], [0.0, 0.0], 2, eta=0.5)
         e = shap_values(model, np.array([1.0, 0.0]))
         expected = 0.5 * (-1.0 - (4.0 * 2.0 + 6.0 * -1.0) / 10.0)
         assert e.phi[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -105,7 +105,7 @@ class TestShapValues:
         rng = np.random.default_rng(77)
         for _ in range(15):
             d = int(rng.integers(1, 5))
-            trees = [ClassTree(0, int(rng.integers(0, 2)), random_tree(rng, 6, d, 30.0, leaf_p=0.15))
+            trees = [(0, int(rng.integers(0, 2)), random_tree(rng, 6, d, 30.0, leaf_p=0.15))
                      for _ in range(3)]
             model = make_model(trees, rng.normal(size=2), d, eta=0.4)
             x = rng.normal(size=d)
@@ -115,7 +115,7 @@ class TestShapValues:
         root = TreeNode(cover=2.0, feature=0, threshold=0.0, gain=1.0,
                         left=TreeNode(cover=1.0, weight=1.0),
                         right=TreeNode(cover=1.0, weight=-1.0))
-        model = make_model([ClassTree(0, 0, root)], [0.0, 0.0], 3)
+        model = make_model([(0, 0, root)], [0.0, 0.0], 3)
         e = shap_values(model, np.array([0.2, 9.0, -9.0]))
         assert e.phi[1, 0] == 0.0
         assert e.phi[2, 0] == 0.0
@@ -127,17 +127,17 @@ class TestShapValues:
                             left=TreeNode(cover=1.0, weight=-1.0),
                             right=TreeNode(cover=1.0, weight=1.0))
 
-        model = make_model([ClassTree(0, 0, stump(0)), ClassTree(0, 0, stump(1))], [0.0, 0.0], 2)
+        model = make_model([(0, 0, stump(0)), (0, 0, stump(1))], [0.0, 0.0], 2)
         e = shap_values(model, np.array([0.7, 0.7]))
         assert e.phi[0, 0] == pytest.approx(e.phi[1, 0], abs=1e-12)
 
     def test_input_shape_check(self):
-        model = make_model([ClassTree(0, 0, TreeNode(cover=1.0, weight=0.0))], [0.0, 0.0], 2)
+        model = make_model([(0, 0, TreeNode(cover=1.0, weight=0.0))], [0.0, 0.0], 2)
         with pytest.raises(ValueError):
             shap_values(model, np.zeros(3))
 
     def test_brute_force_feature_cap(self):
-        model = make_model([ClassTree(0, 0, TreeNode(cover=1.0, weight=0.0))], [0.0, 0.0], 13)
+        model = make_model([(0, 0, TreeNode(cover=1.0, weight=0.0))], [0.0, 0.0], 13)
         with pytest.raises(ValueError, match="12"):
             brute_force_shapley(model, np.zeros(13))
 
@@ -158,7 +158,7 @@ def assert_matches_oracles(model, x):
 
 class TestEdgeCases:
     def test_threshold_value_goes_right(self):
-        model = make_model([ClassTree(0, 0, stump(0, 0.5, left=2.0, right=-1.0, cover=(3.0, 1.0)))],
+        model = make_model([(0, 0, stump(0, 0.5, left=2.0, right=-1.0, cover=(3.0, 1.0)))],
                            [0.0, 0.0], 1, eta=0.5)
         x = np.array([0.5])
         assert predict_margin(model, x)[0] == pytest.approx(0.5 * -1.0)
@@ -179,15 +179,15 @@ class TestEdgeCases:
                          left=middle, right=TreeNode(cover=6.0, weight=3.0))
         root = TreeNode(cover=20.0, feature=0, threshold=0.0, gain=1.0,
                         left=TreeNode(cover=4.0, weight=-4.0), right=upper)
-        model = make_model([ClassTree(0, 1, root)], [0.2, -0.1], 2, eta=0.7)
+        model = make_model([(0, 1, root)], [0.2, -0.1], 2, eta=0.7)
         assert_matches_oracles(model, np.array([x0, -1.0]))
         assert_matches_oracles(model, np.array([x0, 1.0]))
 
     def test_leaf_only_trees(self):
         trees = [
-            ClassTree(0, 0, TreeNode(cover=5.0, weight=0.8)),
-            ClassTree(0, 1, stump(1, 0.0, cover=(2.0, 3.0))),
-            ClassTree(1, 1, TreeNode(cover=5.0, weight=-0.3)),
+            (0, 0, TreeNode(cover=5.0, weight=0.8)),
+            (0, 1, stump(1, 0.0, cover=(2.0, 3.0))),
+            (1, 1, TreeNode(cover=5.0, weight=-0.3)),
         ]
         model = make_model(trees, [0.1, 0.2], 2, eta=0.5)
         e = shap_values(model, np.array([1.0, -1.0]))
@@ -234,7 +234,7 @@ class TestRejectedInput:
     ], ids=["shap_values", "explain_matrix", "interaction_values", "predict_margin",
             "predict_margin_batch"])
     def test_non_finite_features(self, entry, bad):
-        model = make_model([ClassTree(0, 0, stump(1, 0.0))], [0.0, 0.0], 3)
+        model = make_model([(0, 0, stump(1, 0.0))], [0.0, 0.0], 3)
         with pytest.raises(ModelInputError, match="NaN or infinite"):
             entry(model, np.array([0.0, bad, 1.0]))
 
@@ -244,12 +244,12 @@ class TestRejectedInput:
                         left=stump(1, 0.0, cover=(0.0, 0.0)),
                         right=TreeNode(cover=4.0, weight=1.0))
         root.left.cover = cover
-        model = make_model([ClassTree(0, 0, root)], [0.0, 0.0], 2)
+        model = make_model([(0, 0, root)], [0.0, 0.0], 2)
         with pytest.raises(ModelInputError, match="cover"):
             shap_values(model, np.zeros(2))
 
     def test_zero_leaf_cover_is_allowed(self):
-        model = make_model([ClassTree(0, 0, stump(0, 0.0, cover=(0.0, 2.0)))], [0.0, 0.0], 1)
+        model = make_model([(0, 0, stump(0, 0.0, cover=(0.0, 2.0)))], [0.0, 0.0], 1)
         assert_matches_oracles(model, np.array([-1.0]))
 
 
@@ -302,12 +302,12 @@ class TestDependence:
         root = TreeNode(cover=2.0, feature=0, threshold=0.0, gain=1.0,
                         left=TreeNode(cover=1.0, weight=1.0),
                         right=TreeNode(cover=1.0, weight=-1.0))
-        model = make_model([ClassTree(0, 0, root)], [0.0, 0.0], 2)
+        model = make_model([(0, 0, root)], [0.0, 0.0], 2)
         exps = explain_matrix(model, np.random.default_rng(0).normal(size=(5, 2)))
         assert all(phi == 0.0 for _, phi in dependence_data(exps, 1, 0))
 
     def test_index_errors(self):
-        model = make_model([ClassTree(0, 0, TreeNode(cover=1.0, weight=0.0))], [0.0, 0.0], 2)
+        model = make_model([(0, 0, TreeNode(cover=1.0, weight=0.0))], [0.0, 0.0], 2)
         exps = explain_matrix(model, np.zeros((1, 2)))
         with pytest.raises(IndexError):
             dependence_data(exps, 5, 0)
@@ -320,7 +320,7 @@ class TestDependence:
         root = TreeNode(cover=2.0, feature=0, threshold=0.0, gain=1.0,
                         left=TreeNode(cover=1.0, weight=1.0),
                         right=TreeNode(cover=1.0, weight=-1.0))
-        model = make_model([ClassTree(0, 0, root)], [0.0, 0.0], 1)
+        model = make_model([(0, 0, root)], [0.0, 0.0], 1)
         model.scaler = ScalerParams(mean=np.array([10.0]), std=np.array([2.0]))
         exps = explain_matrix(model, np.array([[1.0], [-1.0]]))
         values = [v for v, _ in dependence_data(exps, 0, 0)]
@@ -332,7 +332,7 @@ class TestInteractions:
         root = TreeNode(cover=10.0, feature=0, threshold=0.0, gain=1.0,
                         left=TreeNode(cover=4.0, weight=2.0),
                         right=TreeNode(cover=6.0, weight=-1.0))
-        model = make_model([ClassTree(0, 0, root)], [0.0, 0.0], 3, eta=0.5)
+        model = make_model([(0, 0, root)], [0.0, 0.0], 3, eta=0.5)
         x = np.array([1.0, 0.0, 0.0])
         e = shap_values(model, x)
         inter = interaction_values(model, x)
@@ -358,7 +358,7 @@ class TestInteractions:
         root = TreeNode(cover=2.0, feature=0, threshold=0.0, gain=1.0,
                         left=TreeNode(cover=1.0, weight=1.0),
                         right=TreeNode(cover=1.0, weight=-1.0))
-        model = make_model([ClassTree(0, 0, root)], [0.0, 0.0], 1)
+        model = make_model([(0, 0, root)], [0.0, 0.0], 1)
         inter = interaction_values(model, np.array([0.4]))
         e = shap_values(model, np.array([0.4]))
         assert inter.phi_ij[0, 0, 0] == pytest.approx(e.phi[0, 0])
