@@ -16,9 +16,9 @@ pre-order, tree after tree, as in XGBoost's ``RegTree`` (Chen & Guestrin
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -249,11 +249,12 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
 
 def node_table(trees: Sequence[tuple[int, int, TreeNode]]) -> NodeTable:
     """Node table of (round, class, root) trees, kept in the order given."""
-    return _flatten([{"round": r, "class_index": k, "root": _node_to_dict(root)}
-                     for r, k, root in trees])
+    # one tree's documents at a time, so a large ensemble is never all dicts
+    return _flatten({"round": r, "class_index": k, "root": _node_to_dict(root)}
+                    for r, k, root in trees)
 
 
-def _flatten(tree_docs: Sequence[dict]) -> NodeTable:
+def _flatten(tree_docs: Iterable[dict]) -> NodeTable:
     """Node table of model.json tree documents; the one conversion into it.
 
     Raises ValueError naming the tree when a document lacks a key.
@@ -409,7 +410,7 @@ def _node_to_dict(node: TreeNode) -> dict:
 def _tree_dicts(trees: NodeTable) -> list[dict]:
     """The model.json documents of every tree in a node table."""
     feature, left, right, threshold, weight, cover, gain, roots, classes, rounds = (
-        a.tolist() for a in astuple(trees))
+        getattr(trees, f.name).tolist() for f in fields(trees))
 
     def node(i: int) -> dict:
         if feature[i] < 0:
