@@ -292,10 +292,9 @@ def _leaves(trees: NodeTable, x: np.ndarray) -> np.ndarray:
     strictly below a split's threshold goes left, and leaves stay put.
     """
     node = np.tile(trees.root, (x.shape[0], 1))
-    rows = np.arange(x.shape[0])[:, None]
     while (trees.feature[node] >= 0).any():
         f = trees.feature[node]
-        go_left = x[rows, f] < trees.threshold[node]
+        go_left = np.take_along_axis(x, f, axis=1) < trees.threshold[node]
         node = np.where(f < 0, node, np.where(go_left, trees.left[node], trees.right[node]))
     return node
 
