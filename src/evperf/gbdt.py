@@ -260,22 +260,10 @@ def _flatten(tree_docs: Iterable[dict]) -> NodeTable:
     Raises ValueError naming the tree when a document lacks a key.
     """
     nodes: list[list[float]] = []  # one row per node, in NodeTable field order
-
-    def add(node: dict) -> int:
-        i = len(nodes)
-        if "feature" not in node:
-            nodes.append([-1, -1, -1, 0.0, float(node["weight"]), float(node["cover"]), 0.0])
-            return i
-        nodes.append([int(node["feature"]), -1, -1, float(node["threshold"]), 0.0,
-                      float(node["cover"]), float(node.get("gain", 0.0))])
-        nodes[i][1] = add(node["left"])
-        nodes[i][2] = add(node["right"])
-        return i
-
     trees = []
     for t, doc in enumerate(tree_docs):
         try:
-            trees.append((add(doc["root"]), int(doc["class_index"]), int(doc["round"])))
+            trees.append((_add_node(nodes, doc["root"]), int(doc["class_index"]), int(doc["round"])))
         except KeyError as exc:
             raise ValueError(f"model tree {t} is missing key {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -283,6 +271,19 @@ def _flatten(tree_docs: Iterable[dict]) -> NodeTable:
     columns = np.array(nodes, dtype=float).reshape(-1, 7).T.copy()
     per_tree = np.array(trees, dtype=np.intp).reshape(-1, 3).T.copy()
     return NodeTable(*columns[:3].astype(np.intp), *columns[3:], *per_tree)
+
+
+def _add_node(nodes: list[list[float]], node: dict) -> int:
+    """Append the subtree of a model.json node to ``nodes`` in pre-order; its index."""
+    i = len(nodes)
+    if "feature" not in node:
+        nodes.append([-1, -1, -1, 0.0, float(node["weight"]), float(node["cover"]), 0.0])
+        return i
+    nodes.append([int(node["feature"]), -1, -1, float(node["threshold"]), 0.0,
+                  float(node["cover"]), float(node.get("gain", 0.0))])
+    nodes[i][1] = _add_node(nodes, node["left"])
+    nodes[i][2] = _add_node(nodes, node["right"])
+    return i
 
 
 def _leaves(trees: NodeTable, x: np.ndarray) -> np.ndarray:
@@ -408,17 +409,18 @@ def _node_to_dict(node: TreeNode) -> dict:
 
 def _tree_dicts(trees: NodeTable) -> list[dict]:
     """The model.json documents of every tree in a node table."""
-    feature, left, right, threshold, weight, cover, gain, roots, classes, rounds = (
-        getattr(trees, f.name).tolist() for f in fields(trees))
+    columns = [getattr(trees, f.name).tolist() for f in fields(trees)]
+    return [{"round": r, "class_index": k, "root": _node_doc(columns, i)}
+            for i, k, r in zip(*columns[7:])]
 
-    def node(i: int) -> dict:
-        if feature[i] < 0:
-            return {"cover": cover[i], "weight": weight[i]}
-        return {"cover": cover[i], "feature": feature[i], "threshold": threshold[i],
-                "gain": gain[i], "left": node(left[i]), "right": node(right[i])}
 
-    return [{"round": r, "class_index": k, "root": node(i)}
-            for i, k, r in zip(roots, classes, rounds)]
+def _node_doc(columns: list[list], i: int) -> dict:
+    """The model.json document of the subtree at node i; columns in NodeTable order."""
+    feature, left, right, threshold, weight, cover, gain = columns[:7]
+    if feature[i] < 0:
+        return {"cover": cover[i], "weight": weight[i]}
+    return {"cover": cover[i], "feature": feature[i], "threshold": threshold[i],
+            "gain": gain[i], "left": _node_doc(columns, left[i]), "right": _node_doc(columns, right[i])}
 
 
 def _check_table(trees: NodeTable, n_features: int, num_class: int) -> None:
