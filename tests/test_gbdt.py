@@ -172,6 +172,114 @@ class TestBuildTree:
             self._structure_ok(build_tree(x, g, h, cfg), 0, cfg)
 
 
+def _ref_soft_threshold(g, alpha):
+    return np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
+
+
+def _ref_gain(g_left, h_left, g_right, h_right, cfg):
+    sl = _ref_soft_threshold(g_left, cfg.reg_alpha)
+    sr = _ref_soft_threshold(g_right, cfg.reg_alpha)
+    sp = _ref_soft_threshold(g_left + g_right, cfg.reg_alpha)
+    return 0.5 * (
+        sl * sl / (h_left + cfg.reg_lambda)
+        + sr * sr / (h_right + cfg.reg_lambda)
+        - sp * sp / (h_left + h_right + cfg.reg_lambda)
+    ) - cfg.gamma
+
+
+def _ref_find_best_split(x_cols, g, h, rows, g_sum, h_sum, cfg):
+    """Per-feature exact search: argsort the node's values of each feature."""
+    best = None  # (gain, feature, threshold)
+    for j, col in enumerate(x_cols):
+        xj = col[rows]
+        order = np.argsort(xj, kind="stable")
+        xs = xj[order]
+        if xs[0] == xs[-1]:
+            continue
+        cg = np.cumsum(g[rows][order])[:-1]
+        ch = np.cumsum(h[rows][order])[:-1]
+        distinct = xs[:-1] < xs[1:]
+        h_r = h_sum - ch
+        valid = distinct & (ch >= cfg.min_child_hessian) & (h_r >= cfg.min_child_hessian)
+        if not np.any(valid):
+            continue
+        gains = np.where(valid, _ref_gain(cg, ch, g_sum - cg, h_r, cfg), -np.inf)
+        k = int(np.argmax(gains))
+        if best is None or gains[k] > best[0]:
+            best = (float(gains[k]), j, float(0.5 * (xs[k] + xs[k + 1])))
+    if best is None or best[0] <= 0:
+        return None
+    return best
+
+
+def _ref_build_tree(x, g, h, cfg, searched_sizes):
+    """Reference grower; records the row count of every node it searches."""
+    x_cols = [np.ascontiguousarray(x[:, j]) for j in range(x.shape[1])]
+
+    def grow(rows, depth):
+        g_sum = float(g[rows].sum())
+        h_sum = float(h[rows].sum())
+        if depth < cfg.max_depth:
+            searched_sizes.append(len(rows))
+            found = _ref_find_best_split(x_cols, g, h, rows, g_sum, h_sum, cfg)
+            if found is not None:
+                gain, j, thr = found
+                mask = x_cols[j][rows] < thr
+                return TreeNode(cover=h_sum, feature=j, threshold=thr, gain=gain,
+                                left=grow(rows[mask], depth + 1),
+                                right=grow(rows[~mask], depth + 1))
+        g_st = _ref_soft_threshold(g_sum, cfg.reg_alpha)
+        return TreeNode(cover=h_sum, weight=float(-g_st / (h_sum + cfg.reg_lambda)))
+
+    return grow(np.arange(x.shape[0]), 0)
+
+
+def _assert_same_tree(a, b, path="root"):
+    for name in ("feature", "threshold", "gain", "cover", "weight"):
+        va, vb = getattr(a, name), getattr(b, name)
+        # bit for bit, so that 0.0 and -0.0 differ
+        assert type(va) is type(vb) and repr(va) == repr(vb), f"{path}.{name}: {va!r} != {vb!r}"
+    if not a.is_leaf:
+        _assert_same_tree(a.left, b.left, path + ".left")
+        _assert_same_tree(a.right, b.right, path + ".right")
+
+
+class TestGrowthMatchesReference:
+    """build_tree equals the per-feature search it replaced, bit for bit."""
+
+    CONFIGS = [
+        TrainConfig(max_depth=4),
+        TrainConfig(max_depth=8, reg_lambda=0.5, min_child_hessian=0.0),
+        TrainConfig(max_depth=6, reg_alpha=0.3, gamma=0.05, min_child_hessian=0.0),
+        TrainConfig(max_depth=5, reg_lambda=0.0, reg_alpha=0.1, gamma=0.2),
+        # children need more Hessian than one or two rows carry: rejects the edges
+        TrainConfig(max_depth=5, reg_lambda=2.0, min_child_hessian=1.5),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=[f"cfg{i}" for i in range(len(CONFIGS))])
+    def test_random_trees_bit_identical(self, cfg):
+        rng = np.random.default_rng(17)
+        sizes = []
+        for n in [1, 2, *rng.integers(3, 60, size=38)]:
+            x = rng.integers(0, 5, size=(n, 4)).astype(float)  # many ties
+            x[:, 2] = 3.0  # a constant column
+            x[:, 3] += rng.choice([0.0, 0.25], size=n)
+            g = rng.normal(size=n)
+            h = rng.uniform(0.05, 1.0, size=n)
+            expected = _ref_build_tree(x, g, h, cfg, sizes)
+            _assert_same_tree(build_tree(x, g, h, cfg), expected)
+        assert {1, 2} <= set(sizes)
+
+    def test_physics_trees_bit_identical(self):
+        ds = synth_dataset(SynthConfig(n_samples=150, seed=3))
+        rng = np.random.default_rng(4)
+        g = rng.normal(size=ds.n_samples)
+        h = rng.uniform(0.01, 0.25, size=ds.n_samples)
+        for cfg in self.CONFIGS:
+            expected = _ref_build_tree(ds.features, g, h, cfg, [])
+            _assert_same_tree(build_tree(ds.features, g, h, cfg), expected)
+
+
 @pytest.fixture(scope="module")
 def blob_dataset():
     rng = np.random.default_rng(1)

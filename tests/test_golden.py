@@ -17,6 +17,13 @@ SYNTHETIC_CSV_SHA256 = "ae65abc90f152119194651f09e885d749b9a18460095b078760c4251
 MODEL_JSON_SHA256 = "743e176ac5730526d966ed9ad226d8a7ae75bf83eb37c2aab108d063b8fe64de"
 METRICS_JSON_SHA256 = "599c6f85c64e147d46004967f6cb65806ba32f110b2613b03c5e5e3294eb9590"
 
+# train --synth --seed 0 --rounds 5 --folds 2 --depth 6 --alpha 0.5 --gamma 0.1:
+# the L1 soft-threshold, the gain penalty and depth-6 trees
+REGULARIZED_SHA256 = {
+    "model.json": "b7c5d4d3cac0cb6c8b5602f5512f9db8994d1361b71ba0cff0360898854c7c5f",
+    "metrics.json": "24f81c42104d6ebe6be698df0a5ed30b13cfcc2897cf8b7d69ef60a6665d2fe9",
+}
+
 # explain --synth --seed 0 --no-svg --swarm-samples 2 on the golden model.json:
 # attributions, interactions, gain importance and the loaded model's margins
 EXPLAIN_SHA256 = {
@@ -51,6 +58,13 @@ def test_model_json_golden_hash(train_dir):
 
 def test_metrics_json_golden_hash(train_dir):
     assert _sha256(train_dir / "metrics.json") == METRICS_JSON_SHA256
+
+
+def test_regularized_train_golden_hashes(tmp_path):
+    argv = ["train", "--synth", "--seed", "0", "--rounds", "5", "--folds", "2", "--depth", "6",
+            "--alpha", "0.5", "--gamma", "0.1", "--no-svg", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert {name: _sha256(tmp_path / name) for name in REGULARIZED_SHA256} == REGULARIZED_SHA256
 
 
 def test_model_json_load_save_round_trip(train_dir, tmp_path):
