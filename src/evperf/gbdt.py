@@ -158,19 +158,32 @@ def mlogloss_grad_hess(probs: np.ndarray, label: int) -> tuple[np.ndarray, np.nd
 
 
 def _soft_threshold(g, alpha):
+    if alpha == 0:
+        return g  # sign(g) * max(|g|, 0) is g itself
     return np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
 
 
 def _gain_formula(g_left, h_left, g_right, h_right, cfg: TrainConfig):
-    """Vectorized split gain; operands may be scalars or arrays."""
+    """Vectorized split gain; operands may be scalars or arrays.
+
+    0.5 * (S(GL)^2/(HL+lambda) + S(GR)^2/(HR+lambda) - S(GL+GR)^2/(HL+HR+lambda)) - gamma,
+    with S the L1 soft-threshold, evaluated term by term into one result array.
+    """
     sl = _soft_threshold(g_left, cfg.reg_alpha)
     sr = _soft_threshold(g_right, cfg.reg_alpha)
     sp = _soft_threshold(g_left + g_right, cfg.reg_alpha)
-    return 0.5 * (
-        sl * sl / (h_left + cfg.reg_lambda)
-        + sr * sr / (h_right + cfg.reg_lambda)
-        - sp * sp / (h_left + h_right + cfg.reg_lambda)
-    ) - cfg.gamma
+    gain = sl * sl
+    gain /= h_left + cfg.reg_lambda
+    right = sr * sr
+    right /= h_right + cfg.reg_lambda
+    gain += right
+    parent = sp * sp
+    parent /= h_left + h_right + cfg.reg_lambda
+    gain -= parent
+    gain *= 0.5
+    if cfg.gamma:
+        gain -= cfg.gamma
+    return gain
 
 
 def split_gain(g_left: float, h_left: float, g_right: float, h_right: float, cfg: TrainConfig) -> float:
@@ -183,68 +196,103 @@ def leaf_weight(g_sum: float, h_sum: float, cfg: TrainConfig) -> float:
     return float(-_soft_threshold(g_sum, cfg.reg_alpha) / (h_sum + cfg.reg_lambda))
 
 
-def _find_best_split(x_cols, g, h, rows, g_sum, h_sum, cfg):
-    """Best (feature, threshold, gain) over all exact candidates, or None.
+def _find_best_split(xs, gs, hs, g_sum, h_sum, cfg):
+    """Best (gain, feature, threshold) of a node over all exact candidates, or None.
 
-    Candidates are midpoints between consecutive distinct sorted values. Ties
-    resolve to the lowest feature index, then the lowest threshold (argmax
-    picks the first maximum and thresholds ascend within a feature).
+    ``xs`` is the node's (d, m) value block: row j holds the node's values of
+    feature j in ascending order, and ``gs``/``hs`` hold the gradients and
+    Hessians of the same rows in the same order. Candidates are midpoints
+    between consecutive distinct values, all scored at once from one
+    cumulative sum per statistic. Ties resolve to the lowest feature, then
+    the lowest threshold: argmax scans the gain matrix row by row and returns
+    the first maximum.
     """
-    best = None  # (gain, feature, threshold)
-    for j, col in enumerate(x_cols):
-        xj = col[rows]
-        order = np.argsort(xj, kind="stable")
-        xs = xj[order]
-        if xs[0] == xs[-1]:
-            continue
-        cg = np.cumsum(g[rows][order])[:-1]
-        ch = np.cumsum(h[rows][order])[:-1]
-        distinct = xs[:-1] < xs[1:]
-        h_r = h_sum - ch
-        valid = distinct & (ch >= cfg.min_child_hessian) & (h_r >= cfg.min_child_hessian)
-        if not np.any(valid):
-            continue
-        gains = np.where(valid, _gain_formula(cg, ch, g_sum - cg, h_r, cfg), -np.inf)
-        k = int(np.argmax(gains))
-        if best is None or gains[k] > best[0]:
-            best = (float(gains[k]), j, float(0.5 * (xs[k] + xs[k + 1])))
-    if best is None or best[0] <= 0:
+    if xs.shape[0] == 0 or xs.shape[1] < 2:
         return None
-    return best
+    cg = np.cumsum(gs, axis=1)[:, :-1]
+    ch = np.cumsum(hs, axis=1)[:, :-1]
+    h_r = h_sum - ch
+    valid = (xs[:, :-1] < xs[:, 1:]) & (ch >= cfg.min_child_hessian) & (h_r >= cfg.min_child_hessian)
+    gains = np.where(valid, _gain_formula(cg, ch, g_sum - cg, h_r, cfg), -np.inf)
+    j, k = divmod(int(np.argmax(gains)), gains.shape[1])
+    if gains[j, k] <= 0:
+        return None
+    return float(gains[j, k]), j, float(0.5 * (xs[j, k] + xs[j, k + 1]))
 
 
-def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig) -> TreeNode:
+def column_order(features: np.ndarray) -> np.ndarray:
+    """Row indices of each feature column in ascending value order, shape (d, n).
+
+    The sort is stable, so tied values keep their row order. ``build_tree``
+    takes it to share one sort between the trees grown on the same features.
+    """
+    return np.argsort(np.asarray(features, dtype=float).T, axis=1, kind="stable")
+
+
+def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig,
+               order: np.ndarray | None = None,
+               row_weights: np.ndarray | None = None) -> TreeNode:
     """Grow one regression tree by exact greedy search.
 
     Growth stops at max_depth, when no candidate split has positive gain, or
-    when every candidate leaves a child below min_child_hessian.
+    when every candidate leaves a child below min_child_hessian. ``order`` is
+    ``column_order(features)``, computed here when not given. When
+    ``row_weights`` is given, each of its n entries receives the weight of the
+    leaf that row reached.
     """
     x = np.asarray(features, dtype=float)
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     if x.ndim != 2 or x.shape[0] != g.shape[0] or g.shape != h.shape:
         raise ValueError("features, gradients and Hessians must align row-wise")
-    x_cols = [np.ascontiguousarray(x[:, j]) for j in range(x.shape[1])]
+    x_t = np.ascontiguousarray(x.T)
+    if order is None:
+        order = column_order(x)
+    grower = _Grower(x_t, g, h, cfg, row_weights)
+    return grower.grow(np.arange(x.shape[0]), order, np.take_along_axis(x_t, order, axis=1), 0)
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
+
+class _Grower:
+    """Exact greedy growth of one tree over presorted column blocks.
+
+    A node's blocks are (d, m): ``order`` row j lists the node's rows in
+    ascending order of feature j, and ``xs`` row j their values. A child's
+    blocks are its parent's, filtered by the split; the filter keeps the
+    order, ties included, so each child is sorted without sorting.
+    """
+
+    def __init__(self, x_t, g, h, cfg, row_weights):
+        self.x_t, self.g, self.h, self.cfg, self.row_weights = x_t, g, h, cfg, row_weights
+
+    def grow(self, rows, order, xs, depth) -> TreeNode:
+        """The subtree over ``rows``, in ascending index order, with their blocks."""
+        g, h, cfg = self.g, self.h, self.cfg
         g_sum = float(g[rows].sum())
         h_sum = float(h[rows].sum())
         if depth < cfg.max_depth:
-            found = _find_best_split(x_cols, g, h, rows, g_sum, h_sum, cfg)
+            found = _find_best_split(xs, g[order], h[order], g_sum, h_sum, cfg)
             if found is not None:
                 gain, j, thr = found
-                mask = x_cols[j][rows] < thr
+                go_left = self.x_t[j] < thr
+                # each block row holds the node's rows, so each keeps the same count
+                keep = go_left[order]
+                drop = ~keep
+                in_left = go_left[rows]
+                d = len(order)
                 return TreeNode(
                     cover=h_sum,
                     feature=j,
                     threshold=thr,
                     gain=gain,
-                    left=grow(rows[mask], depth + 1),
-                    right=grow(rows[~mask], depth + 1),
+                    left=self.grow(rows[in_left], order[keep].reshape(d, -1),
+                                   xs[keep].reshape(d, -1), depth + 1),
+                    right=self.grow(rows[~in_left], order[drop].reshape(d, -1),
+                                    xs[drop].reshape(d, -1), depth + 1),
                 )
-        return TreeNode(cover=h_sum, weight=leaf_weight(g_sum, h_sum, cfg))
-
-    return grow(np.arange(x.shape[0]), 0)
+        weight = leaf_weight(g_sum, h_sum, cfg)
+        if self.row_weights is not None:
+            self.row_weights[rows] = weight
+        return TreeNode(cover=h_sum, weight=weight)
 
 
 def node_table(trees: Sequence[tuple[int, int, TreeNode]]) -> NodeTable:
@@ -325,14 +373,15 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Ensemble:
     onehot = np.zeros((n, cfg.num_class))
     onehot[np.arange(n), y] = 1.0
     grown: list[tuple[int, int, TreeNode]] = []
+    order = column_order(x)
+    leaf_out = np.empty(n)  # each row's leaf weight in the tree just grown
     for r in range(cfg.n_rounds):
         probs = softmax(margins)
         grad = probs - onehot
         hess = np.maximum(probs * (1.0 - probs), HESS_EPS)
         for k in range(cfg.num_class):
-            grown.append((r, k, build_tree(x, grad[:, k], hess[:, k], cfg)))
-            tree = node_table(grown[-1:])
-            margins[:, k] += cfg.learning_rate * tree.weight[_leaves(tree, x)[:, 0]]
+            grown.append((r, k, build_tree(x, grad[:, k], hess[:, k], cfg, order, leaf_out)))
+            margins[:, k] += cfg.learning_rate * leaf_out
     return Ensemble(
         trees=node_table(grown),
         base_score=base_score,
