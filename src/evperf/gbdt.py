@@ -510,22 +510,48 @@ def model_to_dict(model: Ensemble) -> dict:
 
 
 def model_from_dict(doc: dict) -> Ensemble:
+    """The model a model.json document describes.
+
+    Raises ValueError naming what is wrong when a key is missing, the config
+    is not a TrainConfig, base_score does not hold num_class values, the
+    scaler does not hold one mean and std per feature, the tree count is not
+    n_rounds x num_class, or a tree cannot be applied (see ``_check_table``).
+    """
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {version!r}")
-    cfg = TrainConfig(**doc["config"])
+    missing = [k for k in ("num_class", "base_score", "feature_names", "config", "trees")
+               if k not in doc]
+    if missing:
+        raise ValueError(f"model is missing key {missing[0]!r}")
+    try:
+        cfg = TrainConfig(**doc["config"])
+    except TypeError as exc:
+        raise ValueError(f"model config is malformed: {exc}") from None
+    num_class = int(doc["num_class"])
+    n_features = len(doc["feature_names"])
+    base_score = np.asarray(doc["base_score"], dtype=float)
+    if base_score.shape != (num_class,):
+        raise ValueError(f"model base_score has shape {base_score.shape}, "
+                         f"expected ({num_class},) for num_class {num_class}")
     scaler = None
     if doc.get("scaler") is not None:
-        scaler = ScalerParams(
-            mean=np.asarray(doc["scaler"]["mean"], dtype=float),
-            std=np.asarray(doc["scaler"]["std"], dtype=float),
+        scaler = ScalerParams(  # a missing mean or std reads as empty
+            mean=np.asarray(doc["scaler"].get("mean", ()), dtype=float),
+            std=np.asarray(doc["scaler"].get("std", ()), dtype=float),
         )
+        if scaler.mean.shape != (n_features,) or scaler.std.shape != (n_features,):
+            raise ValueError(f"model scaler has mean shape {scaler.mean.shape} and std shape "
+                             f"{scaler.std.shape}, expected ({n_features},) for {n_features} features")
     trees = _flatten(doc["trees"])
-    _check_table(trees, len(doc["feature_names"]), int(doc["num_class"]))
+    if len(trees.root) != cfg.n_rounds * num_class:
+        raise ValueError(f"model has {len(trees.root)} trees, expected n_rounds x num_class = "
+                         f"{cfg.n_rounds} x {num_class}")
+    _check_table(trees, n_features, num_class)
     return Ensemble(
         trees=trees,
-        base_score=np.asarray(doc["base_score"], dtype=float),
-        num_class=int(doc["num_class"]),
+        base_score=base_score,
+        num_class=num_class,
         feature_names=tuple(doc["feature_names"]),
         config=cfg,
         scaler=scaler,

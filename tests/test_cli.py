@@ -158,26 +158,36 @@ class TestExplainCommand:
         assert code == 2
         assert "cover" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [
-        lambda tree: tree["root"].update(feature=7),
-        lambda tree: tree["root"].update(feature=-2),
-        lambda tree: tree["root"].pop("left"),
-        lambda tree: tree.pop("round"),
-        lambda tree: tree["root"].update(threshold=float("nan")),
-        lambda tree: _rightmost_leaf(tree["root"]).update(weight=float("inf")),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc, tree: tree["root"].update(feature=7), None),
+        (lambda doc, tree: tree["root"].update(feature=-2), None),
+        (lambda doc, tree: tree["root"].pop("left"), None),
+        (lambda doc, tree: tree.pop("round"), None),
+        (lambda doc, tree: tree["root"].update(threshold=float("nan")), None),
+        (lambda doc, tree: _rightmost_leaf(tree["root"]).update(weight=float("inf")), None),
+        (lambda doc, tree: doc.pop("trees"), "missing key 'trees'"),
+        (lambda doc, tree: doc.pop("config"), "missing key 'config'"),
+        (lambda doc, tree: doc["base_score"].pop(), "model base_score"),
+        (lambda doc, tree: doc["scaler"].update(mean=[0.0], std=[1.0]), "model scaler"),
+        (lambda doc, tree: doc["scaler"].update(mean=doc["scaler"]["mean"] + [0.0],
+                                                std=doc["scaler"]["std"] + [1.0]), "model scaler"),
+        (lambda doc, tree: doc["trees"].remove(tree), "n_rounds x num_class"),
+        (lambda doc, tree: doc["config"].update(depth=3), "model config"),
     ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
-            "inf_leaf_weight"])
-    def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit):
+            "inf_leaf_weight", "missing_trees", "missing_config", "short_base_score",
+            "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key"])
+    def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit, message):
         doc = json.loads((trained_dir / "model.json").read_text())
-        assert len(doc["feature_names"]) < 7
+        assert len(doc["feature_names"]) < 7 and doc["scaler"] is not None
         tree = next(t for t in doc["trees"][1:] if "feature" in t["root"])
-        edit(tree)
+        index = doc["trees"].index(tree)
+        edit(doc, tree)
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(doc))
         code = run(["explain", "--synth", "--model", bad, "--out-dir", tmp_path / "x",
                     "--n-samples", "10", "--no-svg"])
         assert code == 2
-        assert f"tree {doc['trees'].index(tree)}" in capsys.readouterr().err
+        assert (message or f"tree {index}") in capsys.readouterr().err
 
     def test_artifact_list_contract(self, trained_dir, tmp_path):
         args = build_parser().parse_args([
