@@ -132,7 +132,9 @@ def load_csv(
     that are empty or unparseable become missing values; malformed cells in
     schema columns are counted and reported as a single warning. Values that
     violate basic record invariants (non-positive acceleration time, cell
-    counts below one) are likewise coerced to missing.
+    counts below one) are likewise coerced to missing. Rows with fewer cells
+    than the header leave the rest missing, rows with more have the extra
+    cells ignored, and both are counted in one more warning.
     """
     path = Path(path)
     if not path.exists():
@@ -153,8 +155,10 @@ def load_csv(
             raise DataError(f"{path}: missing required columns: {missing}")
         schema_set = set(schema)
         records: list[VehicleRecord] = []
-        malformed = 0
+        malformed = short = long = 0
         for row in reader:
+            short += len(row) < len(names)
+            long += len(row) > len(names)
             vals: dict[str, float | None] = {}
             for name, cell in zip(names, row):
                 v, bad = _parse_cell(cell)
@@ -167,6 +171,9 @@ def load_csv(
             records.append(VehicleRecord(vals))
     if malformed:
         logger.warning("%s: %d malformed cells treated as missing", path, malformed)
+    if short or long:
+        logger.warning("%s: %d rows shorter than the header (missing cells treated as missing) "
+                       "and %d rows longer (extra cells ignored)", path, short, long)
     return records
 
 

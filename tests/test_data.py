@@ -81,6 +81,35 @@ class TestLoadCsv:
         assert records[0].get(WEIGHT_KG) is None
         assert any("malformed" in r.message for r in caplog.records)
 
+    def test_ragged_rows_counted_and_warned(self, tmp_path, caplog):
+        f = tmp_path / "d.csv"
+        f.write_text(
+            "battery_capacity_kwh,number_of_cells,weight_kg,torque_nm,range_km,acceleration_0_100_s\n"
+            "50,4000,1800,300,400\n"
+            "50,4000,1800,300,400,6.5,extra,cells\n"
+            "\n"
+            "50,4000,1800,300,400,6.5\n"
+        )
+        with caplog.at_level("WARNING"):
+            records = load_csv(f)
+        assert len(records) == 4
+        assert records[0].get(ACCEL_S) is None and records[0].get(WEIGHT_KG) == 1800.0
+        assert records[1].get(ACCEL_S) == 6.5 and records[1] == records[3]
+        assert records[2].get(CELL_COUNT) is None
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "2 rows shorter" in warnings[0] and "1 rows longer" in warnings[0]
+
+    def test_rectangular_rows_not_warned(self, tmp_path, caplog):
+        f = tmp_path / "d.csv"
+        f.write_text(
+            "battery_capacity_kwh,number_of_cells,weight_kg,torque_nm,range_km,acceleration_0_100_s\n"
+            "50,,1800,300,400,6.5\n"
+        )
+        with caplog.at_level("WARNING"):
+            load_csv(f)
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
     def test_invalid_values_coerced_to_missing(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text(
