@@ -339,6 +339,38 @@ class TestTrain:
         assert np.allclose(predict_proba(model, np.array([1.0])), expected, atol=1e-15)
 
 
+class TestMonotoneInvariance:
+    """Exact greedy search sees only the order of each feature's values."""
+
+    TRANSFORMS = {
+        "exp": lambda v: np.exp((v - v.mean()) / v.std()),
+        "cube": lambda v: ((v - v.mean()) / v.std()) ** 3,
+    }
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        return synth_dataset(SynthConfig(n_samples=150, seed=2))
+
+    @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+    @pytest.mark.parametrize("j", range(5))
+    def test_increasing_transform_of_one_column(self, fleet, j, transform):
+        ds = fleet
+        x = ds.features.copy()
+        x[:, j] = self.TRANSFORMS[transform](x[:, j])
+        # strictly increasing on these values: same order, no two values merged
+        order = np.argsort(ds.features[:, j], kind="stable")
+        assert np.array_equal(np.diff(x[order, j]) > 0, np.diff(ds.features[order, j]) > 0)
+        cfg = TrainConfig(n_rounds=10, max_depth=4, reg_alpha=0.1, gamma=0.01)
+        a = train(ds, cfg)
+        b = train(Dataset(x, ds.labels, ds.feature_names), cfg)
+        assert np.any(a.trees.feature == j)
+        for name in ("feature", "left", "right", "gain", "cover", "weight"):
+            assert np.array_equal(getattr(a.trees, name), getattr(b.trees, name)), name
+        other = (a.trees.feature >= 0) & (a.trees.feature != j)
+        assert np.array_equal(a.trees.threshold[other], b.trees.threshold[other])
+        assert np.array_equal(predict_margin_batch(a, ds.features), predict_margin_batch(b, x))
+
+
 def _check_node_table(trees):
     n = len(trees.feature)
     node = np.arange(n)
