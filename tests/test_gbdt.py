@@ -12,6 +12,7 @@ from evperf.gbdt import (
     TrainConfig,
     TreeNode,
     build_tree,
+    column_order,
     leaf_weight,
     load_model,
     mlogloss_grad_hess,
@@ -234,6 +235,12 @@ def _ref_build_tree(x, g, h, cfg, searched_sizes):
     return grow(np.arange(x.shape[0]), 0)
 
 
+def _walk(node, row):
+    while not node.is_leaf:
+        node = node.left if row[node.feature] < node.threshold else node.right
+    return node.weight
+
+
 def _assert_same_tree(a, b, path="root"):
     for name in ("feature", "threshold", "gain", "cover", "weight"):
         va, vb = getattr(a, name), getattr(b, name)
@@ -269,6 +276,21 @@ class TestGrowthMatchesReference:
             expected = _ref_build_tree(x, g, h, cfg, sizes)
             _assert_same_tree(build_tree(x, g, h, cfg), expected)
         assert {1, 2} <= set(sizes)
+
+    def test_shared_order_and_row_weights(self):
+        rng = np.random.default_rng(6)
+        x = rng.integers(0, 6, size=(80, 3)).astype(float)
+        g, h = rng.normal(size=80), rng.uniform(0.05, 1.0, size=80)
+        cfg = TrainConfig(max_depth=3, reg_lambda=0.5)
+        weights = np.full(80, np.nan)
+        root = build_tree(x, g, h, cfg, column_order(x), weights)
+        _assert_same_tree(root, build_tree(x, g, h, cfg))
+        walked = [_walk(root, row) for row in x]
+        assert np.array_equal(weights, walked)
+        with pytest.raises(ValueError, match="column order"):
+            build_tree(x, g, h, cfg, column_order(x[:-1]))
+        with pytest.raises(ValueError, match="row_weights"):
+            build_tree(x, g, h, cfg, None, np.empty(79))
 
     def test_physics_trees_bit_identical(self):
         ds = synth_dataset(SynthConfig(n_samples=150, seed=3))
@@ -458,11 +480,6 @@ class TestPredict:
                             threshold=float(rng.integers(-2, 3)), gain=1.0,
                             left=grow(depth - 1), right=grow(depth - 1))
 
-        def walk(node, row):
-            while not node.is_leaf:
-                node = node.left if row[node.feature] < node.threshold else node.right
-            return node.weight
-
         trees = [(r, k, grow(5)) for r in range(4) for k in range(3)]
         cfg = TrainConfig(n_rounds=4, learning_rate=0.3)
         model = Ensemble(node_table(trees), np.array([0.1, 0.2, -0.3]), 3, ("a", "b", "c"), cfg)
@@ -470,7 +487,7 @@ class TestPredict:
         expected = np.tile(model.base_score, (len(x), 1))
         for i, row in enumerate(x):
             for _, k, root in trees:
-                expected[i, k] += 0.3 * walk(root, row)
+                expected[i, k] += 0.3 * _walk(root, row)
         assert np.array_equal(predict_margin_batch(model, x), expected)
 
     def test_dimension_mismatch(self):
