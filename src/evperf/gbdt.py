@@ -387,14 +387,14 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Ensemble:
     onehot[np.arange(n), y] = 1.0
     grown: list[tuple[int, int, TreeNode]] = []
     order = column_order(x)
-    leaf_out = np.empty(n)  # each row's leaf weight in the tree just grown
+    row_weights = np.empty(n)  # each row's leaf weight in the tree just grown
     for r in range(cfg.n_rounds):
         probs = softmax(margins)
         grad = probs - onehot
         hess = np.maximum(probs * (1.0 - probs), HESS_EPS)
         for k in range(cfg.num_class):
-            grown.append((r, k, build_tree(x, grad[:, k], hess[:, k], cfg, order, leaf_out)))
-            margins[:, k] += cfg.learning_rate * leaf_out
+            grown.append((r, k, build_tree(x, grad[:, k], hess[:, k], cfg, order, row_weights)))
+            margins[:, k] += cfg.learning_rate * row_weights
     return Ensemble(
         trees=node_table(grown),
         base_score=base_score,
