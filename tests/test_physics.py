@@ -7,6 +7,7 @@ import pytest
 from evperf.data import PerfClass, bin_acceleration
 from evperf.physics import (
     DEFAULT_SWEEP_PARALLEL,
+    MAX_SPRINT_TIME,
     TARGET_SPEED,
     PackConfig,
     PhysicsError,
@@ -27,6 +28,7 @@ from evperf.physics import (
     total_mass,
     tractive_force,
 )
+from evperf.physics import _force_terms, _sprint_times
 
 
 def make_pack(**overrides):
@@ -196,6 +198,29 @@ class TestSprintIntegration:
         with pytest.raises(PhysicsError):
             accel_time_0_100(v, make_pack())
 
+    def test_fleet_times_equal_single_sprints(self):
+        pairs = _mixed_fleet()
+        times = _fleet_times(pairs)
+        assert times.shape == (len(pairs),)
+        for seconds, (v, p) in zip(times.tolist(), pairs):
+            assert seconds == accel_time_0_100(v, p)
+            assert seconds == pytest.approx(_reference_sprint(v, p), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("bad, message", [
+        ((replace(default_vehicle(), c_d=250.0, frontal_area=10.0), default_pack()),
+         "force balance stalls at"),
+        ((replace(default_vehicle(), motor_torque_max=0.1), default_pack()), "cannot accelerate"),
+        ((default_vehicle(), replace(default_pack(), n_parallel=1)),
+         f"not reached within {MAX_SPRINT_TIME:.0f} s"),
+    ], ids=["drag_wall", "cannot_move", "time_limit"])
+    def test_fleet_raises_as_alone(self, bad, message):
+        # the failing vehicle among normal ones gives the message it gives alone
+        with pytest.raises(PhysicsError, match=message) as alone:
+            accel_time_0_100(*bad)
+        with pytest.raises(PhysicsError) as in_fleet:
+            _fleet_times(_mixed_fleet([bad], n=8))
+        assert str(in_fleet.value) == str(alone.value)
+
 
 def _reference_sprint(v, p, dt=1e-3):
     """Plain-float RK4 sprint, kept as the reference for the batch integrator."""
@@ -219,6 +244,45 @@ def _reference_sprint(v, p, dt=1e-3):
             return t + dt * (TARGET_SPEED - speed) / (new_speed - speed)
         t += dt
         speed = new_speed
+
+
+def _stack(configs):
+    """One fleet config whose differing fields are arrays over the given configs."""
+    first = configs[0]
+    varying = {
+        name: np.array([getattr(c, name) for c in configs])
+        for name in first.__dataclass_fields__
+        if any(getattr(c, name) != getattr(first, name) for c in configs)
+    }
+    return replace(first, **varying)
+
+
+def _mixed_fleet(extra=(), n=40, seed=0):
+    """n vehicles over SynthConfig's default ranges, then the (vehicle, pack) extras.
+
+    The drawn vehicles take 2-10 s and the default pack with 2-4 parallel
+    strings 16-37 s, so in one batch most vehicles finish while many are still
+    running, a few finish among the last handful, and the slowest runs alone.
+    """
+    sc = SynthConfig()
+    rng = np.random.default_rng(seed)
+    pairs = [
+        (
+            replace(default_vehicle(), base_mass=rng.uniform(*sc.base_mass_range),
+                    motor_torque_max=rng.uniform(*sc.motor_torque_range)),
+            replace(default_pack(), r_cell=rng.uniform(*sc.r_cell_range),
+                    n_series=int(rng.integers(sc.n_series_range[0], sc.n_series_range[1] + 1)),
+                    n_parallel=int(rng.integers(sc.n_parallel_range[0], sc.n_parallel_range[1] + 1))),
+        )
+        for _ in range(n)
+    ]
+    pairs += [(default_vehicle(), replace(default_pack(), n_parallel=k)) for k in (4, 2, 3)]
+    pairs += list(extra)
+    return pairs
+
+
+def _fleet_times(pairs):
+    return _sprint_times(_force_terms(_stack([v for v, _ in pairs]), _stack([p for _, p in pairs])))
 
 
 def _sign_changes(values, tol):
