@@ -236,6 +236,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if aliases is None and "aliases" in file_cfg:
         aliases = Path(file_cfg["aliases"])
 
+    swarm_samples = pick(
+        "swarm_samples", getattr(args, "swarm_samples", None), int, _DEFAULTS["swarm_samples"]
+    )
+    if swarm_samples < 0:
+        raise CliError(f"swarm_samples must be at least 0, got {swarm_samples}")
+
     return RunConfig(
         command=args.command,
         input=source_input,
@@ -255,9 +261,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         noise_sd=pick("noise_sd", getattr(args, "noise_sd", None), float, _DEFAULTS["noise_sd"]),
         model=model,
         aliases=aliases,
-        swarm_samples=pick(
-            "swarm_samples", getattr(args, "swarm_samples", None), int, _DEFAULTS["swarm_samples"]
-        ),
+        swarm_samples=swarm_samples,
     )
 
 

@@ -24,6 +24,7 @@ pre-order, tree after tree, as in XGBoost's ``RegTree`` (Chen & Guestrin
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -67,8 +68,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
-        if min(self.reg_lambda, self.reg_alpha, self.gamma, self.min_child_hessian) < 0:
-            raise ValueError("regularization terms must be non-negative")
+        bad = [f"{name}={getattr(self, name)}"
+               for name in ("reg_lambda", "reg_alpha", "gamma", "min_child_hessian")
+               if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0)]
+        if bad:
+            raise ValueError(f"regularization terms must be finite and non-negative: {', '.join(bad)}")
         if self.num_class < 2:
             raise ValueError("num_class must be at least 2")
 

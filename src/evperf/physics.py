@@ -44,6 +44,16 @@ class PhysicsError(ValueError):
     """Inconsistent physical configuration or an unreachable target speed."""
 
 
+# Range checks that NaN fails: every value, scalar or array, must be finite
+# and inside the range.
+def _finite_above(lo: float, *values) -> bool:
+    return all(np.all(np.isfinite(v) & (np.asarray(v) > lo)) for v in values)
+
+
+def _finite_at_least(lo: float, *values) -> bool:
+    return all(np.all(np.isfinite(v) & (np.asarray(v) >= lo)) for v in values)
+
+
 @dataclass(frozen=True)
 class PackConfig:
     """Battery pack architecture: cell layout plus per-cell electrical data.
@@ -67,16 +77,16 @@ class PackConfig:
     pack_overhead_mass_fraction: float = 0.0  # housing/cooling mass per cell mass
 
     def __post_init__(self) -> None:
-        if np.any(self.n_series < 1) or np.any(self.n_parallel < 1):
-            raise PhysicsError("cell counts must be at least 1")
-        if np.any(self.r_cell <= 0) or self.v_cell_nominal <= 0 or self.cell_mass <= 0:
-            raise PhysicsError("r_cell, v_cell_nominal and cell_mass must be positive")
+        if not _finite_at_least(1, self.n_series, self.n_parallel):
+            raise PhysicsError("cell counts must be finite and at least 1")
+        if not _finite_above(0, self.r_cell, self.v_cell_nominal, self.cell_mass):
+            raise PhysicsError("r_cell, v_cell_nominal and cell_mass must be finite and positive")
         if not 0 < self.v_cell_min < self.v_cell_nominal:
             raise PhysicsError("v_cell_min must lie in (0, v_cell_nominal)")
-        if self.cell_capacity_ah <= 0:
-            raise PhysicsError("cell_capacity_ah must be positive")
-        if self.r_interconnects < 0 or self.pack_overhead_mass_fraction < 0:
-            raise PhysicsError("r_interconnects and overhead fraction must be non-negative")
+        if not _finite_above(0, self.cell_capacity_ah):
+            raise PhysicsError("cell_capacity_ah must be finite and positive")
+        if not _finite_at_least(0, self.r_interconnects, self.pack_overhead_mass_fraction):
+            raise PhysicsError("r_interconnects and overhead fraction must be finite and non-negative")
 
     @property
     def cell_count(self) -> int:
@@ -109,8 +119,8 @@ class VehicleParams:
             self.wheel_radius, self.gear_ratio, self.driveline_efficiency,
             self.motor_torque_max, self.traction_limit_accel, self.air_density, self.g,
         )
-        if any(np.any(v <= 0) for v in fields):
-            raise PhysicsError("all vehicle parameters must be positive")
+        if not _finite_above(0, *fields):
+            raise PhysicsError("all vehicle parameters must be finite and positive")
         if self.driveline_efficiency > 1:
             raise PhysicsError("driveline_efficiency cannot exceed 1")
 
@@ -356,10 +366,10 @@ class SynthConfig:
     consumption_range: tuple[float, float] = (0.15, 0.19)  # kWh per km
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise PhysicsError("n_samples must be positive")
-        if self.noise_sd < 0 or self.segment_jitter < 0:
-            raise PhysicsError("noise_sd and segment_jitter must be non-negative")
+        if not _finite_at_least(1, self.n_samples):
+            raise PhysicsError("n_samples must be finite and positive")
+        if not _finite_at_least(0, self.noise_sd, self.segment_jitter):
+            raise PhysicsError("noise_sd and segment_jitter must be finite and non-negative")
         _check_range("n_series", *self.n_series_range)
         _check_range("n_parallel", *self.n_parallel_range)
         _check_range("r_cell", *self.r_cell_range)

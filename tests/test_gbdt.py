@@ -125,6 +125,12 @@ class TestSplitMath:
         assert leaf_weight(0.0, 1.0, TrainConfig()) == 0.0
         assert leaf_weight(0.5, 1.0, TrainConfig(reg_alpha=0.75)) == 0.0  # full shrinkage
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("field", ["reg_lambda", "reg_alpha", "gamma", "min_child_hessian"])
+    def test_regularization_must_be_finite_non_negative(self, field, value):
+        with pytest.raises(ValueError, match="regularization terms must be finite"):
+            TrainConfig(**{field: value})
+
 
 class TestBuildTree:
     def test_identical_rows_single_leaf(self):

@@ -97,6 +97,15 @@ class TestPackElectrical:
         with pytest.raises(PhysicsError):
             make_pack(r_cell=-0.01)
 
+    @pytest.mark.parametrize("field, value", [
+        ("r_cell", math.nan), ("r_cell", math.inf), ("n_parallel", math.nan),
+        ("v_cell_nominal", math.inf), ("cell_capacity_ah", math.nan),
+        ("r_interconnects", math.nan), ("pack_overhead_mass_fraction", math.inf),
+    ])
+    def test_non_finite_pack_rejected(self, field, value):
+        with pytest.raises(PhysicsError, match="finite"):
+            replace(default_pack(), **{field: value})
+
 
 class TestMassAndForces:
     def test_total_mass(self):
@@ -130,6 +139,14 @@ class TestMassAndForces:
         v = make_vehicle(motor_torque_max=1e6, traction_limit_accel=8.0)
         p = make_pack(n_parallel=60)
         assert tractive_force(v, p, 0.5) == pytest.approx(total_mass(v, p) * 8.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("c_d", math.nan), ("base_mass", math.inf), ("driveline_efficiency", math.nan),
+        ("motor_torque_max", math.nan), ("g", math.inf),
+    ])
+    def test_non_finite_vehicle_rejected(self, field, value):
+        with pytest.raises(PhysicsError, match="finite"):
+            replace(default_vehicle(), **{field: value})
 
     def test_resistive_forces(self):
         v = make_vehicle(c_d=0.3, frontal_area=2.0)
@@ -366,6 +383,14 @@ class TestSynth:
         counts = np.bincount(ds.labels, minlength=3)
         assert ds.n_samples == 300
         assert counts.min() >= 10
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sd", math.nan), ("noise_sd", math.inf), ("segment_jitter", math.nan),
+        ("n_samples", math.nan),
+    ])
+    def test_non_finite_synth_config_rejected(self, field, value):
+        with pytest.raises(PhysicsError, match="finite"):
+            SynthConfig(**{field: value})
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(PhysicsError, match="degenerate"):
