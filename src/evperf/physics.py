@@ -6,9 +6,14 @@ power-versus-mass trade-off, and generates labeled synthetic datasets.
 
 There is one sprint integrator, a fixed-step RK4 over a batch of vehicles.
 The cell-count sweep and the synthetic fleet are one batch each, and
-accel_time_0_100 is a one-vehicle batch. The pack, mass and force helpers
-work elementwise, so a pack or vehicle whose varying fields are numpy arrays
-describes a whole fleet and every formula is written once.
+accel_time_0_100 is a batch of one. Running vehicles are stepped together as
+numpy arrays, and each vehicle is dropped from them once it reaches 100 km/h;
+the last few are stepped on as Python floats, so a single sprint makes no
+numpy call per step. One step function serves both phases with the same IEEE
+operations in the same order, and no vehicle's arithmetic depends on the
+others, so a vehicle's time has the same bits in any batch. The pack, mass
+and force helpers work elementwise, so a pack or vehicle whose varying fields
+are numpy arrays describes a whole fleet and every formula is written once.
 """
 
 from __future__ import annotations
@@ -176,13 +181,12 @@ def total_mass(v: VehicleParams, p: PackConfig) -> float:
 class _ForceTerms(NamedTuple):
     """Speed-independent terms of the sprint ODE, scalars or per-vehicle arrays.
 
-    dv/dt = (min(wheel_force_cap, wheel_power / max(v, SPEED_EPS),
-    traction_force) - drag_coeff * v^2 - rolling_force) / mass.
+    dv/dt = (min(force_cap, wheel_power / max(v, SPEED_EPS)) - drag_coeff * v^2
+    - rolling_force) / mass.
     """
 
-    wheel_force_cap: np.ndarray  # N, motor torque through the driveline
+    force_cap: np.ndarray        # N, the lower of motor torque through the driveline and tire grip
     wheel_power: np.ndarray      # W, peak pack power through the driveline
-    traction_force: np.ndarray   # N, tire grip cap
     drag_coeff: float            # N per (m/s)^2
     rolling_force: np.ndarray    # N
     mass: np.ndarray             # kg
@@ -192,23 +196,20 @@ def _force_terms(v: VehicleParams, p: PackConfig) -> _ForceTerms:
     eta = v.driveline_efficiency
     mass = total_mass(v, p)
     return _ForceTerms(
-        wheel_force_cap=v.motor_torque_max * v.gear_ratio * eta / v.wheel_radius,
+        force_cap=np.minimum(v.motor_torque_max * v.gear_ratio * eta / v.wheel_radius,
+                             mass * v.traction_limit_accel),
         wheel_power=eta * pack_max_power(p),
-        traction_force=mass * v.traction_limit_accel,
         drag_coeff=0.5 * v.air_density * v.c_d * v.frontal_area,
         rolling_force=v.c_rr * mass * v.g,
         mass=mass,
     )
 
 
-def _drive_force(f: _ForceTerms, speed: np.ndarray) -> np.ndarray:
-    return np.minimum(
-        np.minimum(f.wheel_force_cap, f.wheel_power / np.maximum(speed, SPEED_EPS)),
-        f.traction_force,
-    )
+def _drive_force(f: _ForceTerms, speed, minimum=np.minimum, maximum=np.maximum):
+    return minimum(f.force_cap, f.wheel_power / maximum(speed, SPEED_EPS))
 
 
-def _drag_force(f: _ForceTerms, speed: np.ndarray) -> np.ndarray:
+def _drag_force(f: _ForceTerms, speed):
     return f.drag_coeff * speed * speed
 
 
@@ -228,50 +229,91 @@ def resistive_forces(v: VehicleParams, p: PackConfig, speed: float) -> float:
     return _drag_force(f, speed) + f.rolling_force
 
 
+def _dvdt(f: _ForceTerms, speed, minimum=np.minimum, maximum=np.maximum):
+    return (_drive_force(f, speed, minimum, maximum) - _drag_force(f, speed) - f.rolling_force) / f.mass
+
+
+def _rk4_step(f: _ForceTerms, speed, dt: float, minimum=np.minimum, maximum=np.maximum):
+    """One RK4 step of dv/dt: arrays with numpy's minimum/maximum, floats with min/max."""
+    k1 = _dvdt(f, speed, minimum, maximum)
+    k2 = _dvdt(f, speed + 0.5 * dt * k1, minimum, maximum)
+    k3 = _dvdt(f, speed + 0.5 * dt * k2, minimum, maximum)
+    k4 = _dvdt(f, speed + dt * k3, minimum, maximum)
+    return speed + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+
+
+# At most this many running vehicles are stepped as Python floats rather than
+# numpy arrays: an array step costs about as much as eight float steps, since
+# numpy's per-call overhead outweighs the arithmetic on so few vehicles.
+_FLOAT_TAIL = 8
+
+
 def _sprint_times(f: _ForceTerms, dt: float = 1e-3) -> np.ndarray:
     """Seconds from rest to 100 km/h for every vehicle the terms describe.
 
-    Fixed-step RK4 on dv/dt, all vehicles stepped together from SPEED_EPS.
-    A vehicle's final partial step is linearly interpolated to the target
-    crossing; after that it keeps its pre-crossing speed, so it repeats the
-    crossing step and never trips the stall check. Raises PhysicsError if a
-    vehicle cannot move off the line, stops gaining speed, or has not reached
-    the target within MAX_SPRINT_TIME.
+    Fixed-step RK4 on dv/dt, all running vehicles stepped together from
+    SPEED_EPS; a vehicle's final partial step is linearly interpolated to the
+    target crossing. Vehicles that cross are dropped from the arrays, and once
+    at most _FLOAT_TAIL are left they are stepped on as Python floats, still in
+    lockstep. Each vehicle's arithmetic is the same IEEE operation sequence in
+    either phase and does not depend on the others, so its time is the same
+    bits in any batch. Raises PhysicsError if a vehicle cannot move off the
+    line, stops gaining speed, or has not reached the target within
+    MAX_SPRINT_TIME.
     """
-
-    def dvdt(speed: np.ndarray) -> np.ndarray:
-        return (_drive_force(f, speed) - _drag_force(f, speed) - f.rolling_force) / f.mass
-
-    # shape () when every term is a scalar (one vehicle): numpy then steps in
-    # scalars, which is faster than a 1-element array
-    speed = np.full(np.broadcast(*f).shape, SPEED_EPS)
-    if (dvdt(speed) <= 0).any():
+    shape = np.broadcast(*f).shape
+    f = _ForceTerms(*(np.ravel(a) for a in np.broadcast_arrays(*f)))
+    speed = np.full(f.mass.size, SPEED_EPS)
+    if (_dvdt(f, speed) <= 0).any():
         raise PhysicsError("vehicle cannot accelerate from standstill")
-    times = np.full(speed.shape, np.nan)
-    running = np.ones(speed.shape, dtype=bool)
+    times = np.full(speed.size, np.nan)
+    index = np.arange(speed.size)
     t = 0.0
-    while running.any():
+    while speed.size > _FLOAT_TAIL:
         if t >= MAX_SPRINT_TIME:
-            raise PhysicsError(
-                f"target speed not reached within {MAX_SPRINT_TIME:.0f} s "
-                f"(stuck near {speed[running].min():.1f} m/s)"
-            )
-        k1 = dvdt(speed)
-        k2 = dvdt(speed + 0.5 * dt * k1)
-        k3 = dvdt(speed + 0.5 * dt * k2)
-        k4 = dvdt(speed + dt * k3)
-        new_speed = speed + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+            raise _time_limit_error(speed.min())
+        new_speed = _rk4_step(f, speed, dt)
         stalled = new_speed <= speed
         if stalled.any():
-            raise PhysicsError(f"force balance stalls at {speed[stalled].min():.2f} m/s")
-        crossed = running & (new_speed >= TARGET_SPEED)
-        if crossed.any():
+            raise _stall_error(speed[stalled].min())
+        if new_speed.max() >= TARGET_SPEED:
+            crossed = new_speed >= TARGET_SPEED
             frac = (TARGET_SPEED - speed[crossed]) / (new_speed[crossed] - speed[crossed])
-            times[crossed] = t + dt * frac
-            running &= ~crossed
-        speed = np.where(running, new_speed, speed)
+            times[index[crossed]] = t + dt * frac
+            running = ~crossed
+            f = _ForceTerms(*(a[running] for a in f))
+            index, new_speed = index[running], new_speed[running]
+        speed = new_speed
         t += dt
-    return times
+
+    # the last few vehicles: the same steps on Python floats
+    terms = map(_ForceTerms._make, zip(*(a.tolist() for a in f)))
+    tail = list(zip(index.tolist(), terms, speed.tolist()))
+    while tail:
+        if t >= MAX_SPRINT_TIME:
+            raise _time_limit_error(min(s for _, _, s in tail))
+        stepped = [(i, ft, s, _rk4_step(ft, s, dt, min, max)) for i, ft, s in tail]
+        stalled = [s for _, _, s, new in stepped if new <= s]
+        if stalled:
+            raise _stall_error(min(stalled))
+        tail = []
+        for i, ft, s, new in stepped:
+            if new >= TARGET_SPEED:
+                times[i] = t + dt * ((TARGET_SPEED - s) / (new - s))
+            else:
+                tail.append((i, ft, new))
+        t += dt
+    return times.reshape(shape)
+
+
+def _time_limit_error(slowest: float) -> PhysicsError:
+    return PhysicsError(
+        f"target speed not reached within {MAX_SPRINT_TIME:.0f} s (stuck near {slowest:.1f} m/s)"
+    )
+
+
+def _stall_error(speed: float) -> PhysicsError:
+    return PhysicsError(f"force balance stalls at {speed:.2f} m/s")
 
 
 def accel_time_0_100(v: VehicleParams, p: PackConfig, dt: float = 1e-3) -> float:
