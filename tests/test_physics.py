@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -267,9 +267,9 @@ def _stack(configs):
     """One fleet config whose differing fields are arrays over the given configs."""
     first = configs[0]
     varying = {
-        name: np.array([getattr(c, name) for c in configs])
-        for name in first.__dataclass_fields__
-        if any(getattr(c, name) != getattr(first, name) for c in configs)
+        f.name: np.array([getattr(c, f.name) for c in configs])
+        for f in fields(first)
+        if any(getattr(c, f.name) != getattr(first, f.name) for c in configs)
     }
     return replace(first, **varying)
 
@@ -277,9 +277,10 @@ def _stack(configs):
 def _mixed_fleet(extra=(), n=40, seed=0):
     """n vehicles over SynthConfig's default ranges, then the (vehicle, pack) extras.
 
-    The drawn vehicles take 2-10 s and the default pack with 2-4 parallel
+    The drawn vehicles take 3-20 s and the default pack with 2-4 parallel
     strings 16-37 s, so in one batch most vehicles finish while many are still
-    running, a few finish among the last handful, and the slowest runs alone.
+    running, several finish among the last handful, and the slowest runs alone
+    for its last 15 s.
     """
     sc = SynthConfig()
     rng = np.random.default_rng(seed)
