@@ -261,8 +261,9 @@ def _sprint_times(f: _ForceTerms, dt: float = 1e-3) -> np.ndarray:
     line, stops gaining speed, or has not reached the target within
     MAX_SPRINT_TIME.
     """
-    shape = np.broadcast(*f).shape
-    f = _ForceTerms(*(np.ravel(a) for a in np.broadcast_arrays(*f)))
+    arrays = np.broadcast_arrays(*f)
+    shape = arrays[0].shape
+    f = _ForceTerms(*(a.ravel() for a in arrays))
     speed = np.full(f.mass.size, SPEED_EPS)
     if (_dvdt(f, speed) <= 0).any():
         raise PhysicsError("vehicle cannot accelerate from standstill")
