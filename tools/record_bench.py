@@ -86,7 +86,8 @@ def summarize(records: dict[str, dict]) -> None:
     for tag, doc in records.items():
         for run in doc["runs"]:
             for name, m in ((run["result"] or {}).get("metrics") or {}).items():
-                by_key.setdefault((run["workload"], name), {}).setdefault(tag, {})[run["seed"]] = m["value"]
+                per_tag = by_key.setdefault((run["workload"], name), {})
+                per_tag.setdefault(tag, {})[run["seed"]] = m["value"]
     for (workload, name), per_tag in sorted(by_key.items()):
         medians = "  ".join(f"{tag} {statistics.median(v.values()):.4g}" for tag, v in per_tag.items())
         line = f"{workload:16s} {name:14s} median {medians}"
