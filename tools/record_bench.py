@@ -10,8 +10,9 @@ in pairs: for each workload and seed every checkout runs once, and the order
 is reversed on every other seed, so a drift of the machine's speed falls on
 both sides alike. Each file holds the result lines together with the
 checkout's git commit, the Python and numpy versions and the number of usable
-CPUs. A summary of the medians (and, for two checkouts, the pairs won by the
-second) goes to stdout.
+CPUs. perfbench's own defaults govern everything but the workload and seed.
+If any run exits non-zero or prints no result line, no file is written and
+the exit code is 1, so a trajectory point only ever holds complete runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import time
@@ -65,10 +65,9 @@ def machine() -> dict:
             "machine": platform.machine()}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench run; its JSON result line, or None with the exit code."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     started = time.time()
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     result = None
@@ -80,25 +79,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
             "returncode": done.returncode, "result": result}
 
 
-def summarize(records: dict[str, dict]) -> None:
-    tags = list(records)
-    by_key: dict[tuple[str, str], dict[str, dict[int, float]]] = {}
-    for tag, doc in records.items():
-        for run in doc["runs"]:
-            for name, m in ((run["result"] or {}).get("metrics") or {}).items():
-                per_tag = by_key.setdefault((run["workload"], name), {})
-                per_tag.setdefault(tag, {})[run["seed"]] = m["value"]
-    for (workload, name), per_tag in sorted(by_key.items()):
-        medians = "  ".join(f"{tag} {statistics.median(v.values()):.4g}" for tag, v in per_tag.items())
-        line = f"{workload:16s} {name:14s} median {medians}"
-        if len(tags) == 2 and all(t in per_tag for t in tags):
-            first, second = per_tag[tags[0]], per_tag[tags[1]]
-            seeds = sorted(set(first) & set(second))
-            lower = sum(second[s] < first[s] for s in seeds)
-            line += f"  {tags[1]} lower in {lower}/{len(seeds)} pairs"
-        print(line)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -108,8 +88,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated perfbench workloads (default: synth_fleet)")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-9"),
                         help="seeds such as 0-9 or 0,3,7 (default: 0-9)")
-    parser.add_argument("--seconds", type=float, default=20.0, help="perfbench --seconds")
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0, help="perfbench --trace")
     args = parser.parse_args(argv)
     tags = [tag for tag, _ in args.checkout]
     if len(set(tags)) != len(tags):
@@ -117,24 +95,28 @@ def main(argv: list[str] | None = None) -> int:
 
     host = machine()
     records = {
-        tag: {"tag": tag, **git_commit(path), **host, "seconds": args.seconds,
-              "trace": args.trace, "runs": []}
+        tag: {"tag": tag, **git_commit(path), **host, "runs": []}
         for tag, path in args.checkout
     }
+    failed = 0
     for workload in args.workloads.split(","):
         for n, seed in enumerate(args.seeds):
             order = args.checkout if n % 2 == 0 else args.checkout[::-1]
             for tag, path in order:
-                run = run_once(path, workload, seed, args.seconds, args.trace)
+                run = run_once(path, workload, seed)
                 records[tag]["runs"].append(run)
-                status = "ok" if run["result"] else f"exit {run['returncode']}"
+                ok = run["returncode"] == 0 and run["result"] is not None
+                failed += not ok
+                status = "ok" if ok else f"FAILED (exit {run['returncode']})"
                 print(f"{workload} seed {seed} {tag}: {status}", file=sys.stderr)
 
+    if failed:
+        print(f"{failed} run(s) failed; no BENCH file written", file=sys.stderr)
+        return 1
     for tag, doc in records.items():
         out = ROOT / f"BENCH_{tag}.json"
         out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {out.name}", file=sys.stderr)
-    summarize(records)
     return 0
 
 
