@@ -9,10 +9,20 @@ fit to the softmax cross-entropy gradients and Hessians.
 Split search follows XGBoost's presorted column blocks (Chen & Guestrin
 2016): each feature column is sorted once per fit, and a node keeps its rows
 as (d, m) blocks in each feature's value order. A split filters the blocks
-into its children's, keeping the order, so each node is scored in one
-vectorised pass (one cumulative sum per statistic, one gain matrix, one
-argmax) with no sorting and no loop over features. The rows each leaf
-receives give the margin update directly.
+into its children's, keeping the order, so a node is scored by cumulative
+sums, gain matrices and argmaxes over its blocks, with no sorting. The rows
+each leaf receives give the margin update directly.
+
+The blocks are scored in tiles of whole feature rows holding at most
+``_TILE`` (8,192) values, as XGBoost sizes its column blocks to the cache
+(Chen & Guestrin 2016, section 4.2). Each of a tile's temporaries is then at
+most 64 KiB: it stays in cache, and it stays below glibc malloc's 128 KiB
+threshold, above which every temporary is a fresh mmap whose pages fault in
+again at every node. A node with at most ``_TILE`` values is one tile. The
+tie-break does not depend on the tiling: a tile's argmax returns its first
+maximum in row-major order, and a later tile replaces the best only with a
+strictly greater gain, so ties still go to the lowest feature, then the
+lowest threshold, as in one argmax over the whole gain matrix.
 
 Trees are grown as ``TreeNode`` graphs and then stored, once, in the
 ensemble's node table: flat arrays over every node of every tree, in
@@ -36,6 +46,8 @@ from .data import Dataset, ScalerParams
 HESS_EPS = 1e-16  # floor on per-sample Hessians; keeps covers positive
 
 MODEL_FORMAT_VERSION = 1
+
+_TILE = 8192  # values per split-search temporary: 64 KiB of float64
 
 
 class ModelInputError(ValueError):
@@ -208,28 +220,38 @@ def leaf_weight(g_sum: float, h_sum: float, cfg: TrainConfig) -> float:
     return float(-_soft_threshold(g_sum, cfg.reg_alpha) / (h_sum + cfg.reg_lambda))
 
 
-def _find_best_split(xs, gs, hs, g_sum, h_sum, cfg):
+def _find_best_split(xs, order, g, h, g_sum, h_sum, cfg):
     """Best (gain, feature, threshold) of a node over all exact candidates, or None.
 
     ``xs`` is the node's (d, m) value block: row j holds the node's values of
-    feature j in ascending order, and ``gs``/``hs`` hold the gradients and
-    Hessians of the same rows in the same order. Candidates are midpoints
-    between consecutive distinct values, all scored at once from one
-    cumulative sum per statistic. Ties resolve to the lowest feature, then
-    the lowest threshold: argmax scans the gain matrix row by row and returns
-    the first maximum.
+    feature j in ascending order, and ``order`` row j the rows they belong
+    to, whose gradients and Hessians are gathered from the full ``g``/``h``.
+    Candidates are midpoints between consecutive distinct values, scored
+    from one cumulative sum per statistic, ``_TILE // m`` feature rows (at
+    least one) at a time. Ties resolve to the lowest feature, then the
+    lowest threshold: argmax scans a tile's gains row by row and returns the
+    first maximum, and a later tile wins only with a strictly greater gain.
     """
-    if xs.shape[0] == 0 or xs.shape[1] < 2:
+    d, m = xs.shape
+    if d == 0 or m < 2:
         return None
-    cg = np.cumsum(gs, axis=1)[:, :-1]
-    ch = np.cumsum(hs, axis=1)[:, :-1]
-    h_r = h_sum - ch
-    valid = (xs[:, :-1] < xs[:, 1:]) & (ch >= cfg.min_child_hessian) & (h_r >= cfg.min_child_hessian)
-    gains = np.where(valid, _gain_formula(cg, ch, g_sum - cg, h_r, cfg), -np.inf)
-    j, k = divmod(int(np.argmax(gains)), gains.shape[1])
-    if gains[j, k] <= 0:
+    step = max(1, _TILE // m)
+    best = None  # (gain, feature, position)
+    for lo in range(0, d, step):
+        rows = order[lo:lo + step]
+        x = xs[lo:lo + step]
+        cg = np.cumsum(g[rows], axis=1)[:, :-1]
+        ch = np.cumsum(h[rows], axis=1)[:, :-1]
+        h_r = h_sum - ch
+        valid = (x[:, :-1] < x[:, 1:]) & (ch >= cfg.min_child_hessian) & (h_r >= cfg.min_child_hessian)
+        gains = np.where(valid, _gain_formula(cg, ch, g_sum - cg, h_r, cfg), -np.inf)
+        j, k = divmod(int(np.argmax(gains)), m - 1)
+        if best is None or gains[j, k] > best[0]:
+            best = (gains[j, k], lo + j, k)
+    gain, j, k = best
+    if gain <= 0:
         return None
-    return float(gains[j, k]), j, float(0.5 * (xs[j, k] + xs[j, k + 1]))
+    return float(gain), j, float(0.5 * (xs[j, k] + xs[j, k + 1]))
 
 
 def column_order(features: np.ndarray) -> np.ndarray:
@@ -287,7 +309,7 @@ class _Grower:
         g_sum = float(g[rows].sum())
         h_sum = float(h[rows].sum())
         if depth < cfg.max_depth:
-            found = _find_best_split(xs, g[order], h[order], g_sum, h_sum, cfg)
+            found = _find_best_split(xs, order, g, h, g_sum, h_sum, cfg)
             if found is not None:
                 gain, j, thr = found
                 go_left = self.x_t[j] < thr

@@ -59,15 +59,13 @@ def mcc(cm: np.ndarray) -> float:
 def _midranks(a: np.ndarray) -> np.ndarray:
     """One-based ranks with ties sharing their average rank."""
     order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(a.shape[0])
     sorted_a = a[order]
-    i = 0
-    while i < a.shape[0]:
-        j = i
-        while j + 1 < a.shape[0] and sorted_a[j + 1] == sorted_a[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # tie groups: runs of equal sorted values, [start, end] inclusive
+    change = np.flatnonzero(sorted_a[1:] != sorted_a[:-1]) + 1
+    start = np.concatenate(([0], change))
+    end = np.concatenate((change, [a.shape[0]])) - 1
+    ranks = np.empty(a.shape[0])
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
     return ranks
 
 

@@ -463,7 +463,10 @@ def synth_records(
     pack = replace(template, n_series=n_series, n_parallel=n_parallel, r_cell=r_cell)
     forces = _force_terms(replace(v, base_mass=base_mass, motor_torque_max=torque), pack)
     times = _sprint_times(forces)
-    noisy_times = times * np.exp(sc.noise_sd * noise)
+    with np.errstate(over="ignore"):
+        noisy_times = times * np.exp(sc.noise_sd * noise)
+    if not np.all(np.isfinite(noisy_times) & (noisy_times > 0)):
+        raise PhysicsError(f"noise_sd={sc.noise_sd} drives acceleration times to 0 or infinity")
 
     cells = pack.cell_count
     capacity = cells * template.v_cell_nominal * cell_cap / 1000.0

@@ -258,14 +258,15 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("argv, message, artifact", [
         (["synth", "--noise-sd", "nan"], "noise_sd", "synthetic.csv"),
+        (["synth", "--noise-sd", "800", "--n-samples", "5"], "noise_sd", "synthetic.csv"),
         (["train", "--synth", *FAST, "--lambda", "nan"], "regularization", "model.json"),
         (["train", "--synth", *FAST, "--lambda", "inf"], "regularization", "model.json"),
         (["train", "--synth", *FAST, "--alpha", "nan"], "regularization", "model.json"),
         (["train", "--synth", *FAST, "--gamma", "nan"], "regularization", "model.json"),
         (["explain", "--synth", "--n-samples", "10", "--no-svg", "--swarm-samples", "-3"],
          "swarm_samples", "shap_swarm.csv"),
-    ], ids=["synth_noise_nan", "train_lambda_nan", "train_lambda_inf", "train_alpha_nan",
-            "train_gamma_nan", "explain_swarm_negative"])
+    ], ids=["synth_noise_nan", "synth_noise_overflow", "train_lambda_nan", "train_lambda_inf",
+            "train_alpha_nan", "train_gamma_nan", "explain_swarm_negative"])
     def test_out_of_range_value_exit_2(self, trained_dir, tmp_path, capsys, argv, message, artifact):
         out = tmp_path / "out"
         model = ["--model", trained_dir / "model.json"] if argv[0] == "explain" else []

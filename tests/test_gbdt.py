@@ -1,10 +1,13 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from evperf import gbdt
 from evperf.data import Dataset
 from evperf.gbdt import (
     HESS_EPS,
@@ -269,8 +272,13 @@ class TestGrowthMatchesReference:
         TrainConfig(max_depth=5, reg_lambda=2.0, min_child_hessian=1.5),
     ]
 
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=[f"cfg{i}" for i in range(len(CONFIGS))])
-    def test_random_trees_bit_identical(self, cfg):
+    # At the default tile size every node here but the large one is one tile;
+    # at sizes 1 and 7 every node of more than a few rows spans several.
+    @pytest.mark.parametrize("cfg, tile", [
+        pytest.param(cfg, tile, id=f"cfg{i}" if tile == gbdt._TILE else f"cfg{i}-tile{tile}")
+        for i, cfg in enumerate(CONFIGS) for tile in (gbdt._TILE, 1, 7)])
+    def test_random_trees_bit_identical(self, cfg, tile, monkeypatch):
+        monkeypatch.setattr(gbdt, "_TILE", tile)
         rng = np.random.default_rng(17)
         sizes = []
         for n in [1, 2, *rng.integers(3, 60, size=38)]:
@@ -282,6 +290,17 @@ class TestGrowthMatchesReference:
             expected = _ref_build_tree(x, g, h, cfg, sizes)
             _assert_same_tree(build_tree(x, g, h, cfg), expected)
         assert {1, 2} <= set(sizes)
+        # One node larger than the default tile: 2,000 rows of tied values.
+        # Feature 4 copies feature 0, which carries the signal, so the best
+        # gain ties between features that lie in different tiles.
+        x = rng.integers(0, 5, size=(2000, 5)).astype(float)
+        x[:, 4] = x[:, 0]
+        g = x[:, 0] - 2.0 + rng.normal(size=2000)
+        h = rng.uniform(0.05, 1.0, size=2000)
+        shallow = replace(cfg, max_depth=2)
+        tree = build_tree(x, g, h, shallow)
+        _assert_same_tree(tree, _ref_build_tree(x, g, h, shallow, sizes))
+        assert tree.feature == 0 and x.size > gbdt._TILE
 
     def test_shared_order_and_row_weights(self):
         rng = np.random.default_rng(6)
@@ -306,6 +325,22 @@ class TestGrowthMatchesReference:
         for cfg in self.CONFIGS:
             expected = _ref_build_tree(ds.features, g, h, cfg, [])
             _assert_same_tree(build_tree(ds.features, g, h, cfg), expected)
+
+
+def test_split_search_memory_stays_tiled():
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic.
+    # The node's own (5, 6,600) blocks take 258 KiB each; a search holding
+    # whole-block temporaries peaks well above 3 MiB, a tiled one near 1.5 MiB.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(6600, 5))
+    g, h = rng.normal(size=6600), rng.uniform(0.05, 1.0, size=6600)
+    tracemalloc.start()
+    try:
+        build_tree(x, g, h, TrainConfig(max_depth=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from evperf.data import DataError, Dataset
 from evperf.gbdt import TrainConfig
 from evperf.metrics import (
+    _midranks,
     accuracy,
     confusion,
     confusion_to_csv,
@@ -117,6 +118,33 @@ class TestRocAuc:
         a1 = roc_auc_ovr_macro(probs, y)
         a2 = roc_auc_ovr_macro(np.expm1(probs * 2.5), y)  # strictly increasing map
         assert a2 == pytest.approx(a1, abs=1e-12)
+
+
+def _ref_midranks(a):
+    """Tie groups walked one at a time over the stably sorted values."""
+    order = np.argsort(a, kind="mergesort")
+    ranks = np.empty(a.shape[0])
+    sorted_a = a[order]
+    i = 0
+    while i < a.shape[0]:
+        j = i
+        while j + 1 < a.shape[0] and sorted_a[j + 1] == sorted_a[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_midranks_match_reference():
+    rng = np.random.default_rng(11)
+    cases = [np.empty(0), np.array([0.0]), np.array([-0.0, 0.0, -0.0, 0.0])]
+    for _ in range(300):
+        n = int(rng.integers(1, 200))
+        a = rng.integers(-4, 5, size=n) * rng.choice([0.5, 0.25, 1e-3])  # many ties
+        a[rng.random(n) < 0.2] = -0.0
+        cases.append(a if rng.random() < 0.5 else a + rng.normal(size=n) * (rng.random(n) < 0.5))
+    for a in cases:
+        assert np.array_equal(_midranks(a), _ref_midranks(a))
 
 
 class TestMlogloss:
