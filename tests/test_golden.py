@@ -14,6 +14,7 @@ from evperf.cli import main
 from evperf.gbdt import load_model, save_model
 
 SYNTHETIC_CSV_SHA256 = "ae65abc90f152119194651f09e885d749b9a18460095b078760c425157bd1180"
+SWEEP_CSV_SHA256 = "a490d7d902873ae1dfea877aefed7f411ca3d2d7e9e8c5f3ab32ba3ae2e3db97"
 MODEL_JSON_SHA256 = "743e176ac5730526d966ed9ad226d8a7ae75bf83eb37c2aab108d063b8fe64de"
 METRICS_JSON_SHA256 = "599c6f85c64e147d46004967f6cb65806ba32f110b2613b03c5e5e3294eb9590"
 
@@ -50,6 +51,7 @@ def train_dir(tmp_path_factory):
 def test_synthetic_csv_golden_hash(tmp_path):
     assert main(["synth", "--seed", "0", "--n-samples", "300", "--out-dir", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "synthetic.csv") == SYNTHETIC_CSV_SHA256
+    assert _sha256(tmp_path / "sweep.csv") == SWEEP_CSV_SHA256
 
 
 def test_model_json_golden_hash(train_dir):
