@@ -548,13 +548,35 @@ def model_to_dict(model: Ensemble) -> dict:
     }
 
 
+def _check_model(model: Ensemble) -> None:
+    """Raise ValueError naming the first part of the model that model.json cannot hold.
+
+    base_score must hold num_class values, the scaler one mean and std per
+    feature, the tree count must be n_rounds x num_class, and every tree must
+    be applicable (see ``_check_table``). The loader and ``save_model`` both
+    run it, so that any model that can be written can be read.
+    """
+    num_class, n_features = model.num_class, len(model.feature_names)
+    if np.shape(model.base_score) != (num_class,):
+        raise ValueError(f"model base_score has shape {np.shape(model.base_score)}, "
+                         f"expected ({num_class},) for num_class {num_class}")
+    scaler = model.scaler
+    if scaler is not None and (np.shape(scaler.mean) != (n_features,)
+                               or np.shape(scaler.std) != (n_features,)):
+        raise ValueError(f"model scaler has mean shape {np.shape(scaler.mean)} and std shape "
+                         f"{np.shape(scaler.std)}, expected ({n_features},) for {n_features} features")
+    n_trees, n_rounds = len(model.trees.root), model.config.n_rounds
+    if n_trees != n_rounds * num_class:
+        raise ValueError(f"model has {n_trees} trees, expected n_rounds x num_class = "
+                         f"{n_rounds} x {num_class}")
+    _check_table(model.trees, n_features, num_class)
+
+
 def model_from_dict(doc: dict) -> Ensemble:
     """The model a model.json document describes.
 
     Raises ValueError naming what is wrong when a key is missing, the config
-    is not a TrainConfig, base_score does not hold num_class values, the
-    scaler does not hold one mean and std per feature, the tree count is not
-    n_rounds x num_class, or a tree cannot be applied (see ``_check_table``).
+    is not a TrainConfig, or ``_check_model`` rejects the model.
     """
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
@@ -567,38 +589,31 @@ def model_from_dict(doc: dict) -> Ensemble:
         cfg = TrainConfig(**doc["config"])
     except TypeError as exc:
         raise ValueError(f"model config is malformed: {exc}") from None
-    num_class = int(doc["num_class"])
-    n_features = len(doc["feature_names"])
-    base_score = np.asarray(doc["base_score"], dtype=float)
-    if base_score.shape != (num_class,):
-        raise ValueError(f"model base_score has shape {base_score.shape}, "
-                         f"expected ({num_class},) for num_class {num_class}")
     scaler = None
     if doc.get("scaler") is not None:
         scaler = ScalerParams(  # a missing mean or std reads as empty
             mean=np.asarray(doc["scaler"].get("mean", ()), dtype=float),
             std=np.asarray(doc["scaler"].get("std", ()), dtype=float),
         )
-        if scaler.mean.shape != (n_features,) or scaler.std.shape != (n_features,):
-            raise ValueError(f"model scaler has mean shape {scaler.mean.shape} and std shape "
-                             f"{scaler.std.shape}, expected ({n_features},) for {n_features} features")
-    trees = _flatten(doc["trees"])
-    if len(trees.root) != cfg.n_rounds * num_class:
-        raise ValueError(f"model has {len(trees.root)} trees, expected n_rounds x num_class = "
-                         f"{cfg.n_rounds} x {num_class}")
-    _check_table(trees, n_features, num_class)
-    return Ensemble(
-        trees=trees,
-        base_score=base_score,
-        num_class=num_class,
+    model = Ensemble(
+        trees=_flatten(doc["trees"]),
+        base_score=np.asarray(doc["base_score"], dtype=float),
+        num_class=int(doc["num_class"]),
         feature_names=tuple(doc["feature_names"]),
         config=cfg,
         scaler=scaler,
     )
+    _check_model(model)
+    return model
 
 
 def save_model(model: Ensemble, path: str | Path) -> None:
-    """Serialize to versioned JSON; floats round-trip exactly via repr."""
+    """Serialize to versioned JSON; floats round-trip exactly via repr.
+
+    Raises ValueError, before the file is opened, if ``_check_model`` rejects
+    the model, so that every saved model loads.
+    """
+    _check_model(model)
     Path(path).write_text(
         json.dumps(model_to_dict(model), indent=1, sort_keys=True), encoding="utf-8"
     )

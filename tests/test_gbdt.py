@@ -556,6 +556,19 @@ class TestPersistence:
         save_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_save_refuses_what_load_refuses(self, tmp_path):
+        # 3 trees under a 1-round, 2-class config
+        leaf = TreeNode(cover=1.0, weight=0.5)
+        trees = node_table([(0, 0, leaf), (0, 1, leaf), (1, 0, leaf)])
+        model = Ensemble(trees, np.array([0.1, -0.1]), 2, ("a",), TrainConfig(n_rounds=1, num_class=2))
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="3 trees") as saving:
+            save_model(model, path)
+        assert not path.exists()
+        with pytest.raises(ValueError) as loading:
+            model_from_dict(model_to_dict(model))
+        assert str(saving.value) == str(loading.value)
+
     def test_multiclass_equality_is_a_bool(self, blob_dataset):
         model = train(blob_dataset, TrainConfig(n_rounds=3))
         assert model.num_class == 3
