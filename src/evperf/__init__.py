@@ -81,8 +81,6 @@ from .physics import (
 from .treeshap import (
     Explanation,
     InteractionExplanation,
-    brute_force_interactions,
-    brute_force_shapley,
     dependence_data,
     explain_matrix,
     force_plot_data,

@@ -47,13 +47,13 @@ from evperf.physics import (
     synth_dataset,
 )
 from evperf.treeshap import (
-    brute_force_interactions,
-    brute_force_shapley,
     dependence_data,
     explain_matrix,
     interaction_values,
     shap_values,
 )
+
+from shap_oracles import brute_force_interactions, brute_force_shapley
 
 
 def _report(number, name, fn):

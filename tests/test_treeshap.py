@@ -19,8 +19,6 @@ from evperf.gbdt import (
 )
 from evperf.treeshap import (
     Explanation,
-    brute_force_interactions,
-    brute_force_shapley,
     dependence_data,
     explain_matrix,
     explanations_to_csv,
@@ -29,6 +27,8 @@ from evperf.treeshap import (
     interaction_values,
     shap_values,
 )
+
+from shap_oracles import brute_force_interactions, brute_force_shapley
 
 
 def make_model(trees, base, d, eta=0.3):
