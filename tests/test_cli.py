@@ -1,9 +1,12 @@
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from evperf.cli import build_parser, cmd_explain, main, resolve_config
+from evperf.cli import _train_config, build_parser, cmd_explain, main, resolve_config
 from evperf.data import CELL_COUNT
 
 FAST = ["--rounds", "8", "--depth", "3", "--n-samples", "60"]
@@ -273,3 +276,167 @@ class TestConfigResolution:
         assert run([*argv, *model, "--out-dir", out]) == 2
         assert message in capsys.readouterr().err
         assert not (out / artifact).exists()
+
+
+def _subparsers():
+    """{command: subparser} of the evperf parser."""
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _run_field(name):
+    return lambda run: getattr(run, name)
+
+
+def _train_field(name):
+    return lambda run: getattr(_train_config(run), name)
+
+
+# key, commands that take it, flag value, file value, parsed flag and file
+# values, default, and how to read the resolved value
+SETTINGS = [
+    ("out_dir", ("train", "explain", "synth"), "flagdir", "filedir",
+     Path("flagdir"), Path("filedir"), Path("out"), _run_field("out_dir")),
+    ("folds", ("train",), "3", "4", 3, 4, 5, _run_field("folds")),
+    ("rounds", ("train",), "7", "6", 7, 6, 200, _train_field("n_rounds")),
+    ("depth", ("train",), "3", "2", 3, 2, 4, _train_field("max_depth")),
+    ("eta", ("train",), "0.3", "0.2", 0.3, 0.2, 0.1, _train_field("learning_rate")),
+    ("lambda", ("train",), "2.5", "1.5", 2.5, 1.5, 1.0, _train_field("reg_lambda")),
+    ("alpha", ("train",), "0.5", "0.25", 0.5, 0.25, 0.0, _train_field("reg_alpha")),
+    ("gamma", ("train",), "0.5", "0.25", 0.5, 0.25, 0.0, _train_field("gamma")),
+    ("feature", ("explain",), "weight_kg", "torque_nm", "weight_kg", "torque_nm", CELL_COUNT,
+     _run_field("feature")),
+    ("n_samples", ("train", "explain", "synth"), "40", "50", 40, 50, 300,
+     _run_field("n_samples")),
+    ("noise_sd", ("train", "explain", "synth"), "0.05", "0.04", 0.05, 0.04, 0.03,
+     _run_field("noise_sd")),
+    ("model", ("explain",), "flag.json", "file.json", Path("flag.json"), Path("file.json"), None,
+     _run_field("model")),
+    ("aliases", ("train", "explain"), "flag.txt", "file.txt", Path("flag.txt"), Path("file.txt"),
+     None, _run_field("aliases")),
+    ("swarm_samples", ("explain",), "7", "8", 7, 8, 60, _run_field("swarm_samples")),
+]
+SETTING_CASES = [(command, *row) for row in SETTINGS for command in row[1]]
+
+
+class TestPrecedence:
+    """Flag, then config file, then EVPERF_SEED (seed only), then the default."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env_seed(self, monkeypatch):
+        monkeypatch.delenv("EVPERF_SEED", raising=False)
+
+    @staticmethod
+    def resolve(tmp_path, argv, file_text=None):
+        if file_text is not None:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(file_text)
+            argv = [*argv, "--config", str(cfg)]
+        return resolve_config(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "command, key, commands, flag_raw, file_raw, flag_value, file_value, default, read",
+        SETTING_CASES, ids=[f"{c[0]}-{c[1]}" for c in SETTING_CASES])
+    def test_flag_beats_file_beats_default(self, tmp_path, command, key, commands, flag_raw,
+                                          file_raw, flag_value, file_value, default, read):
+        base = [command] + (["--synth"] if command != "synth" else [])
+        flag = ["--" + key.replace("_", "-"), flag_raw]
+        file_text = f"[section]\n{key} = {file_raw}\n"
+        assert read(self.resolve(tmp_path, base)) == default
+        assert read(self.resolve(tmp_path, base, file_text)) == file_value
+        assert read(self.resolve(tmp_path, [*base, *flag], file_text)) == flag_value
+        assert read(self.resolve(tmp_path, [*base, *flag])) == flag_value
+
+    @pytest.mark.parametrize("command", ["train", "explain", "synth"])
+    def test_seed_flag_file_env_default(self, tmp_path, monkeypatch, command):
+        base = [command] + (["--synth"] if command != "synth" else [])
+        file_text = "[run]\nseed = 8\n"
+        assert self.resolve(tmp_path, base).seed == 0
+        monkeypatch.setenv("EVPERF_SEED", "9")
+        assert self.resolve(tmp_path, base).seed == 9
+        assert self.resolve(tmp_path, base, file_text).seed == 8
+        assert self.resolve(tmp_path, [*base, "--seed", "7"], file_text).seed == 7
+        assert _train_config(self.resolve(tmp_path, base, file_text)).seed == 8
+
+    @pytest.mark.parametrize("command", ["train", "explain", "synth"])
+    def test_svg_flag_file_default(self, tmp_path, command):
+        base = [command] + (["--synth"] if command != "synth" else [])
+        assert self.resolve(tmp_path, base).svg is True
+        assert self.resolve(tmp_path, base, "[out]\nsvg = false\n").svg is False
+        assert self.resolve(tmp_path, base, "[out]\nsvg = yes\n").svg is True
+        assert self.resolve(tmp_path, [*base, "--svg"], "[out]\nsvg = false\n").svg is True
+        assert self.resolve(tmp_path, [*base, "--no-svg"], "[out]\nsvg = on\n").svg is False
+
+    def test_svg_false_in_file_writes_no_svg(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[out]\nsvg = false\n")
+        out = tmp_path / "out"
+        assert run(["train", "--synth", "--config", cfg, "--out-dir", out, *FAST,
+                    "--folds", "2"]) == 0
+        assert (out / "confusion.csv").exists()
+        assert not (out / "confusion.svg").exists()
+
+    @pytest.mark.parametrize("command", ["train", "explain"])
+    def test_source_from_file(self, tmp_path, command):
+        run_cfg = self.resolve(tmp_path, [command], "[data]\ninput = fleet.csv\n")
+        assert (run_cfg.input, run_cfg.synth) == (Path("fleet.csv"), False)
+        run_cfg = self.resolve(tmp_path, [command], "[data]\nsynth = true\n")
+        assert (run_cfg.input, run_cfg.synth) == (None, True)
+        run_cfg = self.resolve(tmp_path, [command], "[data]\ninput = fleet.csv\nsynth = no\n")
+        assert (run_cfg.input, run_cfg.synth) == (Path("fleet.csv"), False)
+
+    @pytest.mark.parametrize("command", ["train", "explain"])
+    def test_source_flag_overrides_file_source(self, tmp_path, command):
+        run_cfg = self.resolve(tmp_path, [command, "--synth"], "[data]\ninput = fleet.csv\n")
+        assert (run_cfg.input, run_cfg.synth) == (None, True)
+        run_cfg = self.resolve(tmp_path, [command, "--input", "flag.csv"],
+                               "[data]\nsynth = true\n")
+        assert (run_cfg.input, run_cfg.synth) == (Path("flag.csv"), False)
+        run_cfg = self.resolve(tmp_path, [command, "--input", "flag.csv"],
+                               "[data]\ninput = fleet.csv\n")
+        assert (run_cfg.input, run_cfg.synth) == (Path("flag.csv"), False)
+
+    @pytest.mark.parametrize("command", ["train", "explain"])
+    def test_file_with_both_sources_exit_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\ninput = fleet.csv\nsynth = true\n")
+        assert run([command, "--config", cfg, "--out-dir", tmp_path / "out"]) == 2
+        assert "one data source" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_keys_of_other_commands_accepted(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[train]\nrounds = 6\nfolds = 2\n[explain]\nswarm_samples = 3\n"
+                       "feature = weight_kg\n[data]\nn_samples = 12\n")
+        out = tmp_path / "out"
+        assert run(["synth", "--config", cfg, "--out-dir", out]) == 0
+        assert len((out / "synthetic.csv").read_text().splitlines()) == 1 + 12
+
+
+class TestParserSurface:
+    OPTION_STRINGS = {
+        "train": {"-h", "--help", "--config", "--out-dir", "--seed", "--svg", "--no-svg",
+                  "--input", "--synth", "--aliases", "--n-samples", "--noise-sd", "--folds",
+                  "--rounds", "--depth", "--eta", "--lambda", "--alpha", "--gamma"},
+        "explain": {"-h", "--help", "--config", "--out-dir", "--seed", "--svg", "--no-svg",
+                    "--input", "--synth", "--aliases", "--n-samples", "--noise-sd", "--model",
+                    "--feature", "--swarm-samples"},
+        "synth": {"-h", "--help", "--config", "--out-dir", "--seed", "--svg", "--no-svg",
+                  "--n-samples", "--noise-sd"},
+    }
+
+    def test_option_strings_per_command(self):
+        subparsers = _subparsers()
+        assert set(subparsers) == set(self.OPTION_STRINGS)
+        for command, parser in subparsers.items():
+            strings = {s for a in parser._actions for s in a.option_strings}
+            assert strings == self.OPTION_STRINGS[command], command
+
+    def test_readme_flags_paragraph_names_every_flag(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        paragraph = re.search(r"^Flags:.*?(?=\n\n)", readme, re.S | re.M).group(0)
+        flags = {s for parser in _subparsers().values() for a in parser._actions
+                 for s in a.option_strings if s not in ("-h", "--help")}
+        missing = [f for f in sorted(flags) if not re.search(re.escape(f) + r"(?![\w-])", paragraph)]
+        assert not missing, f"README Flags paragraph misses {missing}"
