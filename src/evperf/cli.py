@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import keyword
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,94 +79,83 @@ class FigureArtifact:
     svg_path: Path | None
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: Path | None
-    synth: bool
-    out_dir: Path
-    seed: int
-    folds: int
-    rounds: int
-    depth: int
-    eta: float
-    reg_lambda: float
-    reg_alpha: float
-    gamma: float
-    feature: str
-    svg: bool
-    n_samples: int
-    noise_sd: float
-    model: Path | None
-    aliases: Path | None
-    swarm_samples: int
+@dataclass(frozen=True)
+class Option:
+    """One setting: its config-file key, value type, default, subcommands and help.
+
+    The flag is ``--`` plus the key with ``-`` for ``_``. A bool that defaults
+    to True gets ``--key/--no-key``, one that defaults to False a bare ``--key``.
+    """
+
+    key: str
+    type: type
+    default: object
+    commands: tuple[str, ...]
+    help: str
+
+    @property
+    def dest(self) -> str:
+        """argparse dest and RunConfig field: the key, with ``_`` after a Python keyword."""
+        return self.key + "_" if keyword.iskeyword(self.key) else self.key
 
 
-_DEFAULTS = {
-    "out_dir": "out",
-    "folds": 5,
-    "rounds": 200,
-    "depth": 4,
-    "eta": 0.1,
-    "lambda": 1.0,
-    "alpha": 0.0,
-    "gamma": 0.0,
-    "feature": CELL_COUNT,
-    "svg": True,
-    "n_samples": 300,
-    "noise_sd": 0.03,
-    "swarm_samples": 60,
+_COMMANDS = {
+    "train": "cross-validate, train a final model, emit metrics",
+    "explain": "Shapley analyses and figures for a trained model",
+    "synth": "write the synthetic dataset and cell-count sweep",
 }
+_ALL = tuple(_COMMANDS)
+_SOURCE = ("train", "explain")
+OPTIONS = (
+    Option("out_dir", Path, Path("out"), _ALL, "output directory"),
+    Option("seed", int, 0, _ALL, f"RNG seed; falls back to ${SEED_ENV_VAR}"),
+    Option("svg", bool, True, _ALL, "also render SVG figures"),
+    Option("input", Path, None, _SOURCE, "CSV input file"),
+    Option("synth", bool, False, _SOURCE, "use the synthetic physics dataset instead of a CSV"),
+    Option("aliases", Path, None, _SOURCE, "header alias table for CSV input"),
+    Option("n_samples", int, SynthConfig.n_samples, _ALL, "synthetic sample count"),
+    Option("noise_sd", float, SynthConfig.noise_sd, _ALL, "synthetic log-time noise"),
+    Option("folds", int, 5, ("train",), "cross-validation folds"),
+    Option("rounds", int, TrainConfig.n_rounds, ("train",), "boosting rounds"),
+    Option("depth", int, TrainConfig.max_depth, ("train",), "max tree depth"),
+    Option("eta", float, TrainConfig.learning_rate, ("train",), "learning rate"),
+    Option("lambda", float, TrainConfig.reg_lambda, ("train",), "L2 penalty"),
+    Option("alpha", float, TrainConfig.reg_alpha, ("train",), "L1 penalty"),
+    Option("gamma", float, TrainConfig.gamma, ("train",), "min split gain"),
+    Option("model", Path, None, ("explain",), "model JSON (default: <out-dir>/model.json)"),
+    Option("feature", str, CELL_COUNT, ("explain",), "dependence-plot feature"),
+    Option("swarm_samples", int, 60, ("explain",), "samples to include in interaction swarm data"),
+)
+
+RunConfig = make_dataclass(
+    "RunConfig", [("command", str)] + [(opt.dest, opt.type) for opt in OPTIONS],
+    namespace={"__doc__": "A resolved run: the subcommand and one field per OPTIONS row.",
+               "__module__": __name__},
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evperf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, help="key=value config file with sections")
-        p.add_argument("--out-dir", type=Path, help="output directory (default: out)")
-        p.add_argument("--seed", type=int, help=f"RNG seed; falls back to ${SEED_ENV_VAR}, then 0")
-        p.add_argument("--svg", action=argparse.BooleanOptionalAction, default=None,
-                       help="also render SVG figures (default: yes)")
-
-    def add_source(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", type=Path, help="CSV input file")
-        p.add_argument("--synth", action="store_true", default=None,
-                       help="use the synthetic physics dataset instead of a CSV")
-        p.add_argument("--aliases", type=Path, help="header alias table for CSV input")
-        p.add_argument("--n-samples", type=int, help="synthetic sample count")
-        p.add_argument("--noise-sd", type=float, help="synthetic log-time noise")
-
-    p_train = sub.add_parser("train", help="cross-validate, train a final model, emit metrics")
-    add_common(p_train)
-    add_source(p_train)
-    p_train.add_argument("--folds", type=int, help="cross-validation folds (default: 5)")
-    p_train.add_argument("--rounds", type=int, help="boosting rounds")
-    p_train.add_argument("--depth", type=int, help="max tree depth")
-    p_train.add_argument("--eta", type=float, help="learning rate")
-    p_train.add_argument("--lambda", dest="lambda_", metavar="LAMBDA", type=float, help="L2 penalty")
-    p_train.add_argument("--alpha", type=float, help="L1 penalty")
-    p_train.add_argument("--gamma", type=float, help="min split gain")
-
-    p_explain = sub.add_parser("explain", help="Shapley analyses and figures for a trained model")
-    add_common(p_explain)
-    add_source(p_explain)
-    p_explain.add_argument("--model", type=Path, help="model JSON (default: <out-dir>/model.json)")
-    p_explain.add_argument("--feature", help="dependence-plot feature (default: number_of_cells)")
-    p_explain.add_argument("--swarm-samples", type=int,
-                           help="samples to include in interaction swarm data")
-
-    p_synth = sub.add_parser("synth", help="write the synthetic dataset and cell-count sweep")
-    add_common(p_synth)
-    p_synth.add_argument("--n-samples", type=int, help="synthetic sample count")
-    p_synth.add_argument("--noise-sd", type=float, help="synthetic log-time noise")
-
+    for command, summary in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", type=Path, help="key = value config file with sections")
+        for opt in OPTIONS:
+            if command not in opt.commands:
+                continue
+            flag = "--" + opt.key.replace("_", "-")
+            text = opt.help if opt.default is None else f"{opt.help} (default: {opt.default})"
+            if opt.type is bool:
+                action = argparse.BooleanOptionalAction if opt.default else "store_true"
+                p.add_argument(flag, dest=opt.dest, action=action, default=None, help=text)
+            else:
+                p.add_argument(flag, dest=opt.dest, type=opt.type, metavar=opt.key.upper(),
+                               help=text)
     return parser
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
-    """Flatten a sectioned key=value file; keys must be globally unique."""
+    """Flatten a sectioned key = value file; keys must be known and globally unique."""
     if not path.exists():
         raise CliError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
@@ -173,95 +163,63 @@ def _read_config_file(path: Path) -> dict[str, str]:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise CliError(f"cannot parse config file {path}: {exc}") from exc
+    known = sorted(opt.key for opt in OPTIONS)
     flat: dict[str, str] = {}
     for section in parser.sections():
         for key, value in parser.items(section):
+            if key not in known:
+                raise CliError(f"unknown config key {key!r} in {path}; "
+                               f"known keys: {', '.join(known)}")
             if key in flat:
                 raise CliError(f"duplicate config key {key!r} in {path}")
             flat[key] = value
     return flat
 
 
-def _coerce(key: str, raw: str, kind: type):
+def _coerce(where: str, raw: str, kind: type):
     if kind is bool:
         lowered = raw.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-        raise CliError(f"config key {key!r}: expected a boolean, got {raw!r}")
+        raise CliError(f"{where}: expected a boolean, got {raw!r}")
     try:
         return kind(raw)
     except ValueError:
-        raise CliError(f"config key {key!r}: expected {kind.__name__}, got {raw!r}") from None
+        raise CliError(f"{where}: expected {kind.__name__}, got {raw!r}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    """Resolve every OPTIONS row, then check what no single setting can.
 
-    def pick(key: str, flag_value, kind: type, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return _coerce(key, file_cfg[key], kind)
-        return default
+    Each value comes from its flag, else the config file, else $EVPERF_SEED
+    (seed only), else its default.
+    """
+    file_cfg = _read_config_file(args.config) if args.config else {}
+    if getattr(args, "input", None) is not None or getattr(args, "synth", None):
+        # a source flag replaces the file's data source instead of adding to it
+        file_cfg.pop("input", None)
+        file_cfg.pop("synth", None)
+    values = {}
+    for opt in OPTIONS:
+        value = getattr(args, opt.dest, None)
+        if value is None and opt.key in file_cfg:
+            value = _coerce(f"config key {opt.key!r}", file_cfg[opt.key], opt.type)
+        elif value is None and opt.key == "seed" and os.environ.get(SEED_ENV_VAR):
+            value = _coerce(SEED_ENV_VAR, os.environ[SEED_ENV_VAR], int)
+        values[opt.dest] = opt.default if value is None else value
+    run = RunConfig(command=args.command, **values)
 
-    seed = getattr(args, "seed", None)
-    if seed is None and "seed" in file_cfg:
-        seed = _coerce("seed", file_cfg["seed"], int)
-    if seed is None and os.environ.get(SEED_ENV_VAR):
-        seed = _coerce(SEED_ENV_VAR, os.environ[SEED_ENV_VAR], int)
-    if seed is None:
-        seed = 0
-
-    flag_input = getattr(args, "input", None)
-    flag_synth = getattr(args, "synth", None)
-    if flag_input is not None and flag_synth:
+    if run.input is not None and run.synth:
         raise CliError("choose exactly one data source: --input or --synth")
-    if flag_input is not None or flag_synth:
-        source_input, source_synth = flag_input, bool(flag_synth)
-    else:
-        source_input = Path(file_cfg["input"]) if "input" in file_cfg else None
-        source_synth = _coerce("synth", file_cfg.get("synth", "false"), bool)
-        if source_input is not None and source_synth:
-            raise CliError("config selects both input and synth; choose one data source")
-    if args.command in ("train", "explain") and source_input is None and not source_synth:
+    if run.command in _SOURCE and run.input is None and not run.synth:
         raise CliError("no data source: pass --input FILE or --synth")
-
-    model = getattr(args, "model", None)
-    if model is None and "model" in file_cfg:
-        model = Path(file_cfg["model"])
-    aliases = getattr(args, "aliases", None)
-    if aliases is None and "aliases" in file_cfg:
-        aliases = Path(file_cfg["aliases"])
-
-    swarm_samples = pick(
-        "swarm_samples", getattr(args, "swarm_samples", None), int, _DEFAULTS["swarm_samples"]
-    )
-    if swarm_samples < 0:
-        raise CliError(f"swarm_samples must be at least 0, got {swarm_samples}")
-
-    return RunConfig(
-        command=args.command,
-        input=source_input,
-        synth=source_synth,
-        out_dir=Path(pick("out_dir", getattr(args, "out_dir", None), str, _DEFAULTS["out_dir"])),
-        seed=seed,
-        folds=pick("folds", getattr(args, "folds", None), int, _DEFAULTS["folds"]),
-        rounds=pick("rounds", getattr(args, "rounds", None), int, _DEFAULTS["rounds"]),
-        depth=pick("depth", getattr(args, "depth", None), int, _DEFAULTS["depth"]),
-        eta=pick("eta", getattr(args, "eta", None), float, _DEFAULTS["eta"]),
-        reg_lambda=pick("lambda", getattr(args, "lambda_", None), float, _DEFAULTS["lambda"]),
-        reg_alpha=pick("alpha", getattr(args, "alpha", None), float, _DEFAULTS["alpha"]),
-        gamma=pick("gamma", getattr(args, "gamma", None), float, _DEFAULTS["gamma"]),
-        feature=pick("feature", getattr(args, "feature", None), str, _DEFAULTS["feature"]),
-        svg=pick("svg", getattr(args, "svg", None), bool, _DEFAULTS["svg"]),
-        n_samples=pick("n_samples", getattr(args, "n_samples", None), int, _DEFAULTS["n_samples"]),
-        noise_sd=pick("noise_sd", getattr(args, "noise_sd", None), float, _DEFAULTS["noise_sd"]),
-        model=model,
-        aliases=aliases,
-        swarm_samples=swarm_samples,
-    )
+    if run.seed < 0:
+        raise CliError(f"seed must be at least 0, got {run.seed}")
+    if run.swarm_samples < 0:
+        raise CliError(f"swarm_samples must be at least 0, got {run.swarm_samples}")
+    return run
 
 
 def _train_config(run: RunConfig) -> TrainConfig:
@@ -269,8 +227,8 @@ def _train_config(run: RunConfig) -> TrainConfig:
         n_rounds=run.rounds,
         learning_rate=run.eta,
         max_depth=run.depth,
-        reg_lambda=run.reg_lambda,
-        reg_alpha=run.reg_alpha,
+        reg_lambda=run.lambda_,
+        reg_alpha=run.alpha,
         gamma=run.gamma,
         num_class=NUM_CLASSES,
         seed=run.seed,

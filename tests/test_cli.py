@@ -259,23 +259,53 @@ class TestConfigResolution:
         cfg.write_text("[train]\nrounds = banana\n")
         assert run(["train", "--synth", "--config", cfg, "--out-dir", tmp_path]) == 2
 
-    @pytest.mark.parametrize("argv, message, artifact", [
-        (["synth", "--noise-sd", "nan"], "noise_sd", "synthetic.csv"),
-        (["synth", "--noise-sd", "800", "--n-samples", "5"], "noise_sd", "synthetic.csv"),
-        (["train", "--synth", *FAST, "--lambda", "nan"], "regularization", "model.json"),
-        (["train", "--synth", *FAST, "--lambda", "inf"], "regularization", "model.json"),
-        (["train", "--synth", *FAST, "--alpha", "nan"], "regularization", "model.json"),
-        (["train", "--synth", *FAST, "--gamma", "nan"], "regularization", "model.json"),
-        (["explain", "--synth", "--n-samples", "10", "--no-svg", "--swarm-samples", "-3"],
+    @pytest.mark.parametrize("argv, env_seed, message, artifact", [
+        (["synth", "--noise-sd", "nan"], None, "noise_sd", "synthetic.csv"),
+        (["synth", "--noise-sd", "800", "--n-samples", "5"], None, "noise_sd", "synthetic.csv"),
+        (["train", "--synth", *FAST, "--lambda", "nan"], None, "regularization", "model.json"),
+        (["train", "--synth", *FAST, "--lambda", "inf"], None, "regularization", "model.json"),
+        (["train", "--synth", *FAST, "--alpha", "nan"], None, "regularization", "model.json"),
+        (["train", "--synth", *FAST, "--gamma", "nan"], None, "regularization", "model.json"),
+        (["explain", "--synth", "--n-samples", "10", "--no-svg", "--swarm-samples", "-3"], None,
          "swarm_samples", "shap_swarm.csv"),
+        (["synth", "--seed", "-1", "--n-samples", "5"], None, "seed must be at least 0",
+         "synthetic.csv"),
+        (["train", "--synth", *FAST], "-2", "seed must be at least 0", "model.json"),
+        (["synth", "--n-samples", "5"], "seven", "EVPERF_SEED", "synthetic.csv"),
     ], ids=["synth_noise_nan", "synth_noise_overflow", "train_lambda_nan", "train_lambda_inf",
-            "train_alpha_nan", "train_gamma_nan", "explain_swarm_negative"])
-    def test_out_of_range_value_exit_2(self, trained_dir, tmp_path, capsys, argv, message, artifact):
+            "train_alpha_nan", "train_gamma_nan", "explain_swarm_negative", "synth_seed_negative",
+            "train_env_seed_negative", "synth_env_seed_not_int"])
+    def test_out_of_range_value_exit_2(self, trained_dir, tmp_path, capsys, monkeypatch, argv,
+                                       env_seed, message, artifact):
+        monkeypatch.delenv("EVPERF_SEED", raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv("EVPERF_SEED", env_seed)
         out = tmp_path / "out"
         model = ["--model", trained_dir / "model.json"] if argv[0] == "explain" else []
         assert run([*argv, *model, "--out-dir", out]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "config key" not in err
         assert not (out / artifact).exists()
+
+    def test_negative_seed_in_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nseed = -4\n")
+        assert run(["synth", "--config", cfg, "--out-dir", tmp_path / "out"]) == 2
+        assert "seed must be at least 0, got -4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, key", [("round = 3", "round"), ("out-dir = x", "out-dir")],
+                             ids=["round", "out_dash_dir"])
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[train]\n{line}\n")
+        out = tmp_path / "out"
+        assert run(["train", "--synth", "--config", cfg, "--out-dir", out, *FAST]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config key {key!r}" in err
+        assert "known keys: aliases, alpha, depth," in err and "out_dir" in err
+        assert not out.exists()
 
 
 def _subparsers():
