@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from evperf.cli import _train_config, build_parser, cmd_explain, main, resolve_config
-from evperf.data import CELL_COUNT
+from evperf.data import ACCEL_S, CELL_COUNT, TORQUE_NM
 
 FAST = ["--rounds", "8", "--depth", "3", "--n-samples", "60"]
 
@@ -191,6 +191,34 @@ class TestExplainCommand:
                     "--n-samples", "10", "--no-svg"])
         assert code == 2
         assert (message or f"tree {index}") in capsys.readouterr().err
+
+    def test_aliased_csv_without_acceleration(self, trained_dir, tmp_path):
+        # explain needs only the model's features: a CSV with renamed headers,
+        # no acceleration column and one incomplete row explains the same
+        # rows as --synth does
+        data = tmp_path / "data"
+        assert run(["synth", "--out-dir", data, "--seed", "6", "--n-samples", "15"]) == 0
+        rows = list(csv.reader(open(data / "synthetic.csv")))
+        keep = [i for i, name in enumerate(rows[0]) if name != ACCEL_S]
+        renamed = {CELL_COUNT: "Cells", TORQUE_NM: "Torque (Nm)"}
+        table = [[rows[0][i] for i in keep]] + [[row[i] for i in keep] for row in rows[1:]]
+        table[0] = [renamed.get(name, name) for name in table[0]]
+        table.append(["" if name == "Torque (Nm)" else "1.0" for name in table[0]])
+        source = tmp_path / "fleet.csv"
+        with open(source, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(table)
+        aliases = tmp_path / "aliases.txt"
+        aliases.write_text("".join(f"{src} = {dst}\n" for dst, src in renamed.items()))
+
+        common = ["--model", trained_dir / "model.json", "--seed", "6", "--swarm-samples", "3",
+                  "--no-svg"]
+        assert run(["explain", "--synth", "--n-samples", "15", "--out-dir", tmp_path / "a",
+                    *common]) == 0
+        assert run(["explain", "--input", source, "--aliases", aliases, "--out-dir",
+                    tmp_path / "b", *common]) == 0
+        for name in ("shap_values", *self.FIGURES):
+            assert ((tmp_path / "a" / f"{name}.csv").read_bytes()
+                    == (tmp_path / "b" / f"{name}.csv").read_bytes()), name
 
     def test_artifact_list_contract(self, trained_dir, tmp_path):
         args = build_parser().parse_args([
