@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -107,9 +107,9 @@ def mlogloss(probs: np.ndarray, y_true: Sequence[int]) -> float:
 
 
 @dataclass(frozen=True)
-class FoldMetrics:
-    fold: int
-    n_samples: int
+class Scores:
+    """Accuracy, macro one-vs-rest ROC-AUC, MCC and log loss of one prediction set."""
+
     accuracy: float
     roc_auc_macro_ovr: float
     mcc: float
@@ -117,28 +117,25 @@ class FoldMetrics:
 
 
 @dataclass(frozen=True)
-class MetricsReport:
+class FoldMetrics(Scores):
+    fold: int
+    n_samples: int
+
+
+@dataclass(frozen=True)
+class MetricsReport(Scores):
     """Pooled cross-validation metrics plus the per-fold breakdown."""
 
-    accuracy: float
-    roc_auc_macro_ovr: float
-    mcc: float
-    mlogloss: float
     confusion: np.ndarray
     folds: tuple[FoldMetrics, ...]
 
 
-def evaluate(probs: np.ndarray, y_true: Sequence[int], num_class: int) -> dict:
+def evaluate(probs: np.ndarray, y_true: Sequence[int], num_class: int) -> tuple[Scores, np.ndarray]:
+    """The scores of ``probs`` against ``y_true``, and their confusion matrix."""
     y = np.asarray(y_true, dtype=np.int64)
-    preds = np.argmax(probs, axis=1)
-    cm = confusion(y, preds, num_class)
-    return {
-        "accuracy": accuracy(cm),
-        "roc_auc_macro_ovr": roc_auc_ovr_macro(probs, y),
-        "mcc": mcc(cm),
-        "mlogloss": mlogloss(probs, y),
-        "confusion": cm,
-    }
+    cm = confusion(y, np.argmax(probs, axis=1), num_class)
+    scores = Scores(accuracy(cm), roc_auc_ovr_macro(probs, y), mcc(cm), mlogloss(probs, y))
+    return scores, cm
 
 
 def cross_validate(dataset: Dataset, cfg: TrainConfig, k: int = 5, seed: int = 0) -> MetricsReport:
@@ -169,47 +166,14 @@ def cross_validate(dataset: Dataset, cfg: TrainConfig, k: int = 5, seed: int = 0
         )
         probs = predict_proba_batch(model, x_val)
         pooled[val] = probs
-        m = evaluate(probs, y[val], cfg.num_class)
-        fold_metrics.append(
-            FoldMetrics(
-                fold=f,
-                n_samples=int(val.sum()),
-                accuracy=m["accuracy"],
-                roc_auc_macro_ovr=m["roc_auc_macro_ovr"],
-                mcc=m["mcc"],
-                mlogloss=m["mlogloss"],
-            )
-        )
-    overall = evaluate(pooled, y, cfg.num_class)
-    return MetricsReport(
-        accuracy=overall["accuracy"],
-        roc_auc_macro_ovr=overall["roc_auc_macro_ovr"],
-        mcc=overall["mcc"],
-        mlogloss=overall["mlogloss"],
-        confusion=overall["confusion"],
-        folds=tuple(fold_metrics),
-    )
+        scores, _ = evaluate(probs, y[val], cfg.num_class)
+        fold_metrics.append(FoldMetrics(**asdict(scores), fold=f, n_samples=int(val.sum())))
+    overall, cm = evaluate(pooled, y, cfg.num_class)
+    return MetricsReport(**asdict(overall), confusion=cm, folds=tuple(fold_metrics))
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "roc_auc_macro_ovr": report.roc_auc_macro_ovr,
-        "mcc": report.mcc,
-        "mlogloss": report.mlogloss,
-        "confusion": report.confusion.tolist(),
-        "folds": [
-            {
-                "fold": fm.fold,
-                "n_samples": fm.n_samples,
-                "accuracy": fm.accuracy,
-                "roc_auc_macro_ovr": fm.roc_auc_macro_ovr,
-                "mcc": fm.mcc,
-                "mlogloss": fm.mlogloss,
-            }
-            for fm in report.folds
-        ],
-    }
+    return {**asdict(report), "confusion": report.confusion.tolist()}
 
 
 def report_to_json(report: MetricsReport) -> str:
