@@ -168,15 +168,16 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
-def mlogloss_grad_hess(probs: np.ndarray, label: int) -> tuple[np.ndarray, np.ndarray]:
+def mlogloss_grad_hess(probs: np.ndarray, labels: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-class gradient and Hessian of the softmax log loss in score space.
 
-    g_k = p_k - [k == label]; h_k = p_k (1 - p_k), floored at HESS_EPS. The
-    Hessian is the diagonal approximation of the full softmax Hessian.
+    ``probs`` is one ``(K,)`` row with an int label or ``(n, K)`` rows with
+    ``n`` labels. g_k = p_k - [k == label]; h_k = p_k (1 - p_k), floored at
+    HESS_EPS. The Hessian is the diagonal approximation of the full softmax
+    Hessian.
     """
     p = np.asarray(probs, dtype=float)
-    g = p.copy()
-    g[label] -= 1.0
+    g = p - (np.arange(p.shape[-1]) == np.asarray(labels)[..., None])
     h = np.maximum(p * (1.0 - p), HESS_EPS)
     return g, h
 
@@ -409,15 +410,11 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Ensemble:
     base_score = np.log(counts / n)
 
     margins = np.tile(base_score, (n, 1))
-    onehot = np.zeros((n, cfg.num_class))
-    onehot[np.arange(n), y] = 1.0
     grown: list[tuple[int, int, TreeNode]] = []
     order = column_order(x)
     row_weights = np.empty(n)  # each row's leaf weight in the tree just grown
     for r in range(cfg.n_rounds):
-        probs = softmax(margins)
-        grad = probs - onehot
-        hess = np.maximum(probs * (1.0 - probs), HESS_EPS)
+        grad, hess = mlogloss_grad_hess(softmax(margins), y)
         for k in range(cfg.num_class):
             grown.append((r, k, build_tree(x, grad[:, k], hess[:, k], cfg, order, row_weights)))
             margins[:, k] += cfg.learning_rate * row_weights

@@ -108,6 +108,16 @@ class TestGradHess:
             assert np.linalg.norm(h_fd - h) / max(np.linalg.norm(h), 1e-12) < 1e-5
 
 
+    def test_batch_equals_rows_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        p = rng.dirichlet(np.ones(3), size=9)
+        y = np.arange(9) % 3  # every class appears as a label
+        g, h = mlogloss_grad_hess(p, y)
+        assert g.shape == h.shape == (9, 3)
+        for i in range(9):
+            g_i, h_i = mlogloss_grad_hess(p[i], int(y[i]))
+            assert g[i].tobytes() == g_i.tobytes() and h[i].tobytes() == h_i.tobytes()
+
 class TestSplitMath:
     def test_gain_hand_case(self):
         cfg = TrainConfig(reg_lambda=1.0)
