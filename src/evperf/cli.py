@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, make_dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .data import (
     ACCEL_S,
     CELL_COUNT,
     CLASS_NAMES,
+    DEFAULT_SCHEMA,
     NUM_CLASSES,
     DataError,
     Dataset,
@@ -239,12 +241,12 @@ def _synth_config(run: RunConfig) -> SynthConfig:
     return SynthConfig(n_samples=run.n_samples, seed=run.seed, noise_sd=run.noise_sd)
 
 
-def _load_records(run: RunConfig) -> list[VehicleRecord]:
+def _load_records(run: RunConfig, schema: Sequence[str] = DEFAULT_SCHEMA) -> list[VehicleRecord]:
+    """The run's synthetic fleet, or its CSV with ``schema``'s columns required."""
     if run.synth:
         return synth_records(_synth_config(run))
     aliases = read_alias_table(run.aliases) if run.aliases else None
-    records = load_csv(run.input, aliases=aliases)
-    return drop_missing(records, [CELL_COUNT])
+    return load_csv(run.input, schema=schema, aliases=aliases)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -304,12 +306,7 @@ def cmd_train(run: RunConfig) -> FigureArtifact:
 
 def _explain_features(run: RunConfig, model: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Raw and model-space feature matrices for the explain command."""
-    if run.synth:
-        records = _load_records(run)
-    else:
-        aliases = read_alias_table(run.aliases) if run.aliases else None
-        records = load_csv(run.input, schema=model.feature_names, aliases=aliases)
-    usable = drop_missing(records, model.feature_names)
+    usable = drop_missing(_load_records(run, model.feature_names), model.feature_names)
     if not usable:
         raise DataError("no records with all model features present")
     raw = np.asarray([[r.get(c) for c in model.feature_names] for r in usable], dtype=float)
