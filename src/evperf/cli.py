@@ -87,6 +87,7 @@ class Option:
 
     The flag is ``--`` plus the key with ``-`` for ``_``. A bool that defaults
     to True gets ``--key/--no-key``, one that defaults to False a bare ``--key``.
+    ``minimum`` is the least value an integer setting accepts.
     """
 
     key: str
@@ -94,6 +95,7 @@ class Option:
     default: object
     commands: tuple[str, ...]
     help: str
+    minimum: int | None = None
 
     @property
     def dest(self) -> str:
@@ -110,23 +112,24 @@ _ALL = tuple(_COMMANDS)
 _SOURCE = ("train", "explain")
 OPTIONS = (
     Option("out_dir", Path, Path("out"), _ALL, "output directory"),
-    Option("seed", int, 0, _ALL, f"RNG seed; falls back to ${SEED_ENV_VAR}"),
+    Option("seed", int, 0, _ALL, f"RNG seed; falls back to ${SEED_ENV_VAR}", minimum=0),
     Option("svg", bool, True, _ALL, "also render SVG figures"),
     Option("input", Path, None, _SOURCE, "CSV input file"),
     Option("synth", bool, False, _SOURCE, "use the synthetic physics dataset instead of a CSV"),
     Option("aliases", Path, None, _SOURCE, "header alias table for CSV input"),
-    Option("n_samples", int, SynthConfig.n_samples, _ALL, "synthetic sample count"),
+    Option("n_samples", int, SynthConfig.n_samples, _ALL, "synthetic sample count", minimum=1),
     Option("noise_sd", float, SynthConfig.noise_sd, _ALL, "synthetic log-time noise"),
-    Option("folds", int, 5, ("train",), "cross-validation folds"),
-    Option("rounds", int, TrainConfig.n_rounds, ("train",), "boosting rounds"),
-    Option("depth", int, TrainConfig.max_depth, ("train",), "max tree depth"),
+    Option("folds", int, 5, ("train",), "cross-validation folds", minimum=2),
+    Option("rounds", int, TrainConfig.n_rounds, ("train",), "boosting rounds", minimum=1),
+    Option("depth", int, TrainConfig.max_depth, ("train",), "max tree depth", minimum=1),
     Option("eta", float, TrainConfig.learning_rate, ("train",), "learning rate"),
     Option("lambda", float, TrainConfig.reg_lambda, ("train",), "L2 penalty"),
     Option("alpha", float, TrainConfig.reg_alpha, ("train",), "L1 penalty"),
     Option("gamma", float, TrainConfig.gamma, ("train",), "min split gain"),
     Option("model", Path, None, ("explain",), "model JSON (default: <out-dir>/model.json)"),
     Option("feature", str, CELL_COUNT, ("explain",), "dependence-plot feature"),
-    Option("swarm_samples", int, 60, ("explain",), "samples to include in interaction swarm data"),
+    Option("swarm_samples", int, 60, ("explain",), "samples to include in interaction swarm data",
+           minimum=0),
 )
 
 RunConfig = make_dataclass(
@@ -157,10 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
-    """Flatten a sectioned key = value file; keys must be known and globally unique."""
+    """Flatten a sectioned key = value file; keys must be known and globally unique.
+
+    ``[DEFAULT]`` is an ordinary section: its keys are not copied into the others.
+    """
     if not path.exists():
         raise CliError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(default_section="\0")
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
@@ -196,7 +202,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Resolve every OPTIONS row, then check what no single setting can.
 
     Each value comes from its flag, else the config file, else $EVPERF_SEED
-    (seed only), else its default.
+    (seed only), else its default, and must not be below the row's minimum.
     """
     file_cfg = _read_config_file(args.config) if args.config else {}
     if getattr(args, "input", None) is not None or getattr(args, "synth", None):
@@ -210,17 +216,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             value = _coerce(f"config key {opt.key!r}", file_cfg[opt.key], opt.type)
         elif value is None and opt.key == "seed" and os.environ.get(SEED_ENV_VAR):
             value = _coerce(SEED_ENV_VAR, os.environ[SEED_ENV_VAR], int)
-        values[opt.dest] = opt.default if value is None else value
+        value = opt.default if value is None else value
+        if opt.minimum is not None and value < opt.minimum:
+            raise CliError(f"{opt.key} must be at least {opt.minimum}, got {value}")
+        values[opt.dest] = value
     run = RunConfig(command=args.command, **values)
 
     if run.input is not None and run.synth:
         raise CliError("choose exactly one data source: --input or --synth")
     if run.command in _SOURCE and run.input is None and not run.synth:
         raise CliError("no data source: pass --input FILE or --synth")
-    if run.seed < 0:
-        raise CliError(f"seed must be at least 0, got {run.seed}")
-    if run.swarm_samples < 0:
-        raise CliError(f"swarm_samples must be at least 0, got {run.swarm_samples}")
     return run
 
 

@@ -273,6 +273,22 @@ class TestConfigResolution:
         assert run(["train", "--synth", "--config", cfg, "--out-dir", tmp_path, *FAST]) == 2
         assert "duplicate" in capsys.readouterr().err
 
+    def test_default_section_keys_count_once(self, tmp_path):
+        # [DEFAULT] is an ordinary section, not copied into every other one
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\nseed = 1\n[a]\nrounds = 2\n[b]\nn_samples = 20\n")
+        assert run(["synth", "--config", cfg, "--out-dir", tmp_path / "a"]) == 0
+        assert run(["synth", "--seed", "1", "--n-samples", "20", "--out-dir", tmp_path / "b"]) == 0
+        assert ((tmp_path / "a" / "synthetic.csv").read_bytes()
+                == (tmp_path / "b" / "synthetic.csv").read_bytes())
+
+    def test_default_section_key_repeated_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\nseed = 1\n[a]\nseed = 2\n")
+        assert run(["synth", "--config", cfg, "--out-dir", tmp_path / "out"]) == 2
+        assert "duplicate config key 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EVPERF_SEED", "7")
         a = tmp_path / "a"
@@ -300,9 +316,18 @@ class TestConfigResolution:
          "synthetic.csv"),
         (["train", "--synth", *FAST], "-2", "seed must be at least 0", "model.json"),
         (["synth", "--n-samples", "5"], "seven", "EVPERF_SEED", "synthetic.csv"),
+        (["train", "--synth", *FAST, "--folds", "1"], None, "folds must be at least 2, got 1",
+         "model.json"),
+        (["train", "--synth", *FAST, "--rounds", "0"], None, "rounds must be at least 1, got 0",
+         "model.json"),
+        (["train", "--synth", *FAST, "--depth", "0"], None, "depth must be at least 1, got 0",
+         "model.json"),
+        (["synth", "--n-samples", "0"], None, "n_samples must be at least 1, got 0",
+         "synthetic.csv"),
     ], ids=["synth_noise_nan", "synth_noise_overflow", "train_lambda_nan", "train_lambda_inf",
             "train_alpha_nan", "train_gamma_nan", "explain_swarm_negative", "synth_seed_negative",
-            "train_env_seed_negative", "synth_env_seed_not_int"])
+            "train_env_seed_negative", "synth_env_seed_not_int", "train_folds_1", "train_rounds_0",
+            "train_depth_0", "synth_n_samples_0"])
     def test_out_of_range_value_exit_2(self, trained_dir, tmp_path, capsys, monkeypatch, argv,
                                        env_seed, message, artifact):
         monkeypatch.delenv("EVPERF_SEED", raising=False)
