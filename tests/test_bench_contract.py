@@ -1,0 +1,70 @@
+"""The contract between evperf and perfbench's tracer.
+
+perfbench/tracing.py wraps evperf functions by replacing each name of its
+``TRACED`` table, with ``getattr`` and ``setattr``, in the module where the
+caller looks it up, and counts tree nodes by walking the ``TreeNode`` that
+``build_tree`` returns. A renamed function would stop every traced benchmark
+run at install time and another return type would break the node count;
+these tests show either in the unit suite.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from evperf.data import Dataset
+from evperf.gbdt import TrainConfig, train
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+
+def _lookup(module_name, attr):
+    return getattr(importlib.import_module(module_name), attr)
+
+
+def test_every_traced_name_resolves():
+    for module_name, attr, _ in tracing.TRACED:
+        assert callable(_lookup(module_name, attr)), f"{module_name}.{attr}"
+
+
+def test_install_uninstall_round_trips():
+    originals = [(m, a, _lookup(m, a)) for m, a, _ in tracing.TRACED]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for module_name, attr, original in originals:
+            wrapped = _lookup(module_name, attr)
+            assert wrapped is not original and wrapped.__wrapped__ is original, attr
+    finally:
+        tracer.uninstall()
+    for module_name, attr, original in originals:
+        assert _lookup(module_name, attr) is original, f"{module_name}.{attr}"
+
+
+def test_tree_nodes_counts_build_tree_results():
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.normal(size=(60, 3)), np.arange(60) % 3, ("a", "b", "c"))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model = train(data, TrainConfig(n_rounds=3, max_depth=3, num_class=3))
+    finally:
+        tracer.uninstall()
+    layers = tracing.layer_metrics(tracer.spans, 0, 1)
+    assert layers["gbdt.build_tree.calls"] == 9
+    assert layers["gbdt.tree_nodes"] == model.trees.feature.size
+    assert model.trees.feature.size > 9  # some trees split
