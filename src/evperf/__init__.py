@@ -72,7 +72,6 @@ from .physics import (
     pack_voltage,
     resistive_forces,
     synth_dataset,
-    synth_fleet_and_sweep,
     synth_records,
     terminal_voltage,
     total_mass,

@@ -52,8 +52,9 @@ from .physics import (
     DEFAULT_SWEEP_PARALLEL,
     PhysicsError,
     SynthConfig,
-    diminishing_returns_sweep,  # noqa: F401 - perfbench's tracer wraps this name here
-    synth_fleet_and_sweep,
+    default_pack,
+    default_vehicle,
+    diminishing_returns_sweep,
     synth_records,
 )
 from .treeshap import (
@@ -164,11 +165,12 @@ def _read_config_file(path: Path) -> dict[str, str]:
 
     ``[DEFAULT]`` is an ordinary section: its keys are not copied into the others.
     """
-    if not path.exists():
-        raise CliError(f"config file not found: {path}")
     parser = configparser.ConfigParser(default_section="\0")
     try:
-        parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read config file {path}: {exc.strerror}") from exc
     except configparser.Error as exc:
         raise CliError(f"cannot parse config file {path}: {exc}") from exc
     known = sorted(opt.key for opt in OPTIONS)
@@ -416,7 +418,8 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
 
 def cmd_synth(run: RunConfig) -> None:
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    records, sweep = synth_fleet_and_sweep(_synth_config(run), DEFAULT_SWEEP_PARALLEL)
+    records = synth_records(_synth_config(run))
+    sweep = diminishing_returns_sweep(default_vehicle(), default_pack(), DEFAULT_SWEEP_PARALLEL)
     columns = list(records[0].values.keys())
     _write_csv(
         run.out_dir / "synthetic.csv",
@@ -445,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "synth":
             cmd_synth(run)
         return 0
-    except (CliError, DataError, PhysicsError, FileNotFoundError, ValueError) as exc:
+    except (CliError, DataError, PhysicsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

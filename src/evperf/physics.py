@@ -4,17 +4,15 @@ Computes pack voltage/resistance/power from the series-parallel cell layout,
 integrates the 0-100 km/h sprint, sweeps cell count to expose the
 power-versus-mass trade-off, and generates labeled synthetic datasets.
 
-There is one sprint integrator, a fixed-step RK4 over a batch of vehicles.
-synth_fleet_and_sweep integrates the synthetic fleet and the cell-count sweep
-as one batch, synth_records and diminishing_returns_sweep integrate one each,
-and accel_time_0_100 is a batch of one. Running vehicles are stepped together as
-numpy arrays, and each vehicle is dropped from them once it reaches 100 km/h;
-the last few are stepped on as Python floats, so a single sprint makes no
-numpy call per step. One step function serves both phases with the same IEEE
-operations in the same order, and no vehicle's arithmetic depends on the
-others, so a vehicle's time has the same bits in any batch. The pack, mass
-and force helpers work elementwise, so a pack or vehicle whose varying fields
-are numpy arrays describes a whole fleet and every formula is written once.
+The sprint ODE is separable, so each 0-100 km/h time is an integral over
+speed: closed form while the drive force sits at its cap, Gauss-Legendre
+quadrature once the pack's power limits it. One function computes it for a
+batch of vehicles; synth_records and diminishing_returns_sweep pass one batch
+each and accel_time_0_100 a batch of one. Every operation is elementwise per
+vehicle, so a vehicle's time has the same bits in any batch. The pack, mass
+and force helpers work elementwise too, so a pack or vehicle whose varying
+fields are numpy arrays describes a whole fleet and every formula is written
+once.
 """
 
 from __future__ import annotations
@@ -206,8 +204,8 @@ def _force_terms(v: VehicleParams, p: PackConfig) -> _ForceTerms:
     )
 
 
-def _drive_force(f: _ForceTerms, speed, minimum=np.minimum, maximum=np.maximum):
-    return minimum(f.force_cap, f.wheel_power / maximum(speed, SPEED_EPS))
+def _drive_force(f: _ForceTerms, speed):
+    return np.minimum(f.force_cap, f.wheel_power / np.maximum(speed, SPEED_EPS))
 
 
 def _drag_force(f: _ForceTerms, speed):
@@ -230,122 +228,80 @@ def resistive_forces(v: VehicleParams, p: PackConfig, speed: float) -> float:
     return _drag_force(f, speed) + f.rolling_force
 
 
-def _dvdt(f: _ForceTerms, speed, minimum=np.minimum, maximum=np.maximum):
-    return (_drive_force(f, speed, minimum, maximum) - _drag_force(f, speed) - f.rolling_force) / f.mass
+def _net_force(f: _ForceTerms, speed):
+    return _drive_force(f, speed) - _drag_force(f, speed) - f.rolling_force
 
 
-def _rk4_step(f: _ForceTerms, speed, dt: float, minimum=np.minimum, maximum=np.maximum):
-    """One RK4 step of dv/dt: arrays with numpy's minimum/maximum, floats with min/max."""
-    k1 = _dvdt(f, speed, minimum, maximum)
-    k2 = _dvdt(f, speed + 0.5 * dt * k1, minimum, maximum)
-    k3 = _dvdt(f, speed + 0.5 * dt * k2, minimum, maximum)
-    k4 = _dvdt(f, speed + dt * k3, minimum, maximum)
-    return speed + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+# Gauss-Legendre nodes and weights on [-1, 1] for the power-limited phase;
+# 96 nodes change the synthetic fleets' times by under 3e-14 relative.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 
-# At most this many running vehicles are stepped as Python floats rather than
-# numpy arrays: an array step costs about as much as eight float steps, since
-# numpy's per-call overhead outweighs the arithmetic on so few vehicles.
-_FLOAT_TAIL = 8
+def _sprint_times(f: _ForceTerms) -> np.ndarray:
+    """Seconds from SPEED_EPS to 100 km/h for every vehicle of the batch, as a flat array.
 
-
-def _sprint_times(*batches: _ForceTerms, dt: float = 1e-3) -> list[np.ndarray]:
-    """Seconds from rest to 100 km/h for every vehicle of every batch.
-
-    The batches are integrated as one: each is broadcast and flattened, and
-    the result is split back into one array per batch, in that batch's
-    broadcast shape. Fixed-step RK4 on dv/dt, all running vehicles stepped
-    together from SPEED_EPS; a vehicle's final partial step is linearly
-    interpolated to the target crossing. Vehicles that cross are dropped from
-    the arrays, and once at most _FLOAT_TAIL are left they are stepped on as
-    Python floats, still in lockstep. Each vehicle's arithmetic is the same
-    IEEE operation sequence in either phase and does not depend on the others,
-    so its time is the same bits in any batch and beside any other batches.
-    Raises PhysicsError if a vehicle cannot move off the line, stops gaining
-    speed, or has not reached the target within MAX_SPRINT_TIME.
+    The sprint ODE m dv/dt = min(F_cap, P/v) - F_r - c v^2 is separable, so
+    each time is an integral over speed, split where the drive force turns
+    from its constant cap to the power limit, at v* = P/F_cap clipped to
+    [SPEED_EPS, 100 km/h]. Below v* the integral is closed form; above it,
+    m v / (P - F_r v - c v^3) is summed by Gauss-Legendre quadrature. Every
+    operation is elementwise per vehicle, so a vehicle's time has the same
+    bits in any batch. Both phases' net forces fall with speed, so a vehicle
+    reaches 100 km/h iff its net force is positive there. Raises PhysicsError
+    if a vehicle cannot move off the line, stalls below 100 km/h, or needs
+    more than MAX_SPRINT_TIME.
     """
-    shapes, columns = [], []
-    for batch in batches:
-        arrays = np.broadcast_arrays(*batch)
-        shapes.append(arrays[0].shape)
-        columns.append([a.ravel() for a in arrays])
-    f = _ForceTerms(*map(np.concatenate, zip(*columns)))
-    speed = np.full(f.mass.size, SPEED_EPS)
-    if (_dvdt(f, speed) <= 0).any():
+    f = _ForceTerms(*(a.ravel() for a in np.broadcast_arrays(*f)))
+    # a drag coefficient that underflowed to 0 would make the closed forms 0/0
+    f = f._replace(drag_coeff=np.maximum(f.drag_coeff, np.finfo(float).tiny))
+    if (_net_force(f, SPEED_EPS) <= 0).any():
         raise PhysicsError("vehicle cannot accelerate from standstill")
-    times = np.full(speed.size, np.nan)
-    index = np.arange(speed.size)
-    t = 0.0
-    while speed.size > _FLOAT_TAIL:
-        if t >= MAX_SPRINT_TIME:
-            raise _time_limit_error(speed.min())
-        new_speed = _rk4_step(f, speed, dt)
-        stalled = new_speed <= speed
-        if stalled.any():
-            raise _stall_error(speed[stalled].min())
-        if new_speed.max() >= TARGET_SPEED:
-            crossed = new_speed >= TARGET_SPEED
-            frac = (TARGET_SPEED - speed[crossed]) / (new_speed[crossed] - speed[crossed])
-            times[index[crossed]] = t + dt * frac
-            running = ~crossed
-            f = _ForceTerms(*(a[running] for a in f))
-            index, new_speed = index[running], new_speed[running]
-        speed = new_speed
-        t += dt
+    stalled = _net_force(f, TARGET_SPEED) <= 0
+    if stalled.any():
+        raise _stall_error(_ForceTerms(*(a[stalled] for a in f)))
 
-    # the last few vehicles: the same steps on Python floats
-    terms = map(_ForceTerms._make, zip(*(a.tolist() for a in f)))
-    tail = list(zip(index.tolist(), terms, speed.tolist()))
-    while tail:
-        if t >= MAX_SPRINT_TIME:
-            raise _time_limit_error(min(s for _, _, s in tail))
-        stepped = [(i, ft, s, _rk4_step(ft, s, dt, min, max)) for i, ft, s in tail]
-        stalled = [s for _, _, s, new in stepped if new <= s]
-        if stalled:
-            raise _stall_error(min(stalled))
-        tail = []
-        for i, ft, s, new in stepped:
-            if new >= TARGET_SPEED:
-                times[i] = t + dt * ((TARGET_SPEED - s) / (new - s))
-            else:
-                tail.append((i, ft, new))
-        t += dt
-    parts = np.split(times, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
-    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    # constant drive force from SPEED_EPS to v*
+    cap, power, c, rolling, mass = f
+    net = cap - rolling
+    v_star = np.clip(power / cap, SPEED_EPS, TARGET_SPEED)
+    k = np.sqrt(c / net)
+    times = mass / np.sqrt(net * c) * (np.arctanh(v_star * k) - np.arctanh(SPEED_EPS * k))
+    # power-limited from v* to 100 km/h, where v* is below it
+    powered = v_star < TARGET_SPEED
+    half = 0.5 * (TARGET_SPEED - v_star[powered])
+    v = (v_star[powered] + half)[:, None] + half[:, None] * _NODES
+    _, power, c, rolling, mass = (a[powered, None] for a in f)
+    g = mass * v / (power - rolling * v - c * v**3)
+    times[powered] += half * (g * _WEIGHTS).sum(axis=-1)
+    late = ~(times <= MAX_SPRINT_TIME)  # a NaN time is reported, never returned
+    if late.any():
+        raise PhysicsError(f"target speed not reached within {MAX_SPRINT_TIME:.0f} s "
+                           f"(takes {times[late].max():.1f} s)")
+    return times
 
 
-def _time_limit_error(slowest: float) -> PhysicsError:
-    return PhysicsError(
-        f"target speed not reached within {MAX_SPRINT_TIME:.0f} s (stuck near {slowest:.1f} m/s)"
-    )
+def _stall_error(f: _ForceTerms) -> PhysicsError:
+    """Name the lowest speed at which a stalled vehicle's net force reaches zero.
 
-
-def _stall_error(speed: float) -> PhysicsError:
+    That is the lower root of the two phases' force balances: sqrt((F_cap -
+    F_r) / c) and the real root of c v^3 + F_r v - P, in its sinh form.
+    """
+    cap, power, c, rolling, _ = f
+    k = np.sqrt(rolling / (3 * c))
+    power_root = 2 * k * np.sinh(np.arcsinh(1.5 * power / (rolling * k)) / 3)
+    speed = np.minimum(np.sqrt((cap - rolling) / c), power_root).min()
     return PhysicsError(f"force balance stalls at {speed:.2f} m/s")
 
 
-def accel_time_0_100(v: VehicleParams, p: PackConfig, dt: float = 1e-3) -> float:
+def accel_time_0_100(v: VehicleParams, p: PackConfig) -> float:
     """Seconds to accelerate from rest to 100 km/h: a one-vehicle sprint.
 
-    Fixed-step RK4 on dv/dt = (F_tractive - F_resistive) / m, starting at
-    SPEED_EPS, with the final partial step interpolated to the crossing.
-    Raises PhysicsError if the force balance prevents reaching the target
-    within MAX_SPRINT_TIME.
+    The time from SPEED_EPS to 100 km/h of dv/dt = (F_tractive - F_resistive)
+    / m, by the quadrature of _sprint_times. Raises PhysicsError if the force
+    balance prevents reaching the target within MAX_SPRINT_TIME.
     """
-    (time,) = _sprint_times(_force_terms(v, p), dt=dt)
+    (time,) = _sprint_times(_force_terms(v, p))
     return float(time)
-
-
-def _sweep_packs(template: PackConfig, n_parallel_values: list[int] | range) -> PackConfig:
-    """The template with one parallel-string count per swept pack."""
-    n_parallel = np.array(n_parallel_values, dtype=np.int64)
-    if n_parallel.size == 0:
-        raise PhysicsError("n_parallel range is empty")
-    return replace(template, n_parallel=n_parallel)
-
-
-def _sweep_points(packs: PackConfig, times: np.ndarray) -> list[tuple[int, float]]:
-    return list(zip(packs.cell_count.tolist(), times.tolist()))
 
 
 def diminishing_returns_sweep(
@@ -359,9 +315,12 @@ def diminishing_returns_sweep(
     integrated in one batch; each time equals accel_time_0_100 on that pack.
     Returns (cell count, seconds) pairs in the order given.
     """
-    packs = _sweep_packs(template, n_parallel_values)
-    (times,) = _sprint_times(_force_terms(v, packs))
-    return _sweep_points(packs, times)
+    n_parallel = np.array(n_parallel_values, dtype=np.int64)
+    if n_parallel.size == 0:
+        raise PhysicsError("n_parallel range is empty")
+    packs = replace(template, n_parallel=n_parallel)
+    times = _sprint_times(_force_terms(v, packs))
+    return list(zip(packs.cell_count.tolist(), times.tolist()))
 
 
 def default_vehicle() -> VehicleParams:
@@ -439,19 +398,18 @@ class SynthConfig:
         _check_range("consumption", *self.consumption_range)
 
 
-class _Fleet(NamedTuple):
-    """A sampled fleet: per-vehicle draws, its packs and its sprint force terms."""
+def synth_records(
+    sc: SynthConfig,
+    v: VehicleParams | None = None,
+    template: PackConfig | None = None,
+) -> list[VehicleRecord]:
+    """Sample vehicles, integrate their sprints, and emit canonical records.
 
-    pack: PackConfig
-    torque: np.ndarray
-    cell_cap: np.ndarray
-    consumption: np.ndarray
-    noise: np.ndarray
-    forces: _ForceTerms
-
-
-def _sample_fleet(sc: SynthConfig, v: VehicleParams, template: PackConfig) -> _Fleet:
-    """Draw each vehicle's parameters from an independent RNG stream of the seed."""
+    Each sample draws its parameters from an independent RNG stream derived
+    from the seed, so the output is reproducible and order-independent.
+    """
+    v = v or default_vehicle()
+    template = template or default_pack()
     streams = np.random.SeedSequence(sc.seed).spawn(sc.n_samples)
 
     n_series = np.empty(sc.n_samples, dtype=np.int64)
@@ -480,19 +438,15 @@ def _sample_fleet(sc: SynthConfig, v: VehicleParams, template: PackConfig) -> _F
 
     pack = replace(template, n_series=n_series, n_parallel=n_parallel, r_cell=r_cell)
     forces = _force_terms(replace(v, base_mass=base_mass, motor_torque_max=torque), pack)
-    return _Fleet(pack, torque, cell_cap, consumption, noise, forces)
-
-
-def _fleet_records(sc: SynthConfig, fleet: _Fleet, times: np.ndarray) -> list[VehicleRecord]:
-    """Apply the log-normal noise to the fleet's sprint times and emit its records."""
+    times = _sprint_times(forces)
     with np.errstate(over="ignore"):
-        noisy_times = times * np.exp(sc.noise_sd * fleet.noise)
+        noisy_times = times * np.exp(sc.noise_sd * noise)
     if not np.all(np.isfinite(noisy_times) & (noisy_times > 0)):
         raise PhysicsError(f"noise_sd={sc.noise_sd} drives acceleration times to 0 or infinity")
 
-    cells = fleet.pack.cell_count
-    capacity = cells * fleet.pack.v_cell_nominal * fleet.cell_cap / 1000.0
-    range_km = capacity / fleet.consumption
+    cells = pack.cell_count
+    capacity = cells * template.v_cell_nominal * cell_cap / 1000.0
+    range_km = capacity / consumption
     records = []
     for i in range(sc.n_samples):
         records.append(
@@ -500,50 +454,14 @@ def _fleet_records(sc: SynthConfig, fleet: _Fleet, times: np.ndarray) -> list[Ve
                 {
                     CAPACITY_KWH: float(capacity[i]),
                     CELL_COUNT: float(cells[i]),
-                    WEIGHT_KG: float(fleet.forces.mass[i]),
-                    TORQUE_NM: float(fleet.torque[i]),
+                    WEIGHT_KG: float(forces.mass[i]),
+                    TORQUE_NM: float(torque[i]),
                     RANGE_KM: float(range_km[i]),
                     ACCEL_S: float(noisy_times[i]),
                 }
             )
         )
     return records
-
-
-def synth_records(
-    sc: SynthConfig,
-    v: VehicleParams | None = None,
-    template: PackConfig | None = None,
-) -> list[VehicleRecord]:
-    """Sample vehicles, integrate their sprints, and emit canonical records.
-
-    Each sample draws its parameters from an independent RNG stream derived
-    from the seed, so the output is reproducible and order-independent.
-    """
-    fleet = _sample_fleet(sc, v or default_vehicle(), template or default_pack())
-    (times,) = _sprint_times(fleet.forces)
-    return _fleet_records(sc, fleet, times)
-
-
-def synth_fleet_and_sweep(
-    sc: SynthConfig,
-    n_parallel_values: list[int] | range,
-    v: VehicleParams | None = None,
-    template: PackConfig | None = None,
-) -> tuple[list[VehicleRecord], list[tuple[int, float]]]:
-    """synth_records and diminishing_returns_sweep on one vehicle and pack template.
-
-    The fleet and the sweep's packs are integrated as one batch, so this
-    returns exactly ``(synth_records(sc, v, template),
-    diminishing_returns_sweep(v, template, n_parallel_values))`` with the
-    defaults filled in.
-    """
-    v = v or default_vehicle()
-    template = template or default_pack()
-    fleet = _sample_fleet(sc, v, template)
-    packs = _sweep_packs(template, n_parallel_values)
-    fleet_times, sweep_times = _sprint_times(fleet.forces, _force_terms(v, packs))
-    return _fleet_records(sc, fleet, fleet_times), _sweep_points(packs, sweep_times)
 
 
 def synth_dataset(

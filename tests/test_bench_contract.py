@@ -4,8 +4,9 @@ perfbench/tracing.py wraps evperf functions by replacing each name of its
 ``TRACED`` table, with ``getattr`` and ``setattr``, in the module where the
 caller looks it up, and counts tree nodes by walking the ``TreeNode`` that
 ``build_tree`` returns. A renamed function would stop every traced benchmark
-run at install time and another return type would break the node count;
-these tests show either in the unit suite.
+run at install time, another return type would break the node count, and a
+command that reached a traced function by another name would leave its span
+empty; these tests show each in the unit suite.
 """
 
 import importlib
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from evperf.cli import main
 from evperf.data import Dataset
 from evperf.gbdt import TrainConfig, train
 
@@ -68,3 +70,17 @@ def test_tree_nodes_counts_build_tree_results():
     assert layers["gbdt.build_tree.calls"] == 9
     assert layers["gbdt.tree_nodes"] == model.trees.feature.size
     assert model.trees.feature.size > 9  # some trees split
+
+
+def test_traced_synth_books_its_physics(tmp_path):
+    # evperf synth calls both traced physics functions through evperf.cli
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = tracer.call("cli", main, ["synth", "--n-samples", "20", "--out-dir", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span.name for span in tracer.spans]
+    assert names.count("physics.synth_records") == 1
+    assert names.count("physics.diminishing_returns_sweep") == 1

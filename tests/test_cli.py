@@ -96,6 +96,22 @@ class TestTrainCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["train", "--input", "{dir}", "--out-dir", "{tmp}/out", *FAST], "{dir}"),
+    (["explain", "--synth", "--model", "{dir}", "--out-dir", "{tmp}/out", "--n-samples", "10"],
+     "{dir}"),
+    (["synth", "--out-dir", "{file}/x", "--n-samples", "10"], "{file}/x"),
+], ids=["train_input_dir", "explain_model_dir", "synth_out_dir_under_file"])
+def test_directory_and_not_a_directory_paths_exit_2(tmp_path, capsys, argv, path):
+    names = {"dir": tmp_path / "d", "file": tmp_path / "f", "tmp": tmp_path}
+    names["dir"].mkdir()
+    names["file"].write_text("")
+    assert run([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert path.format(**names) in err
+
+
 def _rightmost_leaf(node):
     while "right" in node:
         node = node["right"]
@@ -297,6 +313,13 @@ class TestConfigResolution:
         b = tmp_path / "b"
         assert run(["synth", "--out-dir", b, "--seed", "7", "--n-samples", "20"]) == 0
         assert (a / "synthetic.csv").read_bytes() == (b / "synthetic.csv").read_bytes()
+
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        # a directory cannot be opened as a config file; it is not skipped
+        assert run(["train", "--synth", "--config", tmp_path, "--out-dir", tmp_path / "out",
+                    *FAST]) == 2
+        assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_value_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

@@ -13,8 +13,8 @@ import pytest
 from evperf.cli import main
 from evperf.gbdt import load_model, save_model
 
-SYNTHETIC_CSV_SHA256 = "ae65abc90f152119194651f09e885d749b9a18460095b078760c425157bd1180"
-SWEEP_CSV_SHA256 = "a490d7d902873ae1dfea877aefed7f411ca3d2d7e9e8c5f3ab32ba3ae2e3db97"
+SYNTHETIC_CSV_SHA256 = "d21e48515d40d7c6465a1920b752399b516dadcc038210439f8d93df0c4011e4"
+SWEEP_CSV_SHA256 = "3fb5b1b2810f5b3dd71055130a93675ce3880c9417f12271f938a1abd7de850a"
 MODEL_JSON_SHA256 = "743e176ac5730526d966ed9ad226d8a7ae75bf83eb37c2aab108d063b8fe64de"
 METRICS_JSON_SHA256 = "599c6f85c64e147d46004967f6cb65806ba32f110b2613b03c5e5e3294eb9590"
 
