@@ -279,8 +279,8 @@ def _emit_figure(run: RunConfig, kind: str, write_csv, render_svg) -> FigureArti
 
 
 def cmd_train(run: RunConfig) -> FigureArtifact:
-    run.out_dir.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(_load_records(run))
+    run.out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _train_config(run)
     report = cross_validate(dataset, cfg, k=run.folds, seed=run.seed)
 
@@ -322,7 +322,6 @@ def _explain_features(run: RunConfig, model: Ensemble) -> tuple[np.ndarray, np.n
 
 
 def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
-    run.out_dir.mkdir(parents=True, exist_ok=True)
     model_path = run.model if run.model is not None else run.out_dir / "model.json"
     if not Path(model_path).exists():
         raise CliError(f"model file not found: {model_path}")
@@ -331,6 +330,7 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
         raise CliError(f"dependence feature {run.feature!r} not in model features "
                        f"{list(model.feature_names)}")
     raw, x = _explain_features(run, model)
+    run.out_dir.mkdir(parents=True, exist_ok=True)
     explanations = explain_matrix(model, x, raw)
     high = int(PerfClass.HIGH)
     artifacts = []
@@ -377,7 +377,7 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
     swarm_rows = []
     pair_groups: dict[str, list[float]] = {}
     for s in range(n_swarm):
-        inter = interaction_values(model, x[s])
+        inter = interaction_values(model, x[s], phi=explanations[s].phi)
         for i in range(d):
             for j in range(i + 1, d):
                 value = float(inter.phi_ij[i, j, high])

@@ -6,9 +6,13 @@ distribution, so each tree's attributions decompose its own output exactly
 split once, with numpy, one tree level at a time, into root-to-leaf paths with
 repeated features merged; each path's attributions and pairwise interaction
 values are closed-form polynomials in its features' cover fractions and
-in-interval bits, evaluated for a batch of rows with numpy. Attributions,
-interactions and base values all come from that one path set, which is built
-on first use and kept on the Ensemble.
+in-interval bits, evaluated for a batch of rows with numpy. A path depends on
+a row only through its L bits, so a batch of at least 2^L rows evaluates the
+path once per bit pattern, O(2^L L^3) for attributions, and each row gathers
+its pattern's entry; smaller batches, such as one-row calls, evaluate the
+path per row. Both give the same bits. Attributions, interactions and base
+values all come from that one path set, which is built on first use and kept
+on the Ensemble.
 
 The derived analyses are here too: global importance ranking, dependence
 data and force-plot decompositions. The brute-force Shapley oracles that
@@ -191,23 +195,16 @@ def _weighted_products(zero, one, excluded, weights) -> np.ndarray:
 _BLOCK = 1 << 14
 
 
-def _blocks(group: _PathGroup, x: np.ndarray, per_pair: int):
-    """Row offset, path slice and in-interval bits (rows, paths, L) per block.
+def _bits(group: _PathGroup, x: np.ndarray, cols: slice, per_row: int):
+    """Row offset and in-interval bits (rows, paths, L) per block of rows.
 
-    Blocks are sized so that a coefficient tensor of rows x paths x per_pair
-    holds about _BLOCK elements. Path slices depend only on the group, so every row sums its paths in the
-    same order whatever the batch, and one-row calls repeat batch rows
-    exactly.
+    Blocks hold about _BLOCK // (paths x per_row) rows, a row's elements per
+    path being per_row.
     """
-    n_paths = len(group.value)
-    width = max(1, _BLOCK // per_pair)
-    for p0 in range(0, n_paths, width):
-        cols = slice(p0, p0 + width)
-        n_cols = min(width, n_paths - p0)
-        height = max(1, _BLOCK // (n_cols * per_pair))
-        for r0 in range(0, x.shape[0], height):
-            xv = x[r0:r0 + height][:, group.feature[cols]]
-            yield r0, cols, (group.lo[cols] <= xv) & (xv < group.hi[cols])
+    height = max(1, _BLOCK // ((cols.stop - cols.start) * per_row))
+    for r0 in range(0, x.shape[0], height):
+        xv = x[r0:r0 + height][:, group.feature[cols]]
+        yield r0, (group.lo[cols] <= xv) & (xv < group.hi[cols])
 
 
 def _scatter(out: np.ndarray, r0: int, index: np.ndarray, values: np.ndarray) -> None:
@@ -220,23 +217,74 @@ def _scatter(out: np.ndarray, r0: int, index: np.ndarray, values: np.ndarray) ->
     )
 
 
+def _table(length: int, cols: slice, per_pair: int, contribute) -> np.ndarray:
+    """contribute(cols, one) on all 2^L bit patterns, shape (2^L, paths, ...).
+
+    Pattern c sets o_j to bit j of c. It is evaluated in path slices small
+    enough that no coefficient tensor exceeds _BLOCK elements (but for one
+    path at least).
+    """
+    n = 1 << length
+    patterns = (np.arange(n)[:, None] >> np.arange(length) & 1).astype(bool)
+    step = max(1, _BLOCK // (n * per_pair))
+    parts = []
+    for p0 in range(cols.start, cols.stop, step):
+        sub = slice(p0, min(p0 + step, cols.stop))
+        parts.append(contribute(sub, np.broadcast_to(patterns[:, None], (n, sub.stop - p0, length))))
+    return np.concatenate(parts, axis=1)
+
+
+def _accumulate(out, group: _PathGroup, x: np.ndarray, excluded, weights, index, values) -> None:
+    """Add every path's contributions for the rows of x into out.
+
+    values(cols, one, s) gives the contributions of the paths in cols, from
+    their in-interval bits one and s = _weighted_products(zero, one,
+    excluded, weights); index (P, M) holds their flat positions in a row of
+    out. A batch of at least 2^L rows evaluates them once per bit pattern
+    and gathers each row's entry by its code sum_j o_j 2^j; a smaller one
+    evaluates them per row.
+    """
+    length, n_paths = group.feature.shape[1], len(group.value)
+    per_pair = len(excluded) * len(weights)
+
+    def contribute(cols, one):
+        return values(cols, one, _weighted_products(group.zero[cols], one, excluded, weights))
+
+    # path slices depend only on the group, so every row sums its paths in the
+    # same order whatever the batch and branch, and one-row calls repeat batch
+    # rows exactly
+    width = max(1, _BLOCK // per_pair)
+    for cols in (slice(p0, min(p0 + width, n_paths)) for p0 in range(0, n_paths, width)):
+        if x.shape[0] < 1 << length:
+            for r0, one in _bits(group, x, cols, per_pair):
+                _scatter(out, r0, index[cols], contribute(cols, one))
+            continue
+        table = _table(length, cols, per_pair, contribute)
+        n_cols, m = table.shape[1:]
+        # row c * n_cols + p of the flat table is path p's entry for code c
+        table = table.reshape(-1, m)
+        paths, stride = np.arange(n_cols), n_cols << np.arange(length)
+        for r0, one in _bits(group, x, cols, 1):
+            _scatter(out, r0, index[cols], np.take(table, one @ stride + paths, axis=0))
+
+
 def _phi(model: Ensemble, x: np.ndarray) -> np.ndarray:
     """Attributions for the rows of x, shape (n, n_features, num_class)."""
     d, k = len(model.feature_names), model.num_class
     out = np.zeros((x.shape[0], d, k))
     for g in _paths(model).groups:
         length = g.feature.shape[1]
-        excluded, weights = np.eye(length, dtype=bool), _weights(length)
-        for r0, cols, one in _blocks(g, x, length * length):
-            zero = g.zero[cols]
-            s = _weighted_products(zero, one, excluded, weights)
-            index = g.feature[cols] * k + g.class_index[cols, None]
-            _scatter(out, r0, index, g.value[cols, None] * (one - zero) * s)
+        _accumulate(out, g, x, np.eye(length, dtype=bool), _weights(length),
+                    g.feature * k + g.class_index[:, None],
+                    lambda cols, one, s: g.value[cols, None] * (one - g.zero[cols]) * s)
     return out
 
 
-def _interactions(model: Ensemble, x: np.ndarray) -> np.ndarray:
-    """Interaction values for the rows of x, shape (n, d, d, num_class)."""
+def _interactions(model: Ensemble, x: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
+    """Interaction values for the rows of x, shape (n, d, d, num_class).
+
+    phi, the rows' attributions, sets the diagonals; computed when not given.
+    """
     d, k = len(model.feature_names), model.num_class
     upper = np.zeros((x.shape[0], d, d, k))
     for g in _paths(model).groups:
@@ -245,20 +293,19 @@ def _interactions(model: Ensemble, x: np.ndarray) -> np.ndarray:
             continue
         first, second = np.triu_indices(length, 1)
         eye = np.eye(length, dtype=bool)
-        excluded, weights = eye[first] | eye[second], _weights(length - 1)
-        for r0, cols, one in _blocks(g, x, len(first) * (length - 1)):
-            zero = g.zero[cols]
-            s = _weighted_products(zero, one, excluded, weights)
-            delta = one - zero
-            feature = g.feature[cols]
-            index = (feature[:, first] * d + feature[:, second]) * k + g.class_index[cols, None]
-            _scatter(upper, r0, index,
-                     0.5 * g.value[cols, None] * delta[..., first] * delta[..., second] * s)
+
+        def values(cols, one, s):
+            delta = one - g.zero[cols]
+            return 0.5 * g.value[cols, None] * delta[..., first] * delta[..., second] * s
+
+        _accumulate(upper, g, x, eye[first] | eye[second], _weights(length - 1),
+                    (g.feature[:, first] * d + g.feature[:, second]) * k + g.class_index[:, None],
+                    values)
     # paths list their features in any order, so each pair may land on either
     # side; adding the transpose makes the tensor exactly symmetric
     phi_ij = upper + upper.transpose(0, 2, 1, 3)
     diag = np.arange(d)
-    phi_ij[:, diag, diag] = _phi(model, x) - phi_ij.sum(axis=2)
+    phi_ij[:, diag, diag] = (_phi(model, x) if phi is None else phi) - phi_ij.sum(axis=2)
     return phi_ij
 
 
@@ -279,9 +326,12 @@ def explain_matrix(
     """Explanations for every row of a feature matrix.
 
     Raw values default to the unscaled features when the model carries a
-    scaler. Work is O(L^3) per row and path for a path with L unique
-    features (L <= max_depth), done in blocks of rows and paths whose
-    temporaries stay bounded; the path set is built once per model.
+    scaler. For a path with L unique features (L <= max_depth), a batch of
+    at least 2^L rows costs O(2^L L^3) per path once, for a table over its
+    bit patterns, plus a gather of L values per row and path; a smaller
+    batch costs O(L^3) per row and path. Either way the work is done in
+    blocks of rows and paths whose temporaries stay bounded, and the path
+    set is built once per model.
     """
     features = check_features(model, features, 2)
     if raw_features is None and model.scaler is not None:
@@ -300,18 +350,29 @@ def explain_matrix(
     ]
 
 
-def interaction_values(model: Ensemble, x: np.ndarray) -> InteractionExplanation:
+def interaction_values(
+    model: Ensemble, x: np.ndarray, phi: np.ndarray | None = None
+) -> InteractionExplanation:
     """Pairwise Shapley interaction values for one sample.
 
     Off-diagonal entries are the Shapley interaction index split evenly
     between (i, j) and (j, i), so the tensor is exactly symmetric. Diagonals
-    absorb the remainder, making every row sum equal the plain attribution.
-    One pass over the paths, O(L^4) per path with L unique features.
+    absorb the remainder, making every row sum equal the plain attribution
+    ``phi`` (n_features, num_class), which is computed when not given. One
+    row is evaluated directly, O(L^4) per path with L unique features; the
+    batch form behind it costs, on at least 2^L rows, O(2^L L^4) per path
+    once for a table over the bit patterns plus a gather per row.
     """
     x = check_features(model, x, 1)
+    if phi is not None:
+        phi = np.asarray(phi, dtype=float)
+        if phi.shape != (len(model.feature_names), model.num_class):
+            raise ValueError(f"phi has shape {phi.shape}, expected "
+                             f"{(len(model.feature_names), model.num_class)}")
+        phi = phi[None]
     return InteractionExplanation(
         base_value=_paths(model).base_value.copy(),
-        phi_ij=_interactions(model, x[None])[0],
+        phi_ij=_interactions(model, x[None], phi)[0],
         feature_names=model.feature_names,
     )
 

@@ -112,6 +112,21 @@ def test_directory_and_not_a_directory_paths_exit_2(tmp_path, capsys, argv, path
     assert path.format(**names) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--input", "{dir}", "--out-dir", "{out}", *FAST],
+    ["train", "--input", "{dir}/none.csv", "--out-dir", "{out}", *FAST],
+    ["explain", "--synth", "--model", "{dir}", "--out-dir", "{out}", "--n-samples", "10"],
+    ["explain", "--synth", "--model", "{dir}/none.json", "--out-dir", "{out}"],
+    ["explain", "--synth", "--out-dir", "{out}"],
+], ids=["train_input_dir", "train_missing_input", "explain_model_dir",
+        "explain_missing_model", "explain_no_model_in_out_dir"])
+def test_failed_input_leaves_no_out_dir(tmp_path, argv):
+    names = {"dir": tmp_path / "d", "out": tmp_path / "out"}
+    names["dir"].mkdir()
+    assert run([a.format(**names) for a in argv]) == 2
+    assert not names["out"].exists()
+
+
 def _rightmost_leaf(node):
     while "right" in node:
         node = node["right"]

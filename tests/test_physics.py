@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from evperf.physics import (
     total_mass,
     tractive_force,
 )
-from evperf.physics import _force_terms, _sprint_times
+from evperf.physics import _NODES, _WEIGHTS, _force_terms, _sprint_times
 
 
 def make_pack(**overrides):
@@ -174,6 +178,21 @@ def _constant_power_setup(mass=2000.0, power=300e3):
         v_cell_min=3.0, cell_mass=1e-12, cell_capacity_ah=5.0,
     )
     return v, p
+
+
+def test_quadrature_constants_equal_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    assert np.array_equal(_NODES, nodes)
+    assert np.array_equal(_WEIGHTS, weights)
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    src = str(Path(__import__("evperf").__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, evperf.cli; print('numpy.polynomial' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestSprintIntegration:

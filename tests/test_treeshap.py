@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evperf import treeshap
-from evperf.data import Dataset
+from evperf.data import Dataset, apply_scaler, fit_scaler
 from evperf.gbdt import (
     Ensemble,
     ModelInputError,
@@ -17,6 +17,7 @@ from evperf.gbdt import (
     predict_margin_batch,
     train,
 )
+from evperf.physics import SynthConfig, synth_dataset
 from evperf.treeshap import (
     Explanation,
     dependence_data,
@@ -362,6 +363,91 @@ class TestInteractions:
         inter = interaction_values(model, np.array([0.4]))
         e = shap_values(model, np.array([0.4]))
         assert inter.phi_ij[0, 0, 0] == pytest.approx(e.phi[0, 0])
+
+
+@pytest.fixture(scope="module")
+def default_fleet():
+    """The default fleet in model space, its labels and the default model."""
+    dataset = synth_dataset(SynthConfig())
+    scaler = fit_scaler(dataset.features)
+    x = apply_scaler(dataset.features, scaler)
+    model = train(Dataset(x, dataset.labels, dataset.feature_names, scaler=scaler), TrainConfig())
+    return model, x, dataset.labels
+
+
+# (case, the longest path it must reach)
+TABLE_CASES = [("default", 4), ("depth_6", 5), ("random_depth_6", 6)]
+
+
+@pytest.fixture(scope="module", params=TABLE_CASES, ids=[c for c, _ in TABLE_CASES])
+def table_case(request, default_fleet):
+    """A model and 2^L rows, L its longest path, so every group takes the table branch."""
+    case, min_length = request.param
+    model, x, labels = default_fleet
+    if case == "depth_6":
+        model = train(Dataset(x, labels, model.feature_names), TrainConfig(n_rounds=20, max_depth=6))
+    elif case == "random_depth_6":
+        rng = np.random.default_rng(66)
+        trees = [(0, int(rng.integers(0, 3)), random_tree(rng, 6, 6, 40.0, leaf_p=0.05))
+                 for _ in range(6)]
+        model = make_model(trees, rng.normal(size=3), 6, eta=0.3)
+        x = rng.normal(size=(1 << 6, 6))
+    length = max(g.feature.shape[1] for g in treeshap._paths(model).groups)
+    assert length >= min_length
+    return model, x[:1 << length]
+
+
+class TestTableBranch:
+    def test_batch_rows_equal_one_row_calls(self, table_case):
+        model, x = table_case
+        for row, e in zip(x, explain_matrix(model, x)):
+            single = shap_values(model, row).phi
+            assert np.array_equal(e.phi, single)
+            assert np.array_equal(np.signbit(e.phi), np.signbit(single))
+
+    def test_batch_interactions_equal_one_row_calls(self, table_case):
+        model, x = table_case
+        batch = treeshap._interactions(model, x)
+        for row, phi_ij in zip(x, batch):
+            assert np.array_equal(phi_ij, interaction_values(model, row).phi_ij)
+
+    def test_given_phi_equals_computed(self, table_case):
+        model, x = table_case
+        for row in x[:8]:
+            given = interaction_values(model, row, phi=shap_values(model, row).phi)
+            computed = interaction_values(model, row)
+            assert np.array_equal(given.phi_ij, computed.phi_ij)
+            assert np.array_equal(given.base_value, computed.base_value)
+
+    def test_batch_rows_match_oracles(self, table_case):
+        model, x = table_case
+        explained, inter = explain_matrix(model, x), treeshap._interactions(model, x)
+        for i in np.linspace(0, len(x) - 1, 4).astype(int):
+            assert np.allclose(explained[i].phi, brute_force_shapley(model, x[i]), atol=1e-9)
+            assert np.allclose(inter[i], brute_force_interactions(model, x[i]), atol=1e-9)
+
+    def test_coefficient_tensors_stay_bounded(self, default_fleet, monkeypatch):
+        model, x, _ = default_fleet
+        sizes = []
+        original = treeshap._weighted_products
+
+        def recording(zero, one, excluded, weights):
+            rows, paths = one.shape[:2]
+            sizes.append((rows * paths * len(excluded) * len(weights), paths))
+            return original(zero, one, excluded, weights)
+
+        monkeypatch.setattr(treeshap, "_weighted_products", recording)
+        assert x.shape[0] == 300
+        explain_matrix(model, x)
+        treeshap._interactions(model, x)
+        interaction_values(model, x[0])
+        assert sizes
+        assert all(size <= treeshap._BLOCK or paths == 1 for size, paths in sizes)
+
+    def test_phi_shape_checked(self, default_fleet):
+        model, x, _ = default_fleet
+        with pytest.raises(ValueError, match="phi has shape"):
+            interaction_values(model, x[0], phi=np.zeros((3, 3)))
 
 
 class TestForcePlot:
