@@ -34,6 +34,17 @@ EXPLAIN_SHA256 = {
     "force.csv": "f3acd80431d6902431ac74db421c20897e2ca52d8202f89ea9be4f9041bdc945",
 }
 
+# explain --synth --seed 0 --no-svg on the golden model.json at the default 60
+# swarm rows, enough for the interaction batch to take the pattern table
+EXPLAIN_DEFAULT_SWARM_SHA256 = {
+    "shap_values.csv": "f96f43a3a252f91ff1e2692039a71e3569ed3abdfc4b12d56d6cf49fbe5ef5b9",
+    "shap_swarm.csv": "d52839a5a338b9ee92010990659650bd30887061a2646749b4ab8918f6efe610",
+    "gain_importance.csv": "30bd7715beae49501295bca7305774510f90da174c7fd6f48d08717ead1c4e2b",
+    "force.csv": "f3acd80431d6902431ac74db421c20897e2ca52d8202f89ea9be4f9041bdc945",
+    "shap_importance.csv": "43776e5935d4badc25b67f8da3e578cf9f6c0e9c634608efb68a7a920114431a",
+    "dependence.csv": "09ea3da2e89658a6d84883d0e90c25f8ef1dfee802926ec3a7739ba7f3809d52",
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -79,3 +90,11 @@ def test_explain_golden_hashes(train_dir, tmp_path):
             "--no-svg", "--swarm-samples", "2", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
     assert {name: _sha256(tmp_path / name) for name in EXPLAIN_SHA256} == EXPLAIN_SHA256
+
+
+def test_explain_default_swarm_golden_hashes(train_dir, tmp_path):
+    argv = ["explain", "--synth", "--seed", "0", "--model", str(train_dir / "model.json"),
+            "--no-svg", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert ({name: _sha256(tmp_path / name) for name in EXPLAIN_DEFAULT_SWARM_SHA256}
+            == EXPLAIN_DEFAULT_SWARM_SHA256)
