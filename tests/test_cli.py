@@ -168,6 +168,24 @@ class TestExplainCommand:
         assert not (out / "dependence.svg").exists()
         assert (out / "shap_values.csv").exists()
 
+    @pytest.mark.parametrize("n_samples, swarm_samples, swarm_rows", [
+        (10, 0, 0),   # an empty interaction batch still writes the header
+        (3, 60, 3),   # fewer rows than swarm samples: every row is in the swarm
+    ], ids=["no_swarm", "swarm_capped_by_rows"])
+    def test_swarm_sizes_at_the_edges(self, trained_dir, tmp_path, n_samples, swarm_samples,
+                                      swarm_rows):
+        out = tmp_path / "explain"
+        code = run([
+            "explain", "--synth", "--model", trained_dir / "model.json", "--out-dir", out,
+            "--n-samples", n_samples, "--swarm-samples", swarm_samples, "--no-svg",
+        ])
+        assert code == 0
+        rows = list(csv.reader(open(out / "shap_swarm.csv")))
+        assert rows[0] == ["sample_id", "feature_i", "feature_j", "value_i", "interaction_phi"]
+        d = len(json.loads((trained_dir / "model.json").read_text())["feature_names"])
+        assert len(rows) - 1 == swarm_rows * d * (d - 1) // 2
+        assert sorted({int(r[0]) for r in rows[1:]}) == list(range(swarm_rows))
+
     def test_unknown_feature_exit_2(self, trained_dir, tmp_path, capsys):
         code = run([
             "explain", "--synth", "--model", trained_dir / "model.json",
