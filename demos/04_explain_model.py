@@ -90,10 +90,10 @@ print(f"margin     {force.margin:+.3f}")
 )
 
 print("\n== interaction values: how weight modulates the cell-count effect ==")
-inter = interaction_values(model, scaled[sample])
+inter = interaction_values(model, scaled[sample][None])[0]
 weight_idx = dataset.feature_names.index("weight_kg")
-pair = inter.phi_ij[cell_idx, weight_idx, int(PerfClass.HIGH)]
-main = inter.phi_ij[cell_idx, cell_idx, int(PerfClass.HIGH)]
+pair = inter[cell_idx, weight_idx, int(PerfClass.HIGH)]
+main = inter[cell_idx, cell_idx, int(PerfClass.HIGH)]
 print(f"cells main effect   : {main:+.4f}")
 print(f"cells x weight pair : {pair:+.4f}")
 print(f"\nwrote shap_importance.svg, dependence.svg, force.svg to {out_dir}")

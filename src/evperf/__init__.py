@@ -79,7 +79,6 @@ from .physics import (
 )
 from .treeshap import (
     Explanation,
-    InteractionExplanation,
     dependence_data,
     explain_matrix,
     force_plot_data,

@@ -376,11 +376,13 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
     d = len(model.feature_names)
     swarm_rows = []
     pair_groups: dict[str, list[float]] = {}
+    # reshape keeps the (0, d, K) shape when there are no swarm rows
+    phi = np.array([e.phi for e in explanations[:n_swarm]]).reshape(n_swarm, d, model.num_class)
+    inter = interaction_values(model, x[:n_swarm], phi)
     for s in range(n_swarm):
-        inter = interaction_values(model, x[s], phi=explanations[s].phi)
         for i in range(d):
             for j in range(i + 1, d):
-                value = float(inter.phi_ij[i, j, high])
+                value = float(inter[s, i, j, high])
                 pair = f"{model.feature_names[i]} x {model.feature_names[j]}"
                 swarm_rows.append([s, model.feature_names[i], model.feature_names[j],
                                    _fmt(raw[s, i]), _fmt(value)])

@@ -12,7 +12,9 @@ path once per bit pattern, O(2^L L^3) for attributions, and each row gathers
 its pattern's entry; smaller batches, such as one-row calls, evaluate the
 path per row. Both give the same bits. Attributions, interactions and base
 values all come from that one path set, which is built on first use and kept
-on the Ensemble.
+on the Ensemble. ``explain_matrix`` and ``interaction_values`` take a batch
+of rows; one sample is a one-row batch (``shap_values`` wraps one for
+attributions, and interactions index ``interaction_values(model, x[None])[0]``).
 
 The derived analyses are here too: global importance ranking, dependence
 data and force-plot decompositions. The brute-force Shapley oracles that
@@ -55,19 +57,6 @@ class Explanation:
 
     def margins(self) -> np.ndarray:
         return self.base_value + self.phi.sum(axis=0)
-
-
-@dataclass(frozen=True)
-class InteractionExplanation:
-    """Pairwise Shapley interaction tensor for one prediction.
-
-    Symmetric in the first two axes; row sums recover the per-feature phi,
-    so base_value plus the total sum equals the margin.
-    """
-
-    base_value: np.ndarray   # (num_class,)
-    phi_ij: np.ndarray       # (n_features, n_features, num_class)
-    feature_names: tuple[str, ...]
 
 
 # --- merged root-to-leaf paths ------------------------------------------------
@@ -280,44 +269,13 @@ def _phi(model: Ensemble, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interactions(model: Ensemble, x: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
-    """Interaction values for the rows of x, shape (n, d, d, num_class).
-
-    phi, the rows' attributions, sets the diagonals; computed when not given.
-    """
-    d, k = len(model.feature_names), model.num_class
-    upper = np.zeros((x.shape[0], d, d, k))
-    for g in _paths(model).groups:
-        length = g.feature.shape[1]
-        if length < 2:
-            continue
-        first, second = np.triu_indices(length, 1)
-        eye = np.eye(length, dtype=bool)
-
-        def values(cols, one, s):
-            delta = one - g.zero[cols]
-            return 0.5 * g.value[cols, None] * delta[..., first] * delta[..., second] * s
-
-        _accumulate(upper, g, x, eye[first] | eye[second], _weights(length - 1),
-                    (g.feature[:, first] * d + g.feature[:, second]) * k + g.class_index[:, None],
-                    values)
-    # paths list their features in any order, so each pair may land on either
-    # side; adding the transpose makes the tensor exactly symmetric
-    phi_ij = upper + upper.transpose(0, 2, 1, 3)
-    diag = np.arange(d)
-    phi_ij[:, diag, diag] = (_phi(model, x) if phi is None else phi) - phi_ij.sum(axis=2)
-    return phi_ij
-
-
-def shap_values(model: Ensemble, x: np.ndarray, x_raw: np.ndarray | None = None) -> Explanation:
+def shap_values(model: Ensemble, x: np.ndarray) -> Explanation:
     """Exact per-feature, per-class attributions for one sample.
 
     A one-row explain_matrix; the result satisfies
     base_value + phi.sum(axis=0) == predict_margin(model, x).
     """
-    x = check_features(model, x, 1)
-    raw = None if x_raw is None else np.asarray(x_raw, dtype=float)[None]
-    return explain_matrix(model, x[None], raw)[0]
+    return explain_matrix(model, check_features(model, x, 1)[None])[0]
 
 
 def explain_matrix(
@@ -350,31 +308,46 @@ def explain_matrix(
     ]
 
 
-def interaction_values(
-    model: Ensemble, x: np.ndarray, phi: np.ndarray | None = None
-) -> InteractionExplanation:
-    """Pairwise Shapley interaction values for one sample.
+def interaction_values(model: Ensemble, x: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise Shapley interaction values for the rows of x, shape (n, d, d, num_class).
 
     Off-diagonal entries are the Shapley interaction index split evenly
-    between (i, j) and (j, i), so the tensor is exactly symmetric. Diagonals
-    absorb the remainder, making every row sum equal the plain attribution
-    ``phi`` (n_features, num_class), which is computed when not given. One
-    row is evaluated directly, O(L^4) per path with L unique features; the
-    batch form behind it costs, on at least 2^L rows, O(2^L L^4) per path
-    once for a table over the bit patterns plus a gather per row.
+    between (i, j) and (j, i), so each row's tensor is exactly symmetric.
+    Diagonals absorb the remainder, making every row sum equal the rows'
+    attributions ``phi`` (n, d, num_class), which are computed when not
+    given; each row's base value is its Explanation's. For a path with L
+    unique features, a batch of at least 2^L rows costs O(2^L L^4) per path
+    once, for a table over the bit patterns, plus a gather per row; a
+    smaller batch costs O(L^4) per row and path. One sample is a one-row
+    batch: ``interaction_values(model, x[None])[0]``.
     """
-    x = check_features(model, x, 1)
-    if phi is not None:
-        phi = np.asarray(phi, dtype=float)
-        if phi.shape != (len(model.feature_names), model.num_class):
-            raise ValueError(f"phi has shape {phi.shape}, expected "
-                             f"{(len(model.feature_names), model.num_class)}")
-        phi = phi[None]
-    return InteractionExplanation(
-        base_value=_paths(model).base_value.copy(),
-        phi_ij=_interactions(model, x[None], phi)[0],
-        feature_names=model.feature_names,
-    )
+    x = check_features(model, x, 2)
+    d, k = len(model.feature_names), model.num_class
+    if phi is None:
+        phi = _phi(model, x)
+    elif np.shape(phi) != (x.shape[0], d, k):
+        raise ValueError(f"phi has shape {np.shape(phi)}, expected {(x.shape[0], d, k)}")
+    upper = np.zeros((x.shape[0], d, d, k))
+    for g in _paths(model).groups:
+        length = g.feature.shape[1]
+        if length < 2:
+            continue
+        first, second = np.triu_indices(length, 1)
+        eye = np.eye(length, dtype=bool)
+
+        def values(cols, one, s):
+            delta = one - g.zero[cols]
+            return 0.5 * g.value[cols, None] * delta[..., first] * delta[..., second] * s
+
+        _accumulate(upper, g, x, eye[first] | eye[second], _weights(length - 1),
+                    (g.feature[:, first] * d + g.feature[:, second]) * k + g.class_index[:, None],
+                    values)
+    # paths list their features in any order, so each pair may land on either
+    # side; adding the transpose makes the tensor exactly symmetric
+    phi_ij = upper + upper.transpose(0, 2, 1, 3)
+    diag = np.arange(d)
+    phi_ij[:, diag, diag] = phi - phi_ij.sum(axis=2)
+    return phi_ij
 
 
 @dataclass(frozen=True)
@@ -395,8 +368,6 @@ def global_importance(explanations: list[Explanation]) -> list[FeatureImportance
         raise ValueError("global_importance needs at least one explanation")
     names = explanations[0].feature_names
     stacked = np.stack([e.phi for e in explanations])  # (n, d, K)
-    if any(e.phi.shape != stacked.shape[1:] for e in explanations):
-        raise ValueError("explanations have inconsistent shapes")
     per_class = np.abs(stacked).mean(axis=0)            # (d, K)
     overall = per_class.mean(axis=1)                    # (d,)
     order = sorted(range(len(names)), key=lambda i: (-overall[i], i))

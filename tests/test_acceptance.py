@@ -147,7 +147,7 @@ def test_criterion_1b_interaction_oracle_equivalence():
                                    tuple(f"f{i}" for i in range(d)), cfg))
         for model in models:
             x = rng.normal(size=len(model.feature_names))
-            exact = interaction_values(model, x).phi_ij
+            exact = interaction_values(model, x[None])[0]
             oracle = brute_force_interactions(model, x)
             assert np.max(np.abs(exact - oracle)) < 1e-9
 

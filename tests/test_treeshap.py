@@ -153,7 +153,7 @@ def assert_matches_oracles(model, x):
     e = shap_values(model, x)
     assert np.allclose(e.phi, brute_force_shapley(model, x), atol=1e-12)
     assert np.allclose(e.margins(), predict_margin(model, x), atol=1e-12)
-    assert np.allclose(interaction_values(model, x).phi_ij, brute_force_interactions(model, x),
+    assert np.allclose(interaction_values(model, x[None])[0], brute_force_interactions(model, x),
                        atol=1e-12)
 
 
@@ -218,7 +218,7 @@ class TestEdgeCases:
         shap_values(model, x)
         paths = model._shap_paths
         assert paths is not None
-        interaction_values(model, x)
+        interaction_values(model, x[None])
         assert model._shap_paths is paths
         assert model_to_dict(model) == doc
         assert "_shap_paths" not in repr(model)
@@ -229,7 +229,7 @@ class TestRejectedInput:
     @pytest.mark.parametrize("entry", [
         lambda m, x: shap_values(m, x),
         lambda m, x: explain_matrix(m, np.stack([np.zeros_like(x), x])),
-        lambda m, x: interaction_values(m, x),
+        lambda m, x: interaction_values(m, x[None]),
         lambda m, x: predict_margin(m, x),
         lambda m, x: predict_margin_batch(m, np.stack([np.zeros_like(x), x])),
     ], ids=["shap_values", "explain_matrix", "interaction_values", "predict_margin",
@@ -336,12 +336,12 @@ class TestInteractions:
         model = make_model([(0, 0, root)], [0.0, 0.0], 3, eta=0.5)
         x = np.array([1.0, 0.0, 0.0])
         e = shap_values(model, x)
-        inter = interaction_values(model, x)
-        off_diag = inter.phi_ij.copy()
+        inter = interaction_values(model, x[None])[0]
+        off_diag = inter.copy()
         for i in range(3):
             off_diag[i, i] = 0.0
         assert np.allclose(off_diag, 0.0, atol=1e-12)
-        assert inter.phi_ij[0, 0, 0] == pytest.approx(e.phi[0, 0], abs=1e-9)
+        assert inter[0, 0, 0] == pytest.approx(e.phi[0, 0], abs=1e-9)
 
     def test_symmetry_exact_and_rows_sum_to_phi(self):
         rng = np.random.default_rng(12)
@@ -349,10 +349,10 @@ class TestInteractions:
             model = random_model(rng, max_trees=4, max_d=4)
             x = rng.normal(size=len(model.feature_names))
             e = shap_values(model, x)
-            inter = interaction_values(model, x)
-            assert np.array_equal(inter.phi_ij, inter.phi_ij.transpose(1, 0, 2))
-            assert np.allclose(inter.phi_ij.sum(axis=1), e.phi, atol=1e-6)
-            total = inter.base_value + inter.phi_ij.sum(axis=(0, 1))
+            inter = interaction_values(model, x[None])[0]
+            assert np.array_equal(inter, inter.transpose(1, 0, 2))
+            assert np.allclose(inter.sum(axis=1), e.phi, atol=1e-6)
+            total = e.base_value + inter.sum(axis=(0, 1))
             assert np.allclose(total, predict_margin(model, x), atol=1e-6)
 
     def test_single_feature_model(self):
@@ -360,9 +360,9 @@ class TestInteractions:
                         left=TreeNode(cover=1.0, weight=1.0),
                         right=TreeNode(cover=1.0, weight=-1.0))
         model = make_model([(0, 0, root)], [0.0, 0.0], 1)
-        inter = interaction_values(model, np.array([0.4]))
+        inter = interaction_values(model, np.array([[0.4]]))[0]
         e = shap_values(model, np.array([0.4]))
-        assert inter.phi_ij[0, 0, 0] == pytest.approx(e.phi[0, 0])
+        assert inter[0, 0, 0] == pytest.approx(e.phi[0, 0])
 
 
 @pytest.fixture(scope="module")
@@ -407,21 +407,23 @@ class TestTableBranch:
 
     def test_batch_interactions_equal_one_row_calls(self, table_case):
         model, x = table_case
-        batch = treeshap._interactions(model, x)
+        batch = interaction_values(model, x)
         for row, phi_ij in zip(x, batch):
-            assert np.array_equal(phi_ij, interaction_values(model, row).phi_ij)
+            assert np.array_equal(phi_ij, interaction_values(model, row[None])[0])
 
     def test_given_phi_equals_computed(self, table_case):
         model, x = table_case
         for row in x[:8]:
-            given = interaction_values(model, row, phi=shap_values(model, row).phi)
-            computed = interaction_values(model, row)
-            assert np.array_equal(given.phi_ij, computed.phi_ij)
-            assert np.array_equal(given.base_value, computed.base_value)
+            e = shap_values(model, row)
+            given = interaction_values(model, row[None], phi=e.phi[None])[0]
+            computed = interaction_values(model, row[None])[0]
+            assert np.array_equal(given, computed)
+            assert np.allclose(e.base_value + given.sum(axis=(0, 1)), predict_margin(model, row),
+                               atol=1e-9)
 
     def test_batch_rows_match_oracles(self, table_case):
         model, x = table_case
-        explained, inter = explain_matrix(model, x), treeshap._interactions(model, x)
+        explained, inter = explain_matrix(model, x), interaction_values(model, x)
         for i in np.linspace(0, len(x) - 1, 4).astype(int):
             assert np.allclose(explained[i].phi, brute_force_shapley(model, x[i]), atol=1e-9)
             assert np.allclose(inter[i], brute_force_interactions(model, x[i]), atol=1e-9)
@@ -439,15 +441,15 @@ class TestTableBranch:
         monkeypatch.setattr(treeshap, "_weighted_products", recording)
         assert x.shape[0] == 300
         explain_matrix(model, x)
-        treeshap._interactions(model, x)
-        interaction_values(model, x[0])
+        interaction_values(model, x)
+        interaction_values(model, x[:1])
         assert sizes
         assert all(size <= treeshap._BLOCK or paths == 1 for size, paths in sizes)
 
     def test_phi_shape_checked(self, default_fleet):
         model, x, _ = default_fleet
         with pytest.raises(ValueError, match="phi has shape"):
-            interaction_values(model, x[0], phi=np.zeros((3, 3)))
+            interaction_values(model, x[:1], phi=np.zeros((3, 3)))
 
 
 class TestForcePlot:
