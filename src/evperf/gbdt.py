@@ -548,15 +548,23 @@ def model_to_dict(model: Ensemble) -> dict:
 def _check_model(model: Ensemble) -> None:
     """Raise ValueError naming the first part of the model that model.json cannot hold.
 
-    base_score must hold num_class values, the scaler one mean and std per
-    feature, the tree count must be n_rounds x num_class, and every tree must
-    be applicable (see ``_check_table``). The loader and ``save_model`` both
-    run it, so that any model that can be written can be read.
+    base_score must hold num_class finite values, feature_names must be
+    unique, the scaler must hold one mean and std per feature, the tree count
+    must be n_rounds x num_class, and every tree must be applicable (see
+    ``_check_table``). The loader and ``save_model`` both run it, so that
+    any model that can be written can be read.
     """
     num_class, n_features = model.num_class, len(model.feature_names)
     if np.shape(model.base_score) != (num_class,):
         raise ValueError(f"model base_score has shape {np.shape(model.base_score)}, "
                          f"expected ({num_class},) for num_class {num_class}")
+    if not np.isfinite(model.base_score).all():
+        raise ValueError(f"model base_score {list(map(float, model.base_score))} "
+                         "must be finite")
+    repeated = [name for i, name in enumerate(model.feature_names)
+                if name in model.feature_names[:i]]
+    if repeated:
+        raise ValueError(f"model feature_names repeat {repeated[0]!r}; names must be unique")
     scaler = model.scaler
     if scaler is not None and (np.shape(scaler.mean) != (n_features,)
                                or np.shape(scaler.std) != (n_features,)):

@@ -107,17 +107,20 @@ def _build_paths(model: Ensemble) -> _PathSet:
     """
     t = model.trees
     n = len(t.feature)
+    # a zero leaf cover is a path that no training row reached; it still explains
+    bad = ~np.isfinite(t.cover) | ((t.feature >= 0) & ~(t.cover > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        tree = int(np.searchsorted(t.root, i, side="right")) - 1
+        raise ModelInputError(
+            f"model tree {tree} has a node cover {t.cover[i]!r}; node covers must be "
+            "finite, and positive at splits"
+        )
     path = np.zeros((n, 0, 4))
     length = np.zeros(n, dtype=np.intp)
     node = t.root[t.feature[t.root] >= 0]
     while node.size:
         cover = t.cover[node]
-        if not (cover > 0).all():
-            i = node[np.argmin(cover > 0)]
-            raise ModelInputError(
-                f"node splitting feature {t.feature[i]} has cover {t.cover[i]!r}; "
-                "internal node covers must be positive"
-            )
         fresh = np.broadcast_to([-1.0, -math.inf, math.inf, 1.0], (n, 1, 4))
         path = np.concatenate([path, fresh], axis=1)
         f, thr, above, rows = t.feature[node], t.threshold[node], path[node], np.arange(len(node))

@@ -225,9 +225,17 @@ class TestExplainCommand:
                                                 std=doc["scaler"]["std"] + [1.0]), "model scaler"),
         (lambda doc, tree: doc["trees"].remove(tree), "n_rounds x num_class"),
         (lambda doc, tree: doc["config"].update(depth=3), "model config"),
+        (lambda doc, tree: doc["base_score"].__setitem__(1, float("nan")), "model base_score"),
+        (lambda doc, tree: doc["base_score"].__setitem__(0, float("-inf")), "model base_score"),
+        (lambda doc, tree: tree["root"].update(cover=float("inf")), "node cover"),
+        (lambda doc, tree: _rightmost_leaf(tree["root"]).update(cover=float("inf")), "node cover"),
+        (lambda doc, tree: doc["feature_names"].__setitem__(1, doc["feature_names"][0]),
+         "model feature_names"),
     ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
             "inf_leaf_weight", "missing_trees", "missing_config", "short_base_score",
-            "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key"])
+            "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key",
+            "nan_base_score", "inf_base_score", "inf_root_cover", "inf_leaf_cover",
+            "duplicate_feature_name"])
     def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit, message):
         doc = json.loads((trained_dir / "model.json").read_text())
         assert len(doc["feature_names"]) < 7 and doc["scaler"] is not None
