@@ -74,15 +74,6 @@ class CliError(ValueError):
 
 
 @dataclass(frozen=True)
-class FigureArtifact:
-    """One emitted figure: its kind, the authoritative CSV, optional SVG."""
-
-    kind: str  # confusion | gain_importance | shap_importance | shap_swarm | dependence | force
-    csv_path: Path
-    svg_path: Path | None
-
-
-@dataclass(frozen=True)
 class Option:
     """One setting: its config-file key, value type, default, subcommands and help.
 
@@ -267,18 +258,14 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _emit_figure(run: RunConfig, kind: str, write_csv, render_svg) -> FigureArtifact:
+def _emit_figure(run: RunConfig, kind: str, write_csv, render_svg) -> None:
     """Write <kind>.csv always and <kind>.svg when enabled."""
-    csv_path = run.out_dir / f"{kind}.csv"
-    write_csv(csv_path)
-    svg_path = None
+    write_csv(run.out_dir / f"{kind}.csv")
     if run.svg:
-        svg_path = run.out_dir / f"{kind}.svg"
-        svg_path.write_text(render_svg(), encoding="utf-8")
-    return FigureArtifact(kind=kind, csv_path=csv_path, svg_path=svg_path)
+        (run.out_dir / f"{kind}.svg").write_text(render_svg(), encoding="utf-8")
 
 
-def cmd_train(run: RunConfig) -> FigureArtifact:
+def cmd_train(run: RunConfig) -> None:
     dataset = build_dataset(_load_records(run))
     run.out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _train_config(run)
@@ -297,7 +284,7 @@ def cmd_train(run: RunConfig) -> FigureArtifact:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             confusion_to_csv(report.confusion, fh, CLASS_NAMES)
 
-    artifact = _emit_figure(
+    _emit_figure(
         run, "confusion", write_confusion,
         lambda: figures.heatmap(report.confusion.tolist(), CLASS_NAMES, CLASS_NAMES,
                                 "Pooled cross-validation confusion matrix"),
@@ -308,7 +295,6 @@ def cmd_train(run: RunConfig) -> FigureArtifact:
         f"mcc={report.mcc:.4f}  mlogloss={report.mlogloss:.4f}"
     )
     print(f"wrote model.json, metrics.json, confusion.csv to {run.out_dir}")
-    return artifact
 
 
 def _explain_features(run: RunConfig, model: Ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +307,7 @@ def _explain_features(run: RunConfig, model: Ensemble) -> tuple[np.ndarray, np.n
     return raw, x
 
 
-def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
+def cmd_explain(run: RunConfig) -> None:
     model_path = run.model if run.model is not None else run.out_dir / "model.json"
     if not Path(model_path).exists():
         raise CliError(f"model file not found: {model_path}")
@@ -333,24 +319,23 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
     run.out_dir.mkdir(parents=True, exist_ok=True)
     explanations = explain_matrix(model, x, raw)
     high = int(PerfClass.HIGH)
-    artifacts = []
 
     with open(run.out_dir / "shap_values.csv", "w", newline="", encoding="utf-8") as fh:
         explanations_to_csv(explanations, fh, class_names=CLASS_NAMES)
 
     gains = gain_importance(model)
     gain_order = sorted(range(len(gains)), key=lambda i: (-gains[i], i))
-    artifacts.append(_emit_figure(
+    _emit_figure(
         run, "gain_importance",
         lambda p: _write_csv(p, ["feature", "total_gain"],
                              [[model.feature_names[i], _fmt(gains[i])] for i in gain_order]),
         lambda: figures.bar_chart([model.feature_names[i] for i in gain_order],
                                   [float(gains[i]) for i in gain_order],
                                   "Split-gain feature importance", xlabel="total gain"),
-    ))
+    )
 
     ranking = global_importance(explanations)
-    artifacts.append(_emit_figure(
+    _emit_figure(
         run, "shap_importance",
         lambda p: _write_csv(
             p, ["feature", "mean_abs_phi"] + [f"mean_abs_phi_{c}" for c in CLASS_NAMES],
@@ -358,11 +343,11 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
         lambda: figures.bar_chart([fi.name for fi in ranking], [fi.overall for fi in ranking],
                                   "Mean |phi| feature importance (margin space)",
                                   xlabel="mean |phi|"),
-    ))
+    )
 
     feat_idx = model.feature_names.index(run.feature)
     dep = dependence_data(explanations, feat_idx, high)
-    artifacts.append(_emit_figure(
+    _emit_figure(
         run, "dependence",
         lambda p: _write_csv(p, [run.feature, f"phi_{CLASS_NAMES[high]}"],
                              [[_fmt(v), _fmt(phi)] for v, phi in dep]),
@@ -370,7 +355,7 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
             [v for v, _ in dep], [phi for _, phi in dep],
             f"Attribution vs {run.feature} ({CLASS_NAMES[high]} class, margin space)",
             xlabel=run.feature, ylabel="phi"),
-    ))
+    )
 
     n_swarm = min(run.swarm_samples, len(explanations))
     d = len(model.feature_names)
@@ -387,7 +372,7 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
                 swarm_rows.append([s, model.feature_names[i], model.feature_names[j],
                                    _fmt(raw[s, i]), _fmt(value)])
                 pair_groups.setdefault(pair, []).append(value)
-    artifacts.append(_emit_figure(
+    _emit_figure(
         run, "shap_swarm",
         lambda p: _write_csv(p, ["sample_id", "feature_i", "feature_j", "value_i", "interaction_phi"],
                              swarm_rows),
@@ -395,7 +380,7 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
             sorted(pair_groups.items()),
             f"Pairwise interaction values ({CLASS_NAMES[high]} class, margin space)",
             xlabel="interaction phi"),
-    ))
+    )
 
     force_class = int(np.argmax(predict_margin_batch(model, x[:1])[0]))
     force = force_plot_data(explanations[0], force_class)
@@ -403,19 +388,18 @@ def cmd_explain(run: RunConfig) -> list[FigureArtifact]:
     for e in force.entries:
         force_rows.append(["contribution", e.name, _fmt(e.value), _fmt(e.phi), e.sign])
     force_rows.append(["margin", "", "", _fmt(force.margin), ""])
-    artifacts.append(_emit_figure(
+    _emit_figure(
         run, "force",
         lambda p: _write_csv(p, ["kind", "feature", "value", "phi", "sign"], force_rows),
         lambda: figures.force_chart(
             [(e.name, e.value, e.phi) for e in force.entries],
             force.base_value, force.margin,
             f"Prediction decomposition, sample 0, class {CLASS_NAMES[force_class]}"),
-    ))
+    )
 
     print(f"explained {len(explanations)} samples with {len(model.trees.root)} trees")
-    print(f"wrote shap_values plus figures {', '.join(a.kind for a in artifacts)} "
-          f"to {run.out_dir}")
-    return artifacts
+    print("wrote shap_values plus figures gain_importance, shap_importance, dependence, "
+          f"shap_swarm, force to {run.out_dir}")
 
 
 def cmd_synth(run: RunConfig) -> None:
