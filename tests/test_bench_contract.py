@@ -6,7 +6,8 @@ caller looks it up, and counts tree nodes by walking the ``TreeNode`` that
 ``build_tree`` returns. A renamed function would stop every traced benchmark
 run at install time, another return type would break the node count, and a
 command that reached a traced function by another name would leave its span
-empty; these tests show each in the unit suite.
+empty; these tests show each in the unit suite. They also pin how often a
+command calls a traced function where a per-layer count depends on it.
 """
 
 import importlib
@@ -84,3 +85,23 @@ def test_traced_synth_books_its_physics(tmp_path):
     names = [span.name for span in tracer.spans]
     assert names.count("physics.synth_records") == 1
     assert names.count("physics.diminishing_returns_sweep") == 1
+
+
+def test_traced_explain_books_one_interactions_call(tmp_path):
+    # evperf explain computes every swarm row's interactions in one batch call
+    model = tmp_path / "model" / "model.json"
+    assert main(["train", "--synth", "--n-samples", "60", "--rounds", "3", "--depth", "3",
+                 "--folds", "2", "--no-svg", "--out-dir", str(model.parent)]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = tracer.call("cli", main, ["explain", "--synth", "--n-samples", "20",
+                                         "--swarm-samples", "2", "--model", str(model),
+                                         "--out-dir", str(tmp_path / "explain")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    layers = tracing.layer_metrics(tracer.spans, 0, 1)
+    assert [span.name for span in tracer.spans].count("treeshap.interaction_values") == 1
+    assert layers["treeshap.interaction_values.calls"] == 1
+    assert layers["treeshap.explain_matrix.rows"] == 20
