@@ -51,7 +51,7 @@ _TILE = 8192  # values per split-search temporary: 64 KiB of float64
 
 
 class ModelInputError(ValueError):
-    """Input a model cannot be applied to: non-finite features or a node cover <= 0."""
+    """Input a model cannot be applied to: non-finite features or a bad node cover."""
 
 
 @dataclass(frozen=True)
@@ -548,13 +548,17 @@ def model_to_dict(model: Ensemble) -> dict:
 def _check_model(model: Ensemble) -> None:
     """Raise ValueError naming the first part of the model that model.json cannot hold.
 
-    base_score must hold num_class finite values, feature_names must be
-    unique, the scaler must hold one mean and std per feature, the tree count
-    must be n_rounds x num_class, and every tree must be applicable (see
+    num_class must equal the config's, base_score must hold num_class finite
+    values, feature_names must be unique, the scaler must hold one mean and
+    std per feature, the tree count must be n_rounds x num_class, and every
+    tree must be applicable (see
     ``_check_table``). The loader and ``save_model`` both run it, so that
     any model that can be written can be read.
     """
     num_class, n_features = model.num_class, len(model.feature_names)
+    if num_class != model.config.num_class:
+        raise ValueError(f"model num_class {num_class} differs from its config's "
+                         f"num_class {model.config.num_class}")
     if np.shape(model.base_score) != (num_class,):
         raise ValueError(f"model base_score has shape {np.shape(model.base_score)}, "
                          f"expected ({num_class},) for num_class {num_class}")

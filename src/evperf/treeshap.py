@@ -107,14 +107,17 @@ def _build_paths(model: Ensemble) -> _PathSet:
     """
     t = model.trees
     n = len(t.feature)
-    # a zero leaf cover is a path that no training row reached; it still explains
-    bad = ~np.isfinite(t.cover) | ((t.feature >= 0) & ~(t.cover > 0))
+    # a zero leaf cover is a path that no training row reached; it still
+    # explains. A cover with its sign bit set (negative, or -0.0) would give a
+    # zero fraction below +0, so it is rejected: the pattern tables rely on
+    # coefficients that are all >= +0
+    bad = ~np.isfinite(t.cover) | np.signbit(t.cover) | ((t.feature >= 0) & ~(t.cover > 0))
     if bad.any():
         i = int(np.argmax(bad))
         tree = int(np.searchsorted(t.root, i, side="right")) - 1
         raise ModelInputError(
-            f"model tree {tree} has a node cover {t.cover[i]!r}; node covers must be "
-            "finite, and positive at splits"
+            f"model tree {tree} has a node cover {float(t.cover[i])!r}; node covers must be "
+            "finite and non-negative, and positive at splits"
         )
     path = np.zeros((n, 0, 4))
     length = np.zeros(n, dtype=np.intp)

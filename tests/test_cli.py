@@ -231,11 +231,16 @@ class TestExplainCommand:
         (lambda doc, tree: _rightmost_leaf(tree["root"]).update(cover=float("inf")), "node cover"),
         (lambda doc, tree: doc["feature_names"].__setitem__(1, doc["feature_names"][0]),
          "model feature_names"),
+        (lambda doc, tree: _rightmost_leaf(tree["root"]).update(cover=-5.0), "node cover -5.0"),
+        (lambda doc, tree: _rightmost_leaf(tree["root"]).update(cover=-0.0), "node cover -0.0"),
+        (lambda doc, tree: doc["config"].update(num_class=4),
+         "model num_class 3 differs from its config's num_class 4"),
     ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
             "inf_leaf_weight", "missing_trees", "missing_config", "short_base_score",
             "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key",
             "nan_base_score", "inf_base_score", "inf_root_cover", "inf_leaf_cover",
-            "duplicate_feature_name"])
+            "duplicate_feature_name", "negative_leaf_cover", "negative_zero_leaf_cover",
+            "num_class_mismatch"])
     def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit, message):
         doc = json.loads((trained_dir / "model.json").read_text())
         assert len(doc["feature_names"]) < 7 and doc["scaler"] is not None
