@@ -486,6 +486,98 @@ class TestNodeTable:
         assert np.array_equal(model.trees.class_index, np.tile(np.arange(3), 3))
 
 
+_TABLE_FIELDS = ("feature", "left", "right", "threshold", "weight", "cover", "gain",
+                 "root", "class_index", "round_index")
+
+
+def _reference_table(tree_docs):
+    """NodeTable fields of model.json tree documents by a recursive pre-order walk."""
+    nodes, per_tree = [], []
+
+    def add(node):
+        i = len(nodes)
+        if "feature" not in node:
+            nodes.append([-1, -1, -1, 0.0, node["weight"], node["cover"], 0.0])
+            return i
+        nodes.append([node["feature"], -1, -1, node["threshold"], 0.0, node["cover"], node["gain"]])
+        nodes[i][1] = add(node["left"])
+        nodes[i][2] = add(node["right"])
+        return i
+
+    for doc in tree_docs:
+        per_tree.append([add(doc["root"]), doc["class_index"], doc["round"]])
+    columns = np.array(nodes, dtype=float).reshape(-1, 7).T
+    per_tree = np.array(per_tree, dtype=np.intp).reshape(-1, 3).T
+    return dict(zip(_TABLE_FIELDS, [*columns[:3].astype(np.intp), *columns[3:], *per_tree]))
+
+
+def _assert_table_equal(trees, expected):
+    for name in _TABLE_FIELDS:
+        got, want = getattr(trees, name), expected[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def _random_tree(rng, depth, d, leaf_p):
+    """A tree of irregular shape; features repeat along paths when depth > d."""
+    if depth == 0 or rng.random() < leaf_p:
+        return TreeNode(cover=float(rng.uniform(1, 9)), weight=float(rng.normal()))
+    return TreeNode(cover=float(rng.uniform(1, 9)), feature=int(rng.integers(0, d)),
+                    threshold=float(rng.normal()), gain=float(rng.exponential()),
+                    left=_random_tree(rng, depth - 1, d, leaf_p),
+                    right=_random_tree(rng, depth - 1, d, leaf_p))
+
+
+def _random_model(seed, leaf_p, depth=6):
+    rng = np.random.default_rng(seed)
+    grown = [(r, k, _random_tree(rng, depth, 3, leaf_p)) for r in range(4) for k in range(3)]
+    cfg = TrainConfig(n_rounds=4, max_depth=depth, num_class=3)
+    return Ensemble(node_table(grown), rng.normal(size=3), 3, ("a", "b", "c"), cfg)
+
+
+class TestFlatten:
+    @pytest.mark.parametrize("leaf_p", [0.0, 0.1, 0.4, 1.0],
+                             ids=["full_depth_6", "depth_6", "ragged", "leaf_only"])
+    def test_round_trip_equals_reference(self, leaf_p):
+        model = _random_model(60 + int(10 * leaf_p), leaf_p)
+        doc = model_to_dict(model)
+        expected = _reference_table(doc["trees"])
+        _assert_table_equal(model.trees, expected)
+        _assert_table_equal(model_from_dict(doc).trees, expected)
+        if leaf_p == 1.0:
+            assert np.all(model.trees.feature == -1)
+
+    def test_empty_table(self):
+        trees = node_table([])
+        _assert_table_equal(trees, _reference_table([]))
+        assert all(getattr(trees, name).shape == (0,) for name in _TABLE_FIELDS)
+
+    @staticmethod
+    def _broken(edit):
+        """A full depth-3 model's document with edit applied to tree 9's root."""
+        doc = model_to_dict(_random_model(7, 0.0, depth=3))
+        edit(doc["trees"][9]["root"])
+        return doc
+
+    def test_missing_key_deep_in_a_later_tree_names_it(self):
+        doc = self._broken(lambda root: root["right"]["left"]["left"].pop("weight"))
+        with pytest.raises(ValueError, match="^model tree 9 is missing key 'weight'$"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("threshold", None), ("threshold", "abc"), ("threshold", [1.0]), ("gain", None),
+        ("cover", None), ("feature", "abc"), ("feature", None),
+    ])
+    def test_malformed_value_names_the_tree(self, key, value):
+        doc = self._broken(lambda root: root["left"]["right"].update({key: value}))
+        with pytest.raises(ValueError, match="^model tree 9 is malformed: "):
+            model_from_dict(doc)
+
+    def test_malformed_leaf_names_the_tree(self):
+        doc = self._broken(lambda root: root["left"]["left"]["right"].update(weight="abc"))
+        with pytest.raises(ValueError, match="^model tree 9 is malformed: "):
+            model_from_dict(doc)
+
+
 def _single_leaf_model(weight=2.0, eta=0.3, num_class=2):
     # one tree for class 0 only; class 1 keeps its base score
     trees = node_table([(0, 0, TreeNode(cover=4.0, weight=weight))])
