@@ -8,11 +8,12 @@ repeated features merged; each path's attributions and pairwise interaction
 values are closed-form polynomials in its features' cover fractions and
 in-interval bits, evaluated for a batch of rows with numpy. A path depends on
 a row only through its L bits, so a batch of at least 2^L rows evaluates the
-path once per bit pattern, O(2^L L^3) for attributions, and each row gathers
-its pattern's entry; smaller batches, such as one-row calls, evaluate the
-path per row. Both give the same bits. Attributions, interactions and base
-values all come from that one path set, which is built on first use and kept
-on the Ensemble. ``explain_matrix`` and ``interaction_values`` take a batch
+path once per bit pattern and each row gathers its pattern's entry; the
+patterns' coefficients are built by doubling, bit after bit, in O(2^L L^2)
+for attributions. Smaller batches, such as one-row calls, evaluate the path
+per row, in O(L^3) per row. Both give the same bits. Attributions,
+interactions and base values all come from that one path set, which is
+built on first use and kept on the Ensemble. ``explain_matrix`` and ``interaction_values`` take a batch
 of rows; one sample is a one-row batch (``shap_values`` wraps one for
 attributions, and interactions index ``interaction_values(model, x[None])[0]``).
 
@@ -212,20 +213,47 @@ def _scatter(out: np.ndarray, r0: int, index: np.ndarray, values: np.ndarray) ->
     )
 
 
-def _table(length: int, cols: slice, per_pair: int, contribute) -> np.ndarray:
-    """contribute(cols, one) on all 2^L bit patterns, shape (2^L, paths, ...).
+def _pattern_products(zero, excluded, weights) -> np.ndarray:
+    """_weighted_products on all 2^L bit patterns, shape (2^L, P, M).
 
-    Pattern c sets o_j to bit j of c. It is evaluated in path slices small
-    enough that no coefficient tensor exceeds _BLOCK elements (but for one
-    path at least).
+    Pattern c sets o_j to bit j of c. Patterns that agree on bits below j
+    share their coefficients until step j, so step j scales the 2^j states
+    in place and writes the half with bit j set as those states plus the
+    carried term: 2^(L+1) state updates where _weighted_products makes
+    L 2^L. Every pattern goes through _weighted_products' float operations
+    in the same order, less the bit-clear half's additions of a carried
+    +0.0, which leave a coefficient >= +0 unchanged; coefficients are, as
+    _build_paths admits no zero fraction below +0.
     """
+    n_paths, length = zero.shape
+    coef = np.empty((1 << length, n_paths, len(excluded), len(weights)))
+    coef[0] = 0.0
+    coef[0, ..., 0] = 1.0
+    for j in range(length):
+        keep = ~excluded[:, j]
+        state, half = coef[:1 << j], coef[1 << j:2 << j]
+        carried = state[..., :-1] * keep[:, None]
+        state *= np.where(keep, zero[:, j, None], 1.0)[..., None]
+        half[...] = state
+        half[..., 1:] += carried
+    return (coef * weights).sum(axis=-1)
+
+
+def _table(zero, cols: slice, excluded, weights, values) -> np.ndarray:
+    """values(cols, one, s) on all 2^L bit patterns, shape (2^L, paths, ...).
+
+    It is evaluated in path slices small enough that no coefficient tensor
+    exceeds _BLOCK elements (but for one path at least).
+    """
+    length = zero.shape[1]
     n = 1 << length
     patterns = (np.arange(n)[:, None] >> np.arange(length) & 1).astype(bool)
-    step = max(1, _BLOCK // (n * per_pair))
+    step = max(1, _BLOCK // (n * len(excluded) * len(weights)))
     parts = []
     for p0 in range(cols.start, cols.stop, step):
         sub = slice(p0, min(p0 + step, cols.stop))
-        parts.append(contribute(sub, np.broadcast_to(patterns[:, None], (n, sub.stop - p0, length))))
+        one = np.broadcast_to(patterns[:, None], (n, sub.stop - p0, length))
+        parts.append(values(sub, one, _pattern_products(zero[sub], excluded, weights)))
     return np.concatenate(parts, axis=1)
 
 
@@ -236,15 +264,11 @@ def _accumulate(out, group: _PathGroup, x: np.ndarray, excluded, weights, index,
     their in-interval bits one and s = _weighted_products(zero, one,
     excluded, weights); index (P, M) holds their flat positions in a row of
     out. A batch of at least 2^L rows evaluates them once per bit pattern
-    and gathers each row's entry by its code sum_j o_j 2^j; a smaller one
-    evaluates them per row.
+    (``_table``) and gathers each row's entry by its code sum_j o_j 2^j; a
+    smaller one evaluates them per row.
     """
     length, n_paths = group.feature.shape[1], len(group.value)
     per_pair = len(excluded) * len(weights)
-
-    def contribute(cols, one):
-        return values(cols, one, _weighted_products(group.zero[cols], one, excluded, weights))
-
     # path slices depend only on the group, so every row sums its paths in the
     # same order whatever the batch and branch, and one-row calls repeat batch
     # rows exactly
@@ -252,9 +276,10 @@ def _accumulate(out, group: _PathGroup, x: np.ndarray, excluded, weights, index,
     for cols in (slice(p0, min(p0 + width, n_paths)) for p0 in range(0, n_paths, width)):
         if x.shape[0] < 1 << length:
             for r0, one in _bits(group, x, cols, per_pair):
-                _scatter(out, r0, index[cols], contribute(cols, one))
+                s = _weighted_products(group.zero[cols], one, excluded, weights)
+                _scatter(out, r0, index[cols], values(cols, one, s))
             continue
-        table = _table(length, cols, per_pair, contribute)
+        table = _table(group.zero, cols, excluded, weights, values)
         n_cols, m = table.shape[1:]
         # row c * n_cols + p of the flat table is path p's entry for code c
         table = table.reshape(-1, m)
@@ -291,7 +316,7 @@ def explain_matrix(
 
     Raw values default to the unscaled features when the model carries a
     scaler. For a path with L unique features (L <= max_depth), a batch of
-    at least 2^L rows costs O(2^L L^3) per path once, for a table over its
+    at least 2^L rows costs O(2^L L^2) per path once, for a table over its
     bit patterns, plus a gather of L values per row and path; a smaller
     batch costs O(L^3) per row and path. Either way the work is done in
     blocks of rows and paths whose temporaries stay bounded, and the path
@@ -322,7 +347,7 @@ def interaction_values(model: Ensemble, x: np.ndarray, phi: np.ndarray | None = 
     Diagonals absorb the remainder, making every row sum equal the rows'
     attributions ``phi`` (n, d, num_class), which are computed when not
     given; each row's base value is its Explanation's. For a path with L
-    unique features, a batch of at least 2^L rows costs O(2^L L^4) per path
+    unique features, a batch of at least 2^L rows costs O(2^L L^3) per path
     once, for a table over the bit patterns, plus a gather per row; a
     smaller batch costs O(L^4) per row and path. One sample is a one-row
     batch: ``interaction_values(model, x[None])[0]``.

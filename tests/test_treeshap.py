@@ -428,23 +428,51 @@ class TestTableBranch:
             assert np.allclose(explained[i].phi, brute_force_shapley(model, x[i]), atol=1e-9)
             assert np.allclose(inter[i], brute_force_interactions(model, x[i]), atol=1e-9)
 
+    @pytest.mark.parametrize("length", [1, 2, 4, 6])
+    def test_pattern_products_equal_weighted_products(self, length):
+        # zero fractions include exact zeros, the fraction of a zero leaf cover
+        rng = np.random.default_rng(length)
+        zero = rng.uniform(0.0, 1.0, size=(5, length))
+        zero[rng.random(zero.shape) < 0.2] = 0.0
+        patterns = (np.arange(1 << length)[:, None] >> np.arange(length) & 1).astype(bool)
+        one = np.broadcast_to(patterns[:, None], (1 << length, 5, length))
+        eye = np.eye(length, dtype=bool)
+        first, second = np.triu_indices(length, 1)
+        cases = [(eye, treeshap._weights(length))]
+        if length > 1:
+            cases.append((eye[first] | eye[second], treeshap._weights(length - 1)))
+        for excluded, weights in cases:
+            table = treeshap._pattern_products(zero, excluded, weights)
+            per_row = treeshap._weighted_products(zero, one, excluded, weights)
+            assert np.array_equal(table, per_row)
+            assert np.array_equal(np.signbit(table), np.signbit(per_row))
+
     def test_coefficient_tensors_stay_bounded(self, default_fleet, monkeypatch):
-        model, x, _ = default_fleet
-        sizes = []
-        original = treeshap._weighted_products
+        # per helper: (coefficient tensor elements, paths) of every call
+        sizes = {"_weighted_products": [], "_pattern_products": []}
+        per_row, table = treeshap._weighted_products, treeshap._pattern_products
 
-        def recording(zero, one, excluded, weights):
+        def recording_per_row(zero, one, excluded, weights):
             rows, paths = one.shape[:2]
-            sizes.append((rows * paths * len(excluded) * len(weights), paths))
-            return original(zero, one, excluded, weights)
+            sizes["_weighted_products"].append((rows * paths * len(excluded) * len(weights), paths))
+            return per_row(zero, one, excluded, weights)
 
-        monkeypatch.setattr(treeshap, "_weighted_products", recording)
+        def recording_table(zero, excluded, weights):
+            paths, length = zero.shape
+            sizes["_pattern_products"].append(((1 << length) * paths * len(excluded) * len(weights),
+                                               paths))
+            return table(zero, excluded, weights)
+
+        monkeypatch.setattr(treeshap, "_weighted_products", recording_per_row)
+        monkeypatch.setattr(treeshap, "_pattern_products", recording_table)
+        model, x, _ = default_fleet
         assert x.shape[0] == 300
         explain_matrix(model, x)
         interaction_values(model, x)
         interaction_values(model, x[:1])
-        assert sizes
-        assert all(size <= treeshap._BLOCK or paths == 1 for size, paths in sizes)
+        for helper, calls in sizes.items():
+            assert calls, helper
+            assert all(size <= treeshap._BLOCK or paths == 1 for size, paths in calls), helper
 
     def test_phi_shape_checked(self, default_fleet):
         model, x, _ = default_fleet
