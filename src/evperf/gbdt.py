@@ -337,41 +337,105 @@ class _Grower:
 
 def node_table(trees: Sequence[tuple[int, int, TreeNode]]) -> NodeTable:
     """Node table of (round, class, root) trees, kept in the order given."""
-    # one tree's documents at a time, so a large ensemble is never all dicts
-    return _flatten({"round": r, "class_index": k, "root": _node_to_dict(root)}
-                    for r, k, root in trees)
+    return _flatten([{"round": r, "class_index": k, "root": _node_to_dict(root)}
+                     for r, k, root in trees])
 
 
 def _flatten(tree_docs: Iterable[dict]) -> NodeTable:
     """Node table of model.json tree documents; the one conversion into it.
 
-    Raises ValueError naming the tree when a document lacks a key.
+    Reads the documents one level at a time: each level's nodes, across all
+    trees, are converted column by column, and their children, left then
+    right, make the next level. Subtree sizes, summed bottom-up, then give
+    every node its pre-order position top-down. Raises ValueError naming
+    the tree when a document lacks a key or holds a value that is not a
+    number.
     """
-    nodes: list[list[float]] = []  # one row per node, in NodeTable field order
-    trees = []
-    for t, doc in enumerate(tree_docs):
-        try:
-            trees.append((_add_node(nodes, doc["root"]), int(doc["class_index"]), int(doc["round"])))
-        except KeyError as exc:
-            raise ValueError(f"model tree {t} is missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"model tree {t} is malformed: {exc}") from None
-    columns = np.array(nodes, dtype=float).reshape(-1, 7).T.copy()
-    per_tree = np.array(trees, dtype=np.intp).reshape(-1, 3).T.copy()
-    return NodeTable(*columns[:3].astype(np.intp), *columns[3:], *per_tree)
+    docs = list(tree_docs)
+    tree_of = np.arange(len(docs))
+    level = _named(lambda ds: [d["root"] for d in ds], docs, tree_of)
+    class_index = _named(lambda ds: [int(d["class_index"]) for d in ds], docs, tree_of)
+    round_index = _named(lambda ds: [int(d["round"]) for d in ds], docs, tree_of)
+    # is_split, feature, threshold, gain, weight, cover of every node, in
+    # level order
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    levels = []  # is_split per level
+    while level:
+        *values, level = _named(_level, level, tree_of)
+        for column, v in zip(columns, values):
+            column.extend(v)
+        levels.append(np.array(values[0], dtype=bool))
+        tree_of = np.repeat(tree_of[levels[-1]], 2)
+
+    sizes = [np.zeros(0, dtype=np.intp)]  # subtree sizes, deepest level first
+    for split in reversed(levels):
+        size = np.ones(len(split), dtype=np.intp)
+        size[split] += sizes[-1][0::2] + sizes[-1][1::2]
+        sizes.append(size)
+    sizes.reverse()
+    position = np.cumsum(sizes[0]) - sizes[0]  # of each level's nodes, roots first
+    root, places, lefts, rights = position, [], [], []
+    for split, below in zip(levels, sizes[1:]):
+        places.append(position)
+        lefts.append(position[split] + 1)
+        rights.append(lefts[-1] + below[0::2])
+        position = np.stack([lefts[-1], rights[-1]], axis=1).ravel()
+
+    n = int(sizes[0].sum())
+    no_nodes = [np.zeros(0, dtype=np.intp)]
+    place = np.concatenate(places or no_nodes)
+    split = np.array(columns[0], dtype=bool)
+    at, leaf_at = place[split], place[~split]
+
+    def scatter(where, values, fill):
+        out = np.full(n, fill)
+        out[where] = values
+        return out
+
+    feature, threshold, gain, weight, cover = (np.array(c, dtype=float) for c in columns[1:])
+    return NodeTable(scatter(at, feature, -1.0).astype(np.intp),
+                     scatter(at, np.concatenate(lefts or no_nodes), -1),
+                     scatter(at, np.concatenate(rights or no_nodes), -1),
+                     scatter(at, threshold, 0.0), scatter(leaf_at, weight, 0.0),
+                     scatter(place, cover, 0.0), scatter(at, gain, 0.0), root,
+                     np.array(class_index, dtype=np.intp), np.array(round_index, dtype=np.intp))
 
 
-def _add_node(nodes: list[list[float]], node: dict) -> int:
-    """Append the subtree of a model.json node to ``nodes`` in pre-order; its index."""
-    i = len(nodes)
-    if "feature" not in node:
-        nodes.append([-1, -1, -1, 0.0, float(node["weight"]), float(node["cover"]), 0.0])
-        return i
-    nodes.append([int(node["feature"]), -1, -1, float(node["threshold"]), 0.0,
-                  float(node["cover"]), float(node.get("gain", 0.0))])
-    nodes[i][1] = _add_node(nodes, node["left"])
-    nodes[i][2] = _add_node(nodes, node["right"])
-    return i
+def _level(nodes: list) -> tuple[list, ...]:
+    """One tree level's nodes as columns, in node order, and the next level.
+
+    The columns are is_split, the feature, threshold and gain of the splits,
+    the weight of the leaves and the cover of every node; the next level
+    holds each split's left then right child.
+    """
+    split = ["feature" in node for node in nodes]
+    splits = [node for node, s in zip(nodes, split) if s]
+    leaves = [node for node, s in zip(nodes, split) if not s]
+    return (split, [int(node["feature"]) for node in splits],
+            [float(node["threshold"]) for node in splits],
+            [float(node.get("gain", 0.0)) for node in splits],
+            [float(node["weight"]) for node in leaves],
+            [float(node["cover"]) for node in nodes],
+            [child for node in splits for child in (node["left"], node["right"])])
+
+
+def _named(convert, items: list, tree_of: np.ndarray):
+    """convert(items), else a ValueError naming the tree of the first bad item.
+
+    items[i] belongs to tree tree_of[i]. Only a failure looks for the
+    culprit: the first item that convert fails on alone.
+    """
+    try:
+        return convert(items)
+    except (KeyError, TypeError, ValueError):
+        for item, tree in zip(items, tree_of):
+            try:
+                convert([item])
+            except KeyError as exc:
+                raise ValueError(f"model tree {tree} is missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"model tree {tree} is malformed: {exc}") from None
+        raise
 
 
 def _leaves(trees: NodeTable, x: np.ndarray) -> np.ndarray:
