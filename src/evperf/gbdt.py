@@ -352,10 +352,10 @@ def _flatten(tree_docs: Iterable[dict]) -> NodeTable:
     number.
     """
     docs = list(tree_docs)
-    tree_of = np.arange(len(docs))
-    level = _named(lambda ds: [d["root"] for d in ds], docs, tree_of)
-    class_index = _named(lambda ds: [int(d["class_index"]) for d in ds], docs, tree_of)
-    round_index = _named(lambda ds: [int(d["round"]) for d in ds], docs, tree_of)
+    tree_of = np.arange(len(docs))  # the tree of each node of the level
+    level, class_index, round_index = _named(
+        lambda ds: ([d["root"] for d in ds], [int(d["class_index"]) for d in ds],
+                    [int(d["round"]) for d in ds]), docs, tree_of)
     # is_split, feature, threshold, gain, weight, cover of every node, in
     # level order
     columns: tuple[list, ...] = ([], [], [], [], [], [])
@@ -367,38 +367,37 @@ def _flatten(tree_docs: Iterable[dict]) -> NodeTable:
         levels.append(np.array(values[0], dtype=bool))
         tree_of = np.repeat(tree_of[levels[-1]], 2)
 
-    sizes = [np.zeros(0, dtype=np.intp)]  # subtree sizes, deepest level first
+    empty = np.zeros(0, dtype=np.intp)
+    sizes = [empty]  # subtree sizes per level, deepest level first
     for split in reversed(levels):
         size = np.ones(len(split), dtype=np.intp)
         size[split] += sizes[-1][0::2] + sizes[-1][1::2]
         sizes.append(size)
     sizes.reverse()
-    position = np.cumsum(sizes[0]) - sizes[0]  # of each level's nodes, roots first
-    root, places, lefts, rights = position, [], [], []
+    root = position = np.cumsum(sizes[0]) - sizes[0]  # pre-order positions of a level
+    places, lefts, rights = [empty], [empty], [empty]
     for split, below in zip(levels, sizes[1:]):
+        left = position[split] + 1
+        right = left + below[0::2]
         places.append(position)
-        lefts.append(position[split] + 1)
-        rights.append(lefts[-1] + below[0::2])
-        position = np.stack([lefts[-1], rights[-1]], axis=1).ravel()
-
-    n = int(sizes[0].sum())
-    no_nodes = [np.zeros(0, dtype=np.intp)]
-    place = np.concatenate(places or no_nodes)
+        lefts.append(left)
+        rights.append(right)
+        position = np.stack([left, right], axis=1).ravel()
+    place, left, right = (np.concatenate(p) for p in (places, lefts, rights))
     split = np.array(columns[0], dtype=bool)
     at, leaf_at = place[split], place[~split]
 
     def scatter(where, values, fill):
-        out = np.full(n, fill)
+        out = np.full(len(place), fill)
         out[where] = values
         return out
 
     feature, threshold, gain, weight, cover = (np.array(c, dtype=float) for c in columns[1:])
-    return NodeTable(scatter(at, feature, -1.0).astype(np.intp),
-                     scatter(at, np.concatenate(lefts or no_nodes), -1),
-                     scatter(at, np.concatenate(rights or no_nodes), -1),
-                     scatter(at, threshold, 0.0), scatter(leaf_at, weight, 0.0),
-                     scatter(place, cover, 0.0), scatter(at, gain, 0.0), root,
-                     np.array(class_index, dtype=np.intp), np.array(round_index, dtype=np.intp))
+    return NodeTable(scatter(at, feature, -1.0).astype(np.intp), scatter(at, left, -1),
+                     scatter(at, right, -1), scatter(at, threshold, 0.0),
+                     scatter(leaf_at, weight, 0.0), scatter(place, cover, 0.0),
+                     scatter(at, gain, 0.0), root, np.array(class_index, dtype=np.intp),
+                     np.array(round_index, dtype=np.intp))
 
 
 def _level(nodes: list) -> tuple[list, ...]:
@@ -615,9 +614,9 @@ def _check_model(model: Ensemble) -> None:
     num_class must equal the config's, base_score must hold num_class finite
     values, feature_names must be unique, the scaler must hold one mean and
     std per feature, the tree count must be n_rounds x num_class, and every
-    tree must be applicable (see
-    ``_check_table``). The loader and ``save_model`` both run it, so that
-    any model that can be written can be read.
+    tree must be applicable (see ``_check_table``). The loader and
+    ``save_model`` both run it, so that any model that can be written can
+    be read.
     """
     num_class, n_features = model.num_class, len(model.feature_names)
     if num_class != model.config.num_class:

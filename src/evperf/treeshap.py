@@ -13,9 +13,10 @@ patterns' coefficients are built by doubling, bit after bit, in O(2^L L^2)
 for attributions. Smaller batches, such as one-row calls, evaluate the path
 per row, in O(L^3) per row. Both give the same bits. Attributions,
 interactions and base values all come from that one path set, which is
-built on first use and kept on the Ensemble. ``explain_matrix`` and ``interaction_values`` take a batch
-of rows; one sample is a one-row batch (``shap_values`` wraps one for
-attributions, and interactions index ``interaction_values(model, x[None])[0]``).
+built on first use and kept on the Ensemble. ``explain_matrix`` and
+``interaction_values`` take a batch of rows; one sample is a one-row batch
+(``shap_values`` wraps one for attributions, and interactions index
+``interaction_values(model, x[None])[0]``).
 
 The derived analyses are here too: global importance ranking, dependence
 data and force-plot decompositions. The brute-force Shapley oracles that
@@ -222,8 +223,9 @@ def _pattern_products(zero, excluded, weights) -> np.ndarray:
     carried term: 2^(L+1) state updates where _weighted_products makes
     L 2^L. Every pattern goes through _weighted_products' float operations
     in the same order, less the bit-clear half's additions of a carried
-    +0.0, which leave a coefficient >= +0 unchanged; coefficients are, as
-    _build_paths admits no zero fraction below +0.
+    +0.0. Those leave a finite coefficient >= +0 unchanged, and no
+    coefficient is below +0, as _build_paths admits no zero fraction below
+    +0.
     """
     n_paths, length = zero.shape
     coef = np.empty((1 << length, n_paths, len(excluded), len(weights)))
