@@ -552,28 +552,29 @@ class TestFlatten:
         assert all(getattr(trees, name).shape == (0,) for name in _TABLE_FIELDS)
 
     @staticmethod
-    def _broken(edit):
-        """A full depth-3 model's document with edit applied to tree 9's root."""
-        doc = model_to_dict(_random_model(7, 0.0, depth=3))
-        edit(doc["trees"][9]["root"])
-        return doc
+    def _node(doc, path):
+        """The node at path ("left"/"right" steps) in tree 9 of a document."""
+        node = doc["trees"][9]["root"]
+        for side in path:
+            node = node[side]
+        return node
 
     def test_missing_key_deep_in_a_later_tree_names_it(self):
-        doc = self._broken(lambda root: root["right"]["left"]["left"].pop("weight"))
+        doc = model_to_dict(_random_model(7, 0.0, depth=3))
+        self._node(doc, ("right", "left", "left")).pop("weight")
         with pytest.raises(ValueError, match="^model tree 9 is missing key 'weight'$"):
             model_from_dict(doc)
 
-    @pytest.mark.parametrize("key, value", [
-        ("threshold", None), ("threshold", "abc"), ("threshold", [1.0]), ("gain", None),
-        ("cover", None), ("feature", "abc"), ("feature", None),
+    # splits at depth 2 and a leaf at depth 3 of a full depth-3 tree
+    @pytest.mark.parametrize("path, key, value", [
+        (("left", "right"), "threshold", None), (("left", "right"), "threshold", "abc"),
+        (("left", "right"), "threshold", [1.0]), (("left", "right"), "gain", None),
+        (("left", "right"), "cover", None), (("left", "right"), "feature", "abc"),
+        (("left", "right"), "feature", None), (("left", "left", "right"), "weight", "abc"),
     ])
-    def test_malformed_value_names_the_tree(self, key, value):
-        doc = self._broken(lambda root: root["left"]["right"].update({key: value}))
-        with pytest.raises(ValueError, match="^model tree 9 is malformed: "):
-            model_from_dict(doc)
-
-    def test_malformed_leaf_names_the_tree(self):
-        doc = self._broken(lambda root: root["left"]["left"]["right"].update(weight="abc"))
+    def test_malformed_value_names_the_tree(self, path, key, value):
+        doc = model_to_dict(_random_model(7, 0.0, depth=3))
+        self._node(doc, path)[key] = value
         with pytest.raises(ValueError, match="^model tree 9 is malformed: "):
             model_from_dict(doc)
 
