@@ -1,4 +1,4 @@
-"""Smoke tests: the physics demos run against the current API.
+"""Smoke tests: every demo runs against the current API.
 
 Each demo is copied under tmp_path/demos/ before it runs, so any
 demo_output/ directory a demo writes next to its parent lands in tmp_path.
@@ -32,3 +32,18 @@ def test_sprint_and_sweep(tmp_path, capsys):
     assert rows[0] == ["cell_count", "seconds_0_100"]
     assert len(rows) == 29
     assert (out / "sweep.svg").exists()
+
+
+def test_train_and_evaluate(tmp_path, capsys):
+    out = _run_demo("03_train_and_evaluate.py", tmp_path)
+    assert "pooled validation metrics" in capsys.readouterr().out
+    rows = list(csv.reader(open(out / "confusion.csv")))
+    assert len(rows) == 1 + 3
+    assert (out / "confusion.svg").exists()
+
+
+def test_explain_model(tmp_path, capsys):
+    out = _run_demo("04_explain_model.py", tmp_path)
+    assert "cells x weight pair" in capsys.readouterr().out
+    for name in ("shap_importance.svg", "dependence.svg", "force.svg"):
+        assert (out / name).read_text().startswith("<svg"), name
