@@ -41,10 +41,10 @@ model = train(Dataset(scaled, dataset.labels, dataset.feature_names, scaler=scal
               TrainConfig(n_rounds=120))
 
 print("computing exact attributions for all samples (margin space)...")
-explanations = explain_matrix(model, scaled, dataset.features)
+explained = explain_matrix(model, scaled, dataset.features)
 
 print("\n== global importance: mean |phi| vs total split gain ==")
-ranking = global_importance(explanations)
+ranking = global_importance(explained)
 gains = gain_importance(model)
 print(f"{'feature':24s} {'mean |phi|':>12s} {'total gain':>12s}")
 for fi in ranking:
@@ -57,7 +57,7 @@ for fi in ranking:
 
 print("\n== dependence: attribution per cell count, High class ==")
 cell_idx = dataset.feature_names.index("number_of_cells")
-points = dependence_data(explanations, cell_idx, int(PerfClass.HIGH))
+points = dependence_data(explained, cell_idx, int(PerfClass.HIGH))
 values = np.array([v for v, _ in points])
 phis = np.array([p for _, p in points])
 for lo_q, hi_q in ((0, 30), (30, 70), (70, 100)):
@@ -78,7 +78,7 @@ sample = 0
 probs = predict_proba(model, scaled[sample])
 predicted = int(np.argmax(probs))
 print(f"sample {sample}: predicted {CLASS_NAMES[predicted]} (p={probs[predicted]:.2f})")
-force = force_plot_data(explanations[sample], predicted)
+force = force_plot_data(explained, sample, predicted)
 print(f"base value {force.base_value:+.3f}")
 for entry in force.entries:
     print(f"  {entry.name:24s}={entry.value:9.1f}  phi {entry.phi:+.3f}")

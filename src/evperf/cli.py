@@ -317,11 +317,11 @@ def cmd_explain(run: RunConfig) -> None:
                        f"{list(model.feature_names)}")
     raw, x = _explain_features(run, model)
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    explanations = explain_matrix(model, x, raw)
+    explained = explain_matrix(model, x, raw)
     high = int(PerfClass.HIGH)
 
     with open(run.out_dir / "shap_values.csv", "w", newline="", encoding="utf-8") as fh:
-        explanations_to_csv(explanations, fh, class_names=CLASS_NAMES)
+        explanations_to_csv(explained, fh, class_names=CLASS_NAMES)
 
     gains = gain_importance(model)
     gain_order = sorted(range(len(gains)), key=lambda i: (-gains[i], i))
@@ -334,7 +334,7 @@ def cmd_explain(run: RunConfig) -> None:
                                   "Split-gain feature importance", xlabel="total gain"),
     )
 
-    ranking = global_importance(explanations)
+    ranking = global_importance(explained)
     _emit_figure(
         run, "shap_importance",
         lambda p: _write_csv(
@@ -346,7 +346,7 @@ def cmd_explain(run: RunConfig) -> None:
     )
 
     feat_idx = model.feature_names.index(run.feature)
-    dep = dependence_data(explanations, feat_idx, high)
+    dep = dependence_data(explained, feat_idx, high)
     _emit_figure(
         run, "dependence",
         lambda p: _write_csv(p, [run.feature, f"phi_{CLASS_NAMES[high]}"],
@@ -357,21 +357,16 @@ def cmd_explain(run: RunConfig) -> None:
             xlabel=run.feature, ylabel="phi"),
     )
 
-    n_swarm = min(run.swarm_samples, len(explanations))
-    d = len(model.feature_names)
+    n_swarm = min(run.swarm_samples, len(explained))
+    names = model.feature_names
+    first, second = np.triu_indices(len(names), 1)
+    inter = interaction_values(model, x[:n_swarm], explained.phi[:n_swarm])
     swarm_rows = []
     pair_groups: dict[str, list[float]] = {}
-    # reshape keeps the (0, d, K) shape when there are no swarm rows
-    phi = np.array([e.phi for e in explanations[:n_swarm]]).reshape(n_swarm, d, model.num_class)
-    inter = interaction_values(model, x[:n_swarm], phi)
-    for s in range(n_swarm):
-        for i in range(d):
-            for j in range(i + 1, d):
-                value = float(inter[s, i, j, high])
-                pair = f"{model.feature_names[i]} x {model.feature_names[j]}"
-                swarm_rows.append([s, model.feature_names[i], model.feature_names[j],
-                                   _fmt(raw[s, i]), _fmt(value)])
-                pair_groups.setdefault(pair, []).append(value)
+    for s, pairs in enumerate(inter[:, first, second, high].tolist()):
+        for i, j, value in zip(first, second, pairs):
+            swarm_rows.append([s, names[i], names[j], _fmt(raw[s, i]), _fmt(value)])
+            pair_groups.setdefault(f"{names[i]} x {names[j]}", []).append(value)
     _emit_figure(
         run, "shap_swarm",
         lambda p: _write_csv(p, ["sample_id", "feature_i", "feature_j", "value_i", "interaction_phi"],
@@ -383,7 +378,7 @@ def cmd_explain(run: RunConfig) -> None:
     )
 
     force_class = int(np.argmax(predict_margin_batch(model, x[:1])[0]))
-    force = force_plot_data(explanations[0], force_class)
+    force = force_plot_data(explained, 0, force_class)
     force_rows = [["base", "", "", _fmt(force.base_value), ""]]
     for e in force.entries:
         force_rows.append(["contribution", e.name, _fmt(e.value), _fmt(e.phi), e.sign])
@@ -397,7 +392,7 @@ def cmd_explain(run: RunConfig) -> None:
             f"Prediction decomposition, sample 0, class {CLASS_NAMES[force_class]}"),
     )
 
-    print(f"explained {len(explanations)} samples with {len(model.trees.root)} trees")
+    print(f"explained {len(explained)} samples with {len(model.trees.root)} trees")
     print("wrote shap_values plus figures gain_importance, shap_importance, dependence, "
           f"shap_swarm, force to {run.out_dir}")
 

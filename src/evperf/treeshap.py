@@ -15,10 +15,12 @@ per row, in O(L^3) per row. Both give the same bits. Attributions,
 interactions and base values all come from that one path set, which is
 built on first use and kept on the Ensemble. ``explain_matrix`` and
 ``interaction_values`` take a batch of rows; one sample is a one-row batch
-(``shap_values`` wraps one for attributions, and interactions index
-``interaction_values(model, x[None])[0]``).
+(``shap_values(model, x).phi[0]`` and ``interaction_values(model,
+x[None])[0]``).
 
-The derived analyses are here too: global importance ranking, dependence
+A batch's attributions are one ``Explanation``: the base value, the
+(n, d, K) attributions and the (n, d) feature values in input units. The
+derived analyses read its arrays: global importance ranking, dependence
 data and force-plot decompositions. The brute-force Shapley oracles that
 check the path set live with the tests.
 
@@ -40,25 +42,24 @@ from .gbdt import Ensemble, ModelInputError, check_features
 
 @dataclass(frozen=True)
 class Explanation:
-    """Per-class additive decomposition of one prediction.
+    """Per-class additive decomposition of a batch of predictions.
 
-    For each class k, base_value[k] + sum_i phi[i, k] equals the predicted
-    margin. ``x`` is the model-space input; ``x_raw`` carries the unscaled
-    feature values when the model was trained on standardized data.
+    For row r and class k, base_value[k] + sum_i phi[r, i, k] equals the
+    predicted margin. ``values`` holds the rows' feature values in input
+    units, unscaled when the model was trained on standardized data.
     """
 
     base_value: np.ndarray            # (num_class,)
-    phi: np.ndarray                   # (n_features, num_class)
-    x: np.ndarray
+    phi: np.ndarray                   # (n, n_features, num_class)
+    values: np.ndarray                # (n, n_features)
     feature_names: tuple[str, ...]
-    x_raw: np.ndarray | None = None
 
-    @property
-    def raw_values(self) -> np.ndarray:
-        return self.x if self.x_raw is None else self.x_raw
+    def __len__(self) -> int:
+        return len(self.phi)
 
     def margins(self) -> np.ndarray:
-        return self.base_value + self.phi.sum(axis=0)
+        """The rows' margins, shape (n, num_class)."""
+        return self.base_value + self.phi.sum(axis=1)
 
 
 # --- merged root-to-leaf paths ------------------------------------------------
@@ -306,18 +307,18 @@ def shap_values(model: Ensemble, x: np.ndarray) -> Explanation:
     """Exact per-feature, per-class attributions for one sample.
 
     A one-row explain_matrix; the result satisfies
-    base_value + phi.sum(axis=0) == predict_margin(model, x).
+    base_value + phi[0].sum(axis=0) == predict_margin(model, x).
     """
-    return explain_matrix(model, check_features(model, x, 1)[None])[0]
+    return explain_matrix(model, check_features(model, x, 1)[None])
 
 
 def explain_matrix(
     model: Ensemble, features: np.ndarray, raw_features: np.ndarray | None = None
-) -> list[Explanation]:
-    """Explanations for every row of a feature matrix.
+) -> Explanation:
+    """The Explanation of every row of a feature matrix.
 
-    Raw values default to the unscaled features when the model carries a
-    scaler. For a path with L unique features (L <= max_depth), a batch of
+    Its values are raw_features, by default the features unscaled when the
+    model carries a scaler. For a path with L unique features (L <= max_depth), a batch of
     at least 2^L rows costs O(2^L L^2) per path once, for a table over its
     bit patterns, plus a gather of L values per row and path; a smaller
     batch costs O(L^3) per row and path. Either way the work is done in
@@ -327,18 +328,12 @@ def explain_matrix(
     features = check_features(model, features, 2)
     if raw_features is None and model.scaler is not None:
         raw_features = features * model.scaler.std + model.scaler.mean
-    paths = _paths(model)
-    phi = _phi(model, features)
-    return [
-        Explanation(
-            base_value=paths.base_value.copy(),
-            phi=phi[i],
-            x=features[i],
-            feature_names=model.feature_names,
-            x_raw=None if raw_features is None else np.asarray(raw_features[i], dtype=float),
-        )
-        for i in range(features.shape[0])
-    ]
+    return Explanation(
+        base_value=_paths(model).base_value.copy(),
+        phi=_phi(model, features),
+        values=features if raw_features is None else np.asarray(raw_features, dtype=float),
+        feature_names=model.feature_names,
+    )
 
 
 def interaction_values(model: Ensemble, x: np.ndarray, phi: np.ndarray | None = None) -> np.ndarray:
@@ -348,7 +343,7 @@ def interaction_values(model: Ensemble, x: np.ndarray, phi: np.ndarray | None = 
     between (i, j) and (j, i), so each row's tensor is exactly symmetric.
     Diagonals absorb the remainder, making every row sum equal the rows'
     attributions ``phi`` (n, d, num_class), which are computed when not
-    given; each row's base value is its Explanation's. For a path with L
+    given; the base value is explain_matrix's. For a path with L
     unique features, a batch of at least 2^L rows costs O(2^L L^3) per path
     once, for a table over the bit patterns, plus a gather per row; a
     smaller batch costs O(L^4) per row and path. One sample is a one-row
@@ -391,18 +386,17 @@ class FeatureImportance:
     per_class: np.ndarray
 
 
-def global_importance(explanations: list[Explanation]) -> list[FeatureImportance]:
+def global_importance(explained: Explanation) -> list[FeatureImportance]:
     """Features ranked by mean absolute attribution.
 
     The overall score averages |phi| over samples and classes; ties keep
     feature-index order.
     """
-    if not explanations:
-        raise ValueError("global_importance needs at least one explanation")
-    names = explanations[0].feature_names
-    stacked = np.stack([e.phi for e in explanations])  # (n, d, K)
-    per_class = np.abs(stacked).mean(axis=0)            # (d, K)
-    overall = per_class.mean(axis=1)                    # (d,)
+    if not len(explained):
+        raise ValueError("global_importance needs at least one explained row")
+    names = explained.feature_names
+    per_class = np.abs(explained.phi).mean(axis=0)  # (d, K)
+    overall = per_class.mean(axis=1)                # (d,)
     order = sorted(range(len(names)), key=lambda i: (-overall[i], i))
     return [
         FeatureImportance(index=i, name=names[i], overall=float(overall[i]), per_class=per_class[i])
@@ -411,20 +405,18 @@ def global_importance(explanations: list[Explanation]) -> list[FeatureImportance
 
 
 def dependence_data(
-    explanations: list[Explanation], feature_index: int, class_index: int
+    explained: Explanation, feature_index: int, class_index: int
 ) -> list[tuple[float, float]]:
-    """(raw feature value, attribution) pairs, one per explained sample."""
-    if not explanations:
-        raise ValueError("dependence_data needs at least one explanation")
-    d, k = explanations[0].phi.shape
+    """(feature value, attribution) pairs, one per explained row."""
+    if not len(explained):
+        raise ValueError("dependence_data needs at least one explained row")
+    _, d, k = explained.phi.shape
     if not 0 <= feature_index < d:
         raise IndexError(f"feature index {feature_index} out of range for {d} features")
     if not 0 <= class_index < k:
         raise IndexError(f"class index {class_index} out of range for {k} classes")
-    return [
-        (float(e.raw_values[feature_index]), float(e.phi[feature_index, class_index]))
-        for e in explanations
-    ]
+    return list(zip(explained.values[:, feature_index].tolist(),
+                    explained.phi[:, feature_index, class_index].tolist()))
 
 
 @dataclass(frozen=True)
@@ -442,45 +434,46 @@ class ForcePlot:
     entries: tuple[ForceEntry, ...]
 
 
-def force_plot_data(explanation: Explanation, class_index: int) -> ForcePlot:
-    """Ordered push/pull decomposition of one prediction for one class.
+def force_plot_data(explained: Explanation, row: int, class_index: int) -> ForcePlot:
+    """Ordered push/pull decomposition of one row's prediction for one class.
 
     Features with exactly zero attribution are omitted; the rest are sorted
     by |phi| descending. base_value plus the entry sum reproduces the margin.
     """
-    k = explanation.phi.shape[1]
+    k = explained.phi.shape[2]
     if not 0 <= class_index < k:
         raise IndexError(f"class index {class_index} out of range for {k} classes")
-    phi = explanation.phi[:, class_index]
+    phi, values = explained.phi[row, :, class_index], explained.values[row]
     order = sorted(
         (i for i in range(len(phi)) if phi[i] != 0.0),
         key=lambda i: (-abs(phi[i]), i),
     )
     entries = tuple(
         ForceEntry(
-            name=explanation.feature_names[i],
-            value=float(explanation.raw_values[i]),
+            name=explained.feature_names[i],
+            value=float(values[i]),
             phi=float(phi[i]),
             sign=1 if phi[i] > 0 else -1,
         )
         for i in order
     )
-    base = float(explanation.base_value[class_index])
+    base = float(explained.base_value[class_index])
     return ForcePlot(base_value=base, margin=base + float(phi.sum()), entries=entries)
 
 
 def explanations_to_csv(
-    explanations: list[Explanation],
+    explained: Explanation,
     out: IO[str],
     sample_ids: Sequence[int] | None = None,
     class_names: Sequence[str] | None = None,
 ) -> None:
-    """Write one row per sample x feature x class: id, feature, class, raw value, phi."""
+    """Write one row per sample x feature x class: id, feature, class, value, phi."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["sample_id", "feature", "class", "value", "phi"])
-    for s, e in enumerate(explanations):
+    n_class = explained.phi.shape[2]
+    labels = range(n_class) if class_names is None else [class_names[k] for k in range(n_class)]
+    for s, (values, phi) in enumerate(zip(explained.values.tolist(), explained.phi.tolist())):
         sid = sample_ids[s] if sample_ids is not None else s
-        for i, name in enumerate(e.feature_names):
-            for k in range(e.phi.shape[1]):
-                label = class_names[k] if class_names is not None else k
-                writer.writerow([sid, name, label, repr(float(e.raw_values[i])), repr(float(e.phi[i, k]))])
+        for name, value, per_class in zip(explained.feature_names, values, phi):
+            for label, p in zip(labels, per_class):
+                writer.writerow([sid, name, label, repr(value), repr(p)])

@@ -124,7 +124,7 @@ def test_criterion_1_shapley_oracle_equivalence():
         for _ in range(100):
             model = _random_ensemble(rng)
             x = rng.normal(size=len(model.feature_names))
-            exact = shap_values(model, x).phi
+            exact = shap_values(model, x).phi[0]
             oracle = brute_force_shapley(model, x)
             assert np.max(np.abs(exact - oracle)) < 1e-9
         elapsed = time.perf_counter() - start
@@ -159,9 +159,9 @@ def test_criterion_2_local_accuracy(default_dataset, default_model):
         scaled = apply_scaler(default_dataset.features, default_model.scaler)
         explanations = explain_matrix(default_model, scaled, default_dataset.features)
         assert len(explanations) == 300
-        for i, e in enumerate(explanations):
+        for i, phi in enumerate(explanations.phi):
             margins = predict_margin(default_model, scaled[i])
-            gap = np.abs(e.base_value + e.phi.sum(axis=0) - margins)
+            gap = np.abs(explanations.base_value + phi.sum(axis=0) - margins)
             assert np.max(gap) < 1e-6
 
     _report(2, "local accuracy (additivity)", body)

@@ -67,7 +67,7 @@ class TestShapValues:
     def test_single_leaf_tree(self):
         model = make_model([(0, 0, TreeNode(cover=3.0, weight=4.0))], [0.5, 0.0], 2)
         e = shap_values(model, np.zeros(2))
-        assert np.array_equal(e.phi, np.zeros((2, 2)))
+        assert np.array_equal(e.phi[0], np.zeros((2, 2)))
         assert e.base_value[0] == pytest.approx(0.5 + 0.3 * 4.0)
         assert e.base_value[1] == pytest.approx(0.0)
 
@@ -79,8 +79,8 @@ class TestShapValues:
         model = make_model([(0, 0, root)], [0.0, 0.0], 2, eta=0.5)
         e = shap_values(model, np.array([1.0, 0.0]))
         expected = 0.5 * (-1.0 - (4.0 * 2.0 + 6.0 * -1.0) / 10.0)
-        assert e.phi[0, 0] == pytest.approx(expected, abs=1e-12)
-        assert e.phi[1, 0] == 0.0
+        assert e.phi[0][0, 0] == pytest.approx(expected, abs=1e-12)
+        assert e.phi[0][1, 0] == 0.0
 
     def test_local_accuracy_on_trained_model(self):
         rng = np.random.default_rng(2)
@@ -91,14 +91,14 @@ class TestShapValues:
         model = train(Dataset(x, y, ("a", "b", "c", "d")), TrainConfig(n_rounds=20, num_class=2))
         for row in x[:10]:
             e = shap_values(model, row)
-            assert np.allclose(e.base_value + e.phi.sum(axis=0), predict_margin(model, row), atol=1e-6)
+            assert np.allclose(e.base_value + e.phi[0].sum(axis=0), predict_margin(model, row), atol=1e-6)
 
     def test_matches_brute_force_on_random_models(self):
         rng = np.random.default_rng(9)
         for _ in range(40):
             model = random_model(rng)
             x = rng.normal(size=len(model.feature_names))
-            assert np.allclose(shap_values(model, x).phi, brute_force_shapley(model, x), atol=1e-9)
+            assert np.allclose(shap_values(model, x).phi[0], brute_force_shapley(model, x), atol=1e-9)
 
     def test_matches_brute_force_on_deep_trees_with_feature_reuse(self):
         # few features + depth 6 forces repeated splits on one path, which
@@ -110,7 +110,7 @@ class TestShapValues:
                      for _ in range(3)]
             model = make_model(trees, rng.normal(size=2), d, eta=0.4)
             x = rng.normal(size=d)
-            assert np.allclose(shap_values(model, x).phi, brute_force_shapley(model, x), atol=1e-9)
+            assert np.allclose(shap_values(model, x).phi[0], brute_force_shapley(model, x), atol=1e-9)
 
     def test_dummy_feature_has_exactly_zero_phi(self):
         root = TreeNode(cover=2.0, feature=0, threshold=0.0, gain=1.0,
@@ -118,8 +118,8 @@ class TestShapValues:
                         right=TreeNode(cover=1.0, weight=-1.0))
         model = make_model([(0, 0, root)], [0.0, 0.0], 3)
         e = shap_values(model, np.array([0.2, 9.0, -9.0]))
-        assert e.phi[1, 0] == 0.0
-        assert e.phi[2, 0] == 0.0
+        assert e.phi[0][1, 0] == 0.0
+        assert e.phi[0][2, 0] == 0.0
 
     def test_symmetry_axiom(self):
         # features 0 and 1 play interchangeable roles; x treats them the same
@@ -130,7 +130,7 @@ class TestShapValues:
 
         model = make_model([(0, 0, stump(0)), (0, 0, stump(1))], [0.0, 0.0], 2)
         e = shap_values(model, np.array([0.7, 0.7]))
-        assert e.phi[0, 0] == pytest.approx(e.phi[1, 0], abs=1e-12)
+        assert e.phi[0][0, 0] == pytest.approx(e.phi[0][1, 0], abs=1e-12)
 
     def test_input_shape_check(self):
         model = make_model([(0, 0, TreeNode(cover=1.0, weight=0.0))], [0.0, 0.0], 2)
@@ -151,8 +151,8 @@ def stump(feature, threshold, left=1.0, right=-1.0, cover=(1.0, 1.0)):
 
 def assert_matches_oracles(model, x):
     e = shap_values(model, x)
-    assert np.allclose(e.phi, brute_force_shapley(model, x), atol=1e-12)
-    assert np.allclose(e.margins(), predict_margin(model, x), atol=1e-12)
+    assert np.allclose(e.phi[0], brute_force_shapley(model, x), atol=1e-12)
+    assert np.allclose(e.margins()[0], predict_margin(model, x), atol=1e-12)
     assert np.allclose(interaction_values(model, x[None])[0], brute_force_interactions(model, x),
                        atol=1e-12)
 
@@ -164,7 +164,7 @@ class TestEdgeCases:
         x = np.array([0.5])
         assert predict_margin(model, x)[0] == pytest.approx(0.5 * -1.0)
         e = shap_values(model, x)
-        assert e.phi[0, 0] == pytest.approx(0.5 * (-1.0 - (3.0 * 2.0 + 1.0 * -1.0) / 4.0))
+        assert e.phi[0][0, 0] == pytest.approx(0.5 * (-1.0 - (3.0 * 2.0 + 1.0 * -1.0) / 4.0))
         assert_matches_oracles(model, x)
 
     @pytest.mark.parametrize("x0", [0.5, -0.5, 1.5, 3.0])
@@ -193,7 +193,7 @@ class TestEdgeCases:
         model = make_model(trees, [0.1, 0.2], 2, eta=0.5)
         e = shap_values(model, np.array([1.0, -1.0]))
         assert e.base_value == pytest.approx([0.1 + 0.5 * 0.8, 0.2 + 0.5 * ((2.0 - 3.0) / 5.0 - 0.3)])
-        assert np.array_equal(e.phi[:, 0], np.zeros(2))
+        assert np.array_equal(e.phi[0][:, 0], np.zeros(2))
         assert_matches_oracles(model, np.array([1.0, -1.0]))
 
     def test_explain_matrix_rows_equal_shap_values(self, monkeypatch):
@@ -207,9 +207,9 @@ class TestEdgeCases:
         blocked = explain_matrix(model, x)
         for i, row in enumerate(x):
             single = shap_values(model, row)
-            assert np.array_equal(blocked[i].phi, single.phi)
-            assert np.array_equal(blocked[i].base_value, single.base_value)
-            assert np.allclose(whole[i].phi, single.phi, atol=1e-12)
+            assert np.array_equal(blocked.phi[i], single.phi[0])
+            assert np.array_equal(blocked.base_value, single.base_value)
+            assert np.allclose(whole.phi[i], single.phi[0], atol=1e-12)
 
     def test_path_set_is_cached_and_not_persisted(self):
         model = random_model(np.random.default_rng(5))
@@ -257,35 +257,33 @@ class TestRejectedInput:
 class TestGlobalImportance:
     def _explanation(self, phi, names=None):
         phi = np.asarray(phi, dtype=float)
-        d = phi.shape[0]
+        n, d, k = phi.shape
         names = names or tuple(f"f{i}" for i in range(d))
-        return Explanation(np.zeros(phi.shape[1]), phi, np.zeros(d), tuple(names))
+        return Explanation(np.zeros(k), phi, np.zeros((n, d)), tuple(names))
 
     def test_basic_ranking(self):
-        e1 = self._explanation([[1.0], [0.0]])
-        e2 = self._explanation([[-1.0], [0.0]])
-        ranked = global_importance([e1, e2])
+        ranked = global_importance(self._explanation([[[1.0], [0.0]], [[-1.0], [0.0]]]))
         assert ranked[0].name == "f0"
         assert ranked[0].overall == pytest.approx(1.0)
         assert ranked[1].overall == 0.0
 
     def test_all_zero_keeps_index_order(self):
-        ranked = global_importance([self._explanation(np.zeros((3, 2)))])
+        ranked = global_importance(self._explanation(np.zeros((1, 3, 2))))
         assert [fi.index for fi in ranked] == [0, 1, 2]
         assert all(fi.overall == 0.0 for fi in ranked)
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(4)
         phi = rng.normal(size=(4, 3))
-        r1 = global_importance([self._explanation(phi)])
-        r2 = global_importance([self._explanation(2.0 * phi)])
+        r1 = global_importance(self._explanation(phi[None]))
+        r2 = global_importance(self._explanation(2.0 * phi[None]))
         assert [fi.index for fi in r1] == [fi.index for fi in r2]
         for a, b in zip(r1, r2):
             assert b.overall == pytest.approx(2.0 * a.overall)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            global_importance([])
+            global_importance(self._explanation(np.zeros((0, 2, 1))))
 
 
 class TestDependence:
@@ -341,7 +339,7 @@ class TestInteractions:
         for i in range(3):
             off_diag[i, i] = 0.0
         assert np.allclose(off_diag, 0.0, atol=1e-12)
-        assert inter[0, 0, 0] == pytest.approx(e.phi[0, 0], abs=1e-9)
+        assert inter[0, 0, 0] == pytest.approx(e.phi[0][0, 0], abs=1e-9)
 
     def test_symmetry_exact_and_rows_sum_to_phi(self):
         rng = np.random.default_rng(12)
@@ -351,7 +349,7 @@ class TestInteractions:
             e = shap_values(model, x)
             inter = interaction_values(model, x[None])[0]
             assert np.array_equal(inter, inter.transpose(1, 0, 2))
-            assert np.allclose(inter.sum(axis=1), e.phi, atol=1e-6)
+            assert np.allclose(inter.sum(axis=1), e.phi[0], atol=1e-6)
             total = e.base_value + inter.sum(axis=(0, 1))
             assert np.allclose(total, predict_margin(model, x), atol=1e-6)
 
@@ -362,7 +360,7 @@ class TestInteractions:
         model = make_model([(0, 0, root)], [0.0, 0.0], 1)
         inter = interaction_values(model, np.array([[0.4]]))[0]
         e = shap_values(model, np.array([0.4]))
-        assert inter[0, 0, 0] == pytest.approx(e.phi[0, 0])
+        assert inter[0, 0, 0] == pytest.approx(e.phi[0][0, 0])
 
 
 @pytest.fixture(scope="module")
@@ -400,10 +398,10 @@ def table_case(request, default_fleet):
 class TestTableBranch:
     def test_batch_rows_equal_one_row_calls(self, table_case):
         model, x = table_case
-        for row, e in zip(x, explain_matrix(model, x)):
-            single = shap_values(model, row).phi
-            assert np.array_equal(e.phi, single)
-            assert np.array_equal(np.signbit(e.phi), np.signbit(single))
+        for row, phi in zip(x, explain_matrix(model, x).phi):
+            single = shap_values(model, row).phi[0]
+            assert np.array_equal(phi, single)
+            assert np.array_equal(np.signbit(phi), np.signbit(single))
 
     def test_batch_interactions_equal_one_row_calls(self, table_case):
         model, x = table_case
@@ -415,7 +413,7 @@ class TestTableBranch:
         model, x = table_case
         for row in x[:8]:
             e = shap_values(model, row)
-            given = interaction_values(model, row[None], phi=e.phi[None])[0]
+            given = interaction_values(model, row[None], phi=e.phi[0][None])[0]
             computed = interaction_values(model, row[None])[0]
             assert np.array_equal(given, computed)
             assert np.allclose(e.base_value + given.sum(axis=(0, 1)), predict_margin(model, row),
@@ -425,7 +423,7 @@ class TestTableBranch:
         model, x = table_case
         explained, inter = explain_matrix(model, x), interaction_values(model, x)
         for i in np.linspace(0, len(x) - 1, 4).astype(int):
-            assert np.allclose(explained[i].phi, brute_force_shapley(model, x[i]), atol=1e-9)
+            assert np.allclose(explained.phi[i], brute_force_shapley(model, x[i]), atol=1e-9)
             assert np.allclose(inter[i], brute_force_interactions(model, x[i]), atol=1e-9)
 
     @pytest.mark.parametrize("length", [1, 2, 4, 6])
@@ -482,30 +480,30 @@ class TestTableBranch:
 
 class TestForcePlot:
     def _explanation(self, phi, base=1.5):
-        phi = np.asarray(phi, dtype=float).reshape(-1, 1)
-        d = phi.shape[0]
-        return Explanation(np.array([base]), phi, np.arange(d, dtype=float),
+        phi = np.asarray(phi, dtype=float).reshape(1, -1, 1)
+        d = phi.shape[1]
+        return Explanation(np.array([base]), phi, np.arange(d, dtype=float)[None],
                            tuple(f"f{i}" for i in range(d)))
 
     def test_all_zero_phi_empty_entries(self):
-        fp = force_plot_data(self._explanation([0.0, 0.0]), 0)
+        fp = force_plot_data(self._explanation([0.0, 0.0]), 0, 0)
         assert fp.entries == ()
         assert fp.margin == pytest.approx(fp.base_value)
 
     def test_sorted_by_magnitude(self):
-        fp = force_plot_data(self._explanation([2.0, -1.0]), 0)
+        fp = force_plot_data(self._explanation([2.0, -1.0]), 0, 0)
         assert [e.name for e in fp.entries] == ["f0", "f1"]
         assert [e.sign for e in fp.entries] == [1, -1]
 
     def test_sum_identity(self):
         rng = np.random.default_rng(3)
         phi = rng.normal(size=5)
-        fp = force_plot_data(self._explanation(phi), 0)
+        fp = force_plot_data(self._explanation(phi), 0, 0)
         assert fp.base_value + sum(e.phi for e in fp.entries) == pytest.approx(fp.margin, abs=1e-6)
 
     def test_class_index_checked(self):
         with pytest.raises(IndexError):
-            force_plot_data(self._explanation([1.0]), 3)
+            force_plot_data(self._explanation([1.0]), 0, 3)
 
 
 def test_explanations_csv_shape():
@@ -520,4 +518,4 @@ def test_explanations_csv_shape():
     assert rows[0] == ["sample_id", "feature", "class", "value", "phi"]
     assert len(rows) == 1 + 4 * d * model.num_class
     # values round-trip exactly through repr
-    assert float(rows[1][4]) == exps[0].phi[0, 0]
+    assert float(rows[1][4]) == exps.phi[0, 0, 0]
