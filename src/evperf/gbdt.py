@@ -349,13 +349,14 @@ def _flatten(tree_docs: Iterable[dict]) -> NodeTable:
     right, make the next level. Subtree sizes, summed bottom-up, then give
     every node its pre-order position top-down. Raises ValueError naming
     the tree when a document lacks a key or holds a value that is not a
-    number.
+    number, or not an integer where one is due.
     """
     docs = list(tree_docs)
     tree_of = np.arange(len(docs))  # the tree of each node of the level
     level, class_index, round_index = _named(
-        lambda ds: ([d["root"] for d in ds], [int(d["class_index"]) for d in ds],
-                    [int(d["round"]) for d in ds]), docs, tree_of)
+        lambda ds: ([d["root"] for d in ds],
+                    _integers("class_index", [d["class_index"] for d in ds]),
+                    _integers("round", [d["round"] for d in ds])), docs, tree_of)
     # is_split, feature, threshold, gain, weight, cover of every node, in
     # level order
     columns: tuple[list, ...] = ([], [], [], [], [], [])
@@ -410,12 +411,20 @@ def _level(nodes: list) -> tuple[list, ...]:
     split = ["feature" in node for node in nodes]
     splits = [node for node, s in zip(nodes, split) if s]
     leaves = [node for node, s in zip(nodes, split) if not s]
-    return (split, [int(node["feature"]) for node in splits],
+    return (split, _integers("feature", [node["feature"] for node in splits]),
             [float(node["threshold"]) for node in splits],
             [float(node.get("gain", 0.0)) for node in splits],
             [float(node["weight"]) for node in leaves],
             [float(node["cover"]) for node in nodes],
             [child for node in splits for child in (node["left"], node["right"])])
+
+
+def _integers(name: str, values: list) -> list:
+    """values if each is a JSON integer, else ValueError: no float, string or bool is rounded."""
+    bad = [v for v in values if type(v) is not int]
+    if bad:
+        raise ValueError(f"{name} must be an integer, got {bad[0]!r}")
+    return values
 
 
 def _named(convert, items: list, tree_of: np.ndarray):
@@ -647,8 +656,9 @@ def _check_model(model: Ensemble) -> None:
 def model_from_dict(doc: dict) -> Ensemble:
     """The model a model.json document describes.
 
-    Raises ValueError naming what is wrong when a key is missing, the config
-    is not a TrainConfig, or ``_check_model`` rejects the model.
+    Raises ValueError naming what is wrong when a key is missing, num_class
+    is not an integer, trees or feature_names is not a list, the config is
+    not a TrainConfig, or ``_check_model`` rejects the model.
     """
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
@@ -657,6 +667,9 @@ def model_from_dict(doc: dict) -> Ensemble:
                if k not in doc]
     if missing:
         raise ValueError(f"model is missing key {missing[0]!r}")
+    for key in ("trees", "feature_names"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"model {key} is {type(doc[key]).__name__}, expected a list")
     try:
         cfg = TrainConfig(**doc["config"])
     except TypeError as exc:
@@ -670,7 +683,7 @@ def model_from_dict(doc: dict) -> Ensemble:
     model = Ensemble(
         trees=_flatten(doc["trees"]),
         base_score=np.asarray(doc["base_score"], dtype=float),
-        num_class=int(doc["num_class"]),
+        num_class=_integers("model num_class", [doc["num_class"]])[0],
         feature_names=tuple(doc["feature_names"]),
         config=cfg,
         scaler=scaler,

@@ -142,7 +142,13 @@ def _build_paths(model: Ensemble) -> _PathSet:
         node = node[t.feature[node] >= 0]
 
     leaf = np.flatnonzero(t.feature < 0)  # in pre-order, tree after tree
-    cls = t.class_index[np.searchsorted(t.root, leaf, side="right") - 1]
+    tree_of = np.searchsorted(t.root, leaf, side="right") - 1
+    # child over parent covers can overflow even when every cover is finite
+    overflow = ~np.isfinite(path[leaf, :, 3]).all(axis=1)
+    if overflow.any():
+        raise ModelInputError(f"model tree {int(tree_of[np.argmax(overflow)])} has a path whose "
+                              "zero fraction, a product of child over parent covers, is not finite")
+    cls = t.class_index[tree_of]
     base = model.base_score.astype(float).copy()
     groups = []
     for size in np.unique(length[leaf]):

@@ -235,12 +235,34 @@ class TestExplainCommand:
         (lambda doc, tree: _rightmost_leaf(tree["root"]).update(cover=-0.0), "node cover -0.0"),
         (lambda doc, tree: doc["config"].update(num_class=4),
          "model num_class 3 differs from its config's num_class 4"),
+        (lambda doc, tree: tree["root"].update(feature=tree["root"]["feature"] + 0.5),
+         "tree {index} is malformed: feature must be an integer"),
+        (lambda doc, tree: tree.update(round=tree["round"] + 0.9),
+         "tree {index} is malformed: round must be an integer"),
+        (lambda doc, tree: tree.update(class_index=tree["class_index"] + 0.5),
+         "tree {index} is malformed: class_index must be an integer"),
+        (lambda doc, tree: doc.update(num_class=str(doc["num_class"])),
+         "model num_class must be an integer, got '3'"),
+        (lambda doc, tree: doc.update(num_class=doc["num_class"] + 0.5),
+         "model num_class must be an integer, got 3.5"),
+        (lambda doc, tree: doc.update(trees=5), "model trees is int, expected a list"),
+        (lambda doc, tree: doc.update(trees=None), "model trees is NoneType, expected a list"),
+        (lambda doc, tree: doc.update(feature_names=5),
+         "model feature_names is int, expected a list"),
+        (lambda doc, tree: doc.update(feature_names=None),
+         "model feature_names is NoneType, expected a list"),
+        # both covers are finite, but their ratio overflows
+        (lambda doc, tree: (tree["root"].update(cover=1e-300),
+                            tree["root"]["left"].update(cover=1e300)),
+         "tree {index} has a path whose zero fraction"),
     ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
             "inf_leaf_weight", "missing_trees", "missing_config", "short_base_score",
             "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key",
             "nan_base_score", "inf_base_score", "inf_root_cover", "inf_leaf_cover",
             "duplicate_feature_name", "negative_leaf_cover", "negative_zero_leaf_cover",
-            "num_class_mismatch"])
+            "num_class_mismatch", "fractional_feature", "fractional_round",
+            "fractional_class_index", "string_num_class", "fractional_num_class", "int_trees",
+            "null_trees", "int_feature_names", "null_feature_names", "overflowing_zero_fraction"])
     def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit, message):
         doc = json.loads((trained_dir / "model.json").read_text())
         assert len(doc["feature_names"]) < 7 and doc["scaler"] is not None
@@ -252,7 +274,7 @@ class TestExplainCommand:
         code = run(["explain", "--synth", "--model", bad, "--out-dir", tmp_path / "x",
                     "--n-samples", "10", "--no-svg"])
         assert code == 2
-        assert (message or f"tree {index}") in capsys.readouterr().err
+        assert (message or "tree {index}").format(index=index) in capsys.readouterr().err
 
     def test_aliased_csv_without_acceleration(self, trained_dir, tmp_path):
         # explain needs only the model's features: a CSV with renamed headers,
