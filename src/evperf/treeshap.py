@@ -324,12 +324,12 @@ def explain_matrix(
     """The Explanation of every row of a feature matrix.
 
     Its values are raw_features, by default the features unscaled when the
-    model carries a scaler. For a path with L unique features (L <= max_depth), a batch of
-    at least 2^L rows costs O(2^L L^2) per path once, for a table over its
-    bit patterns, plus a gather of L values per row and path; a smaller
-    batch costs O(L^3) per row and path. Either way the work is done in
-    blocks of rows and paths whose temporaries stay bounded, and the path
-    set is built once per model.
+    model carries a scaler. For a path with L unique features
+    (L <= max_depth), a batch of at least 2^L rows costs O(2^L L^2) per path
+    once, for a table over its bit patterns, plus a gather of L values per
+    row and path; a smaller batch costs O(L^3) per row and path. Either way
+    the work is done in blocks of rows and paths whose temporaries stay
+    bounded, and the path set is built once per model.
     """
     features = check_features(model, features, 2)
     if raw_features is None and model.scaler is not None:
