@@ -136,7 +136,8 @@ def _build_paths(model: Ensemble) -> _PathSet:
         for child, bound, clip in ((t.left[node], 2, np.minimum), (t.right[node], 1, np.maximum)):
             merged = above.copy()
             merged[rows, slot, bound] = clip(above[rows, slot, bound], thr)
-            merged[rows, slot, 3] *= t.cover[child] / cover
+            with np.errstate(over="ignore", invalid="ignore"):  # rejected below, by name
+                merged[rows, slot, 3] *= t.cover[child] / cover
             path[child], length[child] = merged, length[node] + ~seen.any(axis=1)
         node = np.concatenate([t.left[node], t.right[node]])
         node = node[t.feature[node] >= 0]
