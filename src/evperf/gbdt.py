@@ -711,7 +711,7 @@ def _check_model(model: Ensemble) -> None:
     _check_table(model.trees, n_features, num_class)
 
 
-def _train_config(doc) -> TrainConfig:
+def _config_from_doc(doc) -> TrainConfig:
     """The TrainConfig of a model document's config, whose fields are checked by type.
 
     Int fields take JSON integers only, and float fields an integer or a
@@ -753,7 +753,7 @@ def model_from_dict(doc: dict) -> Ensemble:
     for key in ("trees", "feature_names"):
         if not isinstance(doc[key], list):
             raise ValueError(f"model {key} is {type(doc[key]).__name__}, expected a list")
-    cfg = _train_config(doc["config"])
+    cfg = _config_from_doc(doc["config"])
     scaler = doc.get("scaler")
     if scaler is not None:
         if not isinstance(scaler, dict):

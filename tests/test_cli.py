@@ -255,6 +255,17 @@ class TestExplainCommand:
         (lambda doc, tree: (tree["root"].update(cover=1e-300),
                             tree["root"]["left"].update(cover=1e300)),
          "tree {index} has a path whose zero fraction"),
+        (lambda doc, tree: doc.update(scaler=[1]),
+         "model scaler is list, expected an object or null"),
+        (lambda doc, tree: doc.update(config=[1]), "model config is list, expected an object"),
+        (lambda doc, tree: doc["config"].update(learning_rate=True),
+         "model config learning_rate must be a number, got True"),
+        (lambda doc, tree: doc["config"].update(learning_rate="0.1"),
+         "model config learning_rate must be a number, got '0.1'"),
+        (lambda doc, tree: doc["config"].update(n_rounds=float(doc["config"]["n_rounds"])),
+         "model config n_rounds must be an integer, got 8.0"),
+        (lambda doc, tree: doc["config"].update(max_depth=4.5),
+         "model config max_depth must be an integer, got 4.5"),
     ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
             "inf_leaf_weight", "missing_trees", "missing_config", "short_base_score",
             "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key",
@@ -262,7 +273,9 @@ class TestExplainCommand:
             "duplicate_feature_name", "negative_leaf_cover", "negative_zero_leaf_cover",
             "num_class_mismatch", "fractional_feature", "fractional_round",
             "fractional_class_index", "string_num_class", "fractional_num_class", "int_trees",
-            "null_trees", "int_feature_names", "null_feature_names", "overflowing_zero_fraction"])
+            "null_trees", "int_feature_names", "null_feature_names", "overflowing_zero_fraction",
+            "list_scaler", "list_config", "bool_learning_rate", "string_learning_rate",
+            "float_n_rounds", "fractional_max_depth"])
     def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit, message):
         doc = json.loads((trained_dir / "model.json").read_text())
         assert len(doc["feature_names"]) < 7 and doc["scaler"] is not None
@@ -275,6 +288,14 @@ class TestExplainCommand:
                     "--n-samples", "10", "--no-svg"])
         assert code == 2
         assert (message or "tree {index}").format(index=index) in capsys.readouterr().err
+
+    def test_model_document_not_an_object_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_text("[]")
+        code = run(["explain", "--synth", "--model", bad, "--out-dir", tmp_path / "x",
+                    "--n-samples", "10", "--no-svg"])
+        assert code == 2
+        assert "model document is list, expected an object" in capsys.readouterr().err
 
     def test_aliased_csv_without_acceleration(self, trained_dir, tmp_path):
         # explain needs only the model's features: a CSV with renamed headers,

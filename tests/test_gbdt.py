@@ -1,14 +1,15 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from evperf import gbdt
-from evperf.data import Dataset
+from evperf.data import Dataset, ScalerParams
 from evperf.gbdt import (
     HESS_EPS,
     Ensemble,
@@ -685,3 +686,118 @@ class TestPersistence:
     def test_version_check(self):
         with pytest.raises(ValueError, match="format version"):
             model_from_dict({"format_version": 99})
+
+
+def _oracle_doc(model):
+    """model.json's document as a dict per node, built recursively from the node table."""
+    columns = [getattr(model.trees, f.name).tolist() for f in fields(model.trees)]
+    feature, left, right, threshold, weight, cover, gain = columns[:7]
+
+    def node(i):
+        if feature[i] < 0:
+            return {"cover": cover[i], "weight": weight[i]}
+        return {"cover": cover[i], "feature": feature[i], "threshold": threshold[i],
+                "gain": gain[i], "left": node(left[i]), "right": node(right[i])}
+
+    scaler = model.scaler
+    return {
+        "format_version": gbdt.MODEL_FORMAT_VERSION,
+        "model_type": "evperf-gbdt",
+        "num_class": model.num_class,
+        "base_score": [float(b) for b in model.base_score],
+        "feature_names": list(model.feature_names),
+        "config": asdict(model.config),
+        "scaler": None if scaler is None else {"mean": [float(m) for m in scaler.mean],
+                                               "std": [float(s) for s in scaler.std]},
+        "trees": [{"round": r, "class_index": k, "root": node(i)}
+                  for i, k, r in zip(*columns[7:])],
+    }
+
+
+def _oracle_text(model):
+    return json.dumps(_oracle_doc(model), indent=1, sort_keys=True)
+
+
+def _with_columns(model, **columns):
+    """model with some node-table columns edited by functions of (column, split mask)."""
+    trees = model.trees
+    split = trees.feature >= 0
+    edited = {name: edit(getattr(trees, name).copy(), split) for name, edit in columns.items()}
+    return replace(model, trees=replace(trees, **edited))
+
+
+def _set(values, where, value):
+    values[where] = value
+    return values
+
+
+def _writer_cases():
+    ragged = _random_model(64, 0.4)
+    scaler = ScalerParams(mean=np.array([1.5, -0.0, 1e300]), std=np.array([2.0, 1e-300, 0.1]))
+    return {
+        "full_depth": _random_model(60, 0.0),
+        "ragged": ragged,
+        "leaf_only": _random_model(70, 1.0),
+        "nan_gain_inf_cover": _with_columns(
+            ragged, gain=lambda c, split: _set(c, np.flatnonzero(split)[[0, -1]], np.nan),
+            cover=lambda c, split: _set(_set(c, np.flatnonzero(split)[1], np.inf),
+                                        np.flatnonzero(~split)[3], -np.inf)),
+        "negative_zero": _with_columns(
+            ragged, threshold=lambda c, split: _set(c, split, -0.0),
+            weight=lambda c, split: _set(c, np.flatnonzero(~split)[::2], -0.0)),
+        "non_ascii_names": replace(ragged, feature_names=("Zellen", "größe_°C", "トルク")),
+        "scaler": replace(ragged, scaler=scaler),
+    }
+
+
+class TestWriter:
+    """save_model and model_to_dict against a dict-per-node serializer as the oracle."""
+
+    @pytest.mark.parametrize("case", list(_writer_cases()))
+    def test_matches_the_dict_serializer(self, case, tmp_path):
+        model = _writer_cases()[case]
+        expected = _oracle_text(model)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes() == expected.encode("utf-8")
+        # compared as text, since NaN is not equal to itself in a dict
+        assert json.dumps(model_to_dict(model), indent=1, sort_keys=True) == expected
+
+    def test_cases_reach_the_edges(self):
+        cases = _writer_cases()
+        assert np.all(cases["full_depth"].trees.feature[cases["full_depth"].trees.root] >= 0)
+        assert np.all(cases["leaf_only"].trees.feature == -1)
+        text = _oracle_text(cases["nan_gain_inf_cover"])
+        assert text.count('"gain": NaN') == 2
+        assert '"cover": Infinity' in text and '"cover": -Infinity' in text
+        assert '"threshold": -0.0' in _oracle_text(cases["negative_zero"])
+        assert "\\u00f6" in _oracle_text(cases["non_ascii_names"])
+
+    def test_zero_tree_model(self):
+        model = Ensemble(node_table([]), np.array([0.3, -0.3]), 2, ("a",), TrainConfig(num_class=2))
+        assert json.dumps(model_to_dict(model), indent=1, sort_keys=True) == _oracle_text(model)
+        assert model_to_dict(model)["trees"] == []
+
+
+class TestAtomicSave:
+    def test_failed_replace_keeps_the_previous_file(self, blob_dataset, tmp_path, monkeypatch):
+        old, new = (train(blob_dataset, TrainConfig(n_rounds=n)) for n in (2, 3))
+        path = tmp_path / "model.json"
+        save_model(old, path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            assert Path(src).read_text(encoding="utf-8") == _oracle_text(new)  # fully written
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(gbdt.os, "replace", fail)
+        with pytest.raises(OSError, match="disk gone"):
+            save_model(new, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_mode_matches_a_plain_file(self, blob_dataset, tmp_path):
+        save_model(train(blob_dataset, TrainConfig(n_rounds=1)), tmp_path / "model.json")
+        (tmp_path / "plain.json").write_text("{}")
+        assert ((tmp_path / "model.json").stat().st_mode
+                == (tmp_path / "plain.json").stat().st_mode)
