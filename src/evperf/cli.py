@@ -1,8 +1,9 @@
 """Command-line front end: train/cross-validate, explain, and synthesize.
 
 Subcommands write CSV data files (always) and SVG figures (toggleable) under
---out-dir with fixed names. Exit codes: 0 success, 1 internal error, 2 user
-or configuration error.
+--out-dir with fixed names, each through ``atomic_open``, so a failed run
+leaves no truncated file. Exit codes: 0 success, 1 internal error, 2 user or
+configuration error.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .data import (
 from .gbdt import (
     Ensemble,
     TrainConfig,
+    atomic_open,
     gain_importance,
     load_model,
     predict_margin_batch,
@@ -79,7 +81,8 @@ class Option:
 
     The flag is ``--`` plus the key with ``-`` for ``_``. A bool that defaults
     to True gets ``--key/--no-key``, one that defaults to False a bare ``--key``.
-    ``minimum`` is the least value an integer setting accepts.
+    ``minimum`` and ``maximum`` bound a number setting, and ``exclusive``
+    rejects ``minimum`` itself.
     """
 
     key: str
@@ -87,12 +90,31 @@ class Option:
     default: object
     commands: tuple[str, ...]
     help: str
-    minimum: int | None = None
+    minimum: float | None = None
+    maximum: float | None = None
+    exclusive: bool = False
 
     @property
     def dest(self) -> str:
         """argparse dest and RunConfig field: the key, with ``_`` after a Python keyword."""
         return self.key + "_" if keyword.iskeyword(self.key) else self.key
+
+    def range_error(self, value) -> str | None:
+        """Why value is out of the row's range, or None when it is in range.
+
+        NaN compares as in range; the configuration the value builds rejects it.
+        """
+        if self.minimum is None:
+            return None
+        low = value <= self.minimum if self.exclusive else value < self.minimum
+        high = self.maximum is not None and value > self.maximum
+        if not (low or high):
+            return None
+        if self.maximum is None:
+            bound = f"{'greater than' if self.exclusive else 'at least'} {self.minimum}"
+        else:
+            bound = f"in {'(' if self.exclusive else '['}{self.minimum}, {self.maximum}]"
+        return f"{self.key} must be {bound}, got {value}"
 
 
 _COMMANDS = {
@@ -114,10 +136,11 @@ OPTIONS = (
     Option("folds", int, 5, ("train",), "cross-validation folds", minimum=2),
     Option("rounds", int, TrainConfig.n_rounds, ("train",), "boosting rounds", minimum=1),
     Option("depth", int, TrainConfig.max_depth, ("train",), "max tree depth", minimum=1),
-    Option("eta", float, TrainConfig.learning_rate, ("train",), "learning rate"),
-    Option("lambda", float, TrainConfig.reg_lambda, ("train",), "L2 penalty"),
-    Option("alpha", float, TrainConfig.reg_alpha, ("train",), "L1 penalty"),
-    Option("gamma", float, TrainConfig.gamma, ("train",), "min split gain"),
+    Option("eta", float, TrainConfig.learning_rate, ("train",), "learning rate",
+           minimum=0, maximum=1, exclusive=True),
+    Option("lambda", float, TrainConfig.reg_lambda, ("train",), "L2 penalty", minimum=0),
+    Option("alpha", float, TrainConfig.reg_alpha, ("train",), "L1 penalty", minimum=0),
+    Option("gamma", float, TrainConfig.gamma, ("train",), "min split gain", minimum=0),
     Option("model", Path, None, ("explain",), "model JSON (default: <out-dir>/model.json)"),
     Option("feature", str, CELL_COUNT, ("explain",), "dependence-plot feature"),
     Option("swarm_samples", int, 60, ("explain",), "samples to include in interaction swarm data",
@@ -195,7 +218,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Resolve every OPTIONS row, then check what no single setting can.
 
     Each value comes from its flag, else the config file, else $EVPERF_SEED
-    (seed only), else its default, and must not be below the row's minimum.
+    (seed only), else its default, and must lie in the row's range.
     """
     file_cfg = _read_config_file(args.config) if args.config else {}
     if getattr(args, "input", None) is not None or getattr(args, "synth", None):
@@ -210,8 +233,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         elif value is None and opt.key == "seed" and os.environ.get(SEED_ENV_VAR):
             value = _coerce(SEED_ENV_VAR, os.environ[SEED_ENV_VAR], int)
         value = opt.default if value is None else value
-        if opt.minimum is not None and value < opt.minimum:
-            raise CliError(f"{opt.key} must be at least {opt.minimum}, got {value}")
+        error = opt.range_error(value)
+        if error:
+            raise CliError(error)
         values[opt.dest] = value
     run = RunConfig(command=args.command, **values)
 
@@ -248,7 +272,7 @@ def _load_records(run: RunConfig, schema: Sequence[str] = DEFAULT_SCHEMA) -> lis
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -262,7 +286,8 @@ def _emit_figure(run: RunConfig, kind: str, write_csv, render_svg) -> None:
     """Write <kind>.csv always and <kind>.svg when enabled."""
     write_csv(run.out_dir / f"{kind}.csv")
     if run.svg:
-        (run.out_dir / f"{kind}.svg").write_text(render_svg(), encoding="utf-8")
+        with atomic_open(run.out_dir / f"{kind}.svg") as fh:
+            fh.write(render_svg())
 
 
 def cmd_train(run: RunConfig) -> None:
@@ -278,10 +303,11 @@ def cmd_train(run: RunConfig) -> None:
         cfg,
     )
     save_model(final, run.out_dir / "model.json")
-    (run.out_dir / "metrics.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
+    with atomic_open(run.out_dir / "metrics.json") as fh:
+        fh.write(report_to_json(report) + "\n")
 
     def write_confusion(path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(path, newline="") as fh:
             confusion_to_csv(report.confusion, fh, CLASS_NAMES)
 
     _emit_figure(
@@ -320,7 +346,7 @@ def cmd_explain(run: RunConfig) -> None:
     explained = explain_matrix(model, x, raw)
     high = int(PerfClass.HIGH)
 
-    with open(run.out_dir / "shap_values.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(run.out_dir / "shap_values.csv", newline="") as fh:
         explanations_to_csv(explained, fh, class_names=CLASS_NAMES)
 
     gains = gain_importance(model)

@@ -44,9 +44,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -774,23 +775,39 @@ def model_from_dict(doc: dict) -> Ensemble:
     return model
 
 
-def save_model(model: Ensemble, path: str | Path) -> None:
-    """Write model.json; floats round-trip exactly via repr.
+@contextmanager
+def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """Open a UTF-8 text file that replaces ``path`` in one step once written.
 
-    Raises ValueError, before any file is opened, if ``_check_model``
-    rejects the model, so that every saved model loads. The text goes to a
-    temporary file beside ``path``, which then replaces ``path`` in one
-    step: an interrupted save leaves the previous file as it was.
+    The text goes to a temporary file beside ``path``, opened as a plain
+    ``open`` would, which ``os.replace`` moves over ``path`` when the block
+    ends without error. On any error the temporary file is removed instead,
+    so an interrupted write leaves the previous file as it was. Every file
+    the CLI writes goes through it.
     """
-    _check_model(model)
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temporary.write_text(_model_text(model), encoding="utf-8")
+        with open(temporary, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+
+
+def save_model(model: Ensemble, path: str | Path) -> None:
+    """Write model.json; floats round-trip exactly via repr.
+
+    Raises ValueError, before any file is opened, if ``_check_model``
+    rejects the model, so that every saved model loads. It is written
+    through ``atomic_open``: an interrupted save leaves the previous file as
+    it was.
+    """
+    _check_model(model)
+    text = _model_text(model)
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def load_model(path: str | Path) -> Ensemble:

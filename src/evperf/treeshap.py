@@ -8,12 +8,14 @@ repeated features merged; each path's attributions and pairwise interaction
 values are closed-form polynomials in its features' cover fractions and
 in-interval bits, evaluated for a batch of rows with numpy. A path depends on
 a row only through its L bits, so a batch of at least 2^L rows evaluates the
-path once per bit pattern and each row gathers its pattern's entry; the
-patterns' coefficients are built by doubling, bit after bit, in O(2^L L^2)
-for attributions. Smaller batches, such as one-row calls, evaluate the path
-per row, in O(L^3) per row. Both give the same bits. Attributions,
-interactions and base values all come from that one path set, which is
-built on first use and kept on the Ensemble. ``explain_matrix`` and
+path once per bit pattern and each row gathers its pattern's entry. The
+coefficients of the feature left out of an attribution (or the pair left
+out of an interaction) do not depend on its bits, so each exclusion's
+coefficients are built over the bits it keeps only, by doubling, bit after
+bit: O(2^(L-1) L^2) per path for attributions. Smaller batches, such as
+one-row calls, evaluate the path per row, in O(L^3) per row. Both give the
+same bits. Attributions, interactions and base values all come from that one
+path set, which is built on first use and kept on the Ensemble. ``explain_matrix`` and
 ``interaction_values`` take a batch of rows; one sample is a one-row batch
 (``shap_values(model, x).phi[0]`` and ``interaction_values(model,
 x[None])[0]``).
@@ -179,19 +181,35 @@ def _weights(m: int) -> np.ndarray:
                      for k in range(m)])
 
 
-def _weighted_products(zero, one, excluded, weights) -> np.ndarray:
+def _kept(length: int, *dropped: np.ndarray) -> np.ndarray:
+    """The path positions each exclusion keeps, shape (M, length - r).
+
+    Row m lists 0 .. length - 1 in ascending order, less the r positions
+    dropped[0][m] < dropped[1][m] < ...
+    """
+    kept = np.arange(length - len(dropped))
+    for position in dropped:
+        kept = kept + (kept >= position[:, None])
+    return kept
+
+
+def _weighted_products(zero, one, kept, weights) -> np.ndarray:
     """sum_k weights[k] e_k, e_k the t^k coefficients of prod (zero_j + one_j t).
 
-    The product runs over the features j of each path not marked in a row of
-    ``excluded``. zero (P, L), one (n, P, L) bool, excluded (M, L) bool;
+    Exclusion m's product runs over the path positions j in row m of
+    ``kept`` (M, L - r), in that order. zero (P, L), one (n, P, L) bool;
     returns (n, P, M). No product has more than len(weights) - 1 factors.
+    Running an excluded position too, as a factor 1.0 and a carried +0.0,
+    would give the same bits: both leave a coefficient >= +0 unchanged, and
+    no coefficient is below +0, as _build_paths admits no zero fraction
+    below +0.
     """
-    coef = np.zeros(one.shape[:2] + (len(excluded), len(weights)))
+    zero, one = zero[:, kept], one[:, :, kept]
+    coef = np.zeros(one.shape[:3] + (len(weights),))
     coef[..., 0] = 1.0
-    for j in range(zero.shape[1]):
-        keep = ~excluded[:, j]
-        carried = coef[..., :-1] * (one[:, :, j, None] & keep)[..., None]
-        coef *= np.where(keep, zero[:, j, None], 1.0)[..., None]
+    for j in range(kept.shape[1]):
+        carried = coef[..., :-1] * one[..., j, None]
+        coef *= zero[..., j, None]
         coef[..., 1:] += carried
     return (coef * weights).sum(axis=-1)
 
@@ -222,63 +240,70 @@ def _scatter(out: np.ndarray, r0: int, index: np.ndarray, values: np.ndarray) ->
     )
 
 
-def _pattern_products(zero, excluded, weights) -> np.ndarray:
-    """_weighted_products on all 2^L bit patterns, shape (2^L, P, M).
+def _pattern_products(zero, kept, weights) -> np.ndarray:
+    """_weighted_products on all 2^(L-r) patterns of the kept bits, shape (2^(L-r), P, M).
 
-    Pattern c sets o_j to bit j of c. Patterns that agree on bits below j
-    share their coefficients until step j, so step j scales the 2^j states
-    in place and writes the half with bit j set as those states plus the
-    carried term: 2^(L+1) state updates where _weighted_products makes
-    L 2^L. Every pattern goes through _weighted_products' float operations
-    in the same order, less the bit-clear half's additions of a carried
-    +0.0. Those leave a finite coefficient >= +0 unchanged, and no
-    coefficient is below +0, as _build_paths admits no zero fraction below
-    +0.
+    Pattern c sets the bit at position kept[m, j] to bit j of c. Patterns
+    that agree on bits below j share their coefficients until step j, so
+    step j scales the 2^j states in place and writes the half with bit j set
+    as those states plus the carried term: 2^(L-r+1) state updates where
+    _weighted_products makes (L - r) 2^(L-r). Each pattern goes through
+    _weighted_products' float operations in the same order, less the
+    bit-clear half's additions of a carried +0.0, which leave its
+    coefficients unchanged.
     """
-    n_paths, length = zero.shape
-    coef = np.empty((1 << length, n_paths, len(excluded), len(weights)))
+    zero = zero[:, kept]
+    n_kept = kept.shape[1]
+    coef = np.empty((1 << n_kept,) + zero.shape[:2] + (len(weights),))
     coef[0] = 0.0
     coef[0, ..., 0] = 1.0
-    for j in range(length):
-        keep = ~excluded[:, j]
+    for j in range(n_kept):
         state, half = coef[:1 << j], coef[1 << j:2 << j]
-        carried = state[..., :-1] * keep[:, None]
-        state *= np.where(keep, zero[:, j, None], 1.0)[..., None]
+        carried = state[..., :-1].copy()
+        state *= zero[..., j, None]
         half[...] = state
         half[..., 1:] += carried
     return (coef * weights).sum(axis=-1)
 
 
-def _table(zero, cols: slice, excluded, weights, values) -> np.ndarray:
+def _table(zero, cols: slice, kept, weights, values) -> np.ndarray:
     """values(cols, one, s) on all 2^L bit patterns, shape (2^L, paths, ...).
 
-    It is evaluated in path slices small enough that no coefficient tensor
-    exceeds _BLOCK elements (but for one path at least).
+    s gathers each pattern's entry of _pattern_products by the code of its
+    kept bits. It is evaluated in path slices small enough that no
+    coefficient tensor exceeds _BLOCK elements (but for one path at least).
     """
-    length = zero.shape[1]
+    length, n_kept = zero.shape[1], kept.shape[1]
     n = 1 << length
-    patterns = (np.arange(n)[:, None] >> np.arange(length) & 1).astype(bool)
-    step = max(1, _BLOCK // (n * len(excluded) * len(weights)))
+    codes = np.arange(n)
+    patterns = (codes[:, None] >> np.arange(length) & 1).astype(bool)
+    # packed[c, m]: the code of full code c's kept bits for exclusion m
+    packed = ((codes[:, None, None] >> kept & 1) << np.arange(n_kept)).sum(axis=-1)
+    m = len(kept)
+    step = max(1, _BLOCK // ((1 << n_kept) * m * len(weights)))
     parts = []
     for p0 in range(cols.start, cols.stop, step):
         sub = slice(p0, min(p0 + step, cols.stop))
-        one = np.broadcast_to(patterns[:, None], (n, sub.stop - p0, length))
-        parts.append(values(sub, one, _pattern_products(zero[sub], excluded, weights)))
+        n_sub = sub.stop - p0
+        one = np.broadcast_to(patterns[:, None], (n, n_sub, length))
+        # entry (c, p, m) of the flat (2^(L-r), n_sub, M) products
+        flat = (packed * n_sub * m + np.arange(m))[:, None] + np.arange(n_sub)[:, None] * m
+        parts.append(values(sub, one, np.take(_pattern_products(zero[sub], kept, weights), flat)))
     return np.concatenate(parts, axis=1)
 
 
-def _accumulate(out, group: _PathGroup, x: np.ndarray, excluded, weights, index, values) -> None:
+def _accumulate(out, group: _PathGroup, x: np.ndarray, kept, weights, index, values) -> None:
     """Add every path's contributions for the rows of x into out.
 
     values(cols, one, s) gives the contributions of the paths in cols, from
-    their in-interval bits one and s = _weighted_products(zero, one,
-    excluded, weights); index (P, M) holds their flat positions in a row of
-    out. A batch of at least 2^L rows evaluates them once per bit pattern
+    their in-interval bits one and s = _weighted_products(zero, one, kept,
+    weights); index (P, M) holds their flat positions in a row of out. A
+    batch of at least 2^L rows evaluates them once per bit pattern
     (``_table``) and gathers each row's entry by its code sum_j o_j 2^j; a
     smaller one evaluates them per row.
     """
     length, n_paths = group.feature.shape[1], len(group.value)
-    per_pair = len(excluded) * len(weights)
+    per_pair = len(kept) * len(weights)
     # path slices depend only on the group, so every row sums its paths in the
     # same order whatever the batch and branch, and one-row calls repeat batch
     # rows exactly
@@ -286,10 +311,10 @@ def _accumulate(out, group: _PathGroup, x: np.ndarray, excluded, weights, index,
     for cols in (slice(p0, min(p0 + width, n_paths)) for p0 in range(0, n_paths, width)):
         if x.shape[0] < 1 << length:
             for r0, one in _bits(group, x, cols, per_pair):
-                s = _weighted_products(group.zero[cols], one, excluded, weights)
+                s = _weighted_products(group.zero[cols], one, kept, weights)
                 _scatter(out, r0, index[cols], values(cols, one, s))
             continue
-        table = _table(group.zero, cols, excluded, weights, values)
+        table = _table(group.zero, cols, kept, weights, values)
         n_cols, m = table.shape[1:]
         # row c * n_cols + p of the flat table is path p's entry for code c
         table = table.reshape(-1, m)
@@ -304,7 +329,7 @@ def _phi(model: Ensemble, x: np.ndarray) -> np.ndarray:
     out = np.zeros((x.shape[0], d, k))
     for g in _paths(model).groups:
         length = g.feature.shape[1]
-        _accumulate(out, g, x, np.eye(length, dtype=bool), _weights(length),
+        _accumulate(out, g, x, _kept(length, np.arange(length)), _weights(length),
                     g.feature * k + g.class_index[:, None],
                     lambda cols, one, s: g.value[cols, None] * (one - g.zero[cols]) * s)
     return out
@@ -326,9 +351,9 @@ def explain_matrix(
 
     Its values are raw_features, by default the features unscaled when the
     model carries a scaler. For a path with L unique features
-    (L <= max_depth), a batch of at least 2^L rows costs O(2^L L^2) per path
-    once, for a table over its bit patterns, plus a gather of L values per
-    row and path; a smaller batch costs O(L^3) per row and path. Either way
+    (L <= max_depth), a batch of at least 2^L rows costs O(2^(L-1) L^2) per
+    path once, for a table over its bit patterns, plus a gather of L values
+    per row and path; a smaller batch costs O(L^3) per row and path. Either way
     the work is done in blocks of rows and paths whose temporaries stay
     bounded, and the path set is built once per model.
     """
@@ -351,8 +376,8 @@ def interaction_values(model: Ensemble, x: np.ndarray, phi: np.ndarray | None = 
     Diagonals absorb the remainder, making every row sum equal the rows'
     attributions ``phi`` (n, d, num_class), which are computed when not
     given; the base value is explain_matrix's. For a path with L
-    unique features, a batch of at least 2^L rows costs O(2^L L^3) per path
-    once, for a table over the bit patterns, plus a gather per row; a
+    unique features, a batch of at least 2^L rows costs O(2^(L-2) L^3) per
+    path once, for a table over the bit patterns, plus a gather per row; a
     smaller batch costs O(L^4) per row and path. One sample is a one-row
     batch: ``interaction_values(model, x[None])[0]``.
     """
@@ -368,13 +393,12 @@ def interaction_values(model: Ensemble, x: np.ndarray, phi: np.ndarray | None = 
         if length < 2:
             continue
         first, second = np.triu_indices(length, 1)
-        eye = np.eye(length, dtype=bool)
 
         def values(cols, one, s):
             delta = one - g.zero[cols]
             return 0.5 * g.value[cols, None] * delta[..., first] * delta[..., second] * s
 
-        _accumulate(upper, g, x, eye[first] | eye[second], _weights(length - 1),
+        _accumulate(upper, g, x, _kept(length, first, second), _weights(length - 1),
                     (g.feature[:, first] * d + g.feature[:, second]) * k + g.class_index[:, None],
                     values)
     # paths list their features in any order, so each pair may land on either

@@ -3,7 +3,9 @@
 Direct exponential-time evaluations of the Shapley value and Shapley
 interaction definitions, by recursion over an ensemble's node table. They
 share no code with evperf.treeshap's path set, so agreement with them checks
-that code independently.
+that code independently. ``masked_weighted_products`` is the reference for
+the path-polynomial helpers: it runs every path position and masks the
+excluded ones.
 """
 
 from __future__ import annotations
@@ -109,3 +111,20 @@ def brute_force_interactions(model: Ensemble, x: np.ndarray) -> np.ndarray:
     for i in range(d):
         phi_ij[i, i] = phi[i] - phi_ij[i].sum(axis=0)
     return phi_ij
+
+
+def masked_weighted_products(zero, one, excluded, weights) -> np.ndarray:
+    """sum_k weights[k] e_k, e_k the t^k coefficients of prod (zero_j + one_j t).
+
+    The product runs over the features j of each path not marked in a row of
+    ``excluded``: an excluded step multiplies by 1.0 and carries +0.0.
+    zero (P, L), one (n, P, L) bool, excluded (M, L) bool; returns (n, P, M).
+    """
+    coef = np.zeros(one.shape[:2] + (len(excluded), len(weights)))
+    coef[..., 0] = 1.0
+    for j in range(zero.shape[1]):
+        keep = ~excluded[:, j]
+        carried = coef[..., :-1] * (one[:, :, j, None] & keep)[..., None]
+        coef *= np.where(keep, zero[:, j, None], 1.0)[..., None]
+        coef[..., 1:] += carried
+    return (coef * weights).sum(axis=-1)

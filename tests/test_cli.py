@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import os
 import re
 from pathlib import Path
 
@@ -351,6 +352,31 @@ class TestExplainCommand:
         assert abs(base + contributions - margin) < 1e-6
 
 
+@pytest.mark.parametrize("argv, artifact", [
+    (["train", "--synth", *FAST], "metrics.json"),
+    (["explain", "--synth", "--n-samples", "20", "--swarm-samples", "2"], "shap_swarm.csv"),
+], ids=["train_metrics", "explain_swarm_csv"])
+def test_failed_replace_keeps_the_previous_artifact(trained_dir, tmp_path, capsys, monkeypatch,
+                                                     argv, artifact):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / artifact).write_bytes(b"previous run\r\n")
+    model = ["--model", trained_dir / "model.json"] if argv[0] == "explain" else []
+    replace = os.replace
+
+    def fail_on_artifact(src, dst):
+        if Path(dst).name == artifact:
+            assert Path(src).stat().st_size > 0  # fully written
+            raise OSError("disk gone")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_artifact)
+    assert run([*argv, *model, "--out-dir", out]) == 2
+    assert "disk gone" in capsys.readouterr().err
+    assert (out / artifact).read_bytes() == b"previous run\r\n"
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
 class TestConfigResolution:
     def test_config_file_supplies_values(self, tmp_path):
         cfg = tmp_path / "run.ini"
@@ -435,10 +461,24 @@ class TestConfigResolution:
          "model.json"),
         (["synth", "--n-samples", "0"], None, "n_samples must be at least 1, got 0",
          "synthetic.csv"),
+        (["train", "--synth", *FAST, "--eta", "0"], None, "eta must be in (0, 1], got 0.0",
+         "model.json"),
+        (["train", "--synth", *FAST, "--eta", "1.5"], None, "eta must be in (0, 1], got 1.5",
+         "model.json"),
+        (["train", "--synth", *FAST, "--eta=-inf"], None, "eta must be in (0, 1], got -inf",
+         "model.json"),
+        (["train", "--synth", *FAST, "--lambda", "-1"], None,
+         "lambda must be at least 0, got -1.0", "model.json"),
+        (["train", "--synth", *FAST, "--alpha", "-0.5"], None,
+         "alpha must be at least 0, got -0.5", "model.json"),
+        (["train", "--synth", *FAST, "--gamma", "-2"], None,
+         "gamma must be at least 0, got -2.0", "model.json"),
     ], ids=["synth_noise_nan", "synth_noise_overflow", "train_lambda_nan", "train_lambda_inf",
             "train_alpha_nan", "train_gamma_nan", "explain_swarm_negative", "synth_seed_negative",
             "train_env_seed_negative", "synth_env_seed_not_int", "train_folds_1", "train_rounds_0",
-            "train_depth_0", "synth_n_samples_0"])
+            "train_depth_0", "synth_n_samples_0", "train_eta_0", "train_eta_above_1",
+            "train_eta_minus_inf", "train_lambda_negative", "train_alpha_negative",
+            "train_gamma_negative"])
     def test_out_of_range_value_exit_2(self, trained_dir, tmp_path, capsys, monkeypatch, argv,
                                        env_seed, message, artifact):
         monkeypatch.delenv("EVPERF_SEED", raising=False)
@@ -457,6 +497,13 @@ class TestConfigResolution:
         cfg.write_text("[run]\nseed = -4\n")
         assert run(["synth", "--config", cfg, "--out-dir", tmp_path / "out"]) == 2
         assert "seed must be at least 0, got -4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_float_out_of_range_in_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[train]\neta = 0\n")
+        assert run(["train", "--synth", "--config", cfg, "--out-dir", tmp_path / "out"]) == 2
+        assert "eta must be in (0, 1], got 0.0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, key", [("round = 3", "round"), ("out-dir = x", "out-dir")],

@@ -29,7 +29,7 @@ from evperf.treeshap import (
     shap_values,
 )
 
-from shap_oracles import brute_force_interactions, brute_force_shapley
+from shap_oracles import brute_force_interactions, brute_force_shapley, masked_weighted_products
 
 
 def make_model(trees, base, d, eta=0.3):
@@ -434,32 +434,63 @@ class TestTableBranch:
         zero[rng.random(zero.shape) < 0.2] = 0.0
         patterns = (np.arange(1 << length)[:, None] >> np.arange(length) & 1).astype(bool)
         one = np.broadcast_to(patterns[:, None], (1 << length, 5, length))
-        eye = np.eye(length, dtype=bool)
         first, second = np.triu_indices(length, 1)
-        cases = [(eye, treeshap._weights(length))]
+        cases = [(treeshap._kept(length, np.arange(length)), treeshap._weights(length))]
         if length > 1:
-            cases.append((eye[first] | eye[second], treeshap._weights(length - 1)))
-        for excluded, weights in cases:
-            table = treeshap._pattern_products(zero, excluded, weights)
-            per_row = treeshap._weighted_products(zero, one, excluded, weights)
+            cases.append((treeshap._kept(length, first, second), treeshap._weights(length - 1)))
+        for kept, weights in cases:
+            per_row = treeshap._weighted_products(zero, one, kept, weights)
+            table = treeshap._table(zero, slice(0, 5), kept, weights, lambda cols, one, s: s)
             assert np.array_equal(table, per_row)
             assert np.array_equal(np.signbit(table), np.signbit(per_row))
+
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_product_helpers_equal_masked_oracle(self, length):
+        rng = np.random.default_rng(100 + length)
+        zero = rng.uniform(0.0, 1.0, size=(7, length))
+        zero[rng.random(zero.shape) < 0.25] = 0.0
+        zero[0] = 0.0
+        patterns = (np.arange(1 << length)[:, None] >> np.arange(length) & 1).astype(bool)
+        one = np.broadcast_to(patterns[:, None], (1 << length, 7, length))
+        eye = np.eye(length, dtype=bool)
+        first, second = np.triu_indices(length, 1)
+        cases = [(eye, treeshap._kept(length, np.arange(length)), treeshap._weights(length))]
+        if length > 1:
+            cases.append((eye[first] | eye[second], treeshap._kept(length, first, second),
+                          treeshap._weights(length - 1)))
+        for excluded, kept, weights in cases:
+            # row m of kept lists the positions excluded[m] leaves, ascending
+            assert kept.shape == (len(excluded), length - excluded[0].sum())
+            for row, mask in zip(kept, excluded):
+                assert np.array_equal(row, np.flatnonzero(~mask))
+            expected = masked_weighted_products(zero, one, excluded, weights)
+            per_row = treeshap._weighted_products(zero, one, kept, weights)
+            assert np.array_equal(per_row, expected)
+            assert np.array_equal(np.signbit(per_row), np.signbit(expected))
+            table = treeshap._pattern_products(zero, kept, weights)
+            assert table.shape == (1 << kept.shape[1], 7, len(kept))
+            for m, positions in enumerate(kept):
+                # pattern c of exclusion m's kept bits, as a full code
+                code = (np.arange(len(table))[:, None] >> np.arange(len(positions)) & 1) @ (
+                    1 << positions)
+                assert np.array_equal(table[:, :, m], expected[code, :, m])
+                assert np.array_equal(np.signbit(table[:, :, m]), np.signbit(expected[code, :, m]))
 
     def test_coefficient_tensors_stay_bounded(self, default_fleet, monkeypatch):
         # per helper: (coefficient tensor elements, paths) of every call
         sizes = {"_weighted_products": [], "_pattern_products": []}
         per_row, table = treeshap._weighted_products, treeshap._pattern_products
 
-        def recording_per_row(zero, one, excluded, weights):
+        def recording_per_row(zero, one, kept, weights):
             rows, paths = one.shape[:2]
-            sizes["_weighted_products"].append((rows * paths * len(excluded) * len(weights), paths))
-            return per_row(zero, one, excluded, weights)
+            sizes["_weighted_products"].append((rows * paths * len(kept) * len(weights), paths))
+            return per_row(zero, one, kept, weights)
 
-        def recording_table(zero, excluded, weights):
-            paths, length = zero.shape
-            sizes["_pattern_products"].append(((1 << length) * paths * len(excluded) * len(weights),
-                                               paths))
-            return table(zero, excluded, weights)
+        def recording_table(zero, kept, weights):
+            paths = zero.shape[0]
+            sizes["_pattern_products"].append(
+                ((1 << kept.shape[1]) * paths * len(kept) * len(weights), paths))
+            return table(zero, kept, weights)
 
         monkeypatch.setattr(treeshap, "_weighted_products", recording_per_row)
         monkeypatch.setattr(treeshap, "_pattern_products", recording_table)

@@ -11,6 +11,9 @@ is reversed on every other seed, so a drift of the machine's speed falls on
 both sides alike. Each file holds the result lines together with the
 checkout's git commit, the Python and numpy versions and the number of usable
 CPUs. perfbench's own defaults govern everything but the workload and seed.
+``--traced WORKLOADS`` adds one ``--trace 1`` run of each named workload per
+checkout, on the first seed, for its per-layer metrics; those runs go under
+the file's ``traced`` key, apart from the end-to-end ``runs``.
 If any run exits non-zero or prints no result line, no file is written and
 the exit code is 1, so a trajectory point only ever holds complete runs.
 """
@@ -65,9 +68,11 @@ def machine() -> dict:
             "machine": platform.machine()}
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: bool = False) -> dict:
     """One perfbench run; its JSON result line, or None with the exit code."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    if trace:
+        cmd += ["--trace", "1"]
     started = time.time()
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     result = None
@@ -88,6 +93,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated perfbench workloads (default: synth_fleet)")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-9"),
                         help="seeds such as 0-9 or 0,3,7 (default: 0-9)")
+    parser.add_argument("--traced", default="", metavar="WORKLOADS",
+                        help="comma-separated workloads to run once more per checkout, on the "
+                             "first seed, with --trace 1 (default: none)")
     args = parser.parse_args(argv)
     tags = [tag for tag, _ in args.checkout]
     if len(set(tags)) != len(tags):
@@ -98,17 +106,24 @@ def main(argv: list[str] | None = None) -> int:
         tag: {"tag": tag, **git_commit(path), **host, "runs": []}
         for tag, path in args.checkout
     }
+    if args.traced:
+        for doc in records.values():
+            doc["traced"] = []
+    schedule = [(workload, seed, "runs") for workload in args.workloads.split(",")
+                for seed in args.seeds]
+    schedule += [(workload, args.seeds[0], "traced")
+                 for workload in args.traced.split(",") if workload]
     failed = 0
-    for workload in args.workloads.split(","):
-        for n, seed in enumerate(args.seeds):
-            order = args.checkout if n % 2 == 0 else args.checkout[::-1]
-            for tag, path in order:
-                run = run_once(path, workload, seed)
-                records[tag]["runs"].append(run)
-                ok = run["returncode"] == 0 and run["result"] is not None
-                failed += not ok
-                status = "ok" if ok else f"FAILED (exit {run['returncode']})"
-                print(f"{workload} seed {seed} {tag}: {status}", file=sys.stderr)
+    for n, (workload, seed, key) in enumerate(schedule):
+        order = args.checkout if n % 2 == 0 else args.checkout[::-1]
+        for tag, path in order:
+            run = run_once(path, workload, seed, trace=key == "traced")
+            records[tag][key].append(run)
+            ok = run["returncode"] == 0 and run["result"] is not None
+            failed += not ok
+            status = "ok" if ok else f"FAILED (exit {run['returncode']})"
+            print(f"{workload} seed {seed} {tag}{' traced' * (key == 'traced')}: {status}",
+                  file=sys.stderr)
 
     if failed:
         print(f"{failed} run(s) failed; no BENCH file written", file=sys.stderr)
