@@ -286,7 +286,7 @@ def _table(zero, cols: slice, kept, weights, values) -> np.ndarray:
         sub = slice(p0, min(p0 + step, cols.stop))
         n_sub = sub.stop - p0
         one = np.broadcast_to(patterns[:, None], (n, n_sub, length))
-        # entry (c, p, m) of the flat (2^(L-r), n_sub, M) products
+        # flat[c, p, m]: the offset of entry (packed[c, m], p, m) of the products
         flat = (packed * n_sub * m + np.arange(m))[:, None] + np.arange(n_sub)[:, None] * m
         parts.append(values(sub, one, np.take(_pattern_products(zero[sub], kept, weights), flat)))
     return np.concatenate(parts, axis=1)
