@@ -99,22 +99,20 @@ class Option:
         """argparse dest and RunConfig field: the key, with ``_`` after a Python keyword."""
         return self.key + "_" if keyword.iskeyword(self.key) else self.key
 
-    def range_error(self, value) -> str | None:
-        """Why value is out of the row's range, or None when it is in range.
+    def check_range(self, value) -> None:
+        """Raise CliError if value is out of the row's range.
 
         NaN compares as in range; the configuration the value builds rejects it.
         """
         if self.minimum is None:
-            return None
+            return
         low = value <= self.minimum if self.exclusive else value < self.minimum
-        high = self.maximum is not None and value > self.maximum
-        if not (low or high):
-            return None
-        if self.maximum is None:
-            bound = f"{'greater than' if self.exclusive else 'at least'} {self.minimum}"
-        else:
-            bound = f"in {'(' if self.exclusive else '['}{self.minimum}, {self.maximum}]"
-        return f"{self.key} must be {bound}, got {value}"
+        if low or (self.maximum is not None and value > self.maximum):
+            if self.maximum is None:
+                bound = f"{'greater than' if self.exclusive else 'at least'} {self.minimum}"
+            else:
+                bound = f"in {'(' if self.exclusive else '['}{self.minimum}, {self.maximum}]"
+            raise CliError(f"{self.key} must be {bound}, got {value}")
 
 
 _COMMANDS = {
@@ -233,9 +231,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         elif value is None and opt.key == "seed" and os.environ.get(SEED_ENV_VAR):
             value = _coerce(SEED_ENV_VAR, os.environ[SEED_ENV_VAR], int)
         value = opt.default if value is None else value
-        error = opt.range_error(value)
-        if error:
-            raise CliError(error)
+        opt.check_range(value)
         values[opt.dest] = value
     run = RunConfig(command=args.command, **values)
 
