@@ -23,7 +23,7 @@ print("== synthetic fleet ==")
 for name, count in zip(CLASS_NAMES, counts):
     print(f"{name:>5s}: {count:3d} vehicles")
 
-config = TrainConfig(n_rounds=120)
+config = TrainConfig()
 print(f"\ncross-validating ({config.n_rounds} rounds, depth {config.max_depth}, 5 folds)...")
 report = cross_validate(dataset, config, k=5, seed=0)
 

@@ -38,7 +38,7 @@ dataset = synth_dataset(saturation_synth_config())
 scaler = fit_scaler(dataset.features)
 scaled = apply_scaler(dataset.features, scaler)
 model = train(Dataset(scaled, dataset.labels, dataset.feature_names, scaler=scaler),
-              TrainConfig(n_rounds=120))
+              TrainConfig())
 
 print("computing exact attributions for all samples (margin space)...")
 explained = explain_matrix(model, scaled, dataset.features)

@@ -47,6 +47,7 @@ from .gbdt import (
     save_model,
     softmax,
     split_gain,
+    staged_margins,
     train,
 )
 from .metrics import (
@@ -57,6 +58,7 @@ from .metrics import (
     mcc,
     mlogloss,
     roc_auc_ovr_macro,
+    round_curve,
 )
 from .physics import (
     PackConfig,

@@ -13,6 +13,7 @@ import configparser
 import csv
 import keyword
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, make_dataclass
@@ -82,7 +83,7 @@ class Option:
     The flag is ``--`` plus the key with ``-`` for ``_``. A bool that defaults
     to True gets ``--key/--no-key``, one that defaults to False a bare ``--key``.
     ``minimum`` and ``maximum`` bound a number setting, and ``exclusive``
-    rejects ``minimum`` itself.
+    rejects ``minimum`` itself; a float setting with a range must be finite.
     """
 
     key: str
@@ -100,9 +101,11 @@ class Option:
         return self.key + "_" if keyword.iskeyword(self.key) else self.key
 
     def check_range(self, value) -> None:
-        """Raise CliError if value is out of the row's range.
+        """Raise CliError if value is out of the row's range, or is a NaN or infinite float.
 
-        NaN compares as in range; the configuration the value builds rejects it.
+        The bounds are checked first, so an infinity beyond one reads as out
+        of range; NaN, which every comparison passes, and an unbounded
+        infinity read as not finite.
         """
         if self.minimum is None:
             return
@@ -113,6 +116,8 @@ class Option:
             else:
                 bound = f"in {'(' if self.exclusive else '['}{self.minimum}, {self.maximum}]"
             raise CliError(f"{self.key} must be {bound}, got {value}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliError(f"{self.key} must be finite, got {value}")
 
 
 _COMMANDS = {

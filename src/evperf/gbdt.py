@@ -73,7 +73,8 @@ class TrainConfig:
     whose children carry too little Hessian mass.
     """
 
-    n_rounds: int = 200
+    # near the lowest pooled held-out mlogloss of default fleets; see tools/round_curves.py
+    n_rounds: int = 30
     learning_rate: float = 0.1
     max_depth: int = 4
     reg_lambda: float = 1.0
@@ -422,10 +423,10 @@ def _level(nodes: list) -> tuple[list, ...]:
     splits = [node for node, s in zip(nodes, split) if s]
     leaves = [node for node, s in zip(nodes, split) if not s]
     return (split, _integers("feature", [node["feature"] for node in splits]),
-            [float(node["threshold"]) for node in splits],
-            [float(node.get("gain", 0.0)) for node in splits],
-            [float(node["weight"]) for node in leaves],
-            [float(node["cover"]) for node in nodes],
+            _numbers("threshold", [node["threshold"] for node in splits]),
+            _numbers("gain", [node.get("gain", 0.0) for node in splits]),
+            _numbers("weight", [node["weight"] for node in leaves]),
+            _numbers("cover", [node["cover"] for node in nodes]),
             [child for node in splits for child in (node["left"], node["right"])])
 
 
@@ -435,6 +436,21 @@ def _integers(name: str, values: list) -> list:
     if bad:
         raise ValueError(f"{name} must be an integer, got {bad[0]!r}")
     return values
+
+
+def _numbers(name: str, values: list) -> list:
+    """values if each is a JSON number, else ValueError: no string or bool is converted."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise ValueError(f"{name} must be a number, got {bad!r}")
+    return values
+
+
+def _number_array(name: str, values) -> np.ndarray:
+    """A model document's list of JSON numbers as floats, else ValueError naming it."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} is {type(values).__name__}, expected a list")
+    return np.array(_numbers(name, values), dtype=float)
 
 
 def _named(convert, items: list, tree_of: np.ndarray):
@@ -546,6 +562,24 @@ def predict_margin_batch(model: Ensemble, x: np.ndarray) -> np.ndarray:
     # adds tree by tree, in order, so each margin is the same sum in any batch
     np.add.at(margins, (slice(None), trees.class_index), outputs)
     return margins
+
+
+def staged_margins(model: Ensemble, x: np.ndarray) -> np.ndarray:
+    """Per-class margins after each boosting round, shape (n, n_rounds, num_class).
+
+    base_score comes first and one cumulative sum runs over the rounds, so
+    each margin is predict_margin_batch's sum of the same trees in the same
+    order: the prefix at round r equals the margins of the model's first r
+    rounds, and the last round equals predict_margin_batch(model, x) bit for
+    bit.
+    """
+    x = check_features(model, x, 2)
+    trees = model.trees
+    steps = np.zeros((x.shape[0], model.config.n_rounds + 1, model.num_class))
+    steps[:, 0] = model.base_score
+    np.add.at(steps, (slice(None), trees.round_index + 1, trees.class_index),
+              model.config.learning_rate * trees.weight[_leaves(trees, x)])
+    return np.cumsum(steps, axis=1)[:, 1:]
 
 
 def predict_proba_batch(model: Ensemble, x: np.ndarray) -> np.ndarray:
@@ -739,7 +773,8 @@ def model_from_dict(doc: dict) -> Ensemble:
 
     Raises ValueError naming what is wrong when the document or its scaler
     is not an object, a key is missing, num_class is not an integer, trees
-    or feature_names is not a list, the config is not a TrainConfig, or
+    or feature_names is not a list, base_score or the scaler's mean or std
+    is not a list of numbers, the config is not a TrainConfig, or
     ``_check_model`` rejects the model.
     """
     if not isinstance(doc, dict):
@@ -760,12 +795,12 @@ def model_from_dict(doc: dict) -> Ensemble:
         if not isinstance(scaler, dict):
             raise ValueError(f"model scaler is {type(scaler).__name__}, expected an object or null")
         scaler = ScalerParams(  # a missing mean or std reads as empty
-            mean=np.asarray(scaler.get("mean", ()), dtype=float),
-            std=np.asarray(scaler.get("std", ()), dtype=float),
+            mean=_number_array("model scaler mean", scaler.get("mean", [])),
+            std=_number_array("model scaler std", scaler.get("std", [])),
         )
     model = Ensemble(
         trees=_flatten(doc["trees"]),
-        base_score=np.asarray(doc["base_score"], dtype=float),
+        base_score=_number_array("model base_score", doc["base_score"]),
         num_class=_integers("model num_class", [doc["num_class"]])[0],
         feature_names=tuple(doc["feature_names"]),
         config=cfg,

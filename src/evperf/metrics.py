@@ -5,12 +5,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from .data import DataError, Dataset, apply_scaler, fit_scaler, stratified_kfold
-from .gbdt import Ensemble, TrainConfig, predict_proba_batch, train
+from .gbdt import Ensemble, TrainConfig, predict_proba_batch, softmax, staged_margins, train
 
 PROB_CLAMP = 1e-15
 
@@ -138,12 +138,13 @@ def evaluate(probs: np.ndarray, y_true: Sequence[int], num_class: int) -> tuple[
     return scores, cm
 
 
-def cross_validate(dataset: Dataset, cfg: TrainConfig, k: int = 5, seed: int = 0) -> MetricsReport:
-    """Stratified k-fold evaluation with leakage-free scaling.
+def _fold_models(dataset: Dataset, cfg: TrainConfig, k: int,
+                 seed: int) -> Iterator[tuple[np.ndarray, Ensemble, np.ndarray]]:
+    """Each stratified fold's validation mask, the model fitted without it, and its rows.
 
     Each fold fits its own scaler on the training split before transforming
-    both splits. Validation predictions are pooled across folds into the
-    headline report; per-fold metrics ride along. Deterministic given seed.
+    both splits, so no validation statistic leaks into training. Raises
+    DataError when a class has fewer than k samples.
     """
     y = dataset.labels
     counts = np.bincount(y, minlength=cfg.num_class)
@@ -153,8 +154,6 @@ def cross_validate(dataset: Dataset, cfg: TrainConfig, k: int = 5, seed: int = 0
             f"class {int(too_small[0])} has {int(counts[too_small[0]])} samples, fewer than k={k}"
         )
     folds = stratified_kfold(y, k, seed)
-    pooled = np.zeros((dataset.n_samples, cfg.num_class))
-    fold_metrics = []
     for f in range(k):
         val = folds == f
         tr = ~val
@@ -164,12 +163,39 @@ def cross_validate(dataset: Dataset, cfg: TrainConfig, k: int = 5, seed: int = 0
         model = train(
             Dataset(x_tr, y[tr], dataset.feature_names, scaler=scaler), cfg
         )
+        yield val, model, x_val
+
+
+def cross_validate(dataset: Dataset, cfg: TrainConfig, k: int = 5, seed: int = 0) -> MetricsReport:
+    """Stratified k-fold evaluation with leakage-free scaling.
+
+    Validation predictions are pooled across folds into the headline report;
+    per-fold metrics ride along. Deterministic given seed.
+    """
+    y = dataset.labels
+    pooled = np.zeros((dataset.n_samples, cfg.num_class))
+    fold_metrics = []
+    for f, (val, model, x_val) in enumerate(_fold_models(dataset, cfg, k, seed)):
         probs = predict_proba_batch(model, x_val)
         pooled[val] = probs
         scores, _ = evaluate(probs, y[val], cfg.num_class)
         fold_metrics.append(FoldMetrics(**asdict(scores), fold=f, n_samples=int(val.sum())))
     overall, cm = evaluate(pooled, y, cfg.num_class)
     return MetricsReport(**asdict(overall), confusion=cm, folds=tuple(fold_metrics))
+
+
+def round_curve(dataset: Dataset, cfg: TrainConfig, k: int = 5, seed: int = 0) -> np.ndarray:
+    """Pooled validation mlogloss after each boosting round, shape (n_rounds,).
+
+    The folds and models are cross_validate's, and each round's pooled
+    probabilities come from ``staged_margins``, so entry r - 1 is the
+    mlogloss cross_validate reports with n_rounds=r, and the last entry
+    equals cross_validate(dataset, cfg, k, seed).mlogloss exactly.
+    """
+    pooled = np.zeros((dataset.n_samples, cfg.n_rounds, cfg.num_class))
+    for val, model, x_val in _fold_models(dataset, cfg, k, seed):
+        pooled[val] = softmax(staged_margins(model, x_val))
+    return np.array([mlogloss(pooled[:, r], dataset.labels) for r in range(cfg.n_rounds)])
 
 
 def report_to_dict(report: MetricsReport) -> dict:

@@ -267,6 +267,22 @@ class TestExplainCommand:
          "model config n_rounds must be an integer, got 8.0"),
         (lambda doc, tree: doc["config"].update(max_depth=4.5),
          "model config max_depth must be an integer, got 4.5"),
+        (lambda doc, tree: tree["root"].update(threshold="0.5"),
+         "tree {index} is malformed: threshold must be a number, got '0.5'"),
+        (lambda doc, tree: tree["root"].update(threshold=True),
+         "tree {index} is malformed: threshold must be a number, got True"),
+        (lambda doc, tree: tree["root"].update(cover="3.0"),
+         "tree {index} is malformed: cover must be a number, got '3.0'"),
+        (lambda doc, tree: tree["root"].update(gain="1"),
+         "tree {index} is malformed: gain must be a number, got '1'"),
+        (lambda doc, tree: _rightmost_leaf(tree["root"]).update(weight="0.25"),
+         "tree {index} is malformed: weight must be a number, got '0.25'"),
+        (lambda doc, tree: doc.update(base_score=["1.0", "2.0", "3.0"]),
+         "model base_score must be a number, got '1.0'"),
+        (lambda doc, tree: doc["scaler"]["mean"].__setitem__(0, "0.5"),
+         "model scaler mean must be a number, got '0.5'"),
+        (lambda doc, tree: doc["scaler"].update(std=[repr(v) for v in doc["scaler"]["std"]]),
+         "model scaler std must be a number, got '"),
     ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
             "inf_leaf_weight", "missing_trees", "missing_config", "short_base_score",
             "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key",
@@ -276,7 +292,9 @@ class TestExplainCommand:
             "fractional_class_index", "string_num_class", "fractional_num_class", "int_trees",
             "null_trees", "int_feature_names", "null_feature_names", "overflowing_zero_fraction",
             "list_scaler", "list_config", "bool_learning_rate", "string_learning_rate",
-            "float_n_rounds", "fractional_max_depth"])
+            "float_n_rounds", "fractional_max_depth", "string_threshold", "bool_threshold",
+            "string_cover", "string_gain", "string_leaf_weight", "string_base_score",
+            "string_scaler_mean", "string_scaler_std"])
     def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit, message):
         doc = json.loads((trained_dir / "model.json").read_text())
         assert len(doc["feature_names"]) < 7 and doc["scaler"] is not None
@@ -443,10 +461,14 @@ class TestConfigResolution:
     @pytest.mark.parametrize("argv, env_seed, message, artifact", [
         (["synth", "--noise-sd", "nan"], None, "noise_sd", "synthetic.csv"),
         (["synth", "--noise-sd", "800", "--n-samples", "5"], None, "noise_sd", "synthetic.csv"),
-        (["train", "--synth", *FAST, "--lambda", "nan"], None, "regularization", "model.json"),
-        (["train", "--synth", *FAST, "--lambda", "inf"], None, "regularization", "model.json"),
-        (["train", "--synth", *FAST, "--alpha", "nan"], None, "regularization", "model.json"),
-        (["train", "--synth", *FAST, "--gamma", "nan"], None, "regularization", "model.json"),
+        (["train", "--synth", *FAST, "--lambda", "nan"], None, "lambda must be finite, got nan",
+         "model.json"),
+        (["train", "--synth", *FAST, "--lambda", "inf"], None, "lambda must be finite, got inf",
+         "model.json"),
+        (["train", "--synth", *FAST, "--alpha", "nan"], None, "alpha must be finite, got nan",
+         "model.json"),
+        (["train", "--synth", *FAST, "--gamma", "nan"], None, "gamma must be finite, got nan",
+         "model.json"),
         (["explain", "--synth", "--n-samples", "10", "--no-svg", "--swarm-samples", "-3"], None,
          "swarm_samples", "shap_swarm.csv"),
         (["synth", "--seed", "-1", "--n-samples", "5"], None, "seed must be at least 0",
@@ -473,12 +495,14 @@ class TestConfigResolution:
          "alpha must be at least 0, got -0.5", "model.json"),
         (["train", "--synth", *FAST, "--gamma", "-2"], None,
          "gamma must be at least 0, got -2.0", "model.json"),
+        (["train", "--synth", *FAST, "--eta", "nan"], None, "eta must be finite, got nan",
+         "model.json"),
     ], ids=["synth_noise_nan", "synth_noise_overflow", "train_lambda_nan", "train_lambda_inf",
             "train_alpha_nan", "train_gamma_nan", "explain_swarm_negative", "synth_seed_negative",
             "train_env_seed_negative", "synth_env_seed_not_int", "train_folds_1", "train_rounds_0",
             "train_depth_0", "synth_n_samples_0", "train_eta_0", "train_eta_above_1",
             "train_eta_minus_inf", "train_lambda_negative", "train_alpha_negative",
-            "train_gamma_negative"])
+            "train_gamma_negative", "train_eta_nan"])
     def test_out_of_range_value_exit_2(self, trained_dir, tmp_path, capsys, monkeypatch, argv,
                                        env_seed, message, artifact):
         monkeypatch.delenv("EVPERF_SEED", raising=False)
@@ -504,6 +528,13 @@ class TestConfigResolution:
         cfg.write_text("[train]\neta = 0\n")
         assert run(["train", "--synth", "--config", cfg, "--out-dir", tmp_path / "out"]) == 2
         assert "eta must be in (0, 1], got 0.0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_float_in_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[train]\nlambda = inf\n")
+        assert run(["train", "--synth", "--config", cfg, "--out-dir", tmp_path / "out"]) == 2
+        assert "lambda must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, key", [("round = 3", "round"), ("out-dir = x", "out-dir")],
@@ -540,7 +571,7 @@ SETTINGS = [
     ("out_dir", ("train", "explain", "synth"), "flagdir", "filedir",
      Path("flagdir"), Path("filedir"), Path("out"), _run_field("out_dir")),
     ("folds", ("train",), "3", "4", 3, 4, 5, _run_field("folds")),
-    ("rounds", ("train",), "7", "6", 7, 6, 200, _train_field("n_rounds")),
+    ("rounds", ("train",), "7", "6", 7, 6, 30, _train_field("n_rounds")),
     ("depth", ("train",), "3", "2", 3, 2, 4, _train_field("max_depth")),
     ("eta", ("train",), "0.3", "0.2", 0.3, 0.2, 0.1, _train_field("learning_rate")),
     ("lambda", ("train",), "2.5", "1.5", 2.5, 1.5, 1.0, _train_field("reg_lambda")),

@@ -30,6 +30,7 @@ from evperf.gbdt import (
     save_model,
     softmax,
     split_gain,
+    staged_margins,
     train,
 )
 from evperf.metrics import mlogloss
@@ -643,6 +644,30 @@ class TestPredict:
             predict_margin_batch(model, np.ones((3, 5)))
 
 
+class TestStagedMargins:
+    """staged_margins on a 120-vehicle fleet boosted for 12 rounds."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        return synth_dataset(SynthConfig(n_samples=120, seed=0))
+
+    @pytest.fixture(scope="class")
+    def staged(self, fleet):
+        model = train(fleet, TrainConfig(n_rounds=12))
+        return model, staged_margins(model, fleet.features)
+
+    def test_last_round_equals_batch_margins(self, fleet, staged):
+        model, margins = staged
+        assert margins.shape == (120, 12, 3)
+        assert np.array_equal(margins[:, -1], predict_margin_batch(model, fleet.features))
+
+    @pytest.mark.parametrize("rounds", [1, 5, 11])
+    def test_prefix_equals_shorter_model(self, fleet, staged, rounds):
+        shorter = train(fleet, TrainConfig(n_rounds=rounds))
+        assert np.array_equal(staged[1][:, rounds - 1],
+                              predict_margin_batch(shorter, fleet.features))
+
+
 class TestPersistence:
     def test_round_trip_margins_bit_identical(self, blob_dataset, tmp_path):
         model = train(blob_dataset, TrainConfig(n_rounds=6))
@@ -682,6 +707,16 @@ class TestPersistence:
         shifted = model_from_dict({**model_to_dict(model), "base_score": [0.0, 0.0, 0.0]})
         assert (model == shifted) is False
         assert model != "model"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("base_score", 0.5, "model base_score is float, expected a list"),
+        ("base_score", [0.0, False, 0.0], "model base_score must be a number, got False"),
+        ("scaler", {"mean": "0", "std": [1.0]}, "model scaler mean is str, expected a list"),
+    ])
+    def test_number_lists_take_json_numbers_only(self, key, value, message):
+        doc = {**model_to_dict(_single_leaf_model()), key: value}
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(doc)
 
     def test_version_check(self):
         with pytest.raises(ValueError, match="format version"):

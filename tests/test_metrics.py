@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from evperf.data import DataError, Dataset
 from evperf.gbdt import TrainConfig
+from evperf.physics import SynthConfig, synth_dataset
 from evperf.metrics import (
     _midranks,
     accuracy,
@@ -17,6 +18,7 @@ from evperf.metrics import (
     mlogloss,
     report_to_dict,
     roc_auc_ovr_macro,
+    round_curve,
 )
 
 
@@ -215,6 +217,14 @@ class TestCrossValidate:
         y = np.array([0, 0, 0, 0, 1, 1, 1, 2])
         with pytest.raises(DataError, match="class 2"):
             cross_validate(Dataset(x, y, ("a", "b")), TrainConfig(n_rounds=2), k=3, seed=0)
+
+
+def test_round_curve_ends_on_cross_validated_mlogloss():
+    fleet = synth_dataset(SynthConfig(n_samples=120, seed=0))
+    cfg = TrainConfig(n_rounds=12)
+    curve = round_curve(fleet, cfg, k=5, seed=0)
+    assert curve.shape == (12,)
+    assert curve[-1] == cross_validate(fleet, cfg, k=5, seed=0).mlogloss
 
 
 def test_confusion_csv_layout(tmp_path):
