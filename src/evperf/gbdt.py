@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -439,10 +440,18 @@ def _integers(name: str, values: list) -> list:
 
 
 def _numbers(name: str, values: list) -> list:
-    """values if each is a JSON number, else ValueError: no string or bool is converted."""
-    if not set(map(type, values)) <= {int, float}:
-        bad = next(v for v in values if type(v) not in (int, float))
-        raise ValueError(f"{name} must be a number, got {bad!r}")
+    """values if each is a JSON number within the float range, else ValueError.
+
+    No string or bool is converted, and an integer beyond the float range
+    is refused rather than overflowing later.
+    """
+    if not set(map(type, values)) <= {float}:
+        for v in values:
+            if type(v) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {v!r}")
+            if type(v) is int and abs(v) > sys.float_info.max:
+                raise ValueError(f"{name} must be a number within the float range, "
+                                 f"got an integer of {len(str(abs(v)))} digits")
     return values
 
 
@@ -750,8 +759,9 @@ def _config_from_doc(doc) -> TrainConfig:
     """The TrainConfig of a model document's config, whose fields are checked by type.
 
     Int fields take JSON integers only, and float fields an integer or a
-    float; no field takes a bool or a string. Raises ValueError naming the
-    field, or naming the config when it is not an object or has unknown keys.
+    float within the float range; no field takes a bool or a string. Raises
+    ValueError naming the field, or naming the config when it is not an
+    object or has unknown keys.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model config is {type(doc).__name__}, expected an object")
@@ -760,8 +770,8 @@ def _config_from_doc(doc) -> TrainConfig:
             value = doc[f.name]
             if f.type == "int" and type(value) is not int:
                 raise ValueError(f"model config {f.name} must be an integer, got {value!r}")
-            if f.type == "float" and type(value) not in (int, float):
-                raise ValueError(f"model config {f.name} must be a number, got {value!r}")
+            if f.type == "float":
+                _numbers(f"model config {f.name}", [value])
     try:
         return TrainConfig(**doc)
     except TypeError as exc:

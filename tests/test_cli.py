@@ -283,6 +283,11 @@ class TestExplainCommand:
          "model scaler mean must be a number, got '0.5'"),
         (lambda doc, tree: doc["scaler"].update(std=[repr(v) for v in doc["scaler"]["std"]]),
          "model scaler std must be a number, got '"),
+        (lambda doc, tree: tree["root"].update(threshold=10**400),
+         "tree {index} is malformed: threshold must be a number within the float range, "
+         "got an integer of 401 digits"),
+        (lambda doc, tree: doc["config"].update(reg_lambda=-10**400),
+         "model config reg_lambda must be a number within the float range"),
     ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
             "inf_leaf_weight", "missing_trees", "missing_config", "short_base_score",
             "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key",
@@ -294,7 +299,8 @@ class TestExplainCommand:
             "list_scaler", "list_config", "bool_learning_rate", "string_learning_rate",
             "float_n_rounds", "fractional_max_depth", "string_threshold", "bool_threshold",
             "string_cover", "string_gain", "string_leaf_weight", "string_base_score",
-            "string_scaler_mean", "string_scaler_std"])
+            "string_scaler_mean", "string_scaler_std", "huge_integer_threshold",
+            "huge_integer_reg_lambda"])
     def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit, message):
         doc = json.loads((trained_dir / "model.json").read_text())
         assert len(doc["feature_names"]) < 7 and doc["scaler"] is not None
