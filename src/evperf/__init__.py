@@ -22,8 +22,10 @@ from .data import (
     PerfClass,
     ScalerParams,
     VehicleRecord,
+    VehicleTable,
     apply_scaler,
     bin_acceleration,
+    bin_accelerations,
     build_dataset,
     drop_missing,
     fit_scaler,

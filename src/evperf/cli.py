@@ -32,7 +32,7 @@ from .data import (
     DataError,
     Dataset,
     PerfClass,
-    VehicleRecord,
+    VehicleTable,
     apply_scaler,
     build_dataset,
     drop_missing,
@@ -264,10 +264,10 @@ def _synth_config(run: RunConfig) -> SynthConfig:
     return SynthConfig(n_samples=run.n_samples, seed=run.seed, noise_sd=run.noise_sd)
 
 
-def _load_records(run: RunConfig, schema: Sequence[str] = DEFAULT_SCHEMA) -> list[VehicleRecord]:
-    """The run's synthetic fleet, or its CSV with ``schema``'s columns required."""
+def _load_table(run: RunConfig, schema: Sequence[str] = DEFAULT_SCHEMA) -> VehicleTable:
+    """The ``schema`` columns of the run's synthetic fleet or of its CSV, which must have them."""
     if run.synth:
-        return synth_records(_synth_config(run))
+        return VehicleTable.from_records(synth_records(_synth_config(run)), schema)
     aliases = read_alias_table(run.aliases) if run.aliases else None
     return load_csv(run.input, schema=schema, aliases=aliases)
 
@@ -292,7 +292,7 @@ def _emit_figure(run: RunConfig, kind: str, write_csv, render_svg) -> None:
 
 
 def cmd_train(run: RunConfig) -> None:
-    dataset = build_dataset(_load_records(run))
+    dataset = build_dataset(_load_table(run))
     run.out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _train_config(run)
     report = cross_validate(dataset, cfg, k=run.folds, seed=run.seed)
@@ -326,10 +326,10 @@ def cmd_train(run: RunConfig) -> None:
 
 def _explain_features(run: RunConfig, model: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Raw and model-space feature matrices for the explain command."""
-    usable = drop_missing(_load_records(run, model.feature_names), model.feature_names)
-    if not usable:
+    usable = drop_missing(_load_table(run, model.feature_names), model.feature_names)
+    if not len(usable):
         raise DataError("no records with all model features present")
-    raw = np.asarray([[r.get(c) for c in model.feature_names] for r in usable], dtype=float)
+    raw = usable.matrix(model.feature_names)
     x = apply_scaler(raw, model.scaler) if model.scaler is not None else raw
     return raw, x
 

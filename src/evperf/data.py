@@ -1,12 +1,13 @@
-"""CSV ingestion, cleaning, performance-class binning, feature scaling, and
-stratified fold assignment."""
+"""Columnar CSV ingestion, cleaning, performance-class binning, feature
+scaling, and stratified fold assignment."""
 
 from __future__ import annotations
 
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
 from typing import Sequence
@@ -53,26 +54,32 @@ NUM_CLASSES = len(PerfClass)
 CLASS_NAMES: tuple[str, ...] = tuple(c.name.capitalize() for c in sorted(PerfClass))
 
 
-def bin_acceleration(t: float) -> PerfClass:
-    """Map a 0-100 km/h time in seconds to its performance class.
+def bin_accelerations(times: np.ndarray) -> np.ndarray:
+    """Performance class (PerfClass value) of each 0-100 km/h time in seconds.
 
     Boundaries are inclusive on the quick side: 4.0 s is High, 7.0 s is Mid.
+    Raises DataError naming the first time that is not positive and finite.
     """
-    if not math.isfinite(t) or t <= 0:
-        raise DataError(f"acceleration time must be positive and finite, got {t!r}")
-    if t <= HIGH_MAX_SECONDS:
-        return PerfClass.HIGH
-    if t <= MID_MAX_SECONDS:
-        return PerfClass.MID
-    return PerfClass.LOW
+    t = np.asarray(times, dtype=float)
+    bad = ~(np.isfinite(t) & (t > 0))
+    if bad.any():
+        raise DataError("acceleration time must be positive and finite, "
+                        f"got {t[bad][0].item()!r}")
+    return np.where(t <= HIGH_MAX_SECONDS, int(PerfClass.HIGH),
+                    np.where(t <= MID_MAX_SECONDS, int(PerfClass.MID), int(PerfClass.LOW)))
+
+
+def bin_acceleration(t: float) -> PerfClass:
+    """Performance class of one 0-100 km/h time: a one-element ``bin_accelerations``."""
+    return PerfClass(int(bin_accelerations([t])[0]))
 
 
 @dataclass
 class VehicleRecord:
     """One vehicle's numeric attributes keyed by canonical column name.
 
-    Missing values are stored as None. Present values are always finite;
-    the CSV loader coerces anything else to missing.
+    Missing values are stored as None; ``VehicleTable.from_records`` turns
+    records into a table.
     """
 
     values: dict[str, float | None]
@@ -90,7 +97,7 @@ def read_alias_table(path: str | Path) -> dict[str, str]:
     Blank lines and lines starting with '#' are ignored.
     """
     aliases: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -103,44 +110,76 @@ def read_alias_table(path: str | Path) -> dict[str, str]:
     return aliases
 
 
-def _parse_cell(text: str) -> tuple[float | None, bool]:
-    """Parse one CSV cell; returns (value, is_malformed).
+@dataclass(eq=False)
+class VehicleTable:
+    """Vehicles as columns: one float64 array per canonical column, NaN where missing.
 
-    Empty cells are missing by convention and not counted as malformed.
+    Every column holds one value per vehicle, in input order, and ``len()``
+    is the number of vehicles. The cleaning counts describe the CSV the
+    table was read from and are zero for a table built from records:
+    ``malformed_cells`` counts the cells of its columns that were
+    unparseable, non-finite or broke a record invariant, and ``short_rows``
+    and ``long_rows`` the rows with fewer or more cells than the header.
     """
-    s = text.strip()
-    if not s:
-        return None, False
-    try:
-        v = float(s)
-    except ValueError:
-        return None, True
-    if not math.isfinite(v):
-        return None, True
-    return v, False
+
+    columns: dict[str, np.ndarray]
+    n_rows: int
+    malformed_cells: int = 0
+    short_rows: int = 0
+    long_rows: int = 0
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        try:
+            return self.columns[name]
+        except KeyError:
+            raise DataError(f"no column {name!r} in the table; it has {list(self.columns)}") from None
+
+    @classmethod
+    def from_records(cls, records: Sequence[VehicleRecord], names: Sequence[str]) -> "VehicleTable":
+        """The ``names`` columns of ``records``; a value a record lacks is NaN."""
+        return cls({c: np.array([r.get(c) for r in records], dtype=float)
+                    for c in dict.fromkeys(names)}, len(records))
+
+    def matrix(self, names: Sequence[str]) -> np.ndarray:
+        """The ``names`` columns side by side, shape (len(self), len(names))."""
+        out = np.empty((self.n_rows, len(names)))
+        for j, c in enumerate(names):
+            out[:, j] = self[c]
+        return out
+
+
+# Record invariants: a value of the column that compares true against the
+# bound is coerced to missing and counted as malformed.
+_INVARIANTS = ((ACCEL_S, np.less_equal, 0.0), (CELL_COUNT, np.less, 1.0))
 
 
 def load_csv(
     path: str | Path,
     schema: Sequence[str] = DEFAULT_SCHEMA,
     aliases: dict[str, str] | None = None,
-) -> list[VehicleRecord]:
-    """Read vehicle records from a UTF-8 comma-separated file.
+) -> VehicleTable:
+    """Read the ``schema`` columns of a UTF-8 comma-separated file into a table.
 
-    The first row must be a header. Headers are renamed through ``aliases``
-    before checking that every column in ``schema`` is present. Numeric cells
-    that are empty or unparseable become missing values; malformed cells in
-    schema columns are counted and reported as a single warning. Values that
-    violate basic record invariants (non-positive acceleration time, cell
-    counts below one) are likewise coerced to missing. Rows with fewer cells
-    than the header leave the rest missing, rows with more have the extra
-    cells ignored, and both are counted in one more warning.
+    The first row must be a header; a leading byte-order mark is skipped.
+    Headers are renamed through ``aliases`` before checking that every
+    column in ``schema`` is present, and only those columns are read. A cell
+    is ``float()`` of its stripped text: an empty cell is missing, and an
+    unparseable or non-finite one is missing and counted as malformed.
+    Values that violate basic record invariants (non-positive acceleration
+    time, cell counts below one) are likewise coerced to missing and
+    counted. Rows with fewer cells than the header leave the rest missing,
+    rows with more have the extra cells ignored, and both are counted. The
+    counts are kept on the table and reported in one warning each.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     aliases = aliases or {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    schema = list(dict.fromkeys(schema))
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -153,42 +192,61 @@ def load_csv(
         missing = [c for c in schema if c not in names]
         if missing:
             raise DataError(f"{path}: missing required columns: {missing}")
-        schema_set = set(schema)
-        records: list[VehicleRecord] = []
-        malformed = short = long = 0
+        width = len(names)
+        cells = [(names.index(c), array("d")) for c in schema]
+        nan, isfinite = math.nan, math.isfinite
+        n_rows = malformed = short = long = 0
         for row in reader:
-            short += len(row) < len(names)
-            long += len(row) > len(names)
-            vals: dict[str, float | None] = {}
-            for name, cell in zip(names, row):
-                v, bad = _parse_cell(cell)
-                if v is not None:
-                    if (name == ACCEL_S and v <= 0) or (name == CELL_COUNT and v < 1):
-                        v, bad = None, True
-                if bad and name in schema_set:
-                    malformed += 1
-                vals[name] = v
-            records.append(VehicleRecord(vals))
+            n_rows += 1
+            n_cells = len(row)
+            if n_cells != width:
+                short += n_cells < width
+                long += n_cells > width
+            for position, out in cells:
+                v = nan
+                if position < n_cells:
+                    text = row[position].strip()
+                    if text:
+                        try:
+                            v = float(text)
+                        except ValueError:
+                            malformed += 1
+                        else:
+                            if not isfinite(v):
+                                v = nan
+                                malformed += 1
+                out.append(v)
+    columns = {c: np.array(out, dtype=float) for c, (_, out) in zip(schema, cells)}
+    for name, violates, bound in _INVARIANTS:
+        if name in columns:
+            bad = violates(columns[name], bound)
+            columns[name][bad] = nan
+            malformed += int(np.count_nonzero(bad))
     if malformed:
         logger.warning("%s: %d malformed cells treated as missing", path, malformed)
     if short or long:
         logger.warning("%s: %d rows shorter than the header (missing cells treated as missing) "
                        "and %d rows longer (extra cells ignored)", path, short, long)
-    return records
+    return VehicleTable(columns, n_rows, malformed, short, long)
 
 
-def drop_missing(records: list[VehicleRecord], required: Sequence[str]) -> list[VehicleRecord]:
-    """Listwise deletion: keep only records with all ``required`` fields present.
+def drop_missing(table: VehicleTable, required: Sequence[str]) -> VehicleTable:
+    """Listwise deletion: keep only vehicles with every ``required`` column present.
 
-    Input order is preserved and surviving records are returned unmodified.
+    Input order and the cleaning counts are kept, and the table itself is
+    returned when nothing is dropped.
     """
-    kept = [r for r in records if all(r.has(c) for c in required)]
-    dropped = len(records) - len(kept)
-    if dropped:
-        logger.info(
-            "dropped %d of %d records missing one of %s", dropped, len(records), list(required)
-        )
-    return kept
+    keep = np.ones(len(table), dtype=bool)
+    for c in required:
+        keep &= ~np.isnan(table[c])
+    kept = int(np.count_nonzero(keep))
+    dropped = len(table) - kept
+    if not dropped:
+        return table
+    logger.info(
+        "dropped %d of %d records missing one of %s", dropped, len(table), list(required)
+    )
+    return replace(table, columns={c: v[keep] for c, v in table.columns.items()}, n_rows=kept)
 
 
 @dataclass(frozen=True)
@@ -271,23 +329,24 @@ class Dataset:
 
 
 def build_dataset(
-    records: list[VehicleRecord],
+    table: VehicleTable | Sequence[VehicleRecord],
     feature_names: Sequence[str] = DEFAULT_FEATURES,
 ) -> Dataset:
-    """Assemble a labeled Dataset from cleaned records.
+    """Assemble a labeled Dataset from a table, or from records through a table.
 
-    Records missing the acceleration time or any requested feature are
+    Vehicles missing the acceleration time or any requested feature are
     dropped here so the resulting matrix is complete.
     """
     names = tuple(feature_names)
-    usable = drop_missing(records, names + (ACCEL_S,))
-    if not usable:
+    required = names + (ACCEL_S,)
+    if not isinstance(table, VehicleTable):
+        table = VehicleTable.from_records(table, required)
+    usable = drop_missing(table, required)
+    if not len(usable):
         raise DataError("no records with complete features and acceleration time")
-    rows = [[r.get(c) for c in names] for r in usable]
-    labels = [int(bin_acceleration(r.get(ACCEL_S))) for r in usable]
     return Dataset(
-        features=np.asarray(rows, dtype=float),
-        labels=np.asarray(labels, dtype=np.int64),
+        features=usable.matrix(names),
+        labels=bin_accelerations(usable[ACCEL_S]),
         feature_names=names,
     )
 

@@ -300,51 +300,40 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
     if row_weights is not None and row_weights.shape != (n,):
         raise ValueError(f"row_weights has shape {row_weights.shape}, expected {(n,)}")
     x_t = np.ascontiguousarray(x.T)
-    grower = _Grower(x_t, g, h, cfg, row_weights)
-    return grower.grow(np.arange(n), order, x_t[np.arange(d)[:, None], order], 0)
-
-
-class _Grower:
-    """Exact greedy growth of one tree over presorted column blocks.
-
-    A node's blocks are (d, m): ``order`` row j lists the node's rows in
-    ascending order of feature j, and ``xs`` row j their values. A child's
-    blocks are its parent's, filtered by the split; the filter keeps the
-    order, ties included, so each child is sorted without sorting.
-    """
-
-    def __init__(self, x_t, g, h, cfg, row_weights):
-        self.x_t, self.g, self.h, self.cfg, self.row_weights = x_t, g, h, cfg, row_weights
-
-    def grow(self, rows, order, xs, depth) -> TreeNode:
-        """The subtree over ``rows``, in ascending index order, with their blocks."""
-        g, h, cfg = self.g, self.h, self.cfg
+    root = TreeNode(cover=0.0)
+    # Pending nodes, each with its rows in ascending index order and its
+    # (d, m) blocks: ``order`` row j lists the rows in ascending order of
+    # feature j, and ``xs`` row j their values. A child's blocks are its
+    # parent's, filtered by the split; the filter keeps the order, ties
+    # included, so each child is sorted without sorting. A split pushes its
+    # right child, then its left, so nodes are grown in pre-order; once its
+    # children's blocks are cut, its own are dropped, and the blocks alive
+    # are those of pending right siblings, which hold disjoint rows.
+    pending = [(root, np.arange(n), order, x_t[np.arange(d)[:, None], order], 0)]
+    while pending:
+        node, rows, order, xs, depth = pending.pop()
         g_sum = float(np.add.reduce(g[rows]))
         h_sum = float(np.add.reduce(h[rows]))
-        if depth < cfg.max_depth:
-            found = _find_best_split(xs, order, g, h, g_sum, h_sum, cfg)
-            if found is not None:
-                gain, j, thr = found
-                go_left = self.x_t[j] < thr
-                # each block row holds the node's rows, so each keeps the same count
-                keep = go_left[order]
-                drop = ~keep
-                in_left = go_left[rows]
-                d = len(order)
-                return TreeNode(
-                    cover=h_sum,
-                    feature=j,
-                    threshold=thr,
-                    gain=gain,
-                    left=self.grow(rows[in_left], order[keep].reshape(d, -1),
-                                   xs[keep].reshape(d, -1), depth + 1),
-                    right=self.grow(rows[~in_left], order[drop].reshape(d, -1),
-                                    xs[drop].reshape(d, -1), depth + 1),
-                )
-        weight = leaf_weight(g_sum, h_sum, cfg)
-        if self.row_weights is not None:
-            self.row_weights[rows] = weight
-        return TreeNode(cover=h_sum, weight=weight)
+        node.cover = h_sum
+        found = (_find_best_split(xs, order, g, h, g_sum, h_sum, cfg)
+                 if depth < cfg.max_depth else None)
+        if found is None:
+            node.weight = leaf_weight(g_sum, h_sum, cfg)
+            if row_weights is not None:
+                row_weights[rows] = node.weight
+            continue
+        node.gain, node.feature, node.threshold = found
+        go_left = x_t[node.feature] < node.threshold
+        # each block row holds the node's rows, so each keeps the same count
+        keep = go_left[order]
+        drop = ~keep
+        in_left = go_left[rows]
+        node.left, node.right = TreeNode(cover=0.0), TreeNode(cover=0.0)
+        pending.append((node.right, rows[~in_left], order[drop].reshape(d, -1),
+                        xs[drop].reshape(d, -1), depth + 1))
+        pending.append((node.left, rows[in_left], order[keep].reshape(d, -1),
+                        xs[keep].reshape(d, -1), depth + 1))
+    return root
 
 
 def node_table(trees: Sequence[tuple[int, int, TreeNode]]) -> NodeTable:

@@ -75,6 +75,19 @@ class TestTrainCommand:
         assert (from_synth / "model.json").read_bytes() == (from_csv / "model.json").read_bytes()
         assert (from_synth / "metrics.json").read_bytes() == (from_csv / "metrics.json").read_bytes()
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # spreadsheets save UTF-8 with a BOM; its first header must still match
+        data_dir = tmp_path / "data"
+        assert run(["synth", "--out-dir", data_dir, "--seed", "2", "--n-samples", "60"]) == 0
+        plain = data_dir / "synthetic.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        common = ["--seed", "2", "--rounds", "8", "--depth", "3", "--no-svg"]
+        assert run(["train", "--input", plain, "--out-dir", tmp_path / "a", *common]) == 0
+        assert run(["train", "--input", bom, "--out-dir", tmp_path / "b", *common]) == 0
+        assert ((tmp_path / "a" / "metrics.json").read_bytes()
+                == (tmp_path / "b" / "metrics.json").read_bytes())
+
     def test_missing_required_column_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("battery_capacity_kwh,weight_kg,torque_nm,range_km,acceleration_0_100_s\n"

@@ -1,19 +1,26 @@
+import csv
+import logging
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from csv_oracle import reference_load_csv
 from evperf.data import (
     ACCEL_S,
     CELL_COUNT,
+    DEFAULT_SCHEMA,
+    TORQUE_NM,
     WEIGHT_KG,
     DataError,
     Dataset,
     PerfClass,
     VehicleRecord,
+    VehicleTable,
     apply_scaler,
     bin_acceleration,
+    bin_accelerations,
     build_dataset,
     drop_missing,
     fit_scaler,
@@ -52,6 +59,14 @@ class TestBinAcceleration:
             t1, t2 = t2, t1
         assert bin_acceleration(t1) >= bin_acceleration(t2)
 
+    @given(st.lists(st.floats(min_value=1e-6, max_value=1e6), max_size=20))
+    def test_batch_equals_scalar(self, times):
+        assert bin_accelerations(times).tolist() == [int(bin_acceleration(t)) for t in times]
+
+    def test_batch_names_first_bad_time(self):
+        with pytest.raises(DataError, match=r"got -2\.0"):
+            bin_accelerations([5.0, -2.0, math.nan])
+
 
 class TestLoadCsv:
     def test_empty_cell_becomes_missing(self, tmp_path):
@@ -60,15 +75,17 @@ class TestLoadCsv:
             "battery_capacity_kwh,number_of_cells,weight_kg,torque_nm,range_km,acceleration_0_100_s\n"
             "50,,1800,300,400,6.5\n"
         )
-        records = load_csv(f)
-        assert len(records) == 1
-        assert records[0].get(CELL_COUNT) is None
-        assert records[0].get(WEIGHT_KG) == 1800.0
+        table = load_csv(f)
+        assert len(table) == 1
+        assert np.isnan(table[CELL_COUNT][0])
+        assert table[WEIGHT_KG][0] == 1800.0
 
     def test_header_only_gives_empty_list(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("battery_capacity_kwh,number_of_cells,weight_kg,torque_nm,range_km,acceleration_0_100_s\n")
-        assert load_csv(f) == []
+        table = load_csv(f)
+        assert len(table) == 0
+        assert all(column.shape == (0,) for column in table.columns.values())
 
     def test_unparseable_cell_is_missing_and_warned(self, tmp_path, caplog):
         f = tmp_path / "d.csv"
@@ -77,8 +94,8 @@ class TestLoadCsv:
             "50,4000,abc,300,400,6.5\n"
         )
         with caplog.at_level("WARNING"):
-            records = load_csv(f)
-        assert records[0].get(WEIGHT_KG) is None
+            table = load_csv(f)
+        assert np.isnan(table[WEIGHT_KG][0])
         assert any("malformed" in r.message for r in caplog.records)
 
     def test_ragged_rows_counted_and_warned(self, tmp_path, caplog):
@@ -91,11 +108,12 @@ class TestLoadCsv:
             "50,4000,1800,300,400,6.5\n"
         )
         with caplog.at_level("WARNING"):
-            records = load_csv(f)
-        assert len(records) == 4
-        assert records[0].get(ACCEL_S) is None and records[0].get(WEIGHT_KG) == 1800.0
-        assert records[1].get(ACCEL_S) == 6.5 and records[1] == records[3]
-        assert records[2].get(CELL_COUNT) is None
+            table = load_csv(f)
+        assert len(table) == 4
+        assert np.isnan(table[ACCEL_S][0]) and table[WEIGHT_KG][0] == 1800.0
+        rows = table.matrix(DEFAULT_SCHEMA)
+        assert table[ACCEL_S][1] == 6.5 and rows[1].tolist() == rows[3].tolist()
+        assert np.isnan(table[CELL_COUNT][2])
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 1
         assert "2 rows shorter" in warnings[0] and "1 rows longer" in warnings[0]
@@ -116,9 +134,9 @@ class TestLoadCsv:
             "battery_capacity_kwh,number_of_cells,weight_kg,torque_nm,range_km,acceleration_0_100_s\n"
             "50,0,1800,300,400,-2\n"
         )
-        rec = load_csv(f)[0]
-        assert rec.get(CELL_COUNT) is None
-        assert rec.get(ACCEL_S) is None
+        table = load_csv(f)
+        assert np.isnan(table[CELL_COUNT][0])
+        assert np.isnan(table[ACCEL_S][0])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -140,9 +158,9 @@ class TestLoadCsv:
         f = tmp_path / "d.csv"
         f.write_text("Cells,0-100 (s)\n4000,5.2\n")
         aliases = {"Cells": CELL_COUNT, "0-100 (s)": ACCEL_S}
-        records = load_csv(f, schema=(CELL_COUNT, ACCEL_S), aliases=aliases)
-        assert records[0].get(CELL_COUNT) == 4000.0
-        assert records[0].get(ACCEL_S) == 5.2
+        table = load_csv(f, schema=(CELL_COUNT, ACCEL_S), aliases=aliases)
+        assert table[CELL_COUNT][0] == 4000.0
+        assert table[ACCEL_S][0] == 5.2
 
     def test_alias_table_file(self, tmp_path):
         f = tmp_path / "aliases.txt"
@@ -158,38 +176,154 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             read_alias_table(f)
 
+    def test_byte_order_marks_skipped(self, tmp_path):
+        aliases = tmp_path / "aliases.txt"
+        aliases.write_bytes(b"\xef\xbb\xbfCells = number_of_cells\n")
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"\xef\xbb\xbfCells,acceleration_0_100_s\n4000,5.2\n")
+        table = load_csv(f, schema=(CELL_COUNT, ACCEL_S), aliases=read_alias_table(aliases))
+        assert (table[CELL_COUNT].tolist(), table[ACCEL_S].tolist()) == ([4000.0], [5.2])
 
-def _record(**kv):
-    return VehicleRecord(dict(kv))
+    def test_cleaning_counts_returned(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text(
+            "id,battery_capacity_kwh,number_of_cells,weight_kg,torque_nm,range_km,acceleration_0_100_s\n"
+            "a,50,4000,1800,300,400,6.5\n"
+            "b,50,4000,abc,300,400,6.5\n"      # 1 malformed: junk
+            "c,50,4000,1800,nan,,6.5\n"        # 1 malformed: non-finite; empty is not
+            "d,50,0.5,1800,300,400,0\n"        # 2 malformed: invariants
+            "e,50,4000,1800\n"                 # short
+            "f,50,4000,1800,300,400,6.5,x,y\n"  # long
+            "\n"                               # short
+            "junk,50,4000,1800,300,400,6.5\n"  # a column outside the schema is not read
+        )
+        table = load_csv(f)
+        assert len(table) == 8
+        assert (table.malformed_cells, table.short_rows, table.long_rows) == (4, 2, 1)
+        kept = drop_missing(table, DEFAULT_SCHEMA)
+        assert len(kept) == 3
+        assert (kept.malformed_cells, kept.short_rows, kept.long_rows) == (4, 2, 1)
+
+    def test_only_schema_columns_kept(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("id,number_of_cells,acceleration_0_100_s\nx,4000,5.2\n")
+        table = load_csv(f, schema=(ACCEL_S, CELL_COUNT))
+        assert list(table.columns) == [ACCEL_S, CELL_COUNT]
+
+
+# Cell texts for the oracle comparison: valid floats, junk, empty and blank
+# cells, non-finite spellings, non-positive times and cell counts below 1.
+_CELL_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-10, max_value=10).map(lambda v: f"{v:.3g}"),
+    st.integers(-5, 5000).map(str),
+    st.sampled_from(["", " ", "\t", "abc", "n/a", "?", "1.2.3", "-", "1,5", '"', "nan", "NaN",
+                     "inf", "-inf", "Infinity", "1e999", "1_000", "4.0", "7.0", "\u00a01.5"]),
+    st.sampled_from(["0", "-0", "0.0", "-0.0", "-1.5", "0.5", "0.999", "1", "1.0"]),
+)
+_CELLS = st.tuples(st.sampled_from(["", " ", "\t "]), _CELL_TEXTS, st.sampled_from(["", " "])).map(
+    "".join)
+
+
+@st.composite
+def _csv_cases(draw):
+    """(header, rows, schema, aliases, byte-order mark) of a generated CSV."""
+    schema = draw(st.lists(st.sampled_from(DEFAULT_SCHEMA), min_size=1, unique=True))
+    others = [c for c in DEFAULT_SCHEMA if c not in schema]
+    present = schema + (draw(st.lists(st.sampled_from(others), unique=True)) if others else [])
+    if draw(st.integers(0, 9)) == 0:
+        present = present[1:]  # a required column left out
+    extra = draw(st.lists(st.sampled_from(["id", "notes", ACCEL_S]), max_size=2))
+    aliased = draw(st.lists(st.sampled_from(present), unique=True)) if present else []
+    aliases = {f"  Alias {name} ": name for name in aliased}
+    header = [f"  Alias {c} " if c in aliased else c for c in present + extra]
+    header = draw(st.permutations(header))
+    width = len(header)
+    rows = draw(st.lists(
+        st.integers(0, width + 2).flatmap(lambda k: st.lists(_CELLS, min_size=k, max_size=k)),
+        max_size=12))
+    return header, rows, schema, {k.strip(): v for k, v in aliases.items()}, draw(st.booleans())
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.texts = []
+
+    def emit(self, record):
+        self.texts.append(record.getMessage())
+
+
+class TestLoadCsvMatchesOracle:
+    """The columnar loader reads every CSV as the per-row reference parser does."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_csv_cases())
+    def test_generated_csv(self, tmp_path, case):
+        header, rows, schema, aliases, bom = case
+        path = tmp_path / "fuzz.csv"
+        with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        try:
+            records, counts, warnings = reference_load_csv(path, schema, aliases)
+        except DataError as exc:
+            with pytest.raises(DataError) as caught:
+                load_csv(path, schema, aliases)
+            assert str(caught.value) == str(exc)
+            return
+        handler = _Warnings()
+        logger = logging.getLogger("evperf.data")
+        logger.addHandler(handler)
+        try:
+            table = load_csv(path, schema, aliases)
+        finally:
+            logger.removeHandler(handler)
+        assert len(table) == len(records)
+        assert list(table.columns) == schema
+        for c in schema:
+            expected = [r.get(c) for r in records]
+            missing = np.array([v is None for v in expected], dtype=bool)
+            assert np.isnan(table[c]).tolist() == missing.tolist(), c
+            present = np.array([v for v in expected if v is not None], dtype=float)
+            assert table[c][~missing].tobytes() == present.tobytes(), c
+        assert {k: getattr(table, k) for k in counts} == counts
+        assert handler.texts == warnings
+
+
+def _table(**columns):
+    """A VehicleTable of equal-length value lists, None for a missing value."""
+    arrays = {c: np.array(v, dtype=float) for c, v in columns.items()}
+    return VehicleTable(arrays, len(next(iter(arrays.values()))))
 
 
 class TestDropMissing:
     def test_listwise_deletion_counts(self):
         # 478 records, 202 without a cell count, leaves 276
-        records = [_record(number_of_cells=3000.0, weight_kg=2000.0) for _ in range(276)]
-        records += [_record(number_of_cells=None, weight_kg=2000.0) for _ in range(202)]
-        kept = drop_missing(records, [CELL_COUNT])
-        assert len(records) == 478
+        table = _table(number_of_cells=[3000.0] * 276 + [None] * 202, weight_kg=[2000.0] * 478)
+        kept = drop_missing(table, [CELL_COUNT])
+        assert len(table) == 478
         assert len(kept) == 276
 
     def test_identity_when_nothing_missing(self):
-        records = [_record(number_of_cells=float(i)) for i in range(1, 5)]
-        kept = drop_missing(records, [CELL_COUNT])
-        assert kept == records
-        assert all(a is b for a, b in zip(kept, records))  # survivors not copied
+        table = _table(number_of_cells=[float(i) for i in range(1, 5)])
+        kept = drop_missing(table, [CELL_COUNT])
+        assert kept[CELL_COUNT].tolist() == table[CELL_COUNT].tolist()
+        assert kept is table  # survivors not copied
 
     def test_all_missing_gives_empty(self):
-        records = [_record(number_of_cells=None) for _ in range(3)]
-        assert drop_missing(records, [CELL_COUNT]) == []
+        assert len(drop_missing(_table(number_of_cells=[None] * 3), [CELL_COUNT])) == 0
 
     def test_order_preserved(self):
-        records = [
-            _record(number_of_cells=1.0, weight_kg=None),
-            _record(number_of_cells=None),
-            _record(number_of_cells=3.0),
-        ]
-        kept = drop_missing(records, [CELL_COUNT])
-        assert [r.get(CELL_COUNT) for r in kept] == [1.0, 3.0]
+        table = _table(number_of_cells=[1.0, None, 3.0], weight_kg=[None, None, None])
+        kept = drop_missing(table, [CELL_COUNT])
+        assert kept[CELL_COUNT].tolist() == [1.0, 3.0]
+
+    def test_unknown_column_named(self):
+        with pytest.raises(DataError, match="no column 'torque_nm'"):
+            drop_missing(_table(number_of_cells=[1.0]), [TORQUE_NM])
 
 
 class TestScaler:
@@ -254,16 +388,26 @@ class TestDataset:
             Dataset(np.ones((2, 1)), np.array([0]), ("a",))
 
     def test_build_dataset_drops_incomplete_and_labels(self):
-        records = [
-            _record(number_of_cells=3000.0, acceleration_0_100_s=3.5),
-            _record(number_of_cells=None, acceleration_0_100_s=5.0),
-            _record(number_of_cells=500.0, acceleration_0_100_s=9.0),
-            _record(number_of_cells=800.0, acceleration_0_100_s=None),
-        ]
-        ds = build_dataset(records, (CELL_COUNT,))
+        table = _table(number_of_cells=[3000.0, None, 500.0, 800.0],
+                       acceleration_0_100_s=[3.5, 5.0, 9.0, None])
+        ds = build_dataset(table, (CELL_COUNT,))
         assert ds.n_samples == 2
         assert list(ds.labels) == [int(PerfClass.HIGH), int(PerfClass.LOW)]
         assert ds.features[:, 0].tolist() == [3000.0, 500.0]
+
+    def test_build_dataset_from_records_equals_from_table(self):
+        records = [VehicleRecord({CELL_COUNT: 3000.0, ACCEL_S: 3.5}),
+                   VehicleRecord({ACCEL_S: 5.0}),  # a key a record lacks is missing
+                   VehicleRecord({CELL_COUNT: 500.0, WEIGHT_KG: 1.0, ACCEL_S: 9.0})]
+        a = build_dataset(records, (CELL_COUNT,))
+        b = build_dataset(VehicleTable.from_records(records, (CELL_COUNT, ACCEL_S)), (CELL_COUNT,))
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tolist() == b.labels.tolist() == [2, 0]
+
+    def test_build_dataset_rejects_bad_time(self):
+        with pytest.raises(DataError, match="positive and finite, got -1.0"):
+            build_dataset(_table(number_of_cells=[3000.0], acceleration_0_100_s=[-1.0]),
+                          (CELL_COUNT,))
 
 
 class TestStratifiedKfold:

@@ -355,6 +355,38 @@ def test_split_search_memory_stays_tiled():
     assert peak < 2 * 2**20
 
 
+def test_growth_memory_stays_near_one_copy_of_the_blocks():
+    # A skewed depth-8 tree: every split peels 40 rows off the front of
+    # feature 0 into a leaf, so the path down holds eight nodes of nearly
+    # all n rows. A grower that keeps each ancestor's (d, m) order and value
+    # blocks (16 bytes an entry) while it grows below peaks near 11 copies of
+    # them; one that drops a node's blocks once its children's are cut keeps
+    # only the pending siblings', under 3.
+    n, d, depth, peel = 20_000, 5, 8, 40
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(n, d))
+    x[:, 0] = np.arange(n)
+    g = np.zeros(n)
+    for b in range(depth):
+        g[b * peel:(b + 1) * peel] = 4.0 ** (depth - b) * (-1) ** b
+    h = np.ones(n)
+    order = column_order(x)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        root = build_tree(x, g, h, TrainConfig(max_depth=depth), order)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    node, thresholds = root, []
+    while not node.is_leaf:
+        assert node.left.is_leaf and node.left.cover == peel
+        thresholds.append(node.threshold)
+        node = node.right
+    assert thresholds == [peel * (b + 1) - 0.5 for b in range(depth)]
+    assert peak < 4 * d * n * 16
+
+
 @pytest.fixture(scope="module")
 def blob_dataset():
     rng = np.random.default_rng(1)
