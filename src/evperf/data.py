@@ -87,9 +87,6 @@ class VehicleRecord:
     def get(self, name: str) -> float | None:
         return self.values.get(name)
 
-    def has(self, name: str) -> bool:
-        return self.values.get(name) is not None
-
 
 def read_alias_table(path: str | Path) -> dict[str, str]:
     """Parse a ``source header = canonical name`` mapping file.

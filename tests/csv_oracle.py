@@ -1,9 +1,10 @@
 """Reference CSV reader for the columnar loader: one record per row, one cell at a time.
 
 ``reference_load_csv`` is the per-row parser ``evperf.data.load_csv`` once
-was, kept as an independent oracle. Each row becomes a dict of every header
-column's parsed value (None when missing); it returns those records, the
-cleaning counts and the warning texts the loader is expected to log.
+was, kept as an independent oracle; like the loader, it skips a leading
+byte-order mark. Each row becomes a dict of every header column's parsed
+value (None when missing); it returns those records, the cleaning counts
+and the warning texts the loader is expected to log.
 """
 
 from __future__ import annotations
