@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, make_dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -181,8 +181,9 @@ def _read_config_file(path: Path) -> dict[str, str]:
     """Flatten a sectioned key = value file; keys must be known and globally unique.
 
     ``[DEFAULT]`` is an ordinary section: its keys are not copied into the others.
+    Values are taken literally; ``%`` starts no interpolation.
     """
-    parser = configparser.ConfigParser(default_section="\0")
+    parser = configparser.ConfigParser(default_section="\0", interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -231,6 +232,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     for opt in OPTIONS:
         value = getattr(args, opt.dest, None)
+        if value is not None and not isinstance(value, opt.type):  # argparse reads --key=-- as []
+            raise CliError(f"--{opt.key.replace('_', '-')}: expected {opt.type.__name__}, "
+                           f"got {value!r}")
         if value is None and opt.key in file_cfg:
             value = _coerce(f"config key {opt.key!r}", file_cfg[opt.key], opt.type)
         elif value is None and opt.key == "seed" and os.environ.get(SEED_ENV_VAR):
@@ -272,7 +276,7 @@ def _load_table(run: RunConfig, schema: Sequence[str] = DEFAULT_SCHEMA) -> Vehic
     return load_csv(run.input, schema=schema, aliases=aliases)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -428,11 +432,11 @@ def cmd_synth(run: RunConfig) -> None:
     run.out_dir.mkdir(parents=True, exist_ok=True)
     records = synth_records(_synth_config(run))
     sweep = diminishing_returns_sweep(default_vehicle(), default_pack(), DEFAULT_SWEEP_PARALLEL)
-    columns = list(records[0].values.keys())
+    # every record holds the same columns as Python floats, which csv writes by repr
     _write_csv(
         run.out_dir / "synthetic.csv",
-        columns,
-        [[_fmt(r.get(c)) for c in columns] for r in records],
+        list(records[0].values),
+        (r.values.values() for r in records),
     )
     _write_csv(
         run.out_dir / "sweep.csv",

@@ -18,6 +18,7 @@ once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -373,17 +374,51 @@ def default_pack() -> PackConfig:
     )
 
 
-def _check_range(name: str, lo: float, hi: float) -> None:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+# A cell-count range's upper bound: the product of two counts stays within int64.
+_MAX_COUNT = 2**31
+
+
+def _finite(x) -> bool:
+    """x is a real number, not a bool, that converts to a finite float."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_integer(name: str, value, lo: int) -> None:
+    if not (_is_integer(value) and value >= lo):
+        raise PhysicsError(f"{name} must be a finite integer of at least {lo}, got {value!r}")
+
+
+def _check_range(name: str, bounds: tuple, integer: bool = False) -> None:
+    """Reject a sampling range that is not a positive (low, high) pair with low < high.
+
+    A cell-count range must hold integers in [1, _MAX_COUNT]. A real range
+    must have a positive low end, so its width fits in a float.
+    """
+    lo, hi = bounds
+    if integer and not (_is_integer(lo) and _is_integer(hi)):
+        raise PhysicsError(f"sampling range for {name} must hold integers, got ({lo!r}, {hi!r})")
+    if not (integer or (_finite(lo) and _finite(hi))) or not lo < hi:
         raise PhysicsError(f"degenerate sampling range for {name}: ({lo}, {hi})")
+    if integer and not 1 <= lo < hi <= _MAX_COUNT:
+        raise PhysicsError(f"sampling range for {name} must lie in [1, {_MAX_COUNT}], "
+                           f"got ({lo}, {hi})")
+    if not lo > 0:
+        raise PhysicsError(f"sampling range for {name} must be positive, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     """Sampling ranges and noise settings for synthetic dataset generation.
 
-    Ranges are uniform (integer-uniform for cell counts). Noise is Gaussian
-    on the log of the sprint time, i.e. multiplicative log-normal.
+    Ranges are uniform (integer-uniform for cell counts) and positive. Noise
+    is Gaussian on the log of the sprint time, i.e. multiplicative log-normal.
 
     Motor torque and parallel-string count share a latent market-segment
     position within their ranges, blurred by ``segment_jitter``: performance
@@ -405,17 +440,17 @@ class SynthConfig:
     consumption_range: tuple[float, float] = (0.15, 0.19)  # kWh per km
 
     def __post_init__(self) -> None:
-        if not _finite_at_least(1, self.n_samples):
-            raise PhysicsError("n_samples must be finite and positive")
-        if not _finite_at_least(0, self.noise_sd, self.segment_jitter):
+        _check_integer("n_samples", self.n_samples, 1)
+        _check_integer("seed", self.seed, 0)
+        if not all(_finite(x) and x >= 0 for x in (self.noise_sd, self.segment_jitter)):
             raise PhysicsError("noise_sd and segment_jitter must be finite and non-negative")
-        _check_range("n_series", *self.n_series_range)
-        _check_range("n_parallel", *self.n_parallel_range)
-        _check_range("r_cell", *self.r_cell_range)
-        _check_range("cell_capacity", *self.cell_capacity_range)
-        _check_range("base_mass", *self.base_mass_range)
-        _check_range("motor_torque", *self.motor_torque_range)
-        _check_range("consumption", *self.consumption_range)
+        _check_range("n_series", self.n_series_range, integer=True)
+        _check_range("n_parallel", self.n_parallel_range, integer=True)
+        _check_range("r_cell", self.r_cell_range)
+        _check_range("cell_capacity", self.cell_capacity_range)
+        _check_range("base_mass", self.base_mass_range)
+        _check_range("motor_torque", self.motor_torque_range)
+        _check_range("consumption", self.consumption_range)
 
 
 def synth_records(
@@ -425,36 +460,41 @@ def synth_records(
 ) -> list[VehicleRecord]:
     """Sample vehicles, integrate their sprints, and emit canonical records.
 
-    Each sample draws its parameters from an independent RNG stream derived
-    from the seed, so the output is reproducible and order-independent.
+    Each vehicle draws from its own RNG stream, spawned from the seed, so the
+    output is reproducible and the first k vehicles of any fleet are the
+    k-vehicle fleet. A stream's draws, in order: the segment position
+    (uniform on [0, 1)); the torque and parallel-count jitters (normal, sd
+    ``segment_jitter``); the series count (integer-uniform); four uniforms
+    on [0, 1) for r_cell, cell capacity, base mass and consumption; the
+    noise (standard normal). Only the draws are taken per vehicle; the
+    clipping, rounding and mapping onto the ranges run once over the fleet,
+    with the arithmetic of ``Generator.uniform`` (low + (high - low) * u).
     """
     v = v or default_vehicle()
     template = template or default_pack()
-    streams = np.random.SeedSequence(sc.seed).spawn(sc.n_samples)
-
-    n_series = np.empty(sc.n_samples, dtype=np.int64)
-    n_parallel = np.empty(sc.n_samples, dtype=np.int64)
-    r_cell = np.empty(sc.n_samples)
-    cell_cap = np.empty(sc.n_samples)
-    base_mass = np.empty(sc.n_samples)
-    torque = np.empty(sc.n_samples)
-    consumption = np.empty(sc.n_samples)
-    noise = np.empty(sc.n_samples)
-    for i, stream in enumerate(streams):
+    n = sc.n_samples
+    lo_s, hi_s = sc.n_series_range
+    segment = np.empty(n)
+    jitter = np.empty((n, 2))
+    n_series = np.empty(n, dtype=np.int64)
+    u = np.empty((n, 4))
+    noise = np.empty(n)
+    for i, stream in enumerate(np.random.SeedSequence(sc.seed).spawn(n)):
         rng = np.random.default_rng(stream)
-        segment = rng.uniform()
-        u_torque = min(max(segment + rng.normal(0.0, sc.segment_jitter), 0.0), 1.0)
-        u_parallel = min(max(segment + rng.normal(0.0, sc.segment_jitter), 0.0), 1.0)
-        lo_t, hi_t = sc.motor_torque_range
-        torque[i] = lo_t + (hi_t - lo_t) * u_torque
-        lo_p, hi_p = sc.n_parallel_range
-        n_parallel[i] = round(lo_p + (hi_p - lo_p) * u_parallel)
-        n_series[i] = rng.integers(sc.n_series_range[0], sc.n_series_range[1] + 1)
-        r_cell[i] = rng.uniform(*sc.r_cell_range)
-        cell_cap[i] = rng.uniform(*sc.cell_capacity_range)
-        base_mass[i] = rng.uniform(*sc.base_mass_range)
-        consumption[i] = rng.uniform(*sc.consumption_range)
+        segment[i] = rng.random()
+        jitter[i] = rng.normal(0.0, sc.segment_jitter, 2)
+        n_series[i] = rng.integers(lo_s, hi_s + 1)
+        u[i] = rng.random(4)
         noise[i] = rng.normal(0.0, 1.0)
+
+    u_torque, u_parallel = np.minimum(np.maximum(segment[:, None] + jitter, 0.0), 1.0).T
+    lo_t, hi_t = sc.motor_torque_range
+    torque = lo_t + (hi_t - lo_t) * u_torque
+    lo_p, hi_p = sc.n_parallel_range
+    n_parallel = np.rint(lo_p + (hi_p - lo_p) * u_parallel).astype(np.int64)
+    bounds = np.array([sc.r_cell_range, sc.cell_capacity_range, sc.base_mass_range,
+                       sc.consumption_range], dtype=float)
+    r_cell, cell_cap, base_mass, consumption = (bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u).T
 
     pack = replace(template, n_series=n_series, n_parallel=n_parallel, r_cell=r_cell)
     forces = _force_terms(replace(v, base_mass=base_mass, motor_torque_max=torque), pack)
@@ -466,22 +506,13 @@ def synth_records(
 
     cells = pack.cell_count
     capacity = cells * template.v_cell_nominal * cell_cap / 1000.0
-    range_km = capacity / consumption
-    records = []
-    for i in range(sc.n_samples):
-        records.append(
-            VehicleRecord(
-                {
-                    CAPACITY_KWH: float(capacity[i]),
-                    CELL_COUNT: float(cells[i]),
-                    WEIGHT_KG: float(forces.mass[i]),
-                    TORQUE_NM: float(torque[i]),
-                    RANGE_KM: float(range_km[i]),
-                    ACCEL_S: float(noisy_times[i]),
-                }
-            )
-        )
-    return records
+    columns = (capacity, cells.astype(float), forces.mass, torque, capacity / consumption,
+               noisy_times)
+    return [
+        VehicleRecord({CAPACITY_KWH: kwh, CELL_COUNT: count, WEIGHT_KG: kg, TORQUE_NM: nm,
+                       RANGE_KM: km, ACCEL_S: seconds})
+        for kwh, count, kg, nm, km, seconds in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def synth_dataset(

@@ -48,7 +48,7 @@ from evperf.physics import (
     synth_dataset,
 )
 from evperf.treeshap import (
-    dependence_data,
+    dependence_slopes,
     explain_matrix,
     interaction_values,
     shap_values,
@@ -217,13 +217,6 @@ def test_criterion_4_integrator_vs_closed_form():
     _report(4, "sprint integrator vs constant-power closed form", body)
 
 
-def _least_squares_slope(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xc = x - x.mean()
-    return float((xc * y).sum() / (xc * xc).sum())
-
-
 def test_criterion_5_diminishing_returns():
     def body():
         # curvature of the physics sweep changes sign at most once
@@ -242,17 +235,8 @@ def test_criterion_5_diminishing_returns():
         model = train(Dataset(scaled, ds.labels, ds.feature_names, scaler=scaler), TrainConfig())
         explanations = explain_matrix(model, scaled, ds.features)
         cell_idx = ds.feature_names.index("number_of_cells")
-        points = dependence_data(explanations, cell_idx, int(PerfClass.HIGH))
-        values = np.array([v for v, _ in points])
-        phis = np.array([p for _, p in points])
-        edges = np.percentile(values, np.arange(0, 101, 10))
-        mean_x, mean_phi = [], []
-        for i in range(10):
-            in_bin = (values >= edges[i]) & ((values <= edges[i + 1]) if i == 9 else (values < edges[i + 1]))
-            mean_x.append(values[in_bin].mean())
-            mean_phi.append(phis[in_bin].mean())
-        slope_bottom = _least_squares_slope(mean_x[:3], mean_phi[:3])
-        slope_top = _least_squares_slope(mean_x[-3:], mean_phi[-3:])
+        # decile bins; slopes over the bottom three and the top three
+        slope_bottom, slope_top = dependence_slopes(explanations, cell_idx, int(PerfClass.HIGH))
         assert slope_top < slope_bottom, (slope_top, slope_bottom)
 
     _report(5, "diminishing returns (sweep curvature + dependence slopes)", body)

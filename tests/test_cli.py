@@ -1,14 +1,29 @@
 import argparse
 import csv
+import io
 import json
 import os
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from evperf.cli import _train_config, build_parser, cmd_explain, main, resolve_config
-from evperf.data import ACCEL_S, CELL_COUNT, TORQUE_NM
+from evperf.cli import (
+    OPTIONS,
+    CliError,
+    _synth_config,
+    _train_config,
+    build_parser,
+    cmd_explain,
+    main,
+    resolve_config,
+)
+from evperf.data import ACCEL_S, CELL_COUNT, TORQUE_NM, DataError
+from evperf.physics import PhysicsError
 
 FAST = ["--rounds", "8", "--depth", "3", "--n-samples", "60"]
 
@@ -731,3 +746,102 @@ class TestParserSurface:
                  for s in a.option_strings if s not in ("-h", "--help")}
         missing = [f for f in sorted(flags) if not re.search(re.escape(f) + r"(?![\w-])", paragraph)]
         assert not missing, f"README Flags paragraph misses {missing}"
+
+
+_OPTION = {opt.key: opt for opt in OPTIONS}
+# mutated values: numbers at and past each range's edges, non-finite and huge ones,
+# booleans, paths, config-file syntax and arbitrary short text
+_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "1", "2", "0.5", "-0.5", "1.5", "1e999", "-1e999", "nan", "inf",
+                     "-inf", "1e308", "10" * 20, "-" + "9" * 30, "true", "no", "", " ", "x",
+                     "%", "100%", "%(seed)s", "[run]", "a=b", ";", "-", "--", "1_0", "0x10"]),
+    st.integers(-10**30, 10**30).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=8),
+)
+_SYNTH_ARGV = ["synth", "--n-samples", "5", "--no-svg"]
+
+
+def _drives_main(opt, value: str) -> bool:
+    """Whether `evperf synth` with this mutation is cheap and writes only under its out-dir."""
+    if "synth" not in opt.commands or opt.key == "out_dir":
+        return False
+    if opt.key == "n_samples":
+        try:
+            return int(value) <= 50
+        except ValueError:
+            return True
+    return True
+
+
+class TestFuzzSettings:
+    """Every OPTIONS row, mutated as a flag or a config-file entry: exit 0, or exit 2 naming it.
+
+    `evperf synth` is run through `main` where it is cheap; other mutations
+    stop after build_parser and resolve_config, plus building the run's
+    SynthConfig and TrainConfig, and may only raise what `main` maps to exit 2.
+    """
+
+    @staticmethod
+    def _names(opt, text: str) -> bool:
+        return opt.key in text or "--" + opt.key.replace("_", "-") in text
+
+    @settings(max_examples=120, deadline=None)
+    @example(key="noise_sd", value="nan", in_file=False)
+    @example(key="noise_sd", value="800", in_file=False)
+    @example(key="lambda", value="nan", in_file=False)
+    @example(key="lambda", value="inf", in_file=False)
+    @example(key="lambda", value="inf", in_file=True)
+    @example(key="alpha", value="nan", in_file=False)
+    @example(key="gamma", value="nan", in_file=False)
+    @example(key="swarm_samples", value="-3", in_file=False)
+    @example(key="seed", value="-1", in_file=False)
+    @example(key="seed", value="-4", in_file=True)
+    @example(key="folds", value="1", in_file=False)
+    @example(key="rounds", value="0", in_file=False)
+    @example(key="depth", value="0", in_file=False)
+    @example(key="n_samples", value="0", in_file=False)
+    @example(key="n_samples", value="1" + "0" * 30, in_file=True)
+    @example(key="eta", value="0", in_file=False)
+    @example(key="eta", value="1.5", in_file=False)
+    @example(key="eta", value="-inf", in_file=False)
+    @example(key="eta", value="nan", in_file=False)
+    @example(key="lambda", value="-1", in_file=False)
+    @example(key="alpha", value="-0.5", in_file=False)
+    @example(key="gamma", value="-2", in_file=False)
+    @example(key="feature", value="100%", in_file=True)  # once a configparser traceback
+    @example(key="seed", value="%(x)s", in_file=True)
+    @example(key="alpha", value="--", in_file=False)  # argparse's [] once reached the range check
+    @given(key=st.sampled_from(sorted(_OPTION)), value=_VALUES, in_file=st.booleans())
+    def test_mutated_setting_exit_0_or_2(self, key, value, in_file):
+        opt = _OPTION[key]
+        command = "synth" if "synth" in opt.commands else opt.commands[0]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ, {}, clear=False), \
+                redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
+            os.environ.pop("EVPERF_SEED", None)
+            if in_file:
+                cfg = Path(tmp) / "run.ini"
+                cfg.write_text(f"[{command}]\n{key} = {value}\n", encoding="utf-8")
+                mutation = ["--config", str(cfg)]
+            else:
+                mutation = [f"--{key.replace('_', '-')}={value}"]
+            out = ["--out-dir", str(Path(tmp) / "out")]
+            if command == "synth" and _drives_main(opt, value):
+                try:
+                    code = main(_SYNTH_ARGV + mutation + out)
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+                assert code in (0, 2), err.getvalue()
+                if code == 2:
+                    assert self._names(opt, err.getvalue()), err.getvalue()
+                return
+            argv = ([command] if command == "synth" else [command, "--synth"]) + mutation + out
+            try:
+                run = resolve_config(build_parser().parse_args(argv))
+                _synth_config(run)
+                _train_config(run)
+            except SystemExit as exc:
+                assert exc.code == 2 and self._names(opt, err.getvalue()), err.getvalue()
+            except (CliError, DataError, PhysicsError, OSError, ValueError) as exc:
+                assert self._names(opt, str(exc)), str(exc)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
 from evperf.data import PerfClass, bin_acceleration
 from evperf.physics import (
@@ -27,6 +28,7 @@ from evperf.physics import (
     pack_resistance,
     pack_voltage,
     resistive_forces,
+    saturation_synth_config,
     synth_dataset,
     synth_records,
     terminal_voltage,
@@ -34,6 +36,8 @@ from evperf.physics import (
     tractive_force,
 )
 from evperf.physics import _NODES, _WEIGHTS, _force_terms, _sprint_times
+
+from synth_oracle import reference_synth_records
 
 
 def make_pack(**overrides):
@@ -435,11 +439,138 @@ class TestSynth:
         with pytest.raises(PhysicsError, match="degenerate"):
             SynthConfig(n_parallel_range=(10, 10))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("consumption_range", (-1.7e308, 1.7e308), "range for consumption must be positive"),
+        ("consumption_range", (-0.1, 0.19), "range for consumption must be positive"),
+        ("cell_capacity_range", (-5.0, 5.6), "range for cell_capacity must be positive"),
+        ("motor_torque_range", (0.0, 1100.0), "range for motor_torque must be positive"),
+        ("n_samples", 2.5, "n_samples must be a finite integer of at least 1, got 2.5"),
+        ("n_samples", True, "n_samples must be a finite integer of at least 1, got True"),
+        ("seed", 1.5, "seed must be a finite integer of at least 0, got 1.5"),
+        ("seed", -1, "seed must be a finite integer of at least 0, got -1"),
+        ("n_series_range", (90.5, 180), "range for n_series must hold integers"),
+        ("n_parallel_range", (0, 26), r"range for n_parallel must lie in \[1, 2147483648\]"),
+        ("n_series_range", (90, 2**31 + 1), r"range for n_series must lie in \[1, 2147483648\]"),
+        ("base_mass_range", (1350.0, math.inf), "degenerate sampling range for base_mass"),
+        ("r_cell_range", (10**400, 10**401), "degenerate sampling range for r_cell"),
+    ], ids=["width_overflows", "negative_consumption", "negative_capacity", "zero_torque",
+            "fractional_n_samples", "bool_n_samples", "fractional_seed", "negative_seed",
+            "fractional_series", "zero_parallel", "series_beyond_int32", "infinite_mass",
+            "int_beyond_float"])
+    def test_bad_setting_named(self, field, value, message):
+        with pytest.raises(PhysicsError, match=message):
+            SynthConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        plain = SynthConfig(n_samples=7, seed=2**64 + 3, n_series_range=(90, 180))
+        numpy = SynthConfig(n_samples=np.int32(7), seed=np.uint64(2**64 - 1),
+                            n_series_range=(np.int64(90), np.uint16(180)))
+        assert [r.values for r in synth_records(numpy)] == \
+            [r.values for r in synth_records(replace(plain, seed=2**64 - 1))]
+        assert len(synth_records(plain)) == 7
+
     def test_records_have_positive_finite_values(self):
         records = synth_records(SynthConfig(n_samples=30, seed=12))
         for r in records:
             for name, value in r.values.items():
                 assert value is not None and math.isfinite(value) and value > 0
+
+
+def _bits(records):
+    """Each record's (column, value bits) pairs; every value must be a Python float."""
+    assert all(type(v) is float for r in records for v in r.values.values())
+    return [[(name, value.hex()) for name, value in r.values.items()] for r in records]
+
+
+def _outcome(generate, sc):
+    """The fleet's bits, or the type and text of the error generating it raised."""
+    try:
+        return _bits(generate(sc))
+    except Exception as exc:  # noqa: BLE001 - the oracle's errors are part of its contract
+        return type(exc), str(exc)
+
+
+@st.composite
+def _real_range(draw, lo, hi):
+    """A range near (lo, hi), or one anywhere in the positive floats."""
+    if draw(st.integers(0, 7)) == 0:
+        ends = sorted(draw(st.lists(st.floats(5e-324, 1e308), min_size=2, max_size=2)))
+        return tuple(ends)
+    low = lo * draw(st.floats(0.05, 4.0))
+    return low, low + (hi - lo) * draw(st.floats(1e-6, 4.0))
+
+
+@st.composite
+def _count_range(draw, lo, hi):
+    """An integer range near (lo, hi), sometimes of numpy integers, or one up to 2**31."""
+    if draw(st.integers(0, 7)) == 0:
+        return tuple(sorted(draw(st.lists(st.integers(1, 2**31), min_size=2, max_size=2,
+                                          unique=True))))
+    low = draw(st.integers(1, 2 * lo))
+    high = low + draw(st.integers(1, 2 * (hi - lo)))
+    return (np.int64(low), np.int32(high)) if draw(st.booleans()) else (low, high)
+
+
+_SEEDS = st.one_of(st.integers(0, 2**16), st.integers(2**63, 2**66))
+
+
+@st.composite
+def _synth_configs(draw):
+    """Generated SynthConfigs: defaults, the saturation fleet, zero jitter or noise, or new ranges."""
+    n, seed = draw(st.integers(1, 60)), draw(_SEEDS)
+    kind = draw(st.sampled_from(["default", "saturation", "no_jitter", "no_noise", "ranges"]))
+    if kind == "saturation":
+        return saturation_synth_config(n, seed)
+    sc = SynthConfig(n_samples=n, seed=seed)
+    if kind == "no_jitter":
+        return replace(sc, segment_jitter=0.0, noise_sd=0.2)
+    if kind == "no_noise":
+        return replace(sc, noise_sd=0.0)
+    if kind == "default":
+        return sc
+    settings_ = dict(
+        noise_sd=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.0, 1e3))),
+        segment_jitter=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
+        n_series_range=draw(_count_range(*sc.n_series_range)),
+        n_parallel_range=draw(_count_range(*sc.n_parallel_range)),
+        r_cell_range=draw(_real_range(*sc.r_cell_range)),
+        cell_capacity_range=draw(_real_range(*sc.cell_capacity_range)),
+        base_mass_range=draw(_real_range(*sc.base_mass_range)),
+        motor_torque_range=draw(_real_range(*sc.motor_torque_range)),
+        consumption_range=draw(_real_range(*sc.consumption_range)),
+    )
+    try:
+        return replace(sc, **settings_)
+    except PhysicsError:  # a range too narrow for its floats: both generators refuse it alike
+        reject()
+
+
+class TestSynthMatchesOracle:
+    """synth_records against the per-vehicle loop it replaced (tests/synth_oracle.py)."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @example(saturation_synth_config(60, 2**64 + 5))
+    @example(SynthConfig(n_samples=33, seed=2**64 - 1, segment_jitter=0.0, noise_sd=0.0))
+    @example(SynthConfig(n_samples=9, seed=4, motor_torque_range=(1e-3, 2e-3)))  # cannot move
+    @example(SynthConfig(n_samples=9, seed=4, base_mass_range=(1e6, 2e6)))  # too slow
+    @example(SynthConfig(n_samples=9, seed=4, noise_sd=800.0))  # noise overflows
+    # int ends beyond 2**53: the torque's width is taken in ints, as Python does, and
+    # consumption's in floats, as Generator.uniform does
+    @example(SynthConfig(n_samples=9, seed=4, motor_torque_range=(2**53 + 1, 2**54),
+                         consumption_range=(1, 2**53 + 1)))
+    @given(sc=_synth_configs())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme ranges overflow the physics
+    def test_bit_identical_to_oracle(self, sc):
+        assert _outcome(synth_records, sc) == _outcome(reference_synth_records, sc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=_SEEDS, n=st.integers(2, 60), data=st.data())
+    def test_prefix_is_the_smaller_fleet(self, seed, n, data):
+        k = data.draw(st.integers(1, n - 1))
+        sc = data.draw(st.sampled_from([SynthConfig(n_samples=n, seed=seed),
+                                        saturation_synth_config(n, seed)]))
+        assert _bits(synth_records(sc)[:k]) == _bits(synth_records(replace(sc, n_samples=k)))
 
 
 def test_perf_class_helper_consistency():

@@ -21,6 +21,7 @@ from evperf.physics import SynthConfig, synth_dataset
 from evperf.treeshap import (
     Explanation,
     dependence_data,
+    dependence_slopes,
     explain_matrix,
     explanations_to_csv,
     force_plot_data,
@@ -324,6 +325,35 @@ class TestDependence:
         exps = explain_matrix(model, np.array([[1.0], [-1.0]]))
         values = [v for v, _ in dependence_data(exps, 0, 0)]
         assert values == [pytest.approx(12.0), pytest.approx(8.0)]
+
+    @staticmethod
+    def _curve(x, phi):
+        """A one-feature, one-class Explanation with the given values and attributions."""
+        x = np.asarray(x, dtype=float)
+        return Explanation(np.zeros(1), np.asarray(phi, dtype=float)[:, None, None],
+                           x[:, None], ("f0",))
+
+    def test_slopes_of_a_saturating_curve(self):
+        # phi = x up to 50, flat beyond: ten rows per decile bin
+        x = np.arange(100.0)
+        bottom, top = dependence_slopes(self._curve(x, np.minimum(x, 50.0)), 0, 0)
+        assert bottom == pytest.approx(1.0) and top == pytest.approx(0.0, abs=1e-12)
+
+    def test_slopes_over_given_bins_and_ends(self):
+        # phi = x^2 in four bins of 25 rows; the end slopes over two bin means each
+        x = np.arange(100.0)
+        bottom, top = dependence_slopes(self._curve(x, x * x), 0, 0, bins=4, ends=2)
+        means_x = x.reshape(4, 25).mean(axis=1)
+        means_phi = (x * x).reshape(4, 25).mean(axis=1)
+        assert bottom == pytest.approx((means_phi[1] - means_phi[0]) / (means_x[1] - means_x[0]))
+        assert top == pytest.approx((means_phi[3] - means_phi[2]) / (means_x[3] - means_x[2]))
+
+    def test_empty_bin_and_bad_ends_rejected(self):
+        tied = self._curve([1.0] * 50 + [2.0] * 50, np.zeros(100))
+        with pytest.raises(ValueError, match="empty"):
+            dependence_slopes(tied, 0, 0)
+        with pytest.raises(ValueError, match="ends"):
+            dependence_slopes(self._curve(np.arange(10.0), np.zeros(10)), 0, 0, ends=1)
 
 
 class TestInteractions:
