@@ -505,9 +505,13 @@ def synth_records(
         raise PhysicsError(f"noise_sd={sc.noise_sd} drives acceleration times to 0 or infinity")
 
     cells = pack.cell_count
-    capacity = cells * template.v_cell_nominal * cell_cap / 1000.0
-    columns = (capacity, cells.astype(float), forces.mass, torque, capacity / consumption,
-               noisy_times)
+    with np.errstate(over="ignore"):
+        capacity = cells * template.v_cell_nominal * cell_cap / 1000.0
+        range_km = capacity / consumption
+    for name, column in ((CAPACITY_KWH, capacity), (RANGE_KM, range_km)):
+        if not np.all(np.isfinite(column) & (column > 0)):
+            raise PhysicsError(f"sampling ranges drive {name} to 0 or infinity")
+    columns = (capacity, cells.astype(float), forces.mass, torque, range_km, noisy_times)
     return [
         VehicleRecord({CAPACITY_KWH: kwh, CELL_COUNT: count, WEIGHT_KG: kg, TORQUE_NM: nm,
                        RANGE_KM: km, ACCEL_S: seconds})

@@ -23,8 +23,8 @@ x[None])[0]``).
 A batch's attributions are one ``Explanation``: the base value, the
 (n, d, K) attributions and the (n, d) feature values in input units. The
 derived analyses read its arrays: global importance ranking, dependence
-data and its binned slopes, and force-plot decompositions. The brute-force Shapley oracles that
-check the path set live with the tests.
+data and its binned slopes, and force-plot decompositions. The brute-force
+Shapley oracles that check the path set live with the tests.
 
 Attributions live in margin (pre-softmax) space, where additivity is exact;
 downstream figure labels should say so.
@@ -456,34 +456,32 @@ def _least_squares_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def dependence_slopes(
-    explained: Explanation, feature_index: int, class_index: int, bins: int = 10, ends: int = 3
+    explained: Explanation, feature_index: int, class_index: int
 ) -> tuple[float, float]:
     """Slopes of the binned dependence curve at its bottom and its top.
 
-    The rows are split at the quantiles of the feature's value into ``bins``
-    bins, each closed below and open above except the last, which is closed.
-    Each bin's mean value and mean attribution make one point, and the
-    least-squares slopes over the first ``ends`` points and over the last
-    ``ends`` are returned as (bottom, top). A top slope below the bottom one
-    says each unit of the feature buys less attribution at high values: the
+    The rows are split at the deciles of the feature's value into ten bins,
+    each closed below and open above except the last, which is closed. Each
+    bin's mean value and mean attribution make one point, and the
+    least-squares slopes over the first three points and over the last three
+    are returned as (bottom, top). A top slope below the bottom one says
+    each unit of the feature buys less attribution at high values: the
     diminishing returns the source paper reports for cell count. Raises
-    ValueError if a bin is empty, which ties at a quantile can cause.
+    ValueError if a bin is empty, which ties at a decile can cause.
     """
-    if not 2 <= ends <= bins:
-        raise ValueError(f"need 2 <= ends <= bins, got ends={ends}, bins={bins}")
     points = np.array(dependence_data(explained, feature_index, class_index))
     values, phis = points[:, 0], points[:, 1]
-    edges = np.percentile(values, np.linspace(0, 100, bins + 1))
-    mean_x, mean_phi = np.empty(bins), np.empty(bins)
-    for i in range(bins):
-        upper = values <= edges[i + 1] if i == bins - 1 else values < edges[i + 1]
+    edges = np.percentile(values, np.arange(0, 101, 10))
+    mean_x, mean_phi = np.empty(10), np.empty(10)
+    for i in range(10):
+        upper = values <= edges[i + 1] if i == 9 else values < edges[i + 1]
         in_bin = (values >= edges[i]) & upper
         if not in_bin.any():
-            raise ValueError(f"dependence bin {i} of {bins} is empty: too few distinct values")
+            raise ValueError(f"dependence bin {i} of 10 is empty: too few distinct values")
         mean_x[i] = values[in_bin].mean()
         mean_phi[i] = phis[in_bin].mean()
-    return (_least_squares_slope(mean_x[:ends], mean_phi[:ends]),
-            _least_squares_slope(mean_x[-ends:], mean_phi[-ends:]))
+    return (_least_squares_slope(mean_x[:3], mean_phi[:3]),
+            _least_squares_slope(mean_x[-3:], mean_phi[-3:]))
 
 
 @dataclass(frozen=True)

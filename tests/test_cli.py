@@ -759,7 +759,9 @@ _VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=8),
 )
-_SYNTH_ARGV = ["synth", "--n-samples", "5", "--no-svg"]
+# the flags each mutated run starts from, by the key they set; a mutated key's own flag is
+# left out, since a flag would override its config-file entry
+_BASE_FLAGS = {"n_samples": ["--n-samples", "5"], "svg": ["--no-svg"], "synth": ["--synth"]}
 
 
 def _drives_main(opt, value: str) -> bool:
@@ -826,17 +828,21 @@ class TestFuzzSettings:
                 mutation = ["--config", str(cfg)]
             else:
                 mutation = [f"--{key.replace('_', '-')}={value}"]
-            out = ["--out-dir", str(Path(tmp) / "out")]
+            base = [] if key == "out_dir" else ["--out-dir", str(Path(tmp) / "out")]
             if command == "synth" and _drives_main(opt, value):
+                base = [a for k, flags in _BASE_FLAGS.items() if k not in ("synth", key)
+                        for a in flags] + base
                 try:
-                    code = main(_SYNTH_ARGV + mutation + out)
+                    code = main(["synth"] + base + mutation)
                 except SystemExit as exc:  # argparse's usage error
                     code = exc.code
                 assert code in (0, 2), err.getvalue()
                 if code == 2:
                     assert self._names(opt, err.getvalue()), err.getvalue()
                 return
-            argv = ([command] if command == "synth" else [command, "--synth"]) + mutation + out
+            if command != "synth" and key not in ("input", "synth"):
+                base += _BASE_FLAGS["synth"]
+            argv = [command] + base + mutation
             try:
                 run = resolve_config(build_parser().parse_args(argv))
                 _synth_config(run)

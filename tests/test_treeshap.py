@@ -339,21 +339,19 @@ class TestDependence:
         bottom, top = dependence_slopes(self._curve(x, np.minimum(x, 50.0)), 0, 0)
         assert bottom == pytest.approx(1.0) and top == pytest.approx(0.0, abs=1e-12)
 
-    def test_slopes_over_given_bins_and_ends(self):
-        # phi = x^2 in four bins of 25 rows; the end slopes over two bin means each
+    def test_slopes_are_those_of_the_decile_means(self):
+        # phi = x^2, ten rows per decile bin; each end slope is a line through three bin means
         x = np.arange(100.0)
-        bottom, top = dependence_slopes(self._curve(x, x * x), 0, 0, bins=4, ends=2)
-        means_x = x.reshape(4, 25).mean(axis=1)
-        means_phi = (x * x).reshape(4, 25).mean(axis=1)
-        assert bottom == pytest.approx((means_phi[1] - means_phi[0]) / (means_x[1] - means_x[0]))
-        assert top == pytest.approx((means_phi[3] - means_phi[2]) / (means_x[3] - means_x[2]))
+        bottom, top = dependence_slopes(self._curve(x, x * x), 0, 0)
+        means_x = x.reshape(10, 10).mean(axis=1)
+        means_phi = (x * x).reshape(10, 10).mean(axis=1)
+        assert bottom == pytest.approx((means_phi[2] - means_phi[0]) / (means_x[2] - means_x[0]))
+        assert top == pytest.approx((means_phi[9] - means_phi[7]) / (means_x[9] - means_x[7]))
 
-    def test_empty_bin_and_bad_ends_rejected(self):
+    def test_empty_bin_rejected(self):
         tied = self._curve([1.0] * 50 + [2.0] * 50, np.zeros(100))
         with pytest.raises(ValueError, match="empty"):
             dependence_slopes(tied, 0, 0)
-        with pytest.raises(ValueError, match="ends"):
-            dependence_slopes(self._curve(np.arange(10.0), np.zeros(10)), 0, 0, ends=1)
 
 
 class TestInteractions:
