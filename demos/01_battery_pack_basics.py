@@ -23,7 +23,6 @@ pack = PackConfig(
     v_cell_nominal=3.7,
     v_cell_min=3.0,
     cell_mass=0.07,
-    cell_capacity_ah=5.0,
     r_interconnects=0.002,
     pack_overhead_mass_fraction=0.35,
 )

@@ -14,6 +14,10 @@ MARGIN_RIGHT = 30
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 50
 
+WIDTH = 640          # every figure but the heatmap
+HEATMAP_WIDTH = 480
+SCATTER_HEIGHT = 420
+
 POS_COLOR = "#d62728"
 NEG_COLOR = "#1f77b4"
 BAR_COLOR = "#4878a8"
@@ -49,15 +53,14 @@ def bar_chart(
     values: Sequence[float],
     title: str,
     xlabel: str = "value",
-    width: int = 640,
 ) -> str:
     """Horizontal bar chart, one bar per label, in the order given."""
     n = len(labels)
     row_h = 28
     height = MARGIN_TOP + n * row_h + MARGIN_BOTTOM
     span = max((abs(v) for v in values), default=0.0) or 1.0
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    lines = _svg_open(width, height, title)
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    lines = _svg_open(WIDTH, height, title)
     for i, (label, v) in enumerate(zip(labels, values)):
         y = MARGIN_TOP + i * row_h
         w = abs(v) / span * plot_w
@@ -73,7 +76,7 @@ def bar_chart(
             f'<text x="{MARGIN_LEFT + w + 5:.2f}" y="{y + row_h * 0.65:.1f}" '
             f'font-size="11">{v:.4g}</text>'
         )
-    _axis_label(lines, width, height, xlabel, "")
+    _axis_label(lines, WIDTH, height, xlabel, "")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -95,13 +98,11 @@ def scatter(
     title: str,
     xlabel: str,
     ylabel: str,
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     """Scatter plot with auto-scaled axes and min/max tick labels."""
-    lines = _svg_open(width, height, title)
-    x0_px, x1_px = MARGIN_LEFT, width - MARGIN_RIGHT
-    y0_px, y1_px = height - MARGIN_BOTTOM, MARGIN_TOP
+    lines = _svg_open(WIDTH, SCATTER_HEIGHT, title)
+    x0_px, x1_px = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
+    y0_px, y1_px = SCATTER_HEIGHT - MARGIN_BOTTOM, MARGIN_TOP
     lines.append(
         f'<rect x="{x0_px}" y="{y1_px}" width="{x1_px - x0_px}" height="{y0_px - y1_px}" '
         f'fill="none" stroke="#999"/>'
@@ -125,7 +126,7 @@ def scatter(
         lines.append(
             f'<text x="{x0_px - 6}" y="{y1_px + 10}" font-size="10" text-anchor="end">{max(ys):.4g}</text>'
         )
-    _axis_label(lines, width, height, xlabel, ylabel)
+    _axis_label(lines, WIDTH, SCATTER_HEIGHT, xlabel, ylabel)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -135,15 +136,14 @@ def heatmap(
     row_labels: Sequence[str],
     col_labels: Sequence[str],
     title: str,
-    width: int = 480,
 ) -> str:
     """Annotated heatmap; darker cells hold larger values."""
     n_rows = len(row_labels)
     n_cols = len(col_labels)
-    cell = max(40, (width - MARGIN_LEFT - MARGIN_RIGHT) // max(n_cols, 1))
+    cell = max(40, (HEATMAP_WIDTH - MARGIN_LEFT - MARGIN_RIGHT) // max(n_cols, 1))
     height = MARGIN_TOP + n_rows * cell + MARGIN_BOTTOM
     peak = max((max(row) for row in matrix), default=0) or 1
-    lines = _svg_open(width, height, title)
+    lines = _svg_open(HEATMAP_WIDTH, height, title)
     for j, cl in enumerate(col_labels):
         cx = MARGIN_LEFT + j * cell + cell / 2
         lines.append(
@@ -173,7 +173,6 @@ def strip_plot(
     groups: Sequence[tuple[str, Sequence[float]]],
     title: str,
     xlabel: str,
-    width: int = 640,
 ) -> str:
     """One jittered horizontal strip of points per group.
 
@@ -184,8 +183,8 @@ def strip_plot(
     row_h = 34
     height = MARGIN_TOP + n * row_h + MARGIN_BOTTOM
     all_vals = [v for _, vals in groups for v in vals] or [0.0]
-    lines = _svg_open(width, height, title)
-    x0_px, x1_px = MARGIN_LEFT, width - MARGIN_RIGHT
+    lines = _svg_open(WIDTH, height, title)
+    x0_px, x1_px = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     v_min, gain = _scale(all_vals, x0_px, x1_px)
     zero_px = x0_px + (0.0 - v_min) * gain
     if x0_px <= zero_px <= x1_px:
@@ -205,7 +204,7 @@ def strip_plot(
             lines.append(
                 f'<circle cx="{px:.2f}" cy="{cy + jitter:.2f}" r="2.4" fill="{color}" fill-opacity="0.55"/>'
             )
-    _axis_label(lines, width, height, xlabel, "")
+    _axis_label(lines, WIDTH, height, xlabel, "")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -215,19 +214,18 @@ def force_chart(
     base_value: float,
     margin: float,
     title: str,
-    width: int = 640,
 ) -> str:
     """Waterfall of (name, raw value, phi) pushes from base to margin."""
     n = len(entries)
     row_h = 30
     height = MARGIN_TOP + (n + 2) * row_h + MARGIN_BOTTOM
-    lines = _svg_open(width, height, title)
+    lines = _svg_open(WIDTH, height, title)
     positions = [base_value]
     for _, _, phi in entries:
         positions.append(positions[-1] + phi)
     lo = min(positions)
     hi = max(positions)
-    x0_px, x1_px = MARGIN_LEFT, width - MARGIN_RIGHT
+    x0_px, x1_px = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     v_min, gain = _scale([lo, hi], x0_px, x1_px)
 
     def px(v: float) -> float:

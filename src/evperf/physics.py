@@ -38,6 +38,8 @@ from .data import (
 )
 
 TARGET_SPEED = 100.0 / 3.6  # 100 km/h in m/s
+AIR_DENSITY = 1.225         # kg/m^3
+GRAVITY = 9.81              # m/s^2
 SPEED_EPS = 0.1             # m/s; guards the power-limited force at standstill
 MAX_SPRINT_TIME = 120.0     # s; give up if 100 km/h is not reached by then
 
@@ -77,7 +79,6 @@ class PackConfig:
     v_cell_nominal: float       # volt
     v_cell_min: float           # volt, safe discharge cutoff per cell
     cell_mass: float            # kg
-    cell_capacity_ah: float     # amp-hour
     r_interconnects: float = 0.0           # ohm, busbars and welds
     pack_overhead_mass_fraction: float = 0.0  # housing/cooling mass per cell mass
 
@@ -88,8 +89,6 @@ class PackConfig:
             raise PhysicsError("r_cell, v_cell_nominal and cell_mass must be finite and positive")
         if not 0 < self.v_cell_min < self.v_cell_nominal:
             raise PhysicsError("v_cell_min must lie in (0, v_cell_nominal)")
-        if not _finite_above(0, self.cell_capacity_ah):
-            raise PhysicsError("cell_capacity_ah must be finite and positive")
         if not _finite_at_least(0, self.r_interconnects, self.pack_overhead_mass_fraction):
             raise PhysicsError("r_interconnects and overhead fraction must be finite and non-negative")
 
@@ -115,14 +114,12 @@ class VehicleParams:
     driveline_efficiency: float  # (0, 1]
     motor_torque_max: float     # N*m
     traction_limit_accel: float  # m/s^2, tire grip cap
-    air_density: float = 1.225  # kg/m^3
-    g: float = 9.81             # m/s^2
 
     def __post_init__(self) -> None:
         fields = (
             self.base_mass, self.c_d, self.frontal_area, self.c_rr,
             self.wheel_radius, self.gear_ratio, self.driveline_efficiency,
-            self.motor_torque_max, self.traction_limit_accel, self.air_density, self.g,
+            self.motor_torque_max, self.traction_limit_accel,
         )
         if not _finite_above(0, *fields):
             raise PhysicsError("all vehicle parameters must be finite and positive")
@@ -150,17 +147,13 @@ def pack_resistance(p: PackConfig) -> float:
     return p.n_series * p.r_cell / p.n_parallel + p.r_interconnects
 
 
-def pack_max_power(p: PackConfig, at_cutoff: bool = False) -> float:
+def pack_max_power(p: PackConfig) -> float:
     """Peak electrical power the pack can deliver before hitting the cutoff.
 
-    Estimated as V_ocv * (V_ocv - V_min) / R. With ``at_cutoff`` the leading
-    factor is V_min instead: the power actually delivered at the sag limit,
-    a slightly more conservative figure kept for sensitivity checks.
+    Estimated as V_ocv * (V_ocv - V_min) / R.
     """
     v_ocv = pack_voltage(p)
-    v_min = pack_min_voltage(p)
-    lead = v_min if at_cutoff else v_ocv
-    return lead * (v_ocv - v_min) / pack_resistance(p)
+    return v_ocv * (v_ocv - pack_min_voltage(p)) / pack_resistance(p)
 
 
 def terminal_voltage(v_ocv: float, i: float, r: float) -> float:
@@ -193,16 +186,18 @@ class _ForceTerms(NamedTuple):
 
 
 def _force_terms(v: VehicleParams, p: PackConfig) -> _ForceTerms:
-    eta = v.driveline_efficiency
-    mass = total_mass(v, p)
-    return _ForceTerms(
-        force_cap=np.minimum(v.motor_torque_max * v.gear_ratio * eta / v.wheel_radius,
-                             mass * v.traction_limit_accel),
-        wheel_power=eta * pack_max_power(p),
-        drag_coeff=0.5 * v.air_density * v.c_d * v.frontal_area,
-        rolling_force=v.c_rr * mass * v.g,
-        mass=mass,
-    )
+    # extreme fleets overflow here; _sprint_times names whatever that breaks
+    with np.errstate(over="ignore"):
+        eta = v.driveline_efficiency
+        mass = total_mass(v, p)
+        return _ForceTerms(
+            force_cap=np.minimum(v.motor_torque_max * v.gear_ratio * eta / v.wheel_radius,
+                                 mass * v.traction_limit_accel),
+            wheel_power=eta * pack_max_power(p),
+            drag_coeff=0.5 * AIR_DENSITY * v.c_d * v.frontal_area,
+            rolling_force=v.c_rr * mass * GRAVITY,
+            mass=mass,
+        )
 
 
 def _drive_force(f: _ForceTerms, speed):
@@ -368,7 +363,6 @@ def default_pack() -> PackConfig:
         v_cell_nominal=3.7,
         v_cell_min=3.0,
         cell_mass=0.07,
-        cell_capacity_ah=5.0,
         r_interconnects=0.002,
         pack_overhead_mass_fraction=0.35,
     )
@@ -453,11 +447,7 @@ class SynthConfig:
         _check_range("consumption", self.consumption_range)
 
 
-def synth_records(
-    sc: SynthConfig,
-    v: VehicleParams | None = None,
-    template: PackConfig | None = None,
-) -> list[VehicleRecord]:
+def synth_records(sc: SynthConfig) -> list[VehicleRecord]:
     """Sample vehicles, integrate their sprints, and emit canonical records.
 
     Each vehicle draws from its own RNG stream, spawned from the seed, so the
@@ -466,12 +456,12 @@ def synth_records(
     (uniform on [0, 1)); the torque and parallel-count jitters (normal, sd
     ``segment_jitter``); the series count (integer-uniform); four uniforms
     on [0, 1) for r_cell, cell capacity, base mass and consumption; the
-    noise (standard normal). Only the draws are taken per vehicle; the
-    clipping, rounding and mapping onto the ranges run once over the fleet,
-    with the arithmetic of ``Generator.uniform`` (low + (high - low) * u).
+    noise (standard normal). Each vehicle is default_vehicle() on
+    default_pack() with its drawn counts, r_cell, base mass and torque.
+    Only the draws are taken per vehicle; the clipping, rounding and mapping
+    onto the ranges run once over the fleet, with the arithmetic of
+    ``Generator.uniform`` (low + (high - low) * u).
     """
-    v = v or default_vehicle()
-    template = template or default_pack()
     n = sc.n_samples
     lo_s, hi_s = sc.n_series_range
     segment = np.empty(n)
@@ -496,8 +486,9 @@ def synth_records(
                        sc.consumption_range], dtype=float)
     r_cell, cell_cap, base_mass, consumption = (bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u).T
 
-    pack = replace(template, n_series=n_series, n_parallel=n_parallel, r_cell=r_cell)
-    forces = _force_terms(replace(v, base_mass=base_mass, motor_torque_max=torque), pack)
+    pack = replace(default_pack(), n_series=n_series, n_parallel=n_parallel, r_cell=r_cell)
+    forces = _force_terms(replace(default_vehicle(), base_mass=base_mass, motor_torque_max=torque),
+                          pack)
     times = _sprint_times(forces)
     with np.errstate(over="ignore"):
         noisy_times = times * np.exp(sc.noise_sd * noise)
@@ -506,7 +497,7 @@ def synth_records(
 
     cells = pack.cell_count
     with np.errstate(over="ignore"):
-        capacity = cells * template.v_cell_nominal * cell_cap / 1000.0
+        capacity = cells * pack.v_cell_nominal * cell_cap / 1000.0
         range_km = capacity / consumption
     for name, column in ((CAPACITY_KWH, capacity), (RANGE_KM, range_km)):
         if not np.all(np.isfinite(column) & (column > 0)):
@@ -519,13 +510,9 @@ def synth_records(
     ]
 
 
-def synth_dataset(
-    sc: SynthConfig,
-    v: VehicleParams | None = None,
-    template: PackConfig | None = None,
-) -> Dataset:
+def synth_dataset(sc: SynthConfig) -> Dataset:
     """Labeled synthetic dataset with the canonical feature columns."""
-    return build_dataset(synth_records(sc, v, template), DEFAULT_FEATURES)
+    return build_dataset(synth_records(sc), DEFAULT_FEATURES)
 
 
 def saturation_synth_config(n_samples: int = 300, seed: int = 0) -> SynthConfig:

@@ -59,10 +59,6 @@ class Explanation:
     def __len__(self) -> int:
         return len(self.phi)
 
-    def margins(self) -> np.ndarray:
-        """The rows' margins, shape (n, num_class)."""
-        return self.base_value + self.phi.sum(axis=1)
-
 
 # --- merged root-to-leaf paths ------------------------------------------------
 #
@@ -529,16 +525,14 @@ def force_plot_data(explained: Explanation, row: int, class_index: int) -> Force
 def explanations_to_csv(
     explained: Explanation,
     out: IO[str],
-    sample_ids: Sequence[int] | None = None,
     class_names: Sequence[str] | None = None,
 ) -> None:
-    """Write one row per sample x feature x class: id, feature, class, value, phi."""
+    """Write one row per sample x feature x class: row index, feature, class, value, phi."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["sample_id", "feature", "class", "value", "phi"])
     n_class = explained.phi.shape[2]
     labels = range(n_class) if class_names is None else [class_names[k] for k in range(n_class)]
-    for s, (values, phi) in enumerate(zip(explained.values.tolist(), explained.phi.tolist())):
-        sid = sample_ids[s] if sample_ids is not None else s
+    for sid, (values, phi) in enumerate(zip(explained.values.tolist(), explained.phi.tolist())):
         for name, value, per_class in zip(explained.feature_names, values, phi):
             for label, p in zip(labels, per_class):
                 writer.writerow([sid, name, label, repr(value), repr(p)])

@@ -24,10 +24,8 @@ from evperf.data import (
     VehicleRecord,
 )
 from evperf.physics import (
-    PackConfig,
     PhysicsError,
     SynthConfig,
-    VehicleParams,
     _force_terms,
     _sprint_times,
     default_pack,
@@ -35,13 +33,9 @@ from evperf.physics import (
 )
 
 
-def reference_synth_records(
-    sc: SynthConfig,
-    v: VehicleParams | None = None,
-    template: PackConfig | None = None,
-) -> list[VehicleRecord]:
-    v = v or default_vehicle()
-    template = template or default_pack()
+def reference_synth_records(sc: SynthConfig) -> list[VehicleRecord]:
+    v = default_vehicle()
+    template = default_pack()
     streams = np.random.SeedSequence(sc.seed).spawn(sc.n_samples)
 
     n_series = np.empty(sc.n_samples, dtype=np.int64)

@@ -208,7 +208,7 @@ def test_criterion_4_integrator_vs_closed_form():
         r_total = 400.0 * 100.0 / power
         p = PackConfig(
             n_series=100, n_parallel=1, r_cell=r_total / 100.0, v_cell_nominal=4.0,
-            v_cell_min=3.0, cell_mass=1e-12, cell_capacity_ah=5.0,
+            v_cell_min=3.0, cell_mass=1e-12,
         )
         # kinetic energy gained from SPEED_EPS equals power times time
         closed = mass * (TARGET_SPEED**2 - SPEED_EPS**2) / (2.0 * power)

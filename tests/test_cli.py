@@ -429,6 +429,14 @@ def test_failed_replace_keeps_the_previous_artifact(trained_dir, tmp_path, capsy
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
+@pytest.mark.filterwarnings("error")
+def test_default_pipeline_warns_nothing(tmp_path):
+    assert run(["synth", "--out-dir", tmp_path, "--n-samples", "40"]) == 0
+    assert run(["train", "--synth", "--out-dir", tmp_path, *FAST]) == 0
+    assert run(["explain", "--synth", "--model", tmp_path / "model.json", "--out-dir", tmp_path,
+                "--n-samples", "30", "--swarm-samples", "5"]) == 0
+
+
 class TestConfigResolution:
     def test_config_file_supplies_values(self, tmp_path):
         cfg = tmp_path / "run.ini"

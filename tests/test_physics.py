@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
-from evperf.data import PerfClass, bin_acceleration
+from evperf.data import ACCEL_S, PerfClass, bin_acceleration
 from evperf.physics import (
     DEFAULT_SWEEP_PARALLEL,
     MAX_SPRINT_TIME,
@@ -43,7 +43,7 @@ from synth_oracle import reference_synth_records
 def make_pack(**overrides):
     base = dict(
         n_series=96, n_parallel=4, r_cell=0.02, v_cell_nominal=3.7, v_cell_min=3.0,
-        cell_mass=0.07, cell_capacity_ah=5.0,
+        cell_mass=0.07,
     )
     base.update(overrides)
     return PackConfig(**base)
@@ -81,7 +81,6 @@ class TestPackElectrical:
         # 400 V open circuit, 300 V cutoff, 0.1 ohm -> 400 kW
         p = make_pack(n_series=100, n_parallel=1, r_cell=0.001, v_cell_nominal=4.0, v_cell_min=3.0)
         assert pack_max_power(p) == pytest.approx(400e3)
-        assert pack_max_power(p, at_cutoff=True) == pytest.approx(300e3)
 
     def test_max_power_vanishes_at_cutoff_limit(self):
         p = make_pack(v_cell_nominal=4.0, v_cell_min=4.0 * (1 - 1e-12))
@@ -108,7 +107,7 @@ class TestPackElectrical:
 
     @pytest.mark.parametrize("field, value", [
         ("r_cell", math.nan), ("r_cell", math.inf), ("n_parallel", math.nan),
-        ("v_cell_nominal", math.inf), ("cell_capacity_ah", math.nan),
+        ("v_cell_nominal", math.inf),
         ("r_interconnects", math.nan), ("pack_overhead_mass_fraction", math.inf),
     ])
     def test_non_finite_pack_rejected(self, field, value):
@@ -151,7 +150,7 @@ class TestMassAndForces:
 
     @pytest.mark.parametrize("field, value", [
         ("c_d", math.nan), ("base_mass", math.inf), ("driveline_efficiency", math.nan),
-        ("motor_torque_max", math.nan), ("g", math.inf),
+        ("motor_torque_max", math.nan),
     ])
     def test_non_finite_vehicle_rejected(self, field, value):
         with pytest.raises(PhysicsError, match="finite"):
@@ -179,7 +178,7 @@ def _constant_power_setup(mass=2000.0, power=300e3):
     r_total = 400.0 * 100.0 / power
     p = PackConfig(
         n_series=100, n_parallel=1, r_cell=r_total / 100.0, v_cell_nominal=4.0,
-        v_cell_min=3.0, cell_mass=1e-12, cell_capacity_ah=5.0,
+        v_cell_min=3.0, cell_mass=1e-12,
     )
     return v, p
 
@@ -288,8 +287,8 @@ def _reference_sprint(v, p, dt=1e-3):
 
     def dvdt(speed):
         drive = min(force_cap, wheel_power / max(speed, 0.1), m * v.traction_limit_accel)
-        aero = 0.5 * v.air_density * v.c_d * v.frontal_area * speed * speed
-        return (drive - (aero + v.c_rr * m * v.g)) / m
+        aero = 0.5 * 1.225 * v.c_d * v.frontal_area * speed * speed
+        return (drive - (aero + v.c_rr * m * 9.81)) / m
 
     speed, t = 0.1, 0.0
     while True:
@@ -469,6 +468,17 @@ class TestSynth:
     def test_non_finite_or_zero_column_named(self, ranges, column):
         with pytest.raises(PhysicsError, match=f"drive {column} to 0 or infinity"):
             synth_records(SynthConfig(n_samples=5, **ranges))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field", ["r_cell_range", "base_mass_range"])
+    def test_overflowing_forces_named_without_warning(self, field):
+        with pytest.raises(PhysicsError, match="cannot accelerate from standstill"):
+            synth_records(SynthConfig(n_samples=20, **{field: (1e307, 1.7e308)}))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_torque_is_grip_capped_without_warning(self):
+        records = synth_records(SynthConfig(n_samples=20, motor_torque_range=(1e307, 1.7e308)))
+        assert all(0 < r.values[ACCEL_S] < MAX_SPRINT_TIME for r in records)
 
     def test_numpy_integers_accepted(self):
         numpy = SynthConfig(n_samples=np.int32(7), seed=np.uint64(2**64 - 1),

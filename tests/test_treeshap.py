@@ -153,7 +153,7 @@ def stump(feature, threshold, left=1.0, right=-1.0, cover=(1.0, 1.0)):
 def assert_matches_oracles(model, x):
     e = shap_values(model, x)
     assert np.allclose(e.phi[0], brute_force_shapley(model, x), atol=1e-12)
-    assert np.allclose(e.margins()[0], predict_margin(model, x), atol=1e-12)
+    assert np.allclose((e.base_value + e.phi.sum(axis=1))[0], predict_margin(model, x), atol=1e-12)
     assert np.allclose(interaction_values(model, x[None])[0], brute_force_interactions(model, x),
                        atol=1e-12)
 
