@@ -52,7 +52,7 @@ def bar_chart(
     labels: Sequence[str],
     values: Sequence[float],
     title: str,
-    xlabel: str = "value",
+    xlabel: str,
 ) -> str:
     """Horizontal bar chart, one bar per label, in the order given."""
     n = len(labels)

@@ -8,10 +8,19 @@ fit to the softmax cross-entropy gradients and Hessians.
 
 Split search follows XGBoost's presorted column blocks (Chen & Guestrin
 2016): each feature column is sorted once per fit, and a node keeps its rows
-as (d, m) blocks in each feature's value order. A split filters the blocks
+as (d, m) blocks in each feature's value order. A split cuts the blocks
 into its children's, keeping the order, so a node is scored by cumulative
 sums, gain matrices and argmaxes over its blocks, with no sorting. The rows
 each leaf receives give the margin update directly.
+
+The cut is by index: the split's go-left flags are gathered in block order,
+one ``nonzero`` per side gives that side's positions, and ``take`` copies the
+children's blocks and row lists. A boolean mask would select the same
+elements in the same order, but numpy's mask indexing copies one run at a
+time, and a split seen in another feature's order has short runs. For the
+cut of a 5 x m node, the mask path against the index path took 23.6 against
+10.3 us at m = 240, 250 against 47 us at 2,000, and 892 against 137 us at
+6,316 (2-core x86-64 VM, numpy 2.4).
 
 The blocks are scored in tiles of whole feature rows holding at most
 ``_TILE`` (8,192) values, as XGBoost sizes its column blocks to the cache
@@ -36,7 +45,9 @@ replaces the target, so an interrupted save leaves the previous file whole.
 Split search calls numpy's ufunc methods (``np.add.accumulate``,
 ``np.add.reduce``, ``ndarray.argmax``) rather than the Python wrappers
 around them: the same C loops, so the same bits, without a wrapper's
-microseconds on each of a node's few dozen calls.
+microseconds on each of a node's few dozen calls. The cut likewise calls
+``ndarray.nonzero`` and ``ndarray.take``, not ``np.flatnonzero`` or
+``np.compress``: most cut nodes hold a few dozen rows.
 """
 
 from __future__ import annotations
@@ -303,8 +314,8 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
     root = TreeNode(cover=0.0)
     # Pending nodes, each with its rows in ascending index order and its
     # (d, m) blocks: ``order`` row j lists the rows in ascending order of
-    # feature j, and ``xs`` row j their values. A child's blocks are its
-    # parent's, filtered by the split; the filter keeps the order, ties
+    # feature j, and ``xs`` row j their values. A child's blocks are cut
+    # from its parent's by the split; the cut keeps the order, ties
     # included, so each child is sorted without sorting. A split pushes its
     # right child, then its left, so nodes are grown in pre-order; once its
     # children's blocks are cut, its own are dropped, and the blocks alive
@@ -323,17 +334,34 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
                 row_weights[rows] = node.weight
             continue
         node.gain, node.feature, node.threshold = found
-        go_left = x_t[node.feature] < node.threshold
-        # each block row holds the node's rows, so each keeps the same count
-        keep = go_left[order]
-        drop = ~keep
-        in_left = go_left[rows]
+        left, right = _cut(x_t[node.feature] < node.threshold, rows, order, xs)
         node.left, node.right = TreeNode(cover=0.0), TreeNode(cover=0.0)
-        pending.append((node.right, rows[~in_left], order[drop].reshape(d, -1),
-                        xs[drop].reshape(d, -1), depth + 1))
-        pending.append((node.left, rows[in_left], order[keep].reshape(d, -1),
-                        xs[keep].reshape(d, -1), depth + 1))
+        pending.append((node.right, *right, depth + 1))
+        pending.append((node.left, *left, depth + 1))
     return root
+
+
+def _cut(go_left, rows, order, xs):
+    """The left and right children's (rows, order, xs) of a split node.
+
+    ``go_left`` flags each row of the fit that the split sends left; ``rows``
+    and the (d, m) ``order`` and ``xs`` blocks are the node's. Each child
+    gets the elements that boolean masks would select, in the same order, so
+    its blocks stay sorted; they are cut by index, as the module docstring
+    explains. Each block row holds the node's rows, so each keeps the same
+    count and a side's flat positions reshape to (d, -1). The flags in block
+    order are dropped before the takes, and the right side's positions once
+    its takes are done, so that growth holds little beyond the parent's and
+    the children's blocks.
+    """
+    d = order.shape[0]
+    in_left = go_left.take(rows)
+    keep = go_left.take(order).ravel()
+    at_left, at_right = keep.nonzero()[0].reshape(d, -1), (~keep).nonzero()[0].reshape(d, -1)
+    del keep
+    right = rows.take((~in_left).nonzero()[0]), order.take(at_right), xs.take(at_right)
+    del at_right
+    return (rows.take(in_left.nonzero()[0]), order.take(at_left), xs.take(at_left)), right
 
 
 def node_table(trees: Sequence[tuple[int, int, TreeNode]]) -> NodeTable:

@@ -525,13 +525,12 @@ def force_plot_data(explained: Explanation, row: int, class_index: int) -> Force
 def explanations_to_csv(
     explained: Explanation,
     out: IO[str],
-    class_names: Sequence[str] | None = None,
+    class_names: Sequence[str],
 ) -> None:
-    """Write one row per sample x feature x class: row index, feature, class, value, phi."""
+    """Write one row per sample x feature x class: row index, feature, class name, value, phi."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["sample_id", "feature", "class", "value", "phi"])
-    n_class = explained.phi.shape[2]
-    labels = range(n_class) if class_names is None else [class_names[k] for k in range(n_class)]
+    labels = [class_names[k] for k in range(explained.phi.shape[2])]
     for sid, (values, phi) in enumerate(zip(explained.values.tolist(), explained.phi.tolist())):
         for name, value, per_class in zip(explained.feature_names, values, phi):
             for label, p in zip(labels, per_class):

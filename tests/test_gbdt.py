@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evperf import gbdt
 from evperf.data import Dataset, ScalerParams
@@ -337,6 +337,39 @@ class TestGrowthMatchesReference:
         for cfg in self.CONFIGS:
             expected = _ref_build_tree(ds.features, g, h, cfg, [])
             _assert_same_tree(build_tree(ds.features, g, h, cfg), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 4), m=st.integers(1, 30), spare=st.integers(0, 10),
+       levels=st.integers(1, 5), kind=st.sampled_from(["random", "sorted", "all-left", "all-right"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=1, m=1, spare=0, levels=1, kind="all-left", seed=0)
+@example(d=1, m=1, spare=3, levels=1, kind="all-right", seed=0)
+@example(d=1, m=2, spare=0, levels=2, kind="random", seed=1)
+@example(d=2, m=2, spare=1, levels=1, kind="sorted", seed=2)
+def test_cut_matches_boolean_masks(d, m, spare, levels, kind, seed):
+    # A node of a fit of m + spare rows, held as build_tree holds it; few
+    # value levels give ties. "sorted" flags are one run in their feature's order.
+    rng = np.random.default_rng(seed)
+    n = m + spare
+    x_t = rng.integers(0, levels, size=(d, n)).astype(float)
+    rows = np.sort(rng.choice(n, size=m, replace=False))
+    order = rows[np.argsort(x_t[:, rows], axis=1, kind="stable")]
+    xs = x_t[np.arange(d)[:, None], order]
+    if kind == "random":
+        go_left = rng.random(n) < rng.random()
+    elif kind == "sorted":
+        j = rng.integers(d)
+        go_left = x_t[j] < xs[j, rng.integers(m)] + 0.5
+    else:
+        go_left = np.full(n, kind == "all-left")
+    keep, in_left = go_left[order], go_left[rows]
+    expected = ((rows[in_left], order[keep].reshape(d, -1), xs[keep].reshape(d, -1)),
+                (rows[~in_left], order[~keep].reshape(d, -1), xs[~keep].reshape(d, -1)))
+    for side, want in zip(gbdt._cut(go_left, rows, order, xs), expected):
+        for got, ref in zip(side, want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref)
 
 
 def test_split_search_memory_stays_tiled():

@@ -572,7 +572,7 @@ def test_explanations_csv_shape():
     x = rng.normal(size=(4, d))
     exps = explain_matrix(model, x)
     buf = io.StringIO()
-    explanations_to_csv(exps, buf)
+    explanations_to_csv(exps, buf, class_names=[f"c{k}" for k in range(model.num_class)])
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == ["sample_id", "feature", "class", "value", "phi"]
     assert len(rows) == 1 + 4 * d * model.num_class
