@@ -18,9 +18,10 @@ one ``nonzero`` per side gives that side's positions, and ``take`` copies the
 children's blocks and row lists. A boolean mask would select the same
 elements in the same order, but numpy's mask indexing copies one run at a
 time, and a split seen in another feature's order has short runs. For the
-cut of a 5 x m node, the mask path against the index path took 23.6 against
-10.3 us at m = 240, 250 against 47 us at 2,000, and 892 against 137 us at
-6,316 (2-core x86-64 VM, numpy 2.4).
+whole cut of a 5 x m node split at a median, the mask path against the index
+path took 18.5 against 12.1 us at m = 240, 219 against 53 us at 2,000 and
+766 against 246 us at 6,316, and 5.1 against 5.4 us at m = 8 (medians of
+15; 2-core x86-64 VM, Python 3.11, numpy 2.4).
 
 The blocks are scored in tiles of whole feature rows holding at most
 ``_TILE`` (8,192) values, as XGBoost sizes its column blocks to the cache

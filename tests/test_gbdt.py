@@ -393,8 +393,9 @@ def test_growth_memory_stays_near_one_copy_of_the_blocks():
     # feature 0 into a leaf, so the path down holds eight nodes of nearly
     # all n rows. A grower that keeps each ancestor's (d, m) order and value
     # blocks (16 bytes an entry) while it grows below peaks near 11 copies of
-    # them; one that drops a node's blocks once its children's are cut keeps
-    # only the pending siblings', under 3.
+    # them; one that drops a node's blocks once its children's are cut holds
+    # only the split node's, its children's, the pending siblings' and the
+    # cut's positions, near 3.
     n, d, depth, peel = 20_000, 5, 8, 40
     rng = np.random.default_rng(0)
     x = rng.normal(size=(n, d))
