@@ -525,6 +525,8 @@ class TestConfigResolution:
          "model.json"),
         (["synth", "--n-samples", "0"], None, "n_samples must be at least 1, got 0",
          "synthetic.csv"),
+        (["synth", "--n-samples", "4294967297"], None, "n_samples must be at most 4294967296",
+         "synthetic.csv"),
         (["train", "--synth", *FAST, "--eta", "0"], None, "eta must be in (0, 1], got 0.0",
          "model.json"),
         (["train", "--synth", *FAST, "--eta", "1.5"], None, "eta must be in (0, 1], got 1.5",
@@ -542,9 +544,9 @@ class TestConfigResolution:
     ], ids=["synth_noise_nan", "synth_noise_overflow", "train_lambda_nan", "train_lambda_inf",
             "train_alpha_nan", "train_gamma_nan", "explain_swarm_negative", "synth_seed_negative",
             "train_env_seed_negative", "synth_env_seed_not_int", "train_folds_1", "train_rounds_0",
-            "train_depth_0", "synth_n_samples_0", "train_eta_0", "train_eta_above_1",
-            "train_eta_minus_inf", "train_lambda_negative", "train_alpha_negative",
-            "train_gamma_negative", "train_eta_nan"])
+            "train_depth_0", "synth_n_samples_0", "synth_n_samples_above_2_32", "train_eta_0",
+            "train_eta_above_1", "train_eta_minus_inf", "train_lambda_negative",
+            "train_alpha_negative", "train_gamma_negative", "train_eta_nan"])
     def test_out_of_range_value_exit_2(self, trained_dir, tmp_path, capsys, monkeypatch, argv,
                                        env_seed, message, artifact):
         monkeypatch.delenv("EVPERF_SEED", raising=False)

@@ -35,7 +35,14 @@ from evperf.physics import (
     total_mass,
     tractive_force,
 )
-from evperf.physics import _NODES, _WEIGHTS, _force_terms, _sprint_times
+from evperf.physics import (
+    _NODES,
+    _WEIGHTS,
+    _StreamSeed,
+    _force_terms,
+    _sprint_times,
+    _stream_words,
+)
 
 from synth_oracle import reference_synth_records
 
@@ -445,6 +452,7 @@ class TestSynth:
         ("motor_torque_range", (0.0, 1100.0), "range for motor_torque must be positive"),
         ("n_samples", 2.5, "n_samples must be a finite integer of at least 1, got 2.5"),
         ("n_samples", True, "n_samples must be a finite integer of at least 1, got True"),
+        ("n_samples", 2**32 + 1, "n_samples must be at most 4294967296"),
         ("seed", 1.5, "seed must be a finite integer of at least 0, got 1.5"),
         ("seed", -1, "seed must be a finite integer of at least 0, got -1"),
         ("n_series_range", (90.5, 180), "range for n_series must hold integers"),
@@ -453,7 +461,8 @@ class TestSynth:
         ("base_mass_range", (1350.0, math.inf), "degenerate sampling range for base_mass"),
         ("r_cell_range", (10**400, 10**401), "degenerate sampling range for r_cell"),
     ], ids=["width_overflows", "negative_consumption", "negative_capacity", "zero_torque",
-            "fractional_n_samples", "bool_n_samples", "fractional_seed", "negative_seed",
+            "fractional_n_samples", "bool_n_samples", "n_samples_beyond_one_key_word",
+            "fractional_seed", "negative_seed",
             "fractional_series", "zero_parallel", "series_beyond_int32", "infinite_mass",
             "int_beyond_float"])
     def test_bad_setting_named(self, field, value, message):
@@ -479,6 +488,10 @@ class TestSynth:
     def test_overflowing_torque_is_grip_capped_without_warning(self):
         records = synth_records(SynthConfig(n_samples=20, motor_torque_range=(1e307, 1.7e308)))
         assert all(0 < r.values[ACCEL_S] < MAX_SPRINT_TIME for r in records)
+
+    def test_largest_fleet_constructs(self):
+        # construction only: synthesizing this fleet would take tens of GiB
+        assert SynthConfig(n_samples=2**32).n_samples == 2**32
 
     def test_numpy_integers_accepted(self):
         numpy = SynthConfig(n_samples=np.int32(7), seed=np.uint64(2**64 - 1),
@@ -598,6 +611,39 @@ class TestSynthMatchesOracle:
         sc = data.draw(st.sampled_from([SynthConfig(n_samples=n, seed=seed),
                                         saturation_synth_config(n, seed)]))
         assert _bits(synth_records(sc)[:k]) == _bits(synth_records(replace(sc, n_samples=k)))
+
+
+class TestStreamSeeds:
+    """_stream_words and _StreamSeed against numpy's own SeedSequence children."""
+
+    # 1 to 7 uint32 words: seeds up to the pool's 4 words, and beyond it
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2**16), st.integers(2**32 - 2**8, 2**32 + 2**8),
+                          st.integers(2**63, 2**66), st.integers(2**127, 2**129),
+                          st.integers(2**190, 2**200)),
+           n=st.integers(1, 70))
+    def test_words_and_states_equal_numpys(self, seed, n):
+        children = np.random.SeedSequence(seed).spawn(n)
+        words = _stream_words(seed, n)
+        assert words.dtype == np.uint64 and words.shape == (n, 4)
+        assert words.tolist() == [c.generate_state(4, np.uint64).tolist() for c in children]
+        for row, child in zip(words, children):
+            state = np.random.Generator(np.random.PCG64(_StreamSeed(row))).bit_generator.state
+            assert state == np.random.default_rng(child).bit_generator.state
+
+    @pytest.mark.parametrize("n_words, dtype", [
+        (4, np.uint32), (8, np.uint32), (3, np.uint64), (5, np.uint64), (4, np.int64),
+    ])
+    def test_other_requests_refused(self, n_words, dtype):
+        seed = _StreamSeed(_stream_words(0, 1)[0])
+        with pytest.raises(ValueError, match="holds 4 uint64 words only"):
+            seed.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64,
+                                               np.random.Philox])
+    def test_other_bit_generators_refused(self, bit_generator):
+        with pytest.raises(ValueError, match="holds 4 uint64 words only"):
+            bit_generator(_StreamSeed(_stream_words(0, 1)[0]))
 
 
 def test_perf_class_helper_consistency():
