@@ -551,13 +551,14 @@ def synth_records(sc: SynthConfig) -> list[VehicleRecord]:
     per-vehicle SeedSequence objects: PCG64 seeds from nothing but the
     child's ``generate_state(4, np.uint64)``, which _stream_words computes
     for the whole fleet at once with numpy's own hash, and the draws are the
-    Generator's own methods. For 900 vehicles the streams take 1.4 ms
-    against 9.2 ms for ``spawn`` plus ``default_rng`` (2-core x86-64 VM,
-    numpy 2.4.6). A stream's draws, in order: the segment position
-    (uniform on [0, 1)); the torque and parallel-count jitters (normal, sd
-    ``segment_jitter``); the series count (integer-uniform); four uniforms
-    on [0, 1) for r_cell, cell capacity, base mass and consumption; the
-    noise (standard normal). Each vehicle is default_vehicle() on
+    Generator's own methods. For 900 vehicles the streams take 1.5 ms
+    against 9.4 ms for ``spawn`` plus ``default_rng`` (min of 20, 2-core
+    x86-64 VM, numpy 2.4.6), and the benchmark's ``synth_fleet`` call
+    0.0200 s against 0.0304 s (medians of 10 pairs). A stream's draws, in
+    order: the segment position (uniform on [0, 1)); the torque and
+    parallel-count jitters (normal, sd ``segment_jitter``); the series count
+    (integer-uniform); four uniforms on [0, 1) for r_cell, cell capacity,
+    base mass and consumption; the noise (standard normal). Each vehicle is default_vehicle() on
     default_pack() with its drawn counts, r_cell, base mass and torque.
     Only the draws are taken per vehicle; the clipping, rounding and mapping
     onto the ranges run once over the fleet, with the arithmetic of
