@@ -580,14 +580,26 @@ def predict_proba(model: Ensemble, x: np.ndarray) -> np.ndarray:
     return predict_proba_batch(model, check_features(model, x, 1)[None, :])[0]
 
 
+def _row_blocks(trees: NodeTable, n: int) -> Iterator[slice]:
+    """Slices of n rows whose (rows, n_trees) descent temporaries hold at most _TILE values."""
+    step = max(1, _TILE // max(1, len(trees.root)))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def predict_margin_batch(model: Ensemble, x: np.ndarray) -> np.ndarray:
-    """Per-class margins for a sample matrix, shape (n, num_class)."""
+    """Per-class margins for a sample matrix, shape (n, num_class).
+
+    Rows descend and add their leaf outputs a block at a time, so each
+    (rows, trees) temporary holds at most ``_TILE`` values however many rows
+    x has. A row adds its trees in table order, so each margin is the same
+    sum in any batch and in any block.
+    """
     x = check_features(model, x, 2)
     trees = model.trees
-    outputs = model.config.learning_rate * trees.weight[_leaves(trees, x)]
     margins = np.tile(model.base_score.astype(float), (x.shape[0], 1))
-    # adds tree by tree, in order, so each margin is the same sum in any batch
-    np.add.at(margins, (slice(None), trees.class_index), outputs)
+    for block in _row_blocks(trees, x.shape[0]):
+        outputs = model.config.learning_rate * trees.weight[_leaves(trees, x[block])]
+        np.add.at(margins[block], (slice(None), trees.class_index), outputs)
     return margins
 
 
@@ -604,8 +616,9 @@ def staged_margins(model: Ensemble, x: np.ndarray) -> np.ndarray:
     trees = model.trees
     steps = np.zeros((x.shape[0], model.config.n_rounds + 1, model.num_class))
     steps[:, 0] = model.base_score
-    np.add.at(steps, (slice(None), trees.round_index + 1, trees.class_index),
-              model.config.learning_rate * trees.weight[_leaves(trees, x)])
+    for block in _row_blocks(trees, x.shape[0]):
+        np.add.at(steps[block], (slice(None), trees.round_index + 1, trees.class_index),
+                  model.config.learning_rate * trees.weight[_leaves(trees, x[block])])
     return np.cumsum(steps, axis=1)[:, 1:]
 
 
@@ -742,8 +755,9 @@ def _check_model(model: Ensemble) -> None:
 
     num_class must equal the config's, base_score must hold num_class finite
     values, feature_names must be unique, the scaler must hold one mean and
-    std per feature, the tree count must be n_rounds x num_class, and every
-    tree must be applicable (see ``_check_table``). The loader and
+    std per feature, the tree count must be n_rounds x num_class, every
+    tree's round must lie in [0, n_rounds), and every tree must be
+    applicable (see ``_check_table``). The loader and
     ``save_model`` both run it, so that any model that can be written can
     be read.
     """
@@ -770,6 +784,11 @@ def _check_model(model: Ensemble) -> None:
     if n_trees != n_rounds * num_class:
         raise ValueError(f"model has {n_trees} trees, expected n_rounds x num_class = "
                          f"{n_rounds} x {num_class}")
+    rounds = model.trees.round_index
+    bad_round = (rounds < 0) | (rounds >= n_rounds)
+    if bad_round.any():
+        tree = int(np.argmax(bad_round))
+        raise ValueError(f"model tree {tree} has round {rounds[tree]} outside [0, {n_rounds})")
     _check_table(model.trees, n_features, num_class)
 
 
@@ -801,7 +820,7 @@ def model_from_dict(doc: dict) -> Ensemble:
 
     Raises ValueError naming what is wrong when the document or its scaler
     is not an object, a key is missing, num_class is not an integer, trees
-    or feature_names is not a list, base_score or the scaler's mean or std
+    is not a list, feature_names is not a list of strings, base_score or the scaler's mean or std
     is not a list of numbers, the config is not a TrainConfig, or
     ``_check_model`` rejects the model.
     """
@@ -817,6 +836,9 @@ def model_from_dict(doc: dict) -> Ensemble:
     for key in ("trees", "feature_names"):
         if not isinstance(doc[key], list):
             raise ValueError(f"model {key} is {type(doc[key]).__name__}, expected a list")
+    not_names = [name for name in doc["feature_names"] if type(name) is not str]
+    if not_names:
+        raise ValueError(f"model feature_names must be strings, got {not_names[0]!r}")
     cfg = _config_from_doc(doc["config"])
     scaler = doc.get("scaler")
     if scaler is not None:

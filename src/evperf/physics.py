@@ -251,6 +251,9 @@ _HALF_WEIGHTS = np.array([
 ])
 _NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
 _WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
+# vehicles per quadrature block: each (block, 48) float64 temporary stays
+# within 64 KiB, in cache and below glibc malloc's 128 KiB mmap threshold
+_QUAD_BLOCK = 8192 // len(_NODES)
 
 
 def _sprint_times(f: _ForceTerms) -> np.ndarray:
@@ -283,12 +286,14 @@ def _sprint_times(f: _ForceTerms) -> np.ndarray:
     k = np.sqrt(c / net)
     times = mass / np.sqrt(net * c) * (np.arctanh(v_star * k) - np.arctanh(SPEED_EPS * k))
     # power-limited from v* to 100 km/h, where v* is below it
-    powered = v_star < TARGET_SPEED
-    half = 0.5 * (TARGET_SPEED - v_star[powered])
-    v = (v_star[powered] + half)[:, None] + half[:, None] * _NODES
-    _, power, c, rolling, mass = (a[powered, None] for a in f)
-    g = mass * v / (power - rolling * v - c * v**3)
-    times[powered] += half * (g * _WEIGHTS).sum(axis=-1)
+    powered = (v_star < TARGET_SPEED).nonzero()[0]
+    for lo in range(0, powered.size, _QUAD_BLOCK):
+        i = powered[lo:lo + _QUAD_BLOCK]
+        half = 0.5 * (TARGET_SPEED - v_star[i])
+        v = (v_star[i] + half)[:, None] + half[:, None] * _NODES
+        _, power, c, rolling, mass = (a[i, None] for a in f)
+        g = mass * v / (power - rolling * v - c * v**3)
+        times[i] += half * (g * _WEIGHTS).sum(axis=-1)
     late = ~(times <= MAX_SPRINT_TIME)  # a NaN time is reported, never returned
     if late.any():
         raise PhysicsError(f"target speed not reached within {MAX_SPRINT_TIME:.0f} s "

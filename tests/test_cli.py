@@ -316,6 +316,12 @@ class TestExplainCommand:
          "got an integer of 401 digits"),
         (lambda doc, tree: doc["config"].update(reg_lambda=-10**400),
          "model config reg_lambda must be a number within the float range"),
+        (lambda doc, tree: doc["feature_names"].__setitem__(2, ["a"]),
+         "model feature_names must be strings, got ['a']"),
+        (lambda doc, tree: doc["feature_names"].__setitem__(0, 5),
+         "model feature_names must be strings, got 5"),
+        (lambda doc, tree: tree.update(round=999), "model tree {index} has round 999 outside [0, "),
+        (lambda doc, tree: tree.update(round=-1), "model tree {index} has round -1 outside [0, "),
     ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
             "inf_leaf_weight", "missing_trees", "missing_config", "short_base_score",
             "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key",
@@ -328,7 +334,8 @@ class TestExplainCommand:
             "float_n_rounds", "fractional_max_depth", "string_threshold", "bool_threshold",
             "string_cover", "string_gain", "string_leaf_weight", "string_base_score",
             "string_scaler_mean", "string_scaler_std", "huge_integer_threshold",
-            "huge_integer_reg_lambda"])
+            "huge_integer_reg_lambda", "list_feature_name", "int_feature_name", "round_999",
+            "negative_round"])
     def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit, message):
         doc = json.loads((trained_dir / "model.json").read_text())
         assert len(doc["feature_names"]) < 7 and doc["scaler"] is not None

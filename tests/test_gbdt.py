@@ -710,6 +710,52 @@ class TestPredict:
             predict_margin_batch(model, np.ones((3, 5)))
 
 
+def _rounds_model(n_rounds, seed=8):
+    """A 3-class model of n_rounds rounds of random depth-5 trees, eta 0.3."""
+    rng = np.random.default_rng(seed)
+    grown = [(r, k, _random_tree(rng, 5, 3, 0.2)) for r in range(n_rounds) for k in range(3)]
+    cfg = TrainConfig(n_rounds=n_rounds, learning_rate=0.3)
+    return Ensemble(node_table(grown), np.array([0.1, 0.2, -0.3]), 3, ("a", "b", "c"), cfg)
+
+
+class TestPredictionBlocks:
+    """Batches of several row blocks on a 30-round model: 90 trees, 91 rows a block."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return _rounds_model(30)
+
+    @pytest.fixture(scope="class")
+    def x(self, model):
+        block = gbdt._TILE // len(model.trees.root)
+        n = 4 * block + 5  # four full blocks and a partial one
+        return np.random.default_rng(9).normal(size=(n, 3))
+
+    def test_batch_equals_one_row(self, model, x):
+        batch = predict_margin_batch(model, x)
+        assert np.array_equal(batch, [predict_margin(model, row) for row in x])
+
+    def test_staged_rounds_equal_prefix_models(self, model, x):
+        staged = staged_margins(model, x)
+        assert np.array_equal(staged[:, -1], predict_margin_batch(model, x))
+        prefix = _rounds_model(7)  # the same generator draws the same first 7 rounds
+        assert np.array_equal(staged[:, 6], predict_margin_batch(prefix, x))
+
+    def test_prediction_memory_stays_blocked(self, model):
+        # numpy reports its buffers to tracemalloc, so the peak is deterministic.
+        # Descending every row at once holds several (20,000, 90) index and
+        # flag arrays, over 70 MiB; 91-row blocks hold under 1 MiB.
+        x = np.random.default_rng(10).normal(size=(20_000, 3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            predict_margin_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
 class TestStagedMargins:
     """staged_margins on a 120-vehicle fleet boosted for 12 rounds."""
 

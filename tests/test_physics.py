@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from evperf.physics import (
 )
 from evperf.physics import (
     _NODES,
+    _QUAD_BLOCK,
     _WEIGHTS,
     _StreamSeed,
     _force_terms,
@@ -252,6 +254,16 @@ class TestSprintIntegration:
         for seconds, (v, p) in zip(times.tolist(), pairs):
             assert seconds == accel_time_0_100(v, p)
             assert seconds == pytest.approx(_reference_sprint(v, p), rel=5e-8, abs=0)
+
+    def test_blocked_fleet_times_equal_single_sprints(self):
+        # the power-limited vehicles, whose v* = P / F_cap is below 100 km/h,
+        # fill three quadrature blocks and part of a fourth
+        pairs = _mixed_fleet(n=4 * _QUAD_BLOCK)
+        terms = _fleet_terms(pairs)
+        powered = (terms.wheel_power / terms.force_cap < TARGET_SPEED).sum()
+        assert 3 * _QUAD_BLOCK < powered < 4 * _QUAD_BLOCK
+        times = _sprint_times(terms)
+        assert times.tolist() == [accel_time_0_100(v, p) for v, p in pairs]
 
     @pytest.mark.parametrize("bad, message", [
         ((replace(default_vehicle(), c_d=250.0, frontal_area=10.0), default_pack()),
@@ -498,6 +510,20 @@ class TestSynth:
                             n_series_range=(np.int64(90), np.uint16(180)))
         plain = SynthConfig(n_samples=7, seed=2**64 - 1)
         assert [r.values for r in synth_records(numpy)] == [r.values for r in synth_records(plain)]
+
+    def test_synth_memory_stays_blocked(self):
+        # numpy reports its buffers to tracemalloc, so the peak is deterministic.
+        # The records take about 500 B a vehicle. A quadrature over the whole
+        # fleet's (n, 48) nodes peaks near 2,200 B a vehicle, a blocked one
+        # near 800.
+        n = 3000
+        tracemalloc.start()
+        try:
+            synth_records(SynthConfig(n_samples=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1200 * n
 
     def test_records_have_positive_finite_values(self):
         records = synth_records(SynthConfig(n_samples=30, seed=12))
