@@ -32,7 +32,10 @@ again at every node. A node with at most ``_TILE`` values is one tile. The
 tie-break does not depend on the tiling: a tile's argmax returns its first
 maximum in row-major order, and a later tile replaces the best only with a
 strictly greater gain, so ties still go to the lowest feature, then the
-lowest threshold, as in one argmax over the whole gain matrix.
+lowest threshold, as in one argmax over the whole gain matrix. Batch
+prediction keeps to the same budget: rows descend the trees
+``_TILE // n_trees`` at a time, so its (rows, trees) temporaries do not grow
+with the batch.
 
 Trees are grown as ``TreeNode`` graphs and then stored, once, in the
 ensemble's node table: flat arrays over every node of every tree, in
@@ -70,7 +73,7 @@ HESS_EPS = 1e-16  # floor on per-sample Hessians; keeps covers positive
 
 MODEL_FORMAT_VERSION = 1
 
-_TILE = 8192  # values per split-search temporary: 64 KiB of float64
+_TILE = 8192  # values per split-search or prediction temporary: 64 KiB of float64
 
 
 class ModelInputError(ValueError):
@@ -610,7 +613,8 @@ def staged_margins(model: Ensemble, x: np.ndarray) -> np.ndarray:
     each margin is predict_margin_batch's sum of the same trees in the same
     order: the prefix at round r equals the margins of the model's first r
     rounds, and the last round equals predict_margin_batch(model, x) bit for
-    bit.
+    bit. Rows descend in predict_margin_batch's blocks; only the
+    (n, n_rounds + 1, num_class) result and its cumulative sum grow with n.
     """
     x = check_features(model, x, 2)
     trees = model.trees
@@ -820,9 +824,9 @@ def model_from_dict(doc: dict) -> Ensemble:
 
     Raises ValueError naming what is wrong when the document or its scaler
     is not an object, a key is missing, num_class is not an integer, trees
-    is not a list, feature_names is not a list of strings, base_score or the scaler's mean or std
-    is not a list of numbers, the config is not a TrainConfig, or
-    ``_check_model`` rejects the model.
+    is not a list, feature_names is not a list of strings, base_score or the
+    scaler's mean or std is not a list of numbers, the config is not a
+    TrainConfig, or ``_check_model`` rejects the model.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model document is {type(doc).__name__}, expected an object")

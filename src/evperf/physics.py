@@ -9,7 +9,9 @@ speed: closed form while the drive force sits at its cap, Gauss-Legendre
 quadrature once the pack's power limits it. One function computes it for a
 batch of vehicles; synth_records and diminishing_returns_sweep pass one batch
 each and accel_time_0_100 a batch of one. Every operation is elementwise per
-vehicle, so a vehicle's time has the same bits in any batch. The pack, mass
+vehicle, so a vehicle's time has the same bits in any batch. The quadrature
+runs over blocks of vehicles whose node temporaries stay within 64 KiB, so
+its memory does not grow with the batch. The pack, mass
 and force helpers work elementwise too, so a pack or vehicle whose varying
 fields are numpy arrays describes a whole fleet and every formula is written
 once.
@@ -263,12 +265,16 @@ def _sprint_times(f: _ForceTerms) -> np.ndarray:
     each time is an integral over speed, split where the drive force turns
     from its constant cap to the power limit, at v* = P/F_cap clipped to
     [SPEED_EPS, 100 km/h]. Below v* the integral is closed form; above it,
-    m v / (P - F_r v - c v^3) is summed by Gauss-Legendre quadrature. Every
-    operation is elementwise per vehicle, so a vehicle's time has the same
-    bits in any batch. Both phases' net forces fall with speed, so a vehicle
-    reaches 100 km/h iff its net force is positive there. Raises PhysicsError
-    if a vehicle cannot move off the line, stalls below 100 km/h, or needs
-    more than MAX_SPRINT_TIME.
+    m v / (P - F_r v - c v^3) is summed by Gauss-Legendre quadrature, over
+    ``_QUAD_BLOCK`` power-limited vehicles at a time, so that each
+    (block, 48) temporary holds at most 8,192 values (64 KiB) however large
+    the batch; the checks, the closed form and the time limit run over the
+    whole batch. Every operation is elementwise per vehicle, and each row's
+    weighted sum reduces on its own, so a vehicle's time has the same bits
+    in any batch and any block. Both phases' net forces fall with speed, so
+    a vehicle reaches 100 km/h iff its net force is positive there. Raises
+    PhysicsError if a vehicle cannot move off the line, stalls below
+    100 km/h, or needs more than MAX_SPRINT_TIME.
     """
     f = _ForceTerms(*(a.ravel() for a in np.broadcast_arrays(*f)))
     # a drag coefficient that underflowed to 0 would make the closed forms 0/0
