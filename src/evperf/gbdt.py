@@ -86,7 +86,12 @@ class TrainConfig:
 
     reg_lambda/reg_alpha are the L2/L1 penalties on leaf weights; gamma is
     the minimum gain a split must clear; min_child_hessian rejects splits
-    whose children carry too little Hessian mass.
+    whose children carry too little Hessian mass. Each field takes only what
+    model.json holds, so that every config ``train`` accepts can be saved
+    and loaded: the int fields a Python int or a numpy integer, stored as an
+    int, and the float fields a number within the float range, a numpy one
+    stored as a float. A bool, a float in an int field (integral or not) or
+    a string raises a ValueError naming the field.
     """
 
     # near the lowest pooled held-out mlogloss of default fleets; see tools/round_curves.py
@@ -101,6 +106,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                kind, types = "an integer", (int, np.integer)
+            else:
+                kind, types = "a number", (int, float, np.integer, np.floating)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            if type(value) is int and f.type == "float":
+                _numbers(f.name, [value])  # refuses an int beyond the float range
+            elif type(value) not in (int, float):
+                object.__setattr__(self, f.name, int(value) if f.type == "int" else float(value))
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be at least 1")
         if not 0 < self.learning_rate <= 1:
@@ -248,28 +265,34 @@ def leaf_weight(g_sum: float, h_sum: float, cfg: TrainConfig) -> float:
     return float(-_soft_threshold(g_sum, cfg.reg_alpha) / (h_sum + cfg.reg_lambda))
 
 
-def _find_best_split(xs, order, g, h, g_sum, h_sum, cfg):
+def _find_best_split(xs, order, gh, g_sum, h_sum, cfg):
     """Best (gain, feature, threshold) of a node over all exact candidates, or None.
 
     ``xs`` is the node's (d, m) value block: row j holds the node's values of
     feature j in ascending order, and ``order`` row j the rows they belong
-    to, whose gradients and Hessians are gathered from the full ``g``/``h``.
-    Candidates are midpoints between consecutive distinct values, scored
-    from one cumulative sum per statistic, ``_TILE // m`` feature rows (at
-    least one) at a time. Ties resolve to the lowest feature, then the
-    lowest threshold: argmax scans a tile's gains row by row and returns the
-    first maximum, and a later tile wins only with a strictly greater gain.
+    to, whose gradients and Hessians are gathered from ``gh``, the fit's
+    gradients as real parts and Hessians as imaginary parts. Candidates are
+    midpoints between consecutive distinct values, scored from one complex
+    cumulative sum, which adds the real and the imaginary parts separately
+    and in order, so each is the cumulative sum of its statistic bit for
+    bit. The two parts are then copied out into contiguous arrays for the
+    gain formula, which runs slower on strided ``.real``/``.imag`` views. A
+    complex value counts as two of ``_TILE``, so a tile holds
+    ``_TILE // (2 * m)`` feature rows (at least one). Ties resolve to the
+    lowest feature, then the lowest threshold: argmax scans a tile's gains
+    row by row and returns the first maximum, and a later tile wins only
+    with a strictly greater gain.
     """
     d, m = xs.shape
     if d == 0 or m < 2:
         return None
-    step = max(1, _TILE // m)
+    step = max(1, _TILE // (2 * m))
     best = None  # (gain, feature, position)
     for lo in range(0, d, step):
-        rows = order[lo:lo + step]
         x = xs[lo:lo + step]
-        cg = np.add.accumulate(g[rows], axis=1)[:, :-1]
-        ch = np.add.accumulate(h[rows], axis=1)[:, :-1]
+        sums = np.add.accumulate(gh[order[lo:lo + step]], axis=1)[:, :-1]
+        cg, ch = sums.real.copy(), sums.imag.copy()
+        del sums
         h_r = h_sum - ch
         valid = (x[:, :-1] < x[:, 1:]) & (ch >= cfg.min_child_hessian) & (h_r >= cfg.min_child_hessian)
         gains = np.where(valid, _gain_formula(cg, ch, g_sum - cg, h_r, cfg), -np.inf)
@@ -315,6 +338,11 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
     if row_weights is not None and row_weights.shape != (n,):
         raise ValueError(f"row_weights has shape {row_weights.shape}, expected {(n,)}")
     x_t = np.ascontiguousarray(x.T)
+    # Split search gathers and sums both statistics as one complex array. The
+    # parts are assigned, not computed as g + 1j * h, which would turn a -0.0
+    # gradient into +0.0.
+    gh = np.empty(n, dtype=complex)
+    gh.real, gh.imag = g, h
     root = TreeNode(cover=0.0)
     # Pending nodes, each with its rows in ascending index order and its
     # (d, m) blocks: ``order`` row j lists the rows in ascending order of
@@ -330,7 +358,7 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
         g_sum = float(np.add.reduce(g[rows]))
         h_sum = float(np.add.reduce(h[rows]))
         node.cover = h_sum
-        found = (_find_best_split(xs, order, g, h, g_sum, h_sum, cfg)
+        found = (_find_best_split(xs, order, gh, g_sum, h_sum, cfg)
                  if depth < cfg.max_depth else None)
         if found is None:
             node.weight = leaf_weight(g_sum, h_sum, cfg)
@@ -531,6 +559,9 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Ensemble:
         raise ValueError("cannot train on an empty dataset")
     if y.max() >= cfg.num_class:
         raise ValueError(f"label {int(y.max())} out of range for num_class={cfg.num_class}")
+    if cfg.num_class > n:  # before bincount allocates num_class counts
+        raise ValueError(f"num_class={cfg.num_class} exceeds the {n} training rows, "
+                         "so some class is absent from training data")
     counts = np.bincount(y, minlength=cfg.num_class)
     absent = np.flatnonzero(counts == 0)
     if absent.size:
@@ -609,12 +640,14 @@ def predict_margin_batch(model: Ensemble, x: np.ndarray) -> np.ndarray:
 def staged_margins(model: Ensemble, x: np.ndarray) -> np.ndarray:
     """Per-class margins after each boosting round, shape (n, n_rounds, num_class).
 
-    base_score comes first and one cumulative sum runs over the rounds, so
-    each margin is predict_margin_batch's sum of the same trees in the same
-    order: the prefix at round r equals the margins of the model's first r
-    rounds, and the last round equals predict_margin_batch(model, x) bit for
-    bit. Rows descend in predict_margin_batch's blocks; only the
-    (n, n_rounds + 1, num_class) result and its cumulative sum grow with n.
+    base_score comes first and a running sum over the rounds adds each
+    round's steps to the sum before it, in place, so each margin is
+    predict_margin_batch's sum of the same trees in the same order: the
+    prefix at round r equals the margins of the model's first r rounds, and
+    the last round equals predict_margin_batch(model, x) bit for bit. Rows
+    descend in predict_margin_batch's blocks; only the
+    (n, n_rounds + 1, num_class) array of steps, which becomes the result,
+    grows with n.
     """
     x = check_features(model, x, 2)
     trees = model.trees
@@ -623,7 +656,9 @@ def staged_margins(model: Ensemble, x: np.ndarray) -> np.ndarray:
     for block in _row_blocks(trees, x.shape[0]):
         np.add.at(steps[block], (slice(None), trees.round_index + 1, trees.class_index),
                   model.config.learning_rate * trees.weight[_leaves(trees, x[block])])
-    return np.cumsum(steps, axis=1)[:, 1:]
+    for r in range(1, steps.shape[1]):
+        steps[:, r] += steps[:, r - 1]
+    return steps[:, 1:]
 
 
 def predict_proba_batch(model: Ensemble, x: np.ndarray) -> np.ndarray:
@@ -797,26 +832,20 @@ def _check_model(model: Ensemble) -> None:
 
 
 def _config_from_doc(doc) -> TrainConfig:
-    """The TrainConfig of a model document's config, whose fields are checked by type.
+    """The TrainConfig of a model document's config.
 
-    Int fields take JSON integers only, and float fields an integer or a
-    float within the float range; no field takes a bool or a string. Raises
-    ValueError naming the field, or naming the config when it is not an
-    object or has unknown keys.
+    TrainConfig checks each field's type and range. Raises ValueError naming
+    the field, or naming the config when it is not an object or has unknown
+    keys.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model config is {type(doc).__name__}, expected an object")
-    for f in fields(TrainConfig):
-        if f.name in doc:
-            value = doc[f.name]
-            if f.type == "int" and type(value) is not int:
-                raise ValueError(f"model config {f.name} must be an integer, got {value!r}")
-            if f.type == "float":
-                _numbers(f"model config {f.name}", [value])
     try:
         return TrainConfig(**doc)
     except TypeError as exc:
         raise ValueError(f"model config is malformed: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"model config {exc}") from None
 
 
 def model_from_dict(doc: dict) -> Ensemble:

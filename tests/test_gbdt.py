@@ -35,6 +35,7 @@ from evperf.gbdt import (
 )
 from evperf.metrics import mlogloss
 from evperf.physics import SynthConfig, synth_dataset
+from split_oracle import reference_find_best_split
 
 
 def fd_grad_hess(p, label, delta=1e-3):
@@ -145,6 +146,81 @@ class TestSplitMath:
     def test_regularization_must_be_finite_non_negative(self, field, value):
         with pytest.raises(ValueError, match="regularization terms must be finite"):
             TrainConfig(**{field: value})
+
+
+_INT_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "int"]
+_FLOAT_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
+
+
+class TestConfigTypes:
+    """TrainConfig takes only what model.json holds."""
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 2.5, 2.0, np.float64(2.0),
+                                       math.inf, -math.inf, math.nan, "2", None])
+    @pytest.mark.parametrize("field", _INT_FIELDS)
+    def test_int_fields_reject_what_is_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", None, 10**400])
+    @pytest.mark.parametrize("field", _FLOAT_FIELDS)
+    def test_float_fields_reject_what_is_not_a_float(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a number"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        cfg = TrainConfig(n_rounds=np.int64(2), max_depth=np.int32(3), num_class=np.uint8(3),
+                          seed=np.int64(-4), learning_rate=np.float32(0.5),
+                          reg_lambda=np.int64(2), gamma=np.float64(0.25))
+        assert cfg == TrainConfig(n_rounds=2, max_depth=3, num_class=3, seed=-4,
+                                  learning_rate=0.5, reg_lambda=2.0, gamma=0.25)
+        for f in fields(cfg):
+            assert type(getattr(cfg, f.name)) is (int if f.type == "int" else float)
+
+    def test_python_numbers_are_kept(self):
+        cfg = TrainConfig(reg_lambda=2, learning_rate=1)
+        assert type(cfg.reg_lambda) is int and type(cfg.learning_rate) is int
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_every_config_train_accepts_round_trips(self, data, tmp_path_factory):
+        # Each field is left at its default or drawn as a Python or numpy
+        # number; then one field may get a value TrainConfig must refuse
+        # with a ValueError, never a TypeError from within train.
+        def ints(low, high):
+            values = st.integers(low, high)
+            return values | values.map(np.int64) | values.map(np.int32)
+
+        def floats(low, high):
+            values = st.floats(low, high)
+            return (values | values.map(np.float64) | values.map(np.float32)
+                    | ints(math.ceil(low), math.floor(high)))
+
+        valid = {"n_rounds": ints(1, 3), "max_depth": ints(1, 3) | st.just(10**6),
+                 "num_class": ints(2, 3), "seed": ints(-5, 5) | st.just(2**70),
+                 "learning_rate": floats(0.125, 1.0)}
+        valid.update({name: floats(0.0, 2.0) for name in _FLOAT_FIELDS if name not in valid})
+        refused = [True, np.True_, math.inf, math.nan, "2", -1]
+        kwargs = {name: data.draw(strategy, label=name) for name, strategy in valid.items()
+                  if data.draw(st.booleans())}
+        bad = data.draw(st.none() | st.sampled_from(list(valid)), label="refused field")
+        if bad is not None:
+            extra = [2.0, 2.5] if bad in _INT_FIELDS else [10**400]
+            kwargs[bad] = data.draw(st.sampled_from(refused + extra), label=bad)
+        try:
+            cfg = TrainConfig(**kwargs)
+        except ValueError:
+            assert bad is not None
+            return
+        rng = np.random.default_rng(0)
+        dataset = Dataset(rng.normal(size=(12, 2)), np.arange(12) % cfg.num_class, ("a", "b"))
+        model = train(dataset, cfg)
+        path = tmp_path_factory.mktemp("config") / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        assert np.array_equal(predict_margin_batch(loaded, dataset.features),
+                              predict_margin_batch(model, dataset.features))
 
 
 class TestBuildTree:
@@ -372,6 +448,75 @@ def test_cut_matches_boolean_masks(d, m, spare, levels, kind, seed):
             assert np.array_equal(got, ref)
 
 
+# Node sizes m where a tile's feature-row count _TILE // (2 * m) steps down,
+# where the separate-array search's _TILE // m did, and above _TILE // 2,
+# where one feature row fills a tile.
+_TILE_EDGES = sorted({m for half in (gbdt._TILE // 2, gbdt._TILE) for k in range(1, 8)
+                      for m in (half // k, half // k + 1)} | {6316})
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=st.integers(1, 7), m=st.one_of(st.integers(1, 40), st.sampled_from(_TILE_EDGES)),
+       levels=st.sampled_from([1, 2, 3, 6, 0]), twin=st.booleans(),
+       reg_lambda=st.sampled_from([0.0, 1.0, 7.5]), reg_alpha=st.sampled_from([0.0, 0.3]),
+       gamma=st.sampled_from([0.0, 0.01]), min_child_hessian=st.sampled_from([0.0, 1e-3, 0.5, 2.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=7, m=585, levels=2, twin=True, reg_lambda=1.0, reg_alpha=0.0, gamma=0.0,
+         min_child_hessian=1e-3, seed=0)
+@example(d=7, m=586, levels=2, twin=True, reg_lambda=0.0, reg_alpha=0.3, gamma=0.01,
+         min_child_hessian=0.5, seed=1)
+@example(d=5, m=4097, levels=3, twin=True, reg_lambda=7.5, reg_alpha=0.0, gamma=0.0,
+         min_child_hessian=2.0, seed=2)
+@example(d=2, m=2, levels=1, twin=False, reg_lambda=1.0, reg_alpha=0.0, gamma=0.0,
+         min_child_hessian=0.0, seed=3)
+def test_packed_search_matches_separate_arrays(d, m, levels, twin, reg_lambda, reg_alpha,
+                                               gamma, min_child_hessian, seed):
+    # A node of m rows out of a fit of a few more, held as build_tree holds
+    # it. Few value levels (0: continuous values) give tied values, a twin of
+    # feature 0 tied gains in another feature and often another tile, and
+    # zero, -0.0 and floor-level statistics edge cases of the sums.
+    rng = np.random.default_rng(seed)
+    n = m + int(rng.integers(0, 4))
+    x_t = rng.normal(size=(d, n)) if levels == 0 else rng.integers(0, levels, size=(d, n)) * 1.0
+    if twin:
+        x_t[-1] = x_t[0]
+    g, h = rng.normal(size=n), rng.uniform(0.05, 1.0, size=n)
+    g[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+    h[rng.random(n) < 0.1] = HESS_EPS
+    rows = np.sort(rng.choice(n, size=m, replace=False))
+    order = rows[np.argsort(x_t[:, rows], axis=1, kind="stable")]
+    xs = x_t[np.arange(d)[:, None], order]
+    g_sum, h_sum = float(np.add.reduce(g[rows])), float(np.add.reduce(h[rows]))
+    gh = np.empty(n, dtype=complex)
+    gh.real, gh.imag = g, h
+    cfg = TrainConfig(reg_lambda=reg_lambda, reg_alpha=reg_alpha, gamma=gamma,
+                      min_child_hessian=min_child_hessian)
+    # with no L2 penalty and no Hessian floor, a child's Hessian can round to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = gbdt._find_best_split(xs, order, gh, g_sum, h_sum, cfg)
+        want = reference_find_best_split(xs, order, g, h, g_sum, h_sum, cfg)
+    # repr tells every float apart bit for bit, 0.0 from -0.0 included
+    assert repr(got) == repr(want)
+
+
+def test_split_search_tiles_count_complex_values_twice():
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic.
+    # A depth-1 tree on 3,000 x 5: the root's search gathers and sums 16-byte
+    # complex values, so a 64 KiB tile holds one 3,000-value feature row and
+    # the fit peaks near 0.74 MiB; tiles of _TILE // m = 2 rows peak near
+    # 0.92 MiB, and the separate g and h arrays of 8-byte tiles near 0.88.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3000, 5))
+    g, h = rng.normal(size=3000), rng.uniform(0.05, 1.0, size=3000)
+    tracemalloc.start()
+    try:
+        build_tree(x, g, h, TrainConfig(max_depth=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * 2**20
+
+
 def test_split_search_memory_stays_tiled():
     # numpy reports its buffers to tracemalloc, so the peak is deterministic.
     # The node's own (5, 6,600) blocks take 258 KiB each; a search holding
@@ -463,6 +608,10 @@ class TestTrain:
         ds = Dataset(np.random.default_rng(0).normal(size=(10, 2)), np.zeros(10, dtype=int), ("a", "b"))
         with pytest.raises(ValueError, match="class 1 absent"):
             train(ds, TrainConfig(num_class=3))
+
+    def test_more_classes_than_rows_rejected_before_counting(self, blob_dataset):
+        with pytest.raises(ValueError, match="exceeds the 120 training rows"):
+            train(blob_dataset, TrainConfig(num_class=10**400))
 
     def test_base_score_is_log_prior(self, blob_dataset):
         model = train(blob_dataset, TrainConfig(n_rounds=1))
@@ -778,6 +927,23 @@ class TestStagedMargins:
         shorter = train(fleet, TrainConfig(n_rounds=rounds))
         assert np.array_equal(staged[1][:, rounds - 1],
                               predict_margin_batch(shorter, fleet.features))
+
+
+    def test_memory_holds_one_array_of_steps(self):
+        # numpy reports its buffers to tracemalloc, so the peak is deterministic.
+        # 20,000 rows of a 30-round, 3-class model: the (n, 31, 3) result is
+        # 14.2 MiB, and a cumulative sum held beside the steps it sums
+        # doubles the peak to 28.4 MiB.
+        model = _rounds_model(30)
+        x = np.random.default_rng(10).normal(size=(20_000, 3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            staged_margins(model, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestPersistence:
