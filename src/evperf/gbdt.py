@@ -24,18 +24,34 @@ path took 18.5 against 12.1 us at m = 240, 219 against 53 us at 2,000 and
 15; 2-core x86-64 VM, Python 3.11, numpy 2.4).
 
 The blocks are scored in tiles of whole feature rows holding at most
-``_TILE`` (8,192) values, as XGBoost sizes its column blocks to the cache
-(Chen & Guestrin 2016, section 4.2). Each of a tile's temporaries is then at
-most 64 KiB: it stays in cache, and it stays below glibc malloc's 128 KiB
-threshold, above which every temporary is a fresh mmap whose pages fault in
-again at every node. A node with at most ``_TILE`` values is one tile. The
-tie-break does not depend on the tiling: a tile's argmax returns its first
-maximum in row-major order, and a later tile replaces the best only with a
-strictly greater gain, so ties still go to the lowest feature, then the
-lowest threshold, as in one argmax over the whole gain matrix. Batch
-prediction keeps to the same budget: rows descend the trees
-``_TILE // n_trees`` at a time, so its (rows, trees) temporaries do not grow
-with the batch.
+``_TILE`` (8,192) float64 values, as XGBoost sizes its column blocks to the
+cache (Chen & Guestrin 2016, section 4.2). Each of a tile's temporaries is
+then at most 64 KiB: it stays in cache, and it stays below glibc malloc's
+128 KiB threshold, above which every temporary is a fresh mmap whose pages
+fault in again at every node. The tie-break does not depend on the tiling:
+a tile's argmax returns its first maximum in row-major order, and a later
+tile replaces the best only with a strictly greater gain, so ties still go
+to the lowest feature, then the lowest threshold, as in one argmax over the
+whole gain matrix. Batch prediction keeps to the same budget: rows descend
+the trees ``_TILE // n_trees`` at a time, so its (rows, trees) temporaries
+do not grow with the batch.
+
+Split search gathers and sums the gradients and Hessians as one complex
+array: ``build_tree`` fills it once per tree with the gradients as real
+parts and the Hessians as imaginary parts, by assignment, since
+``g + 1j * h`` would turn a -0.0 gradient into +0.0. Each tile then makes
+one gather and one ``np.add.accumulate`` where it made two of each; a
+complex sum adds the real parts and the imaginary parts separately, left
+to right, so each prefix sum has the bits of its statistic's own cumulative
+sum. The two parts are then copied out into contiguous arrays, because the
+validity mask, the gain formula and the argmax run slower on the strided
+``.real``/``.imag`` views, by about as much as the complex sum saves. A
+complex value counts as two of ``_TILE``, so a tile holds
+``_TILE // (2 * m)`` feature rows of an m-row node (at least one), and its
+complex temporaries stay within 64 KiB. A node's own gradient and Hessian
+sums stay two float64 ``np.add.reduce`` calls: numpy's pairwise summation
+blocks a complex reduce differently, which would change covers and leaf
+weights.
 
 Trees are grown as ``TreeNode`` graphs and then stored, once, in the
 ensemble's node table: flat arrays over every node of every tree, in
@@ -278,10 +294,12 @@ def _find_best_split(xs, order, gh, g_sum, h_sum, cfg):
     bit. The two parts are then copied out into contiguous arrays for the
     gain formula, which runs slower on strided ``.real``/``.imag`` views. A
     complex value counts as two of ``_TILE``, so a tile holds
-    ``_TILE // (2 * m)`` feature rows (at least one). Ties resolve to the
-    lowest feature, then the lowest threshold: argmax scans a tile's gains
-    row by row and returns the first maximum, and a later tile wins only
-    with a strictly greater gain.
+    ``_TILE // (2 * m)`` feature rows (at least one). ``g_sum``/``h_sum``
+    are the node's totals, reduced from the float64 statistics and not from
+    ``gh``, whose complex reduce would block its pairwise sums differently.
+    Ties resolve to the lowest feature, then the lowest threshold: argmax
+    scans a tile's gains row by row and returns the first maximum, and a
+    later tile wins only with a strictly greater gain.
     """
     d, m = xs.shape
     if d == 0 or m < 2:
@@ -292,7 +310,7 @@ def _find_best_split(xs, order, gh, g_sum, h_sum, cfg):
         x = xs[lo:lo + step]
         sums = np.add.accumulate(gh[order[lo:lo + step]], axis=1)[:, :-1]
         cg, ch = sums.real.copy(), sums.imag.copy()
-        del sums
+        del sums  # frees the complex buffer before the gain formula's temporaries
         h_r = h_sum - ch
         valid = (x[:, :-1] < x[:, 1:]) & (ch >= cfg.min_child_hessian) & (h_r >= cfg.min_child_hessian)
         gains = np.where(valid, _gain_formula(cg, ch, g_sum - cg, h_r, cfg), -np.inf)

@@ -86,3 +86,59 @@ def test_prints_every_workload_and_metric(tmp_path, capsys):
     assert [line.split()[0] for line in lines[1:]] == [
         "wall_s", "setup_s", "peak_rss_mib", "cv_mlogloss"]
     assert all(line.endswith("won 0/10    +0.0%  within bound") for line in lines[1:])
+
+
+def _traced(seed, **values):
+    return {"workload": "w", "seed": seed, "result": {
+        "metrics": {name: {"value": v} for name, v in values.items()}}}
+
+
+LAYERS = [{"name": "layer.s", "unit": "s", "better": "lower"},
+          {"name": "layer.calls", "unit": "count", "better": "lower"},
+          {"name": "idle.s", "unit": "s", "better": "lower"},
+          {"name": "calib.kernel_s", "unit": "s", "better": "lower"}]
+
+
+def test_traced_times_are_scaled_by_each_sides_kernel():
+    # The change's machine ran its kernel 1.5x slower, so its raw layer time
+    # reads 20% higher while the scaled time reads 20% lower.
+    parent = {"traced": [_traced(0, **{"layer.s": 1.0, "layer.calls": 60, "idle.s": 0.0,
+                                       "calib.kernel_s": 0.05})]}
+    change = {"traced": [_traced(0, **{"layer.s": 1.2, "layer.calls": 60, "idle.s": 0.0,
+                                       "calib.kernel_s": 0.075})]}
+    report = compare_bench.traced(parent, change, LAYERS, 0.05)
+    assert list(report) == [("w", 0)]
+    row = report["w", 0]
+    assert row["kernel"] == (0.05, 0.075)
+    assert list(row["metrics"]) == ["layer.s", "layer.calls"]  # idle.s reads 0 on both sides
+    layer = row["metrics"]["layer.s"]
+    assert layer["raw"] == (1.0, 1.2)
+    assert layer["scaled"] == pytest.approx((1.0, 0.8))
+    assert layer["relative"] == pytest.approx(-0.2)
+    assert row["metrics"]["layer.calls"] == {"raw": (60, 60), "scaled": None, "relative": 0.0}
+    # a workload traced on one side only, or on another seed, is not compared
+    assert compare_bench.traced(parent, {"traced": []}, LAYERS, 0.05) == {}
+    assert compare_bench.traced({}, change, LAYERS, 0.05) == {}
+    change["traced"][0]["seed"] = 1
+    assert compare_bench.traced(parent, change, LAYERS, 0.05) == {}
+
+
+def test_prints_traced_layers_with_both_kernels(tmp_path, capsys):
+    values = [{m: 1.0 for m in ("wall_s", "setup_s", "peak_rss_mib", "cv_mlogloss")}]
+    per_layer = json.loads((compare_bench.ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    layers = {m["name"]: 0.0 for m in per_layer}  # every layer but one reads 0 on both sides
+    paths = []
+    for tag, build_s, kernel in (("parent", 0.5, 0.05), ("change", 0.6, 0.1)):
+        doc = _doc(values, seeds=[0])
+        doc["traced"] = [_traced(0, **{**layers, "gbdt.build_tree.s": build_s,
+                                       "calib.kernel_s": kernel})]
+        paths.append(tmp_path / f"BENCH_{tag}.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert compare_bench.main([str(p) for p in paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reference = compare_bench.reference_s()
+    assert lines[-2] == (f"w traced, seed 0: calib.kernel_s 0.05 -> 0.1; "
+                         f"seconds scaled to {reference:g} s")
+    scaled = (0.5 * reference / 0.05, 0.6 * reference / 0.1)
+    assert lines[-1].split() == ["gbdt.build_tree.s", "0.5", "->", "0.6", "scaled",
+                                 f"{scaled[0]:.5g}", "->", f"{scaled[1]:.5g}", "-40.0%"]

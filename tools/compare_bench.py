@@ -17,19 +17,37 @@ medians, and a verdict:
   than the bound allows;
 - ``within bound``: anything else.
 
-Each workload's line also gives both sides' share of failed operations. The
-tool writes nothing.
+Each workload's line also gives both sides' share of failed operations.
+
+When both files hold a ``traced`` run of a workload on the same seed, the
+per-layer metrics of ``BENCHMARK.json`` follow, each side's traced value of
+each metric that is not 0 on both sides, with each side's
+``calib.kernel_s``. A traced run is one run per side, so a swing of the
+machine's speed between the two shows in every raw time; each time in
+seconds is therefore also printed scaled as ``perfbench/run.py`` scales
+``wall_s``, by ``calib.REFERENCE_S`` over that run's ``calib.kernel_s``, and
+the relative change is of the scaled times. The tool writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+KERNEL = "calib.kernel_s"
+
+
+def reference_s() -> float:
+    """``REFERENCE_S`` of this repository's ``perfbench/calib.py``."""
+    spec = importlib.util.spec_from_file_location("calib", ROOT / "perfbench" / "calib.py")
+    calib = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(calib)
+    return calib.REFERENCE_S
 
 
 def results(doc: dict) -> dict[tuple[str, int], dict]:
@@ -86,21 +104,62 @@ def compare(parent_doc: dict, change_doc: dict, metrics: list[dict]) -> dict[str
     return report
 
 
+def traced(parent_doc: dict, change_doc: dict, metrics: list[dict],
+           reference: float) -> dict[tuple[str, int], dict]:
+    """Per (workload, seed) traced on both sides: each side's kernel time and metric values.
+
+    A metric's ``scaled`` pair is its times scaled to the reference kernel
+    time, or None for a metric not in seconds; ``relative`` compares the
+    scaled times, or the raw values when there are none. Metrics that read 0
+    on both sides are left out.
+    """
+    parent, change = ({(run["workload"], run["seed"]): run["result"]["metrics"]
+                       for run in doc.get("traced", []) if run["result"] is not None}
+                      for doc in (parent_doc, change_doc))
+    report: dict[tuple[str, int], dict] = {}
+    for key in (k for k in parent if k in change):
+        sides = parent[key], change[key]
+        kernel = tuple(side[KERNEL]["value"] for side in sides)
+        rows = {}
+        for m in metrics:
+            if m["name"] == KERNEL:
+                continue
+            raw = tuple(side[m["name"]]["value"] for side in sides)
+            if raw == (0, 0):
+                continue
+            scaled = (None if m["unit"] != "s" else
+                      tuple(v * reference / k for v, k in zip(raw, kernel)))
+            p, c = scaled or raw
+            rows[m["name"]] = {"raw": raw, "scaled": scaled,
+                               "relative": (c - p) / abs(p) if p else None}
+        report[key] = {"kernel": kernel, "metrics": rows}
+    return report
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", type=Path, help="the parent's BENCH_*.json")
     parser.add_argument("change", type=Path, help="the change's BENCH_*.json")
     args = parser.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     docs = [json.loads(path.read_text(encoding="utf-8")) for path in (args.parent, args.change)]
-    for workload, row in compare(*docs, metrics).items():
+    for workload, row in compare(*docs, benchmark["end_to_end"]).items():
         print(f"{workload}: failed share {row['failed'][0]:.4g} -> {row['failed'][1]:.4g}")
         for name, v in row["metrics"].items():
             q1, median, q3 = v["parent"]
             relative = "n/a" if v["relative"] is None else f"{v['relative']:+.1%}"
             print(f"  {name:13s} {median:.5g} [{q1:.5g}, {q3:.5g}] -> {v['change']:.5g}  "
                   f"won {v['won']}/{v['pairs']}  {relative:>7s}  {v['verdict']}")
+    reference = reference_s()
+    for (workload, seed), row in traced(*docs, benchmark["per_layer"], reference).items():
+        print(f"{workload} traced, seed {seed}: {KERNEL} {row['kernel'][0]:.5g} -> "
+              f"{row['kernel'][1]:.5g}; seconds scaled to {reference:g} s")
+        for name, v in row["metrics"].items():
+            relative = "n/a" if v["relative"] is None else f"{v['relative']:+.1%}"
+            scaled = ("" if v["scaled"] is None else
+                      f"  scaled {v['scaled'][0]:.5g} -> {v['scaled'][1]:.5g}")
+            print(f"  {name:36s} {v['raw'][0]:.5g} -> {v['raw'][1]:.5g}{scaled}  {relative:>7s}")
     return 0
 
 
