@@ -48,7 +48,6 @@ from .gbdt import (
     predict_proba_batch,
     save_model,
     softmax,
-    split_gain,
     staged_margins,
     train,
 )

@@ -75,7 +75,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -83,7 +82,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import Dataset, ScalerParams
+from .data import DataError, Dataset, ScalerParams
 
 HESS_EPS = 1e-16  # floor on per-sample Hessians; keeps covers positive
 
@@ -131,7 +130,7 @@ class TrainConfig:
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
             if type(value) is int and f.type == "float":
-                _numbers(f.name, [value])  # refuses an int beyond the float range
+                _json_array(f.name, [value])  # refuses an int beyond the float range
             elif type(value) not in (int, float):
                 object.__setattr__(self, f.name, int(value) if f.type == "int" else float(value))
         if self.n_rounds < 1:
@@ -269,11 +268,6 @@ def _gain_formula(g_left, h_left, g_right, h_right, cfg: TrainConfig):
     if cfg.gamma:
         gain -= cfg.gamma
     return gain
-
-
-def split_gain(g_left: float, h_left: float, g_right: float, h_right: float, cfg: TrainConfig) -> float:
-    """Regularized gain of splitting a node with the given child statistics."""
-    return float(_gain_formula(g_left, h_left, g_right, h_right, cfg))
 
 
 def leaf_weight(g_sum: float, h_sum: float, cfg: TrainConfig) -> float:
@@ -423,129 +417,98 @@ def node_table(trees: Sequence[tuple[int, int, TreeNode]]) -> NodeTable:
 def _flatten(tree_docs: Iterable[dict]) -> NodeTable:
     """Node table of model.json tree documents; the one conversion into it.
 
-    Reads the documents one level at a time: each level's nodes, across all
-    trees, are converted column by column, and their children, left then
-    right, make the next level. Subtree sizes, summed bottom-up, then give
-    every node its pre-order position top-down. Raises ValueError naming
-    the tree when a document lacks a key or holds a value that is not a
-    number, or not an integer where one is due.
+    Walks each tree once in pre-order with a stack, appending each popped
+    node's row. A split pushes its right child, tagged with the split's row,
+    then its left child, so the left child is the next row and the right
+    child fills in its parent's ``right`` when popped. Each column is then
+    checked and converted once over all trees. A missing key or a node that
+    is not an object names the tree being walked; a value that is not a
+    number, or not an integer within the int64 range where one is due, names
+    the tree its row lies in, found from the roots. Raises ValueError.
     """
-    docs = list(tree_docs)
-    tree_of = np.arange(len(docs))  # the tree of each node of the level
-    level, class_index, round_index = _named(
-        lambda ds: ([d["root"] for d in ds],
-                    _integers("class_index", [d["class_index"] for d in ds]),
-                    _integers("round", [d["round"] for d in ds])), docs, tree_of)
-    # is_split, feature, threshold, gain, weight, cover of every node, in
-    # level order
-    columns: tuple[list, ...] = ([], [], [], [], [], [])
-    levels = []  # is_split per level
-    while level:
-        *values, level = _named(_level, level, tree_of)
-        for column, v in zip(columns, values):
-            column.extend(v)
-        levels.append(np.array(values[0], dtype=bool))
-        tree_of = np.repeat(tree_of[levels[-1]], 2)
-
-    empty = np.zeros(0, dtype=np.intp)
-    sizes = [empty]  # subtree sizes per level, deepest level first
-    for split in reversed(levels):
-        size = np.ones(len(split), dtype=np.intp)
-        size[split] += sizes[-1][0::2] + sizes[-1][1::2]
-        sizes.append(size)
-    sizes.reverse()
-    root = position = np.cumsum(sizes[0]) - sizes[0]  # pre-order positions of a level
-    places, lefts, rights = [empty], [empty], [empty]
-    for split, below in zip(levels, sizes[1:]):
-        left = position[split] + 1
-        right = left + below[0::2]
-        places.append(position)
-        lefts.append(left)
-        rights.append(right)
-        position = np.stack([left, right], axis=1).ravel()
-    place, left, right = (np.concatenate(p) for p in (places, lefts, rights))
-    split = np.array(columns[0], dtype=bool)
-    at, leaf_at = place[split], place[~split]
-
-    def scatter(where, values, fill):
-        out = np.full(len(place), fill)
-        out[where] = values
-        return out
-
-    feature, threshold, gain, weight, cover = (np.array(c, dtype=float) for c in columns[1:])
-    return NodeTable(scatter(at, feature, -1.0).astype(np.intp), scatter(at, left, -1),
-                     scatter(at, right, -1), scatter(at, threshold, 0.0),
-                     scatter(leaf_at, weight, 0.0), scatter(place, cover, 0.0),
-                     scatter(at, gain, 0.0), root, np.array(class_index, dtype=np.intp),
-                     np.array(round_index, dtype=np.intp))
+    root, class_index, round_index = [], [], []
+    feature, threshold, gain, weight, cover, right = [], [], [], [], [], []
+    for tree, doc in enumerate(tree_docs):
+        try:
+            class_index.append(doc["class_index"])
+            round_index.append(doc["round"])
+            root.append(len(cover))
+            stack = [(doc["root"], -1)]
+            while stack:
+                node, parent = stack.pop()
+                if parent >= 0:
+                    right[parent] = len(cover)
+                cover.append(node["cover"])
+                right.append(-1)
+                split = "feature" in node
+                if split:
+                    stack += (node["right"], len(cover) - 1), (node["left"], -1)
+                feature.append(node["feature"] if split else -1)
+                threshold.append(node["threshold"] if split else 0.0)
+                gain.append(node.get("gain", 0.0) if split else 0.0)
+                weight.append(0.0 if split else node["weight"])
+        except KeyError as exc:
+            raise ValueError(f"model tree {tree} is missing key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"model tree {tree} is malformed: {exc}") from None
+    root = np.array(root, dtype=np.intp)
+    trees = np.arange(len(root))
+    columns = []
+    for name, values, starts, dtype in (
+            ("class_index", class_index, trees, np.intp), ("round", round_index, trees, np.intp),
+            ("feature", feature, root, np.intp), ("threshold", threshold, root, float),
+            ("gain", gain, root, float), ("weight", weight, root, float),
+            ("cover", cover, root, float)):
+        try:
+            columns.append(_json_array(name, values, dtype))
+        except _BadValue as exc:
+            tree = int(np.searchsorted(starts, exc.index, side="right")) - 1
+            raise ValueError(f"model tree {tree} is malformed: {exc}") from None
+    class_index, round_index, feature, threshold, gain, weight, cover = columns
+    right = np.array(right, dtype=np.intp)
+    left = np.where(right >= 0, np.arange(1, len(right) + 1), -1)
+    return NodeTable(feature, left, right, threshold, weight, cover, gain, root, class_index,
+                     round_index)
 
 
-def _level(nodes: list) -> tuple[list, ...]:
-    """One tree level's nodes as columns, in node order, and the next level.
+class _BadValue(ValueError):
+    """A value a column of JSON values cannot hold, at position ``index`` of the column."""
 
-    The columns are is_split, the feature, threshold and gain of the splits,
-    the weight of the leaves and the cover of every node; the next level
-    holds each split's left then right child.
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _json_array(name: str, values: list, dtype=float) -> np.ndarray:
+    """values as an array of dtype, float or np.intp, if dtype holds each.
+
+    A float array takes JSON numbers within the float range, an intp array
+    JSON integers within the int64 range. Else raises _BadValue at the first
+    value that does not fit: no string or bool is converted, no float is
+    rounded to an integer, and no integer wraps around or overflows later.
     """
-    split = ["feature" in node for node in nodes]
-    splits = [node for node, s in zip(nodes, split) if s]
-    leaves = [node for node, s in zip(nodes, split) if not s]
-    return (split, _integers("feature", [node["feature"] for node in splits]),
-            _numbers("threshold", [node["threshold"] for node in splits]),
-            _numbers("gain", [node.get("gain", 0.0) for node in splits]),
-            _numbers("weight", [node["weight"] for node in leaves]),
-            _numbers("cover", [node["cover"] for node in nodes]),
-            [child for node in splits for child in (node["left"], node["right"])])
-
-
-def _integers(name: str, values: list) -> list:
-    """values if each is a JSON integer, else ValueError: no float, string or bool is rounded."""
-    bad = [v for v in values if type(v) is not int]
-    if bad:
-        raise ValueError(f"{name} must be an integer, got {bad[0]!r}")
-    return values
-
-
-def _numbers(name: str, values: list) -> list:
-    """values if each is a JSON number within the float range, else ValueError.
-
-    No string or bool is converted, and an integer beyond the float range
-    is refused rather than overflowing later.
-    """
-    if not set(map(type, values)) <= {float}:
-        for v in values:
-            if type(v) not in (int, float):
-                raise ValueError(f"{name} must be a number, got {v!r}")
-            if type(v) is int and abs(v) > sys.float_info.max:
-                raise ValueError(f"{name} must be a number within the float range, "
-                                 f"got an integer of {len(str(abs(v)))} digits")
-    return values
+    kind, types, bounds = (("an integer", {int}, "int64") if dtype is np.intp
+                           else ("a number", {int, float}, "float"))
+    if set(map(type, values)) <= types:
+        try:
+            return np.array(values, dtype=dtype)
+        except OverflowError:
+            pass
+    for i, v in enumerate(values):
+        if type(v) not in types:
+            raise _BadValue(f"{name} must be {kind}, got {v!r}", i)
+        try:
+            dtype(v)
+        except OverflowError:
+            raise _BadValue(f"{name} must be {kind} within the {bounds} range, "
+                            f"got an integer of {len(str(abs(v)))} digits", i) from None
 
 
 def _number_array(name: str, values) -> np.ndarray:
     """A model document's list of JSON numbers as floats, else ValueError naming it."""
     if not isinstance(values, list):
         raise ValueError(f"{name} is {type(values).__name__}, expected a list")
-    return np.array(_numbers(name, values), dtype=float)
-
-
-def _named(convert, items: list, tree_of: np.ndarray):
-    """convert(items), else a ValueError naming the tree of the first bad item.
-
-    items[i] belongs to tree tree_of[i]. Only a failure looks for the
-    culprit: the first item that convert fails on alone.
-    """
-    try:
-        return convert(items)
-    except (KeyError, TypeError, ValueError):
-        for item, tree in zip(items, tree_of):
-            try:
-                convert([item])
-            except KeyError as exc:
-                raise ValueError(f"model tree {tree} is missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"model tree {tree} is malformed: {exc}") from None
-        raise
+    return _json_array(name, values)
 
 
 def _leaves(trees: NodeTable, x: np.ndarray) -> np.ndarray:
@@ -721,8 +684,8 @@ def _check_table(trees: NodeTable, n_features: int, num_class: int) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         tree = int(np.searchsorted(trees.root, i, side="right")) - 1
-        what = (f"a split on feature {trees.feature[i]} at threshold {trees.threshold[i]!r}"
-                if split[i] else f"a leaf weight {trees.weight[i]!r}")
+        what = (f"a split on feature {trees.feature[i]} at threshold {float(trees.threshold[i])!r}"
+                if split[i] else f"a leaf weight {float(trees.weight[i])!r}")
         raise ValueError(f"model tree {tree} has {what}; split features must lie in "
                          f"[0, {n_features}) and thresholds and weights must be finite")
 
@@ -879,7 +842,8 @@ def model_from_dict(doc: dict) -> Ensemble:
         raise ValueError(f"model document is {type(doc).__name__}, expected an object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version: {version!r}")
+        raise ValueError(f"model format version {version!r} is not supported; "
+                         f"expected {MODEL_FORMAT_VERSION}")
     missing = [k for k in ("num_class", "base_score", "feature_names", "config", "trees")
                if k not in doc]
     if missing:
@@ -895,14 +859,17 @@ def model_from_dict(doc: dict) -> Ensemble:
     if scaler is not None:
         if not isinstance(scaler, dict):
             raise ValueError(f"model scaler is {type(scaler).__name__}, expected an object or null")
-        scaler = ScalerParams(  # a missing mean or std reads as empty
-            mean=_number_array("model scaler mean", scaler.get("mean", [])),
-            std=_number_array("model scaler std", scaler.get("std", [])),
-        )
+        try:
+            scaler = ScalerParams(  # a missing mean or std reads as empty
+                mean=_number_array("model scaler mean", scaler.get("mean", [])),
+                std=_number_array("model scaler std", scaler.get("std", [])),
+            )
+        except DataError as exc:
+            raise ValueError(f"model {exc}") from None
     model = Ensemble(
         trees=_flatten(doc["trees"]),
         base_score=_number_array("model base_score", doc["base_score"]),
-        num_class=_integers("model num_class", [doc["num_class"]])[0],
+        num_class=int(_json_array("model num_class", [doc["num_class"]], np.intp)[0]),
         feature_names=tuple(doc["feature_names"]),
         config=cfg,
         scaler=scaler,

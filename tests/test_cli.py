@@ -244,8 +244,10 @@ class TestExplainCommand:
         (lambda doc, tree: tree["root"].update(feature=-2), None),
         (lambda doc, tree: tree["root"].pop("left"), None),
         (lambda doc, tree: tree.pop("round"), None),
-        (lambda doc, tree: tree["root"].update(threshold=float("nan")), None),
-        (lambda doc, tree: _rightmost_leaf(tree["root"]).update(weight=float("inf")), None),
+        (lambda doc, tree: tree["root"].update(threshold=float("nan")),
+         "at threshold nan; split features must lie in"),
+        (lambda doc, tree: _rightmost_leaf(tree["root"]).update(weight=float("inf")),
+         "model tree {index} has a leaf weight inf; split features must lie in"),
         (lambda doc, tree: doc.pop("trees"), "missing key 'trees'"),
         (lambda doc, tree: doc.pop("config"), "missing key 'config'"),
         (lambda doc, tree: doc["base_score"].pop(), "model base_score"),
@@ -322,6 +324,14 @@ class TestExplainCommand:
          "model feature_names must be strings, got 5"),
         (lambda doc, tree: tree.update(round=999), "model tree {index} has round 999 outside [0, "),
         (lambda doc, tree: tree.update(round=-1), "model tree {index} has round -1 outside [0, "),
+        (lambda doc, tree: tree["root"].update(feature=10**400),
+         "model tree {index} is malformed: feature must be an integer"),
+        (lambda doc, tree: tree["root"].update(feature=2**64),
+         "model tree {index} is malformed: feature must be an integer"),
+        (lambda doc, tree: tree.update(round=2**70),
+         "model tree {index} is malformed: round must be an integer"),
+        (lambda doc, tree: tree.update(class_index=2**70),
+         "model tree {index} is malformed: class_index must be an integer"),
     ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
             "inf_leaf_weight", "missing_trees", "missing_config", "short_base_score",
             "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key",
@@ -335,7 +345,8 @@ class TestExplainCommand:
             "string_cover", "string_gain", "string_leaf_weight", "string_base_score",
             "string_scaler_mean", "string_scaler_std", "huge_integer_threshold",
             "huge_integer_reg_lambda", "list_feature_name", "int_feature_name", "round_999",
-            "negative_round"])
+            "negative_round", "huge_integer_feature", "int64_overflow_feature",
+            "huge_integer_round", "huge_integer_class_index"])
     def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit, message):
         doc = json.loads((trained_dir / "model.json").read_text())
         assert len(doc["feature_names"]) < 7 and doc["scaler"] is not None

@@ -29,7 +29,6 @@ from evperf.gbdt import (
     predict_proba_batch,
     save_model,
     softmax,
-    split_gain,
     staged_margins,
     train,
 )
@@ -124,17 +123,17 @@ class TestGradHess:
 class TestSplitMath:
     def test_gain_hand_case(self):
         cfg = TrainConfig(reg_lambda=1.0)
-        assert split_gain(-1.0, 1.0, 1.0, 1.0, cfg) == pytest.approx(0.5)
+        assert gbdt._gain_formula(-1.0, 1.0, 1.0, 1.0, cfg) == pytest.approx(0.5)
 
     def test_cancellation_always_positive(self):
         cfg = TrainConfig(reg_lambda=0.0, reg_alpha=0.0, gamma=0.0)
-        g = split_gain(-2.0, 1.5, 2.0, 0.5, cfg)
+        g = gbdt._gain_formula(-2.0, 1.5, 2.0, 0.5, cfg)
         assert g == pytest.approx(0.5 * (4.0 / 1.5 + 4.0 / 0.5))
         assert g > 0
 
     def test_gamma_can_reject(self):
         cfg = TrainConfig(reg_lambda=1.0, gamma=10.0)
-        assert split_gain(-1.0, 1.0, 1.0, 1.0, cfg) < 0
+        assert gbdt._gain_formula(-1.0, 1.0, 1.0, 1.0, cfg) < 0
 
     def test_leaf_weight(self):
         assert leaf_weight(1.0, 1.0, TrainConfig(reg_lambda=1.0)) == pytest.approx(-0.5)
