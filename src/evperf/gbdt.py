@@ -44,14 +44,21 @@ one gather and one ``np.add.accumulate`` where it made two of each; a
 complex sum adds the real parts and the imaginary parts separately, left
 to right, so each prefix sum has the bits of its statistic's own cumulative
 sum. The two parts are then copied out into contiguous arrays, because the
-validity mask, the gain formula and the argmax run slower on the strided
+validity mask, the score and the argmax run slower on the strided
 ``.real``/``.imag`` views, by about as much as the complex sum saves. A
 complex value counts as two of ``_TILE``, so a tile holds
 ``_TILE // (2 * m)`` feature rows of an m-row node (at least one), and its
-complex temporaries stay within 64 KiB. A node's own gradient and Hessian
-sums stay two float64 ``np.add.reduce`` calls: numpy's pairwise summation
-blocks a complex reduce differently, which would change covers and leaf
-weights.
+complex temporaries stay within 64 KiB.
+
+Node sums are kept as XGBoost keeps them (Chen & Guestrin 2016, Alg. 1).
+Only the root's gradient and Hessian sums are reduced from rows, by two
+float64 ``np.add.reduce`` calls. A split's left child takes the winning
+candidate's prefix sums and its right child the parent's sums less those, so
+no node gathers or reduces its rows again, and a child's cover is exactly the
+Hessian that passed the min-child check. Candidates are ranked by their
+children's score S(G_L)^2/(H_L+lambda) + S(G_R)^2/(H_R+lambda) alone: the
+parent's S(G)^2/(H+lambda) is the same for every candidate of a node, so it
+is taken off once, for the winner's gain.
 
 Trees are grown as ``TreeNode`` graphs and then stored, once, in the
 ensemble's node table: flat arrays over every node of every tree, in
@@ -247,27 +254,25 @@ def _soft_threshold(g, alpha):
     return np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
 
 
-def _gain_formula(g_left, h_left, g_right, h_right, cfg: TrainConfig):
-    """Vectorized split gain; operands may be scalars or arrays.
+def _score(g, h, cfg: TrainConfig):
+    """S(G)^2/(H+lambda), with S the L1 soft-threshold; operands may be scalars or arrays.
 
-    0.5 * (S(GL)^2/(HL+lambda) + S(GR)^2/(HR+lambda) - S(GL+GR)^2/(HL+HR+lambda)) - gamma,
-    with S the L1 soft-threshold, evaluated term by term into one result array.
+    Twice the objective reduction of a leaf whose rows sum to G and H. A
+    split's gain is half its children's scores less its parent's, less gamma.
     """
-    sl = _soft_threshold(g_left, cfg.reg_alpha)
-    sr = _soft_threshold(g_right, cfg.reg_alpha)
-    sp = _soft_threshold(g_left + g_right, cfg.reg_alpha)
-    gain = sl * sl
-    gain /= h_left + cfg.reg_lambda
-    right = sr * sr
-    right /= h_right + cfg.reg_lambda
-    gain += right
-    parent = sp * sp
-    parent /= h_left + h_right + cfg.reg_lambda
-    gain -= parent
-    gain *= 0.5
-    if cfg.gamma:
-        gain -= cfg.gamma
-    return gain
+    s = _soft_threshold(g, cfg.reg_alpha)
+    score = s * s
+    score /= h + cfg.reg_lambda
+    return score
+
+
+def _gain_formula(g_left, h_left, g_right, h_right, cfg: TrainConfig):
+    """Split gain of children with sums (GL, HL) and (GR, HR); operands may be scalars or arrays.
+
+    0.5 * (S(GL)^2/(HL+lambda) + S(GR)^2/(HR+lambda) - S(GL+GR)^2/(HL+HR+lambda)) - gamma.
+    """
+    children = _score(g_left, h_left, cfg) + _score(g_right, h_right, cfg)
+    return 0.5 * (children - _score(g_left + g_right, h_left + h_right, cfg)) - cfg.gamma
 
 
 def leaf_weight(g_sum: float, h_sum: float, cfg: TrainConfig) -> float:
@@ -276,7 +281,7 @@ def leaf_weight(g_sum: float, h_sum: float, cfg: TrainConfig) -> float:
 
 
 def _find_best_split(xs, order, gh, g_sum, h_sum, cfg):
-    """Best (gain, feature, threshold) of a node over all exact candidates, or None.
+    """Best (gain, feature, threshold, G_L, H_L) of a node over all exact candidates, or None.
 
     ``xs`` is the node's (d, m) value block: row j holds the node's values of
     feature j in ascending order, and ``order`` row j the rows they belong
@@ -285,36 +290,48 @@ def _find_best_split(xs, order, gh, g_sum, h_sum, cfg):
     midpoints between consecutive distinct values, scored from one complex
     cumulative sum, which adds the real and the imaginary parts separately
     and in order, so each is the cumulative sum of its statistic bit for
-    bit. The two parts are then copied out into contiguous arrays for the
-    gain formula, which runs slower on strided ``.real``/``.imag`` views. A
+    bit. The two parts are then copied out into contiguous arrays, which the
+    score runs faster on than on strided ``.real``/``.imag`` views. A
     complex value counts as two of ``_TILE``, so a tile holds
-    ``_TILE // (2 * m)`` feature rows (at least one). ``g_sum``/``h_sum``
-    are the node's totals, reduced from the float64 statistics and not from
-    ``gh``, whose complex reduce would block its pairwise sums differently.
-    Ties resolve to the lowest feature, then the lowest threshold: argmax
-    scans a tile's gains row by row and returns the first maximum, and a
-    later tile wins only with a strictly greater gain.
+    ``_TILE // (2 * m)`` feature rows (at least one).
+
+    As in XGBoost (Chen & Guestrin 2016, Alg. 1), candidates are ranked by
+    their children's score S(G_L)^2/(H_L+lambda) + S(G_R)^2/(H_R+lambda)
+    alone, with G_R = G - G_L and H_R = H - H_L from the node's sums
+    ``g_sum``/``h_sum``, and the parent's score is taken off once, from those
+    sums, for the winner's gain. A candidate is valid when both children's
+    Hessians reach ``min_child_hessian``, floored at ``HESS_EPS`` so that no
+    child's Hessian is zero; a dropped candidate's score may divide by zero,
+    so callers ignore numpy's divide and invalid warnings. The winner's prefix
+    sums G_L, H_L are returned as its left child's sums. Ties resolve to the lowest feature, then the
+    lowest threshold: argmax scans a tile's scores row by row and returns
+    the first maximum, and a later tile wins only with a strictly greater
+    score.
     """
     d, m = xs.shape
     if d == 0 or m < 2:
         return None
+    least = max(cfg.min_child_hessian, HESS_EPS)
     step = max(1, _TILE // (2 * m))
-    best = None  # (gain, feature, position)
+    best = None  # (score, feature, position, G_L, H_L)
     for lo in range(0, d, step):
         x = xs[lo:lo + step]
         sums = np.add.accumulate(gh[order[lo:lo + step]], axis=1)[:, :-1]
         cg, ch = sums.real.copy(), sums.imag.copy()
-        del sums  # frees the complex buffer before the gain formula's temporaries
+        del sums  # frees the complex buffer before the score's temporaries
         h_r = h_sum - ch
-        valid = (x[:, :-1] < x[:, 1:]) & (ch >= cfg.min_child_hessian) & (h_r >= cfg.min_child_hessian)
-        gains = np.where(valid, _gain_formula(cg, ch, g_sum - cg, h_r, cfg), -np.inf)
-        j, k = divmod(int(gains.argmax()), m - 1)
-        if best is None or gains[j, k] > best[0]:
-            best = (gains[j, k], lo + j, k)
-    gain, j, k = best
+        valid = (x[:, :-1] < x[:, 1:]) & (ch >= least) & (h_r >= least)
+        scores = _score(cg, ch, cfg)
+        scores += _score(g_sum - cg, h_r, cfg)
+        scores[~valid] = -np.inf
+        j, k = divmod(int(scores.argmax()), m - 1)
+        if best is None or scores[j, k] > best[0]:
+            best = (scores[j, k], lo + j, k, cg[j, k], ch[j, k])
+    score, j, k, g_left, h_left = best
+    gain = 0.5 * (score - _score(g_sum, h_sum, cfg)) - cfg.gamma
     if gain <= 0:
         return None
-    return float(gain), j, float(0.5 * (xs[j, k] + xs[j, k + 1]))
+    return float(gain), j, float(0.5 * (xs[j, k] + xs[j, k + 1])), float(g_left), float(h_left)
 
 
 def column_order(features: np.ndarray) -> np.ndarray:
@@ -332,10 +349,10 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
     """Grow one regression tree by exact greedy search.
 
     Growth stops at max_depth, when no candidate split has positive gain, or
-    when every candidate leaves a child below min_child_hessian. ``order`` is
-    ``column_order(features)``, computed here when not given. When
-    ``row_weights`` is given, each of its n entries receives the weight of the
-    leaf that row reached.
+    when every candidate leaves a child's Hessian below min_child_hessian,
+    floored at HESS_EPS. ``order`` is ``column_order(features)``, computed
+    here when not given. When ``row_weights`` is given, each of its n entries
+    receives the weight of the leaf that row reached.
     """
     x = np.asarray(features, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -355,33 +372,37 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
     # gradient into +0.0.
     gh = np.empty(n, dtype=complex)
     gh.real, gh.imag = g, h
-    root = TreeNode(cover=0.0)
-    # Pending nodes, each with its rows in ascending index order and its
-    # (d, m) blocks: ``order`` row j lists the rows in ascending order of
-    # feature j, and ``xs`` row j their values. A child's blocks are cut
-    # from its parent's by the split; the cut keeps the order, ties
-    # included, so each child is sorted without sorting. A split pushes its
-    # right child, then its left, so nodes are grown in pre-order; once its
-    # children's blocks are cut, its own are dropped, and the blocks alive
-    # are those of pending right siblings, which hold disjoint rows.
-    pending = [(root, np.arange(n), order, x_t[np.arange(d)[:, None], order], 0)]
-    while pending:
-        node, rows, order, xs, depth = pending.pop()
-        g_sum = float(np.add.reduce(g[rows]))
-        h_sum = float(np.add.reduce(h[rows]))
-        node.cover = h_sum
-        found = (_find_best_split(xs, order, gh, g_sum, h_sum, cfg)
-                 if depth < cfg.max_depth else None)
-        if found is None:
-            node.weight = leaf_weight(g_sum, h_sum, cfg)
-            if row_weights is not None:
-                row_weights[rows] = node.weight
-            continue
-        node.gain, node.feature, node.threshold = found
-        left, right = _cut(x_t[node.feature] < node.threshold, rows, order, xs)
-        node.left, node.right = TreeNode(cover=0.0), TreeNode(cover=0.0)
-        pending.append((node.right, *right, depth + 1))
-        pending.append((node.left, *left, depth + 1))
+    # Pending nodes, each with its gradient sum (its Hessian sum is its
+    # cover), its rows in ascending index order and its (d, m) blocks:
+    # ``order`` row j lists the rows in ascending order of feature j, and
+    # ``xs`` row j their values. A child's blocks are cut from its parent's by
+    # the split; the cut keeps the order, ties included, so each child is
+    # sorted without sorting. The root's sums are reduced once; a left child's
+    # are the winning prefix sums and a right child's the parent's less the
+    # left's, so no node sums its rows again. A split pushes its right child,
+    # then its left, so nodes are grown in pre-order; once its children's
+    # blocks are cut, its own are dropped, and the blocks alive are those of
+    # pending right siblings, which hold disjoint rows.
+    root = TreeNode(cover=float(np.add.reduce(h)))
+    pending = [(root, float(np.add.reduce(g)), np.arange(n), order,
+                x_t[np.arange(d)[:, None], order], 0)]
+    # A candidate the search drops may have a child Hessian of 0, and its
+    # score then divides by zero; the errstate is set once per tree, not per node.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while pending:
+            node, g_sum, rows, order, xs, depth = pending.pop()
+            found = (_find_best_split(xs, order, gh, g_sum, node.cover, cfg)
+                     if depth < cfg.max_depth else None)
+            if found is None:
+                node.weight = leaf_weight(g_sum, node.cover, cfg)
+                if row_weights is not None:
+                    row_weights[rows] = node.weight
+                continue
+            node.gain, node.feature, node.threshold, g_left, h_left = found
+            left, right = _cut(x_t[node.feature] < node.threshold, rows, order, xs)
+            node.left, node.right = TreeNode(cover=h_left), TreeNode(cover=node.cover - h_left)
+            pending.append((node.right, g_sum - g_left, *right, depth + 1))
+            pending.append((node.left, g_left, *left, depth + 1))
     return root
 
 
@@ -501,7 +522,20 @@ def _json_array(name: str, values: list, dtype=float) -> np.ndarray:
             dtype(v)
         except OverflowError:
             raise _BadValue(f"{name} must be {kind} within the {bounds} range, "
-                            f"got an integer of {len(str(abs(v)))} digits", i) from None
+                            f"got an integer of {_digit_count(v)} digits", i) from None
+
+
+def _digit_count(v: int) -> int:
+    """The decimal digits of abs(v), counted without ``str``, which refuses more than 4,300.
+
+    A lower bound from the bit length, since log10(2) > 0.301029995, is raised
+    while v still reaches the next power of ten: at most twice below 10**9 bits.
+    """
+    v = abs(v)
+    digits = (v.bit_length() - 1) * 301029995 // 10**9 + 1
+    while v >= 10**digits:
+        digits += 1
+    return digits
 
 
 def _number_array(name: str, values) -> np.ndarray:

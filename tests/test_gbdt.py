@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from evperf.gbdt import (
 )
 from evperf.metrics import mlogloss
 from evperf.physics import SynthConfig, synth_dataset
+from evperf.treeshap import explain_matrix
 from split_oracle import reference_find_best_split
 
 
@@ -269,24 +271,83 @@ class TestBuildTree:
             self._structure_ok(build_tree(x, g, h, cfg), 0, cfg)
 
 
+class TestChildSums:
+    """Children take their sums from the split search, not from their rows."""
+
+    def _check_covers(self, node, x, h, rows, least):
+        if node.is_leaf:
+            return
+        # the node's Hessians in the split feature's order, ties by row, summed left to right
+        xj = x[rows, node.feature]
+        prefix = np.cumsum(h[rows][np.argsort(xj, kind="stable")])
+        go_left = xj < node.threshold
+        assert node.left.cover == prefix[np.count_nonzero(go_left) - 1]
+        assert node.right.cover == node.cover - node.left.cover
+        assert node.left.cover >= least and node.right.cover >= least
+        self._check_covers(node.left, x, h, rows[go_left], least)
+        self._check_covers(node.right, x, h, rows[~go_left], least)
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(max_depth=5),
+        TrainConfig(max_depth=6, reg_lambda=0.0, min_child_hessian=0.0),
+        TrainConfig(max_depth=4, reg_alpha=0.3, gamma=0.05, min_child_hessian=0.5),
+    ])
+    def test_child_covers_are_prefix_sums(self, cfg):
+        rng = np.random.default_rng(11)
+        least = max(cfg.min_child_hessian, HESS_EPS)
+        for n in (2, 9, 60, 400):
+            x = rng.integers(0, 6, size=(n, 3)).astype(float)
+            g = rng.normal(size=n)
+            h = rng.uniform(0.05, 1.0, size=n)
+            h[rng.random(n) < 0.2] = HESS_EPS
+            root = build_tree(x, g, h, cfg)
+            assert root.cover == float(np.add.reduce(h))
+            self._check_covers(root, x, h, np.arange(n), least)
+
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+    def test_child_hessians_floor_at_hess_eps(self, reg_lambda, tmp_path):
+        # With no Hessian minimum, the right child of the last candidate holds
+        # 1.0 + 1e-16 - 1.0, which rounds to 0.0: with no L2 penalty its gain
+        # would be infinite, and with one its cover would be 0, which explain refuses.
+        x = np.arange(5.0)[:, None]
+        g = np.array([0.3, -0.2, 0.1, 0.4, -0.5])
+        h = np.array([0.25] * 4 + [HESS_EPS])
+        cfg = TrainConfig(min_child_hessian=0.0, reg_lambda=reg_lambda, max_depth=1,
+                          n_rounds=1, num_class=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trees = [(0, k, build_tree(x, sign * g, h, cfg)) for k, sign in enumerate((1, -1))]
+            model = Ensemble(trees=node_table(trees), base_score=np.zeros(2), num_class=2,
+                             feature_names=("x",), config=cfg)
+            table = model.trees
+            assert (table.feature >= 0).any()
+            assert (table.cover >= HESS_EPS).all()
+            assert np.isfinite(table.gain).all() and np.isfinite(table.weight).all()
+            save_model(model, tmp_path / "model.json")
+            loaded = load_model(tmp_path / "model.json")
+            explained = explain_matrix(loaded, x)
+        margins = predict_margin_batch(loaded, x)
+        np.testing.assert_allclose(explained.base_value + explained.phi.sum(axis=1), margins,
+                                   rtol=0, atol=1e-12)
+
+
 def _ref_soft_threshold(g, alpha):
     return np.sign(g) * np.maximum(np.abs(g) - alpha, 0.0)
 
 
-def _ref_gain(g_left, h_left, g_right, h_right, cfg):
-    sl = _ref_soft_threshold(g_left, cfg.reg_alpha)
-    sr = _ref_soft_threshold(g_right, cfg.reg_alpha)
-    sp = _ref_soft_threshold(g_left + g_right, cfg.reg_alpha)
-    return 0.5 * (
-        sl * sl / (h_left + cfg.reg_lambda)
-        + sr * sr / (h_right + cfg.reg_lambda)
-        - sp * sp / (h_left + h_right + cfg.reg_lambda)
-    ) - cfg.gamma
+def _ref_score(g, h, cfg):
+    s = _ref_soft_threshold(g, cfg.reg_alpha)
+    return s * s / (h + cfg.reg_lambda)
 
 
 def _ref_find_best_split(x_cols, g, h, rows, g_sum, h_sum, cfg):
-    """Per-feature exact search: argsort the node's values of each feature."""
-    best = None  # (gain, feature, threshold)
+    """Per-feature exact search: argsort the node's values of each feature.
+
+    Candidates are ranked by their children's scores; the winner's gain takes
+    off the parent's score once. Returns (gain, feature, threshold, G_L, H_L).
+    """
+    least = max(cfg.min_child_hessian, HESS_EPS)
+    best = None  # (score, feature, threshold, G_L, H_L)
     for j, col in enumerate(x_cols):
         xj = col[rows]
         order = np.argsort(xj, kind="stable")
@@ -297,38 +358,44 @@ def _ref_find_best_split(x_cols, g, h, rows, g_sum, h_sum, cfg):
         ch = np.cumsum(h[rows][order])[:-1]
         distinct = xs[:-1] < xs[1:]
         h_r = h_sum - ch
-        valid = distinct & (ch >= cfg.min_child_hessian) & (h_r >= cfg.min_child_hessian)
+        valid = distinct & (ch >= least) & (h_r >= least)
         if not np.any(valid):
             continue
-        gains = np.where(valid, _ref_gain(cg, ch, g_sum - cg, h_r, cfg), -np.inf)
-        k = int(np.argmax(gains))
-        if best is None or gains[k] > best[0]:
-            best = (float(gains[k]), j, float(0.5 * (xs[k] + xs[k + 1])))
-    if best is None or best[0] <= 0:
+        scores = np.where(valid, _ref_score(cg, ch, cfg) + _ref_score(g_sum - cg, h_r, cfg),
+                          -np.inf)
+        k = int(np.argmax(scores))
+        if best is None or scores[k] > best[0]:
+            best = (scores[k], j, float(0.5 * (xs[k] + xs[k + 1])), float(cg[k]), float(ch[k]))
+    if best is None:
         return None
-    return best
+    gain = float(0.5 * (best[0] - _ref_score(g_sum, h_sum, cfg)) - cfg.gamma)
+    return None if gain <= 0 else (gain, *best[1:])
 
 
 def _ref_build_tree(x, g, h, cfg, searched_sizes):
-    """Reference grower; records the row count of every node it searches."""
+    """Reference grower; records the row count of every node it searches.
+
+    The root's sums are reduced from its rows, a left child's are the
+    winning prefix sums and a right child's its parent's less the left's.
+    """
     x_cols = [np.ascontiguousarray(x[:, j]) for j in range(x.shape[1])]
 
-    def grow(rows, depth):
-        g_sum = float(g[rows].sum())
-        h_sum = float(h[rows].sum())
+    def grow(rows, depth, g_sum, h_sum):
         if depth < cfg.max_depth:
             searched_sizes.append(len(rows))
             found = _ref_find_best_split(x_cols, g, h, rows, g_sum, h_sum, cfg)
             if found is not None:
-                gain, j, thr = found
+                gain, j, thr, g_left, h_left = found
                 mask = x_cols[j][rows] < thr
                 return TreeNode(cover=h_sum, feature=j, threshold=thr, gain=gain,
-                                left=grow(rows[mask], depth + 1),
-                                right=grow(rows[~mask], depth + 1))
+                                left=grow(rows[mask], depth + 1, g_left, h_left),
+                                right=grow(rows[~mask], depth + 1, g_sum - g_left,
+                                           h_sum - h_left))
         g_st = _ref_soft_threshold(g_sum, cfg.reg_alpha)
         return TreeNode(cover=h_sum, weight=float(-g_st / (h_sum + cfg.reg_lambda)))
 
-    return grow(np.arange(x.shape[0]), 0)
+    rows = np.arange(x.shape[0])
+    return grow(rows, 0, float(g[rows].sum()), float(h[rows].sum()))
 
 
 def _walk(node, row):

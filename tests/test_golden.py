@@ -15,34 +15,34 @@ from evperf.gbdt import load_model, save_model
 
 SYNTHETIC_CSV_SHA256 = "d21e48515d40d7c6465a1920b752399b516dadcc038210439f8d93df0c4011e4"
 SWEEP_CSV_SHA256 = "3fb5b1b2810f5b3dd71055130a93675ce3880c9417f12271f938a1abd7de850a"
-MODEL_JSON_SHA256 = "743e176ac5730526d966ed9ad226d8a7ae75bf83eb37c2aab108d063b8fe64de"
-METRICS_JSON_SHA256 = "599c6f85c64e147d46004967f6cb65806ba32f110b2613b03c5e5e3294eb9590"
+MODEL_JSON_SHA256 = "014a4b165b42fe8f77fbd46646e0973ebb3e5609d8c3bec9e4e8a825049234ce"
+METRICS_JSON_SHA256 = "aff3da2f04e1896f4071dc34c5f2633e1dbd50e79feb0fd568c63184730b0d44"
 
 # train --synth --seed 0 --rounds 5 --folds 2 --depth 6 --alpha 0.5 --gamma 0.1:
 # the L1 soft-threshold, the gain penalty and depth-6 trees
 REGULARIZED_SHA256 = {
-    "model.json": "b7c5d4d3cac0cb6c8b5602f5512f9db8994d1361b71ba0cff0360898854c7c5f",
-    "metrics.json": "24f81c42104d6ebe6be698df0a5ed30b13cfcc2897cf8b7d69ef60a6665d2fe9",
+    "model.json": "f076ea8743051a28a314e6d81c4821429be97865e66c38dcd3e7b17dd798da6c",
+    "metrics.json": "88f5043f1c54d698d7b475d48b6e2ce091658476c2a706742a100451be4a9a67",
 }
 
 # explain --synth --seed 0 --no-svg --swarm-samples 2 on the golden model.json:
 # attributions, interactions, gain importance and the loaded model's margins
 EXPLAIN_SHA256 = {
-    "shap_values.csv": "f96f43a3a252f91ff1e2692039a71e3569ed3abdfc4b12d56d6cf49fbe5ef5b9",
-    "shap_swarm.csv": "e6972d8354880795c3474994d7213810fe0234ce446e6a70b42088ab7b7f8814",
-    "gain_importance.csv": "30bd7715beae49501295bca7305774510f90da174c7fd6f48d08717ead1c4e2b",
-    "force.csv": "f3acd80431d6902431ac74db421c20897e2ca52d8202f89ea9be4f9041bdc945",
+    "shap_values.csv": "e990baa1afc0c1e0c2a255d598e891c0dd0a57bb4d57a1a2e59984d5b856635c",
+    "shap_swarm.csv": "02cebd82993945f25f2264723da1119f454d7b07256f7a8695aa674176ac2cf8",
+    "gain_importance.csv": "2c4b355d672260b38ca6f6504cc6de6850614c89657cc18bdce575b85230cad2",
+    "force.csv": "a69caa6ba48b29bcde4480346f57bfcd6e1355579a07ed61425c97590244de52",
 }
 
 # explain --synth --seed 0 --no-svg on the golden model.json at the default 60
 # swarm rows, enough for the interaction batch to take the pattern table
 EXPLAIN_DEFAULT_SWARM_SHA256 = {
-    "shap_values.csv": "f96f43a3a252f91ff1e2692039a71e3569ed3abdfc4b12d56d6cf49fbe5ef5b9",
-    "shap_swarm.csv": "d52839a5a338b9ee92010990659650bd30887061a2646749b4ab8918f6efe610",
-    "gain_importance.csv": "30bd7715beae49501295bca7305774510f90da174c7fd6f48d08717ead1c4e2b",
-    "force.csv": "f3acd80431d6902431ac74db421c20897e2ca52d8202f89ea9be4f9041bdc945",
-    "shap_importance.csv": "43776e5935d4badc25b67f8da3e578cf9f6c0e9c634608efb68a7a920114431a",
-    "dependence.csv": "09ea3da2e89658a6d84883d0e90c25f8ef1dfee802926ec3a7739ba7f3809d52",
+    "shap_values.csv": "e990baa1afc0c1e0c2a255d598e891c0dd0a57bb4d57a1a2e59984d5b856635c",
+    "shap_swarm.csv": "c9fc0f3f839d49d3d88e3ad7439b6de2924c03694334a930fcdc6f2163310be3",
+    "gain_importance.csv": "2c4b355d672260b38ca6f6504cc6de6850614c89657cc18bdce575b85230cad2",
+    "force.csv": "a69caa6ba48b29bcde4480346f57bfcd6e1355579a07ed61425c97590244de52",
+    "shap_importance.csv": "9e7ff482d76283fac77f058d26a8e316baa86fcfff201f337ac75cd95d78d4e2",
+    "dependence.csv": "bb6b7d8029a45b6c92b2ceb6fcfcf4e0a299fdf6b2c6584e1b6192ea37f578cb",
 }
 
 
