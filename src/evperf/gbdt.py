@@ -302,11 +302,11 @@ def _find_best_split(xs, order, gh, g_sum, h_sum, cfg):
     sums, for the winner's gain. A candidate is valid when both children's
     Hessians reach ``min_child_hessian``, floored at ``HESS_EPS`` so that no
     child's Hessian is zero; a dropped candidate's score may divide by zero,
-    so callers ignore numpy's divide and invalid warnings. The winner's prefix
-    sums G_L, H_L are returned as its left child's sums. Ties resolve to the lowest feature, then the
-    lowest threshold: argmax scans a tile's scores row by row and returns
-    the first maximum, and a later tile wins only with a strictly greater
-    score.
+    so callers ignore numpy's divide and invalid warnings. The winner's
+    prefix sums G_L, H_L are returned as its left child's sums. Ties resolve
+    to the lowest feature, then the lowest threshold: argmax scans a tile's
+    scores row by row and returns the first maximum, and a later tile wins
+    only with a strictly greater score.
     """
     d, m = xs.shape
     if d == 0 or m < 2:
@@ -377,12 +377,11 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
     # ``order`` row j lists the rows in ascending order of feature j, and
     # ``xs`` row j their values. A child's blocks are cut from its parent's by
     # the split; the cut keeps the order, ties included, so each child is
-    # sorted without sorting. The root's sums are reduced once; a left child's
-    # are the winning prefix sums and a right child's the parent's less the
-    # left's, so no node sums its rows again. A split pushes its right child,
-    # then its left, so nodes are grown in pre-order; once its children's
-    # blocks are cut, its own are dropped, and the blocks alive are those of
-    # pending right siblings, which hold disjoint rows.
+    # sorted without sorting. Only the root's sums are reduced from rows (see
+    # the module docstring). A split pushes its right child, then its left,
+    # so nodes are grown in pre-order; once its children's blocks are cut, its
+    # own are dropped, and the blocks alive are those of pending right
+    # siblings, which hold disjoint rows.
     root = TreeNode(cover=float(np.add.reduce(h)))
     pending = [(root, float(np.add.reduce(g)), np.arange(n), order,
                 x_t[np.arange(d)[:, None], order], 0)]

@@ -306,9 +306,10 @@ class TestChildSums:
 
     @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
     def test_child_hessians_floor_at_hess_eps(self, reg_lambda, tmp_path):
-        # With no Hessian minimum, the right child of the last candidate holds
-        # 1.0 + 1e-16 - 1.0, which rounds to 0.0: with no L2 penalty its gain
-        # would be infinite, and with one its cover would be 0, which explain refuses.
+        # The node's Hessian 1.0 + 1e-16 rounds to 1.0, so with no Hessian
+        # minimum the right child of the last candidate holds 1.0 - 1.0 = 0.0:
+        # with no L2 penalty its gain would be infinite, and with one its
+        # cover would be 0, which explain refuses.
         x = np.arange(5.0)[:, None]
         g = np.array([0.3, -0.2, 0.1, 0.4, -0.5])
         h = np.array([0.25] * 4 + [HESS_EPS])

@@ -9,7 +9,7 @@ of each over a few repeats, also per row. Synthesis, one warm-up fit and the
 model's TreeSHAP path build are not timed. The per-row figures show where per-node
 and per-call overhead gives way to element-wise work as n grows; the
 benchmark's workloads fit 300-row fleets and 6,667-row folds. A run takes
-about a minute on a two-core x86_64 VM.
+about 20 s on a two-core x86_64 VM.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from evperf import SynthConfig, TrainConfig, explain_matrix, synth_dataset, train
 
 SIZES = (300, 3000, 30000)
-REPEATS = 3
+REPEATS = 5
 
 
 def _median_seconds(fn, repeats: int) -> float:
