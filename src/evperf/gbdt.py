@@ -8,14 +8,18 @@ fit to the softmax cross-entropy gradients and Hessians.
 
 Split search follows XGBoost's presorted column blocks (Chen & Guestrin
 2016): each feature column is sorted once per fit, and a node keeps its rows
-as (d, m) blocks in each feature's value order. A split cuts the blocks
-into its children's, keeping the order, so a node is scored by cumulative
-sums, gain matrices and argmaxes over its blocks, with no sorting. The rows
-each leaf receives give the margin update directly.
+as (d, m) blocks in each feature's value order and nothing else. ``train``
+builds the root's blocks once per fit and every tree starts from them. A
+split cuts the blocks into its children's, keeping the order, so a node is
+scored by cumulative sums, gain matrices and argmaxes over its blocks, with
+no sorting. Any block row lists a node's rows, so a leaf gives the margin
+update of its rows directly. A split on the last level cuts nothing: in the
+split feature's block row, the rows it sends left are a prefix, which is all
+its two leaves need.
 
 The cut is by index: the split's go-left flags are gathered in block order,
 one ``nonzero`` per side gives that side's positions, and ``take`` copies the
-children's blocks and row lists. A boolean mask would select the same
+children's blocks. A boolean mask would select the same
 elements in the same order, but numpy's mask indexing copies one run at a
 time, and a split seen in another feature's order has short runs. For the
 whole cut of a 5 x m node split at a median, the mask path against the index
@@ -266,15 +270,6 @@ def _score(g, h, cfg: TrainConfig):
     return score
 
 
-def _gain_formula(g_left, h_left, g_right, h_right, cfg: TrainConfig):
-    """Split gain of children with sums (GL, HL) and (GR, HR); operands may be scalars or arrays.
-
-    0.5 * (S(GL)^2/(HL+lambda) + S(GR)^2/(HR+lambda) - S(GL+GR)^2/(HL+HR+lambda)) - gamma.
-    """
-    children = _score(g_left, h_left, cfg) + _score(g_right, h_right, cfg)
-    return 0.5 * (children - _score(g_left + g_right, h_left + h_right, cfg)) - cfg.gamma
-
-
 def leaf_weight(g_sum: float, h_sum: float, cfg: TrainConfig) -> float:
     """Optimal regularized leaf weight -S(G)/(H + lambda)."""
     return float(-_soft_threshold(g_sum, cfg.reg_alpha) / (h_sum + cfg.reg_lambda))
@@ -331,7 +326,12 @@ def _find_best_split(xs, order, gh, g_sum, h_sum, cfg):
     gain = 0.5 * (score - _score(g_sum, h_sum, cfg)) - cfg.gamma
     if gain <= 0:
         return None
-    return float(gain), j, float(0.5 * (xs[j, k] + xs[j, k + 1])), float(g_left), float(h_left)
+    below, above = float(xs[j, k]), float(xs[j, k + 1])
+    # The midpoint of adjacent doubles can round down onto the lower one, and
+    # that of two near the float maximum overflows; either way the upper value
+    # is the threshold that separates them.
+    mid = 0.5 * (below + above)
+    return float(gain), j, mid if below < mid <= above else above, float(g_left), float(h_left)
 
 
 def column_order(features: np.ndarray) -> np.ndarray:
@@ -343,16 +343,28 @@ def column_order(features: np.ndarray) -> np.ndarray:
     return np.argsort(np.asarray(features, dtype=float).T, axis=1, kind="stable")
 
 
+def _root_blocks(x: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The features by column, (d, n), and the root's value blocks: row j is x[order[j], j]."""
+    x_t = np.ascontiguousarray(x.T)
+    return x_t, x_t[np.arange(x_t.shape[0])[:, None], order]
+
+
 def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig,
                order: np.ndarray | None = None,
-               row_weights: np.ndarray | None = None) -> TreeNode:
+               row_weights: np.ndarray | None = None,
+               blocks: tuple[np.ndarray, np.ndarray] | None = None) -> TreeNode:
     """Grow one regression tree by exact greedy search.
 
     Growth stops at max_depth, when no candidate split has positive gain, or
     when every candidate leaves a child's Hessian below min_child_hessian,
-    floored at HESS_EPS. ``order`` is ``column_order(features)``, computed
-    here when not given. When ``row_weights`` is given, each of its n entries
-    receives the weight of the leaf that row reached.
+    floored at HESS_EPS. ``order`` is ``column_order(features)`` and
+    ``blocks`` is ``_root_blocks(features, order)``, each computed here when
+    not given; ``train`` computes both once per fit and shares them between
+    its trees. When ``row_weights`` is given, each of its n entries receives
+    the weight of the leaf that row reached. Every gradient must be finite,
+    and every Hessian finite and at least HESS_EPS, as
+    ``mlogloss_grad_hess`` makes them; otherwise a ValueError names ``g`` or
+    ``h``.
     """
     x = np.asarray(features, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -366,52 +378,73 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
         raise ValueError(f"column order has shape {order.shape}, expected {(d, n)}")
     if row_weights is not None and row_weights.shape != (n,):
         raise ValueError(f"row_weights has shape {row_weights.shape}, expected {(n,)}")
-    x_t = np.ascontiguousarray(x.T)
+    x_t, xs = _root_blocks(x, order) if blocks is None else blocks
     # Split search gathers and sums both statistics as one complex array. The
     # parts are assigned, not computed as g + 1j * h, which would turn a -0.0
     # gradient into +0.0.
     gh = np.empty(n, dtype=complex)
     gh.real, gh.imag = g, h
-    # Pending nodes, each with its gradient sum (its Hessian sum is its
-    # cover), its rows in ascending index order and its (d, m) blocks:
-    # ``order`` row j lists the rows in ascending order of feature j, and
-    # ``xs`` row j their values. A child's blocks are cut from its parent's by
-    # the split; the cut keeps the order, ties included, so each child is
-    # sorted without sorting. Only the root's sums are reduced from rows (see
-    # the module docstring). A split pushes its right child, then its left,
-    # so nodes are grown in pre-order; once its children's blocks are cut, its
-    # own are dropped, and the blocks alive are those of pending right
-    # siblings, which hold disjoint rows.
-    root = TreeNode(cover=float(np.add.reduce(h)))
-    pending = [(root, float(np.add.reduce(g)), np.arange(n), order,
-                x_t[np.arange(d)[:, None], order], 0)]
     # A candidate the search drops may have a child Hessian of 0, and its
-    # score then divides by zero; the errstate is set once per tree, not per node.
+    # score then divides by zero; the errstate is set once per tree, not per
+    # node. It also quiets the NaN sum of +inf and -inf, which is refused.
     with np.errstate(divide="ignore", invalid="ignore"):
+        # Only the root's sums are reduced from rows (see the module
+        # docstring). A NaN or an infinity makes its sum non-finite, so the
+        # sums check every value.
+        g_sum, h_sum = float(np.add.reduce(g)), float(np.add.reduce(h))
+        if not math.isfinite(g_sum):
+            raise ValueError("g must hold finite gradients with a finite sum")
+        if not math.isfinite(h_sum) or np.minimum.reduce(h, initial=HESS_EPS) < HESS_EPS:
+            raise ValueError(f"h must hold finite Hessians of at least HESS_EPS={HESS_EPS:g} "
+                             "with a finite sum")
+        # Pending nodes, each with its gradient sum (its Hessian sum is its
+        # cover) and its (d, m) blocks: ``order`` row j lists the node's rows
+        # in ascending order of feature j, and ``xs`` row j their values, so
+        # every block row holds the node's rows and a leaf reads them from
+        # ``order[0]``. A child's blocks are cut from its parent's by the
+        # split; the cut keeps the order, ties included, so each child is
+        # sorted without sorting. A split pushes its right child, then its
+        # left, so nodes are grown in pre-order; once its children's blocks
+        # are cut, its own are dropped, and the blocks alive are those of
+        # pending right siblings, which hold disjoint rows. A split on the
+        # last level cuts nothing: its children are leaves, and the rows it
+        # sends left are a prefix of the split feature's block row. With no
+        # feature, the root is the one leaf and holds every row.
+        root = TreeNode(cover=h_sum)
+        pending = [(root, g_sum, order, xs, 0)]
+        last = cfg.max_depth - 1
         while pending:
-            node, g_sum, rows, order, xs, depth = pending.pop()
-            found = (_find_best_split(xs, order, gh, g_sum, node.cover, cfg)
-                     if depth < cfg.max_depth else None)
+            node, g_sum, order, xs, depth = pending.pop()
+            found = _find_best_split(xs, order, gh, g_sum, node.cover, cfg)
             if found is None:
                 node.weight = leaf_weight(g_sum, node.cover, cfg)
                 if row_weights is not None:
-                    row_weights[rows] = node.weight
+                    row_weights[order[0] if d else slice(None)] = node.weight
                 continue
-            node.gain, node.feature, node.threshold, g_left, h_left = found
-            left, right = _cut(x_t[node.feature] < node.threshold, rows, order, xs)
+            node.gain, f, node.threshold, g_left, h_left = found
+            node.feature = f
             node.left, node.right = TreeNode(cover=h_left), TreeNode(cover=node.cover - h_left)
+            if depth == last:
+                node.left.weight = leaf_weight(g_left, h_left, cfg)
+                node.right.weight = leaf_weight(g_sum - g_left, node.right.cover, cfg)
+                if row_weights is not None:
+                    c = xs[f].searchsorted(node.threshold)
+                    row_weights[order[f, :c]] = node.left.weight
+                    row_weights[order[f, c:]] = node.right.weight
+                continue
+            left, right = _cut(x_t[f] < node.threshold, order, xs)
             pending.append((node.right, g_sum - g_left, *right, depth + 1))
             pending.append((node.left, g_left, *left, depth + 1))
     return root
 
 
-def _cut(go_left, rows, order, xs):
-    """The left and right children's (rows, order, xs) of a split node.
+def _cut(go_left, order, xs):
+    """The left and right children's (order, xs) blocks of a split node.
 
-    ``go_left`` flags each row of the fit that the split sends left; ``rows``
-    and the (d, m) ``order`` and ``xs`` blocks are the node's. Each child
-    gets the elements that boolean masks would select, in the same order, so
-    its blocks stay sorted; they are cut by index, as the module docstring
+    ``go_left`` flags each row of the fit that the split sends left, and the
+    (d, m) ``order`` and ``xs`` blocks are the node's. Each child gets the
+    elements that boolean masks would select, in the same order, so its
+    blocks stay sorted; they are cut by index, as the module docstring
     explains. Each block row holds the node's rows, so each keeps the same
     count and a side's flat positions reshape to (d, -1). The flags in block
     order are dropped before the takes, and the right side's positions once
@@ -419,13 +452,12 @@ def _cut(go_left, rows, order, xs):
     the children's blocks.
     """
     d = order.shape[0]
-    in_left = go_left.take(rows)
     keep = go_left.take(order).ravel()
     at_left, at_right = keep.nonzero()[0].reshape(d, -1), (~keep).nonzero()[0].reshape(d, -1)
     del keep
-    right = rows.take((~in_left).nonzero()[0]), order.take(at_right), xs.take(at_right)
+    right = order.take(at_right), xs.take(at_right)
     del at_right
-    return (rows.take(in_left.nonzero()[0]), order.take(at_left), xs.take(at_left)), right
+    return (order.take(at_left), xs.take(at_left)), right
 
 
 def node_table(trees: Sequence[tuple[int, int, TreeNode]]) -> NodeTable:
@@ -585,11 +617,13 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Ensemble:
     margins = np.tile(base_score, (n, 1))
     grown: list[tuple[int, int, TreeNode]] = []
     order = column_order(x)
+    blocks = _root_blocks(x, order)
     row_weights = np.empty(n)  # each row's leaf weight in the tree just grown
     for r in range(cfg.n_rounds):
         grad, hess = mlogloss_grad_hess(softmax(margins), y)
         for k in range(cfg.num_class):
-            grown.append((r, k, build_tree(x, grad[:, k], hess[:, k], cfg, order, row_weights)))
+            grown.append((r, k, build_tree(x, grad[:, k], hess[:, k], cfg, order, row_weights,
+                                              blocks)))
             margins[:, k] += cfg.learning_rate * row_weights
     return Ensemble(
         trees=node_table(grown),

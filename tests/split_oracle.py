@@ -51,4 +51,8 @@ def reference_find_best_split(xs, order, g, h, g_sum, h_sum, cfg):
     gain = 0.5 * (score - _score(g_sum, h_sum, cfg)) - cfg.gamma
     if gain <= 0:
         return None
-    return float(gain), j, float(0.5 * (xs[j, k] + xs[j, k + 1])), float(g_left), float(h_left)
+    below, above = float(xs[j, k]), float(xs[j, k + 1])
+    threshold = 0.5 * (below + above)
+    if not below < threshold <= above:  # rounded onto the lower value, or overflowed
+        threshold = above
+    return float(gain), j, threshold, float(g_left), float(h_left)

@@ -122,20 +122,29 @@ class TestGradHess:
             g_i, h_i = mlogloss_grad_hess(p[i], int(y[i]))
             assert g[i].tobytes() == g_i.tobytes() and h[i].tobytes() == h_i.tobytes()
 
+def _two_row_gain(g_left, h_left, g_right, h_right, cfg):
+    """The gain build_tree records for one split of a left row (G_L, H_L) from a right row (G_R, H_R)."""
+    root = build_tree([[0.0], [1.0]], [g_left, g_right], [h_left, h_right], replace(cfg, max_depth=1))
+    assert root.is_leaf or root.left.cover == h_left and root.right.cover == h_right
+    return root.gain
+
+
 class TestSplitMath:
     def test_gain_hand_case(self):
         cfg = TrainConfig(reg_lambda=1.0)
-        assert gbdt._gain_formula(-1.0, 1.0, 1.0, 1.0, cfg) == pytest.approx(0.5)
+        assert _two_row_gain(-1.0, 1.0, 1.0, 1.0, cfg) == pytest.approx(0.5)
 
     def test_cancellation_always_positive(self):
         cfg = TrainConfig(reg_lambda=0.0, reg_alpha=0.0, gamma=0.0)
-        g = gbdt._gain_formula(-2.0, 1.5, 2.0, 0.5, cfg)
+        g = _two_row_gain(-2.0, 1.5, 2.0, 0.5, cfg)
         assert g == pytest.approx(0.5 * (4.0 / 1.5 + 4.0 / 0.5))
         assert g > 0
 
     def test_gamma_can_reject(self):
-        cfg = TrainConfig(reg_lambda=1.0, gamma=10.0)
-        assert gbdt._gain_formula(-1.0, 1.0, 1.0, 1.0, cfg) < 0
+        # the gain before gamma is 0.5, as in the hand case: gamma 0.25 leaves
+        # 0.25, and gamma 10 leaves none, so the root stays a leaf with gain 0
+        assert _two_row_gain(-1.0, 1.0, 1.0, 1.0, TrainConfig(gamma=0.25)) == pytest.approx(0.25)
+        assert _two_row_gain(-1.0, 1.0, 1.0, 1.0, TrainConfig(reg_lambda=1.0, gamma=10.0)) == 0.0
 
     def test_leaf_weight(self):
         assert leaf_weight(1.0, 1.0, TrainConfig(reg_lambda=1.0)) == pytest.approx(-0.5)
@@ -249,6 +258,66 @@ class TestBuildTree:
         root = build_tree(x, g, np.ones(4), TrainConfig(reg_lambda=0.0, max_depth=1))
         assert root.feature == 0
         assert root.threshold == pytest.approx(1.5)
+
+    @staticmethod
+    def _leaves_hold_their_rows(root, x, h, weights):
+        # the Hessian the thresholds route to each leaf is its cover, and each
+        # row's weight is the weight of the leaf it walks to
+        routed = {}
+        for row, hess in zip(x, h):
+            node = root
+            while not node.is_leaf:
+                node = node.left if row[node.feature] < node.threshold else node.right
+            routed[id(node)] = routed.get(id(node), 0.0) + hess
+        stack, leaves = [root], []
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                leaves.append(node)
+            else:
+                stack += [node.right, node.left]
+        assert [routed.get(id(leaf), 0.0) for leaf in leaves] == [leaf.cover for leaf in leaves]
+        assert np.array_equal(weights, [_walk(root, row) for row in x])
+
+    @pytest.mark.parametrize("below, above", [
+        (1.0, np.nextafter(1.0, 2.0)),  # the midpoint rounds down onto 1.0
+        (-np.nextafter(1.0, 2.0), -1.0),
+        (1.5e308, 1.7e308),  # the sum overflows
+        (-1.7e308, -1.5e308),
+    ])
+    def test_threshold_separates_adjacent_values(self, below, above):
+        x = np.array([[below], [above], [below], [above]])
+        h = np.ones(4)
+        weights = np.full(4, np.nan)
+        root = build_tree(x, [-1.0, 1.0, -1.0, 1.0], h, TrainConfig(max_depth=1), None, weights)
+        assert below < root.threshold <= above
+        assert root.left.cover == root.right.cover == 2.0
+        assert root.left.weight == pytest.approx(2 / 3) and root.right.weight == pytest.approx(-2 / 3)
+        self._leaves_hold_their_rows(root, x, h, weights)
+
+    @pytest.mark.parametrize("g, h, name", [
+        ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], "h"),  # a zero root cover
+        ([1.0, 2.0, 3.0], [1.0, -1.0, 0.25], "h"),
+        ([1.0, 2.0, 3.0], [0.25, 0.25, HESS_EPS / 2], "h"),
+        ([1.0, 2.0, 3.0], [0.25, math.nan, 0.25], "h"),
+        ([1.0, 2.0, 3.0], [0.25, math.inf, 0.25], "h"),
+        ([1.0, math.nan, 3.0], [0.25, 0.25, 0.25], "g"),
+        ([1.0, -math.inf, 3.0], [0.25, 0.25, 0.25], "g"),
+        ([1.0, math.inf, -math.inf], [0.25, 0.25, 0.25], "g"),
+    ])
+    def test_rejects_bad_gradients_and_hessians(self, g, h, name):
+        with pytest.raises(ValueError, match=f"^{name} must hold finite"):
+            build_tree(np.arange(3.0)[:, None], g, h, TrainConfig(reg_lambda=0.0))
+
+    def test_hessians_at_the_floor_are_accepted(self):
+        root = build_tree(np.arange(3.0)[:, None], [1.0, 2.0, 3.0], [HESS_EPS] * 3, TrainConfig())
+        assert root.cover == 3 * HESS_EPS
+
+    def test_no_features_give_every_row_the_root_weight(self):
+        weights = np.full(5, np.nan)
+        root = build_tree(np.empty((5, 0)), np.arange(5.0), np.ones(5), TrainConfig(), None, weights)
+        assert root.is_leaf and root.cover == 5.0
+        assert np.array_equal(weights, np.full(5, root.weight))
 
     def _structure_ok(self, node, depth, cfg):
         assert node.cover > 0
@@ -366,7 +435,9 @@ def _ref_find_best_split(x_cols, g, h, rows, g_sum, h_sum, cfg):
                           -np.inf)
         k = int(np.argmax(scores))
         if best is None or scores[k] > best[0]:
-            best = (scores[k], j, float(0.5 * (xs[k] + xs[k + 1])), float(cg[k]), float(ch[k]))
+            below, above = float(xs[k]), float(xs[k + 1])
+            mid = 0.5 * (below + above)  # may round onto the lower value, or overflow
+            best = (scores[k], j, mid if below < mid <= above else above, float(cg[k]), float(ch[k]))
     if best is None:
         return None
     gain = float(0.5 * (best[0] - _ref_score(g_sum, h_sum, cfg)) - cfg.gamma)
@@ -405,6 +476,15 @@ def _walk(node, row):
     return node.weight
 
 
+def _assert_row_weights_walked(x, g, h, cfg):
+    """build_tree's row_weights hold, for every row, the weight of the leaf the row walks to."""
+    weights = np.full(len(x), np.nan)
+    root = build_tree(x, g, h, cfg, column_order(x), weights)
+    walked = np.array([_walk(root, row) for row in x])
+    # bit for bit, so that 0.0 and -0.0 differ; NaN marks a row no leaf wrote
+    assert weights.tobytes() == walked.tobytes()
+
+
 def _assert_same_tree(a, b, path="root"):
     for name in ("feature", "threshold", "gain", "cover", "weight"):
         va, vb = getattr(a, name), getattr(b, name)
@@ -425,6 +505,9 @@ class TestGrowthMatchesReference:
         TrainConfig(max_depth=5, reg_lambda=0.0, reg_alpha=0.1, gamma=0.2),
         # children need more Hessian than one or two rows carry: rejects the edges
         TrainConfig(max_depth=5, reg_lambda=2.0, min_child_hessian=1.5),
+        # every split, or every split below the root, is on the last level and cuts nothing
+        TrainConfig(max_depth=1),
+        TrainConfig(max_depth=2, reg_lambda=0.5, min_child_hessian=0.0),
     ]
 
     # At the default tile size every node here but the large one is one tile;
@@ -444,6 +527,7 @@ class TestGrowthMatchesReference:
             h = rng.uniform(0.05, 1.0, size=n)
             expected = _ref_build_tree(x, g, h, cfg, sizes)
             _assert_same_tree(build_tree(x, g, h, cfg), expected)
+            _assert_row_weights_walked(x, g, h, cfg)
         assert {1, 2} <= set(sizes)
         # One node larger than the default tile: 2,000 rows of tied values.
         # Feature 4 copies feature 0, which carries the signal, so the best
@@ -456,6 +540,7 @@ class TestGrowthMatchesReference:
         tree = build_tree(x, g, h, shallow)
         _assert_same_tree(tree, _ref_build_tree(x, g, h, shallow, sizes))
         assert tree.feature == 0 and x.size > gbdt._TILE
+        _assert_row_weights_walked(x, g, h, shallow)
 
     def test_shared_order_and_row_weights(self):
         rng = np.random.default_rng(6)
@@ -491,8 +576,8 @@ class TestGrowthMatchesReference:
 @example(d=1, m=2, spare=0, levels=2, kind="random", seed=1)
 @example(d=2, m=2, spare=1, levels=1, kind="sorted", seed=2)
 def test_cut_matches_boolean_masks(d, m, spare, levels, kind, seed):
-    # A node of a fit of m + spare rows, held as build_tree holds it; few
-    # value levels give ties. "sorted" flags are one run in their feature's order.
+    # A node of m rows of a fit of m + spare rows, held as build_tree holds it;
+    # few value levels give ties. "sorted" flags are one run in their feature's order.
     rng = np.random.default_rng(seed)
     n = m + spare
     x_t = rng.integers(0, levels, size=(d, n)).astype(float)
@@ -506,10 +591,10 @@ def test_cut_matches_boolean_masks(d, m, spare, levels, kind, seed):
         go_left = x_t[j] < xs[j, rng.integers(m)] + 0.5
     else:
         go_left = np.full(n, kind == "all-left")
-    keep, in_left = go_left[order], go_left[rows]
-    expected = ((rows[in_left], order[keep].reshape(d, -1), xs[keep].reshape(d, -1)),
-                (rows[~in_left], order[~keep].reshape(d, -1), xs[~keep].reshape(d, -1)))
-    for side, want in zip(gbdt._cut(go_left, rows, order, xs), expected):
+    keep = go_left[order]
+    expected = ((order[keep].reshape(d, -1), xs[keep].reshape(d, -1)),
+                (order[~keep].reshape(d, -1), xs[~keep].reshape(d, -1)))
+    for side, want in zip(gbdt._cut(go_left, order, xs), expected):
         for got, ref in zip(side, want):
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert np.array_equal(got, ref)
