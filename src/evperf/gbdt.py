@@ -372,6 +372,8 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
     if x.ndim != 2 or x.shape[0] != g.shape[0] or g.shape != h.shape:
         raise ValueError("features, gradients and Hessians must align row-wise")
     n, d = x.shape
+    if n == 0:  # a leaf of no rows has cover 0
+        raise ValueError("cannot grow a tree on no rows")
     if order is None:
         order = column_order(x)
     elif order.shape != (d, n):
@@ -394,7 +396,7 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
         g_sum, h_sum = float(np.add.reduce(g)), float(np.add.reduce(h))
         if not math.isfinite(g_sum):
             raise ValueError("g must hold finite gradients with a finite sum")
-        if not math.isfinite(h_sum) or np.minimum.reduce(h, initial=HESS_EPS) < HESS_EPS:
+        if not math.isfinite(h_sum) or np.minimum.reduce(h) < HESS_EPS:
             raise ValueError(f"h must hold finite Hessians of at least HESS_EPS={HESS_EPS:g} "
                              "with a finite sum")
         # Pending nodes, each with its gradient sum (its Hessian sum is its

@@ -309,6 +309,10 @@ class TestBuildTree:
         with pytest.raises(ValueError, match=f"^{name} must hold finite"):
             build_tree(np.arange(3.0)[:, None], g, h, TrainConfig(reg_lambda=0.0))
 
+    def test_rejects_no_rows(self):
+        with pytest.raises(ValueError, match="no rows"):
+            build_tree(np.empty((0, 2)), np.empty(0), np.empty(0), TrainConfig(reg_lambda=0.0))
+
     def test_hessians_at_the_floor_are_accepted(self):
         root = build_tree(np.arange(3.0)[:, None], [1.0, 2.0, 3.0], [HESS_EPS] * 3, TrainConfig())
         assert root.cover == 3 * HESS_EPS
