@@ -24,7 +24,6 @@ from .data import (
     VehicleRecord,
     VehicleTable,
     apply_scaler,
-    bin_acceleration,
     bin_accelerations,
     build_dataset,
     drop_missing,
@@ -73,12 +72,10 @@ from .physics import (
     pack_max_power,
     pack_resistance,
     pack_voltage,
-    resistive_forces,
     synth_dataset,
     synth_records,
     terminal_voltage,
     total_mass,
-    tractive_force,
 )
 from .treeshap import (
     Explanation,

@@ -69,11 +69,6 @@ def bin_accelerations(times: np.ndarray) -> np.ndarray:
                     np.where(t <= MID_MAX_SECONDS, int(PerfClass.MID), int(PerfClass.LOW)))
 
 
-def bin_acceleration(t: float) -> PerfClass:
-    """Performance class of one 0-100 km/h time: a one-element ``bin_accelerations``."""
-    return PerfClass(int(bin_accelerations([t])[0]))
-
-
 @dataclass
 class VehicleRecord:
     """One vehicle's numeric attributes keyed by canonical column name.

@@ -849,6 +849,18 @@ def _check_model(model: Ensemble) -> None:
     applicable (see ``_check_table``). The loader and
     ``save_model`` both run it, so that any model that can be written can
     be read.
+
+    Each class's worst-case margin M, |base_score| plus learning_rate times
+    the sum over its trees of each tree's largest |leaf weight|, must lie
+    within the float maximum over 4 (d + 1), for d features. Every margin,
+    and every difference of two that softmax takes, is then finite. So is
+    TreeSHAP on covers as training makes them, where a split's children's
+    covers sum to its own: for a tree whose largest |leaf value| is v, a
+    path's terms sum over the tree's paths to at most v in the base value,
+    2v in an attribution and 2v in an interaction, so the base values lie
+    within M, the attributions within 2M and the interaction diagonals,
+    which subtract up to d - 1 interactions from an attribution, within
+    2dM, below half the float maximum.
     """
     num_class, n_features = model.num_class, len(model.feature_names)
     if num_class != model.config.num_class:
@@ -879,6 +891,15 @@ def _check_model(model: Ensemble) -> None:
         tree = int(np.argmax(bad_round))
         raise ValueError(f"model tree {tree} has round {rounds[tree]} outside [0, {n_rounds})")
     _check_table(model.trees, n_features, num_class)
+    largest = np.maximum.reduceat(np.abs(model.trees.weight), model.trees.root)
+    worst = np.abs(model.base_score) + model.config.learning_rate * np.bincount(
+        model.trees.class_index, largest, minlength=num_class)
+    limit = float(np.finfo(float).max) / (4 * (n_features + 1))
+    if (worst > limit).any():
+        k = int(np.argmax(worst > limit))
+        raise ValueError(f"model class {k} has a worst-case margin of {float(worst[k])!r} "
+                         "(|base_score| + learning_rate x each tree's largest |leaf weight|), "
+                         f"beyond {limit!r} for {n_features} features")
 
 
 def _config_from_doc(doc) -> TrainConfig:

@@ -203,27 +203,15 @@ def _force_terms(v: VehicleParams, p: PackConfig) -> _ForceTerms:
 
 
 def _drive_force(f: _ForceTerms, speed):
+    """Force at the wheels: the torque or grip cap, or the power limit at speed.
+
+    Speed is floored at SPEED_EPS so the power limit stays finite at standstill.
+    """
     return np.minimum(f.force_cap, f.wheel_power / np.maximum(speed, SPEED_EPS))
 
 
 def _drag_force(f: _ForceTerms, speed):
     return f.drag_coeff * speed * speed
-
-
-def tractive_force(v: VehicleParams, p: PackConfig, speed: float) -> float:
-    """Force at the wheels: the binding one of three limits.
-
-    Torque-limited at low speed, battery-power-limited at high speed, and
-    capped by tire grip throughout. Speed is floored at SPEED_EPS so the
-    power limit stays finite at standstill.
-    """
-    return _drive_force(_force_terms(v, p), speed)
-
-
-def resistive_forces(v: VehicleParams, p: PackConfig, speed: float) -> float:
-    """Aerodynamic drag plus rolling resistance at the given speed."""
-    f = _force_terms(v, p)
-    return _drag_force(f, speed) + f.rolling_force
 
 
 def _net_force(f: _ForceTerms, speed):
@@ -379,6 +367,16 @@ def default_pack() -> PackConfig:
     )
 
 
+# The synthetic fleet's fixed sampling: uniform ranges (integer-uniform for the
+# series count) and the sd of the jitter about each vehicle's market segment.
+SEGMENT_JITTER = 0.15
+N_SERIES_RANGE = (90, 180)
+R_CELL_RANGE = (0.021, 0.026)            # ohm
+CELL_CAPACITY_RANGE = (4.4, 5.6)         # Ah
+BASE_MASS_RANGE = (1350.0, 2050.0)       # kg
+MOTOR_TORQUE_RANGE = (300.0, 1100.0)     # N*m
+CONSUMPTION_RANGE = (0.15, 0.19)         # kWh per km
+
 # A cell-count range's upper bound: the product of two counts stays within int64.
 _MAX_COUNT = 2**31
 # The largest fleet: _stream_words takes each child index to be one uint32 word.
@@ -402,49 +400,37 @@ def _check_integer(name: str, value, lo: int) -> None:
         raise PhysicsError(f"{name} must be a finite integer of at least {lo}, got {value!r}")
 
 
-def _check_range(name: str, bounds: tuple, integer: bool = False) -> None:
-    """Reject a sampling range that is not a positive (low, high) pair with low < high.
-
-    A cell-count range must hold integers in [1, _MAX_COUNT]. A real range
-    must have a positive low end, so its width fits in a float.
-    """
+def _check_range(name: str, bounds: tuple) -> None:
+    """Reject a cell-count range that is not an integer pair with 1 <= low < high <= _MAX_COUNT."""
     lo, hi = bounds
-    if integer and not (_is_integer(lo) and _is_integer(hi)):
+    if not (_is_integer(lo) and _is_integer(hi)):
         raise PhysicsError(f"sampling range for {name} must hold integers, got ({lo!r}, {hi!r})")
-    if not (integer or (_finite(lo) and _finite(hi))) or not lo < hi:
+    if not lo < hi:
         raise PhysicsError(f"degenerate sampling range for {name}: ({lo}, {hi})")
-    if integer and not 1 <= lo < hi <= _MAX_COUNT:
+    if not 1 <= lo < hi <= _MAX_COUNT:
         raise PhysicsError(f"sampling range for {name} must lie in [1, {_MAX_COUNT}], "
                            f"got ({lo}, {hi})")
-    if not lo > 0:
-        raise PhysicsError(f"sampling range for {name} must be positive, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Sampling ranges and noise settings for synthetic dataset generation.
+    """Fleet size, seed, noise and parallel-string range of a synthetic dataset.
 
-    Ranges are uniform (integer-uniform for cell counts) and positive. Noise
-    is Gaussian on the log of the sprint time, i.e. multiplicative log-normal.
+    Noise is Gaussian on the log of the sprint time, i.e. multiplicative
+    log-normal. The parallel-string count is integer-uniform on
+    ``n_parallel_range``; the other parameters are sampled from this
+    module's fixed ranges.
 
     Motor torque and parallel-string count share a latent market-segment
-    position within their ranges, blurred by ``segment_jitter``: performance
+    position within their ranges, blurred by ``SEGMENT_JITTER``: performance
     vehicles pair big motors with big packs, commuters the opposite, just as
-    real product tiers do. Jitter 0 ties them exactly; large jitter decouples
-    them.
+    real product tiers do.
     """
 
     n_samples: int = 300
     seed: int = 0
     noise_sd: float = 0.03
-    segment_jitter: float = 0.15
-    n_series_range: tuple[int, int] = (90, 180)
     n_parallel_range: tuple[int, int] = (4, 26)
-    r_cell_range: tuple[float, float] = (0.021, 0.026)
-    cell_capacity_range: tuple[float, float] = (4.4, 5.6)  # Ah
-    base_mass_range: tuple[float, float] = (1350.0, 2050.0)
-    motor_torque_range: tuple[float, float] = (300.0, 1100.0)
-    consumption_range: tuple[float, float] = (0.15, 0.19)  # kWh per km
 
     def __post_init__(self) -> None:
         _check_integer("n_samples", self.n_samples, 1)
@@ -452,15 +438,9 @@ class SynthConfig:
             raise PhysicsError(f"n_samples must be at most {_MAX_FLEET} (each vehicle's "
                                f"stream key is one 32-bit word), got {self.n_samples}")
         _check_integer("seed", self.seed, 0)
-        if not all(_finite(x) and x >= 0 for x in (self.noise_sd, self.segment_jitter)):
-            raise PhysicsError("noise_sd and segment_jitter must be finite and non-negative")
-        _check_range("n_series", self.n_series_range, integer=True)
-        _check_range("n_parallel", self.n_parallel_range, integer=True)
-        _check_range("r_cell", self.r_cell_range)
-        _check_range("cell_capacity", self.cell_capacity_range)
-        _check_range("base_mass", self.base_mass_range)
-        _check_range("motor_torque", self.motor_torque_range)
-        _check_range("consumption", self.consumption_range)
+        if not (_finite(self.noise_sd) and self.noise_sd >= 0):
+            raise PhysicsError(f"noise_sd must be finite and non-negative, got {self.noise_sd!r}")
+        _check_range("n_parallel", self.n_parallel_range)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), after O'Neill's
@@ -567,7 +547,7 @@ def synth_records(sc: SynthConfig) -> list[VehicleRecord]:
     x86-64 VM, numpy 2.4.6), and the benchmark's ``synth_fleet`` call
     0.0200 s against 0.0304 s (medians of 10 pairs). A stream's draws, in
     order: the segment position (uniform on [0, 1)); the torque and
-    parallel-count jitters (normal, sd ``segment_jitter``); the series count
+    parallel-count jitters (normal, sd ``SEGMENT_JITTER``); the series count
     (integer-uniform); four uniforms on [0, 1) for r_cell, cell capacity,
     base mass and consumption; the noise (standard normal). Each vehicle is default_vehicle() on
     default_pack() with its drawn counts, r_cell, base mass and torque.
@@ -576,7 +556,7 @@ def synth_records(sc: SynthConfig) -> list[VehicleRecord]:
     ``Generator.uniform`` (low + (high - low) * u).
     """
     n = sc.n_samples
-    lo_s, hi_s = sc.n_series_range
+    lo_s, hi_s = N_SERIES_RANGE
     segment = np.empty(n)
     jitter = np.empty((n, 2))
     n_series = np.empty(n, dtype=np.int64)
@@ -585,18 +565,17 @@ def synth_records(sc: SynthConfig) -> list[VehicleRecord]:
     for i, words in enumerate(_stream_words(sc.seed, n)):
         rng = np.random.Generator(np.random.PCG64(_StreamSeed(words)))
         segment[i] = rng.random()
-        jitter[i] = rng.normal(0.0, sc.segment_jitter, 2)
+        jitter[i] = rng.normal(0.0, SEGMENT_JITTER, 2)
         n_series[i] = rng.integers(lo_s, hi_s + 1)
         u[i] = rng.random(4)
         noise[i] = rng.normal(0.0, 1.0)
 
     u_torque, u_parallel = np.minimum(np.maximum(segment[:, None] + jitter, 0.0), 1.0).T
-    lo_t, hi_t = sc.motor_torque_range
+    lo_t, hi_t = MOTOR_TORQUE_RANGE
     torque = lo_t + (hi_t - lo_t) * u_torque
     lo_p, hi_p = sc.n_parallel_range
     n_parallel = np.rint(lo_p + (hi_p - lo_p) * u_parallel).astype(np.int64)
-    bounds = np.array([sc.r_cell_range, sc.cell_capacity_range, sc.base_mass_range,
-                       sc.consumption_range], dtype=float)
+    bounds = np.array([R_CELL_RANGE, CELL_CAPACITY_RANGE, BASE_MASS_RANGE, CONSUMPTION_RANGE])
     r_cell, cell_cap, base_mass, consumption = (bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u).T
 
     pack = replace(default_pack(), n_series=n_series, n_parallel=n_parallel, r_cell=r_cell)
@@ -609,12 +588,9 @@ def synth_records(sc: SynthConfig) -> list[VehicleRecord]:
         raise PhysicsError(f"noise_sd={sc.noise_sd} drives acceleration times to 0 or infinity")
 
     cells = pack.cell_count
-    with np.errstate(over="ignore"):
-        capacity = cells * pack.v_cell_nominal * cell_cap / 1000.0
-        range_km = capacity / consumption
-    for name, column in ((CAPACITY_KWH, capacity), (RANGE_KM, range_km)):
-        if not np.all(np.isfinite(column) & (column > 0)):
-            raise PhysicsError(f"sampling ranges drive {name} to 0 or infinity")
+    # cells <= 180 * 2**31, so both columns are finite and positive
+    capacity = cells * pack.v_cell_nominal * cell_cap / 1000.0
+    range_km = capacity / consumption
     columns = (capacity, cells.astype(float), forces.mass, torque, range_km, noisy_times)
     return [
         VehicleRecord({CAPACITY_KWH: kwh, CELL_COUNT: count, WEIGHT_KG: kg, TORQUE_NM: nm,

@@ -157,11 +157,24 @@ def _build_paths(model: Ensemble) -> _PathSet:
         group = _PathGroup(feature=feature.astype(np.intp), lo=lo, hi=hi, zero=zero,
                            value=model.config.learning_rate * t.weight[leaf[member]],
                            class_index=cls[member])
-        base += np.bincount(group.class_index, group.value * group.zero.prod(axis=1),
-                            minlength=model.num_class)
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below, by name
+            base += np.bincount(group.class_index, group.value * group.zero.prod(axis=1),
+                                minlength=model.num_class)
         if size:
             groups.append(group)
-    return _PathSet(groups=tuple(groups), base_value=base)
+    return _PathSet(groups=tuple(groups), base_value=_require_finite(base, "base values"))
+
+
+def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, or ModelInputError if they overflowed.
+
+    gbdt's margin limit keeps them finite on covers as training makes them;
+    only child covers that sum to more than their parent's can inflate them.
+    """
+    if not np.isfinite(values).all():
+        raise ModelInputError(f"model TreeSHAP {what} overflow: its child node covers sum to "
+                              "more than their parents'")
+    return values
 
 
 def _paths(model: Ensemble) -> _PathSet:
@@ -323,12 +336,13 @@ def _phi(model: Ensemble, x: np.ndarray) -> np.ndarray:
     """Attributions for the rows of x, shape (n, n_features, num_class)."""
     d, k = len(model.feature_names), model.num_class
     out = np.zeros((x.shape[0], d, k))
-    for g in _paths(model).groups:
-        length = g.feature.shape[1]
-        _accumulate(out, g, x, _kept(length, np.arange(length)), _weights(length),
-                    g.feature * k + g.class_index[:, None],
-                    lambda cols, one, s: g.value[cols, None] * (one - g.zero[cols]) * s)
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, by name
+        for g in _paths(model).groups:
+            length = g.feature.shape[1]
+            _accumulate(out, g, x, _kept(length, np.arange(length)), _weights(length),
+                        g.feature * k + g.class_index[:, None],
+                        lambda cols, one, s: g.value[cols, None] * (one - g.zero[cols]) * s)
+    return _require_finite(out, "attributions")
 
 
 def shap_values(model: Ensemble, x: np.ndarray) -> Explanation:
@@ -384,25 +398,26 @@ def interaction_values(model: Ensemble, x: np.ndarray, phi: np.ndarray | None = 
     elif np.shape(phi) != (x.shape[0], d, k):
         raise ValueError(f"phi has shape {np.shape(phi)}, expected {(x.shape[0], d, k)}")
     upper = np.zeros((x.shape[0], d, d, k))
-    for g in _paths(model).groups:
-        length = g.feature.shape[1]
-        if length < 2:
-            continue
-        first, second = np.triu_indices(length, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, by name
+        for g in _paths(model).groups:
+            length = g.feature.shape[1]
+            if length < 2:
+                continue
+            first, second = np.triu_indices(length, 1)
 
-        def values(cols, one, s):
-            delta = one - g.zero[cols]
-            return 0.5 * g.value[cols, None] * delta[..., first] * delta[..., second] * s
+            def values(cols, one, s):
+                delta = one - g.zero[cols]
+                return 0.5 * g.value[cols, None] * delta[..., first] * delta[..., second] * s
 
-        _accumulate(upper, g, x, _kept(length, first, second), _weights(length - 1),
-                    (g.feature[:, first] * d + g.feature[:, second]) * k + g.class_index[:, None],
-                    values)
-    # paths list their features in any order, so each pair may land on either
-    # side; adding the transpose makes the tensor exactly symmetric
-    phi_ij = upper + upper.transpose(0, 2, 1, 3)
-    diag = np.arange(d)
-    phi_ij[:, diag, diag] = phi - phi_ij.sum(axis=2)
-    return phi_ij
+            _accumulate(upper, g, x, _kept(length, first, second), _weights(length - 1),
+                        (g.feature[:, first] * d + g.feature[:, second]) * k
+                        + g.class_index[:, None], values)
+        # paths list their features in any order, so each pair may land on either
+        # side; adding the transpose makes the tensor exactly symmetric
+        phi_ij = upper + upper.transpose(0, 2, 1, 3)
+        diag = np.arange(d)
+        phi_ij[:, diag, diag] = phi - phi_ij.sum(axis=2)
+    return _require_finite(phi_ij, "interaction values")
 
 
 @dataclass(frozen=True)

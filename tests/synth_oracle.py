@@ -24,6 +24,13 @@ from evperf.data import (
     VehicleRecord,
 )
 from evperf.physics import (
+    BASE_MASS_RANGE,
+    CELL_CAPACITY_RANGE,
+    CONSUMPTION_RANGE,
+    MOTOR_TORQUE_RANGE,
+    N_SERIES_RANGE,
+    R_CELL_RANGE,
+    SEGMENT_JITTER,
     PhysicsError,
     SynthConfig,
     _force_terms,
@@ -49,17 +56,17 @@ def reference_synth_records(sc: SynthConfig) -> list[VehicleRecord]:
     for i, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         segment = rng.uniform()
-        u_torque = min(max(segment + rng.normal(0.0, sc.segment_jitter), 0.0), 1.0)
-        u_parallel = min(max(segment + rng.normal(0.0, sc.segment_jitter), 0.0), 1.0)
-        lo_t, hi_t = sc.motor_torque_range
+        u_torque = min(max(segment + rng.normal(0.0, SEGMENT_JITTER), 0.0), 1.0)
+        u_parallel = min(max(segment + rng.normal(0.0, SEGMENT_JITTER), 0.0), 1.0)
+        lo_t, hi_t = MOTOR_TORQUE_RANGE
         torque[i] = lo_t + (hi_t - lo_t) * u_torque
         lo_p, hi_p = sc.n_parallel_range
         n_parallel[i] = round(lo_p + (hi_p - lo_p) * u_parallel)
-        n_series[i] = rng.integers(sc.n_series_range[0], sc.n_series_range[1] + 1)
-        r_cell[i] = rng.uniform(*sc.r_cell_range)
-        cell_cap[i] = rng.uniform(*sc.cell_capacity_range)
-        base_mass[i] = rng.uniform(*sc.base_mass_range)
-        consumption[i] = rng.uniform(*sc.consumption_range)
+        n_series[i] = rng.integers(N_SERIES_RANGE[0], N_SERIES_RANGE[1] + 1)
+        r_cell[i] = rng.uniform(*R_CELL_RANGE)
+        cell_cap[i] = rng.uniform(*CELL_CAPACITY_RANGE)
+        base_mass[i] = rng.uniform(*BASE_MASS_RANGE)
+        consumption[i] = rng.uniform(*CONSUMPTION_RANGE)
         noise[i] = rng.normal(0.0, 1.0)
 
     pack = replace(template, n_series=n_series, n_parallel=n_parallel, r_cell=r_cell)

@@ -332,6 +332,9 @@ class TestExplainCommand:
          "model tree {index} is malformed: round must be an integer"),
         (lambda doc, tree: tree.update(class_index=2**70),
          "model tree {index} is malformed: class_index must be an integer"),
+        (lambda doc, tree: (doc["config"].update(learning_rate=1),
+                            _rightmost_leaf(tree["root"]).update(weight=1.7e308)),
+         "has a worst-case margin of 1.7e+308"),
     ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
             "inf_leaf_weight", "missing_trees", "missing_config", "short_base_score",
             "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key",
@@ -346,7 +349,7 @@ class TestExplainCommand:
             "string_scaler_mean", "string_scaler_std", "huge_integer_threshold",
             "huge_integer_reg_lambda", "list_feature_name", "int_feature_name", "round_999",
             "negative_round", "huge_integer_feature", "int64_overflow_feature",
-            "huge_integer_round", "huge_integer_class_index"])
+            "huge_integer_round", "huge_integer_class_index", "overflowing_margin"])
     def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit, message):
         doc = json.loads((trained_dir / "model.json").read_text())
         assert len(doc["feature_names"]) < 7 and doc["scaler"] is not None

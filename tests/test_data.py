@@ -19,7 +19,6 @@ from evperf.data import (
     VehicleRecord,
     VehicleTable,
     apply_scaler,
-    bin_acceleration,
     bin_accelerations,
     build_dataset,
     drop_missing,
@@ -43,12 +42,12 @@ class TestBinAcceleration:
         ],
     )
     def test_boundaries(self, t, expected):
-        assert bin_acceleration(t) is expected
+        assert bin_accelerations([t]).tolist() == [expected]
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive_or_nonfinite(self, bad):
         with pytest.raises(DataError):
-            bin_acceleration(bad)
+            bin_accelerations([bad])
 
     @given(
         st.floats(min_value=1e-6, max_value=1e6),
@@ -57,11 +56,14 @@ class TestBinAcceleration:
     def test_monotone_step_function(self, t1, t2):
         if t1 > t2:
             t1, t2 = t2, t1
-        assert bin_acceleration(t1) >= bin_acceleration(t2)
+        high_t1, high_t2 = bin_accelerations([t1, t2])
+        assert high_t1 >= high_t2
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=1e6), max_size=20))
     def test_batch_equals_scalar(self, times):
-        assert bin_accelerations(times).tolist() == [int(bin_acceleration(t)) for t in times]
+        scalar = [PerfClass.HIGH if t <= 4.0 else PerfClass.MID if t <= 7.0 else PerfClass.LOW
+                  for t in times]
+        assert bin_accelerations(times).tolist() == scalar
 
     def test_batch_names_first_bad_time(self):
         with pytest.raises(DataError, match=r"got -2\.0"):

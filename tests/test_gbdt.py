@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict, fields, replace
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evperf import gbdt
-from evperf.data import Dataset, ScalerParams
+from evperf.data import DEFAULT_FEATURES, Dataset, ScalerParams
 from evperf.gbdt import (
     HESS_EPS,
     Ensemble,
@@ -35,7 +37,7 @@ from evperf.gbdt import (
 )
 from evperf.metrics import mlogloss
 from evperf.physics import SynthConfig, synth_dataset
-from evperf.treeshap import explain_matrix
+from evperf.treeshap import explain_matrix, interaction_values
 from split_oracle import reference_find_best_split
 
 
@@ -1155,6 +1157,56 @@ class TestPersistence:
     def test_version_check(self):
         with pytest.raises(ValueError, match="format version"):
             model_from_dict({"format_version": 99})
+
+    def test_overflowing_margin_refused_by_name(self):
+        # class 0's two trees, every leaf at 1.7e308, learning rate 1: its margin overflows
+        doc = _margin_doc(lambda leaf: 1.7e308)
+        doc["config"]["learning_rate"] = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^model class 0 has a worst-case margin of inf"):
+                model_from_dict(doc)
+
+    def test_margin_at_the_limit_predicts_and_explains_finitely(self):
+        # class 0's leaves alternate between +-limit/2 in its two trees, with base score 0
+        limit = sys.float_info.max / (4 * (len(DEFAULT_FEATURES) + 1))
+        signs = itertools.cycle([1.0, -1.0])
+        doc = _margin_doc(lambda leaf: next(signs) * limit / 2)
+        doc["config"]["learning_rate"] = 1
+        doc["base_score"][0] = 0.0
+        x = synth_dataset(SynthConfig(n_samples=40, seed=5)).features
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = model_from_dict(doc)
+            explained = explain_matrix(model, x)
+            outputs = (predict_proba_batch(model, x), explained.base_value, explained.phi,
+                       interaction_values(model, x[:8], explained.phi[:8]))
+        assert all(np.isfinite(a).all() for a in outputs)
+        assert np.abs(explained.phi[..., 0]).max() > limit / 64
+        leaf = _rightmost_leaf(next(t for t in doc["trees"] if t["class_index"] == 0)["root"])
+        leaf["weight"] = math.copysign(math.nextafter(limit / 2, math.inf), leaf["weight"])
+        with pytest.raises(ValueError, match="^model class 0 has a worst-case margin"):
+            model_from_dict(doc)
+
+
+def _rightmost_leaf(node):
+    while "right" in node:
+        node = node["right"]
+    return node
+
+
+def _margin_doc(weight):
+    """model.json of a 2-round, depth-2 fit on 60 vehicles; class 0's leaf weights from weight(leaf)."""
+    doc = model_to_dict(train(synth_dataset(SynthConfig(n_samples=60)),
+                              TrainConfig(n_rounds=2, max_depth=2)))
+    stack = [t["root"] for t in doc["trees"] if t["class_index"] == 0]
+    while stack:
+        node = stack.pop()
+        if "weight" in node:
+            node["weight"] = weight(node)
+        else:
+            stack += node["left"], node["right"]
+    return doc
 
 
 def _oracle_doc(model):

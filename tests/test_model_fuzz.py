@@ -2,9 +2,11 @@
 
 A mutation of a small trained document either loads, into the node table
 that a recursive pre-order walk of its trees gives, or is refused with a
-ValueError whose message starts with "model". No other exception and no
-warning is allowed, and ``evperf explain`` exits 0 or 2 on a mutated model,
-never 1.
+ValueError whose message starts with "model". A model that loads predicts
+finite probabilities and explains a few rows with finite base values and
+attributions, or refuses them with such a ValueError. No other exception
+and no warning is allowed, and ``evperf explain`` exits 0 or 2 on a mutated
+model, never 1.
 """
 
 import copy
@@ -12,22 +14,24 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evperf.cli import main
 from evperf.data import Dataset, apply_scaler, fit_scaler
-from evperf.gbdt import TrainConfig, model_from_dict, model_to_dict, train
+from evperf.gbdt import TrainConfig, model_from_dict, model_to_dict, predict_proba_batch, train
 from evperf.physics import SynthConfig, synth_dataset
+from evperf.treeshap import explain_matrix
 from test_gbdt import _TABLE_FIELDS, _reference_table
 
 
-def _trained_doc():
-    """model.json document of a 2-round, depth-3, 3-class model with a scaler."""
+def _trained():
+    """model.json document of a 2-round, depth-3, 3-class model with a scaler, and 4 scaled rows."""
     ds = synth_dataset(SynthConfig(n_samples=60, seed=1))
     scaler = fit_scaler(ds.features)
     scaled = Dataset(apply_scaler(ds.features, scaler), ds.labels, ds.feature_names, scaler=scaler)
-    return model_to_dict(train(scaled, TrainConfig(n_rounds=2, max_depth=3)))
+    return model_to_dict(train(scaled, TrainConfig(n_rounds=2, max_depth=3))), scaled.features[:4]
 
 
 def _paths(value, path=()):
@@ -44,7 +48,7 @@ def _at(doc, path):
     return doc
 
 
-DOC = _trained_doc()
+DOC, ROWS = _trained()
 PATHS = list(_paths(DOC))
 NODES = [p for p in PATHS if p[-1] in ("root", "left", "right")]
 # the tree test_cli.py's malformed-model table edits: the first split-rooted one after tree 0
@@ -55,7 +59,7 @@ while "right" in _at(DOC, LEAF):
     LEAF = (*LEAF, "right")
 VALUES = ["x", "0.5", True, False, None, [], [1.0], {}, {"cover": 1.0, "weight": 0.5},
           10**400, -10**400, 2**63, 2**64, -0.0, 1e-320, math.nan, math.inf, -math.inf,
-          0, -1, 7, 0.5]
+          0, -1, 7, 0.5, 1.7e308]
 
 
 def _mutated(mutations):
@@ -126,6 +130,7 @@ TABLE = [
     [_set((*ROOT, "feature"), 10**400)], [_set((*ROOT, "feature"), 2**64)],
     [_set((*ROOT[:2], "round"), 2**70)], [_set((*ROOT[:2], "class_index"), 2**70)],
     [_set((*ROOT, "cover"), 0.0)],
+    [_set(("config", "learning_rate"), 1), _set((*LEAF, "weight"), 1.7e308)],
 ]
 
 MUTATIONS = st.one_of(
@@ -145,19 +150,31 @@ def _seeded_by_table(test):
 @_seeded_by_table
 # more digits than str() converts: the message counts them without it
 @example([_set((*ROOT, "threshold"), 10**5000)])
+# each zero fraction finite, their product along the path not
+@example([_set((*ROOT, "cover"), 0.5), _set((*LEAF, "cover"), 1.7e308)])
 @given(st.lists(MUTATIONS, min_size=1, max_size=3))
 def test_mutated_model_loads_or_is_refused_by_name(mutations):
     doc = _mutated(mutations)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            trees = model_from_dict(doc).trees
+            model = model_from_dict(doc)
         except ValueError as exc:  # ModelInputError is one too
             assert str(exc).startswith("model"), exc
             return
+        # the rows' columns cycled to the model's feature count; given as their own
+        # raw values, as evperf explain gives its input rows, so no scaler unscales them
+        x = ROWS[:, np.arange(len(model.feature_names)) % ROWS.shape[1]]
+        assert np.isfinite(predict_proba_batch(model, x)).all()
+        try:
+            explained = explain_matrix(model, x, x)
+        except ValueError as exc:
+            assert str(exc).startswith("model"), exc
+        else:
+            assert np.isfinite(explained.base_value).all() and np.isfinite(explained.phi).all()
     expected = _reference_table(_gains_defaulted(doc["trees"]))
     for name in _TABLE_FIELDS:
-        got, want = getattr(trees, name), expected[name]
+        got, want = getattr(model.trees, name), expected[name]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
@@ -168,8 +185,9 @@ def test_mutated_model_loads_or_is_refused_by_name(mutations):
     [_set((*LEAF, "weight"), -0.0), _set((*ROOT, "threshold"), 1e-320)],
     [_set((*ROOT, "left", "cover"), 1e-320), _set(("base_score", 0), 2**63)],
     [_set(ROOT[:2], "x")], [_set((*ROOT, "left"), [1.0])], [_set(("scaler", "std", 0), -1.0)],
+    [_set((*ROOT, "cover"), 0.5), _set((*LEAF, "cover"), 1.7e308)],
 ], ids=["spliced_root", "spliced_left_without_gain", "zero_and_subnormal", "tiny_cover",
-        "string_tree", "list_node", "negative_scaler_std"])
+        "string_tree", "list_node", "negative_scaler_std", "inflated_leaf_cover"])
 def test_explain_exits_0_or_2(mutations, tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(_mutated(mutations)))

@@ -8,12 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from evperf.data import ACCEL_S, PerfClass, bin_acceleration
+from evperf.data import ACCEL_S, PerfClass, bin_accelerations
 from evperf.physics import (
+    BASE_MASS_RANGE,
     DEFAULT_SWEEP_PARALLEL,
     MAX_SPRINT_TIME,
+    MOTOR_TORQUE_RANGE,
+    N_SERIES_RANGE,
+    R_CELL_RANGE,
     SPEED_EPS,
     TARGET_SPEED,
     PackConfig,
@@ -28,19 +32,19 @@ from evperf.physics import (
     pack_max_power,
     pack_resistance,
     pack_voltage,
-    resistive_forces,
     saturation_synth_config,
     synth_dataset,
     synth_records,
     terminal_voltage,
     total_mass,
-    tractive_force,
 )
 from evperf.physics import (
     _NODES,
     _QUAD_BLOCK,
     _WEIGHTS,
     _StreamSeed,
+    _drag_force,
+    _drive_force,
     _force_terms,
     _sprint_times,
     _stream_words,
@@ -142,7 +146,7 @@ class TestMassAndForces:
         v = make_vehicle()
         p = make_pack(n_parallel=40)  # plenty of power
         expected = 300.0 * 9.0 * 0.95 / 0.33
-        assert tractive_force(v, p, 0.5) == pytest.approx(expected)
+        assert _drive_force(_force_terms(v, p), 0.5) == pytest.approx(expected)
         assert expected == pytest.approx(7772.7, abs=0.1)
 
     def test_power_limited_regime(self):
@@ -150,12 +154,12 @@ class TestMassAndForces:
         p = make_pack()
         speed = 30.0
         expected = 0.95 * pack_max_power(p) / speed
-        assert tractive_force(v, p, speed) == pytest.approx(expected)
+        assert _drive_force(_force_terms(v, p), speed) == pytest.approx(expected)
 
     def test_traction_cap(self):
         v = make_vehicle(motor_torque_max=1e6, traction_limit_accel=8.0)
         p = make_pack(n_parallel=60)
-        assert tractive_force(v, p, 0.5) == pytest.approx(total_mass(v, p) * 8.0)
+        assert _drive_force(_force_terms(v, p), 0.5) == pytest.approx(total_mass(v, p) * 8.0)
 
     @pytest.mark.parametrize("field, value", [
         ("c_d", math.nan), ("base_mass", math.inf), ("driveline_efficiency", math.nan),
@@ -168,11 +172,12 @@ class TestMassAndForces:
     def test_resistive_forces(self):
         v = make_vehicle(c_d=0.3, frontal_area=2.0)
         p = make_pack()
-        rolling = resistive_forces(v, p, 0.0)
+        f = _force_terms(v, p)
+        rolling = _drag_force(f, 0.0) + f.rolling_force
         assert rolling == pytest.approx(0.01 * total_mass(v, p) * 9.81)
-        aero_10 = resistive_forces(v, p, 10.0) - rolling
+        aero_10 = _drag_force(f, 10.0) + f.rolling_force - rolling
         assert aero_10 == pytest.approx(36.75)
-        aero_40 = resistive_forces(v, p, 40.0) - rolling
+        aero_40 = _drag_force(f, 40.0) + f.rolling_force - rolling
         assert aero_40 == pytest.approx(16.0 * aero_10, rel=1e-12)
 
 
@@ -272,7 +277,11 @@ class TestSprintIntegration:
         ((default_vehicle(), replace(default_pack(), n_parallel=1)), "force balance stalls at 26.66"),
         ((default_vehicle(), replace(default_pack(), n_parallel=1, r_cell=0.018)),
          f"not reached within {MAX_SPRINT_TIME:.0f} s"),
-    ], ids=["drag_wall", "cannot_move", "power_stall", "time_limit"])
+        ((replace(default_vehicle(), base_mass=1e6), default_pack()), "cannot accelerate"),
+        ((replace(default_vehicle(), base_mass=6e4), default_pack()),
+         f"not reached within {MAX_SPRINT_TIME:.0f} s"),
+    ], ids=["drag_wall", "cannot_move", "power_stall", "time_limit", "heavy", "too_slow"])
+    @pytest.mark.filterwarnings("error")
     def test_fleet_raises_as_alone(self, bad, message):
         # the failing vehicle among normal ones gives the message it gives alone
         with pytest.raises(PhysicsError, match=message) as alone:
@@ -334,21 +343,21 @@ def _stack(configs):
 
 
 def _mixed_fleet(extra=(), n=40, seed=0):
-    """n vehicles over SynthConfig's default ranges, then the (vehicle, pack) extras.
+    """n vehicles over the synthetic fleet's default ranges, then the (vehicle, pack) extras.
 
     The drawn vehicles take 3-20 s and turn power-limited at 3-25 m/s, except
     one that stays at its force cap up to 100 km/h; the default pack with 2-4
     parallel strings takes 16-37 s.
     """
-    sc = SynthConfig()
+    lo_p, hi_p = SynthConfig().n_parallel_range
     rng = np.random.default_rng(seed)
     pairs = [
         (
-            replace(default_vehicle(), base_mass=rng.uniform(*sc.base_mass_range),
-                    motor_torque_max=rng.uniform(*sc.motor_torque_range)),
-            replace(default_pack(), r_cell=rng.uniform(*sc.r_cell_range),
-                    n_series=int(rng.integers(sc.n_series_range[0], sc.n_series_range[1] + 1)),
-                    n_parallel=int(rng.integers(sc.n_parallel_range[0], sc.n_parallel_range[1] + 1))),
+            replace(default_vehicle(), base_mass=rng.uniform(*BASE_MASS_RANGE),
+                    motor_torque_max=rng.uniform(*MOTOR_TORQUE_RANGE)),
+            replace(default_pack(), r_cell=rng.uniform(*R_CELL_RANGE),
+                    n_series=int(rng.integers(N_SERIES_RANGE[0], N_SERIES_RANGE[1] + 1)),
+                    n_parallel=int(rng.integers(lo_p, hi_p + 1))),
         )
         for _ in range(n)
     ]
@@ -435,7 +444,7 @@ class TestSynth:
 
         records = synth_records(SynthConfig(n_samples=50, seed=4))
         ds = synth_dataset(SynthConfig(n_samples=50, seed=4))
-        expected = [int(bin_acceleration(r.get(ACCEL_S))) for r in records]
+        expected = bin_accelerations([r.get(ACCEL_S) for r in records]).tolist()
         assert ds.labels.tolist() == expected
 
     @pytest.mark.parametrize("noise_sd", [0.03, 0.05])
@@ -446,8 +455,7 @@ class TestSynth:
         assert counts.min() >= 10
 
     @pytest.mark.parametrize("field, value", [
-        ("noise_sd", math.nan), ("noise_sd", math.inf), ("segment_jitter", math.nan),
-        ("n_samples", math.nan),
+        ("noise_sd", math.nan), ("noise_sd", math.inf), ("n_samples", math.nan),
     ])
     def test_non_finite_synth_config_rejected(self, field, value):
         with pytest.raises(PhysicsError, match="finite"):
@@ -458,48 +466,47 @@ class TestSynth:
             SynthConfig(n_parallel_range=(10, 10))
 
     @pytest.mark.parametrize("field, value, message", [
-        ("consumption_range", (-1.7e308, 1.7e308), "range for consumption must be positive"),
-        ("consumption_range", (-0.1, 0.19), "range for consumption must be positive"),
-        ("cell_capacity_range", (-5.0, 5.6), "range for cell_capacity must be positive"),
-        ("motor_torque_range", (0.0, 1100.0), "range for motor_torque must be positive"),
         ("n_samples", 2.5, "n_samples must be a finite integer of at least 1, got 2.5"),
         ("n_samples", True, "n_samples must be a finite integer of at least 1, got True"),
         ("n_samples", 2**32 + 1, "n_samples must be at most 4294967296"),
         ("seed", 1.5, "seed must be a finite integer of at least 0, got 1.5"),
         ("seed", -1, "seed must be a finite integer of at least 0, got -1"),
-        ("n_series_range", (90.5, 180), "range for n_series must hold integers"),
+        ("n_parallel_range", (4.5, 26), "range for n_parallel must hold integers"),
         ("n_parallel_range", (0, 26), r"range for n_parallel must lie in \[1, 2147483648\]"),
-        ("n_series_range", (90, 2**31 + 1), r"range for n_series must lie in \[1, 2147483648\]"),
-        ("base_mass_range", (1350.0, math.inf), "degenerate sampling range for base_mass"),
-        ("r_cell_range", (10**400, 10**401), "degenerate sampling range for r_cell"),
-    ], ids=["width_overflows", "negative_consumption", "negative_capacity", "zero_torque",
-            "fractional_n_samples", "bool_n_samples", "n_samples_beyond_one_key_word",
-            "fractional_seed", "negative_seed",
-            "fractional_series", "zero_parallel", "series_beyond_int32", "infinite_mass",
-            "int_beyond_float"])
+        ("n_parallel_range", (4, 2**31 + 1), r"range for n_parallel must lie in \[1, 2147483648\]"),
+        ("noise_sd", -0.1, "noise_sd must be finite and non-negative, got -0.1"),
+    ], ids=["fractional_n_samples", "bool_n_samples", "n_samples_beyond_one_key_word",
+            "fractional_seed", "negative_seed", "fractional_parallel", "zero_parallel",
+            "parallel_beyond_int32", "negative_noise"])
     def test_bad_setting_named(self, field, value, message):
         with pytest.raises(PhysicsError, match=message):
             SynthConfig(**{field: value})
 
-    @pytest.mark.parametrize("ranges, column", [
-        (dict(consumption_range=(1e-320, 2e-320)), "range_km"),
-        (dict(cell_capacity_range=(1e300, 1.7e308)), "battery_capacity_kwh"),
-        (dict(cell_capacity_range=(1e-320, 2e-320), consumption_range=(1e10, 2e10)), "range_km"),
-    ], ids=["range_overflows", "capacity_overflows", "range_underflows"])
-    def test_non_finite_or_zero_column_named(self, ranges, column):
-        with pytest.raises(PhysicsError, match=f"drive {column} to 0 or infinity"):
-            synth_records(SynthConfig(n_samples=5, **ranges))
-
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("field", ["r_cell_range", "base_mass_range"])
+    @pytest.mark.parametrize("field", ["r_cell", "base_mass"],
+                             ids=["r_cell_range", "base_mass_range"])
     def test_overflowing_forces_named_without_warning(self, field):
+        # a fleet whose r_cell or base mass spans (1e307, 1.7e308), and its top vehicle alone:
+        # 96 cells of r_cell in series, or the mass times grip, overflow to inf
+        v, p = default_vehicle(), default_pack()
+
+        def pair(value):
+            return ((v, replace(p, r_cell=value)) if field == "r_cell"
+                    else (replace(v, base_mass=value), p))
+
         with pytest.raises(PhysicsError, match="cannot accelerate from standstill"):
-            synth_records(SynthConfig(n_samples=20, **{field: (1e307, 1.7e308)}))
+            _sprint_times(_force_terms(*pair(np.linspace(1e307, 1.7e308, 20))))
+        with pytest.raises(PhysicsError, match="cannot accelerate from standstill"):
+            accel_time_0_100(*pair(1.7e308))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_torque_is_grip_capped_without_warning(self):
-        records = synth_records(SynthConfig(n_samples=20, motor_torque_range=(1e307, 1.7e308)))
-        assert all(0 < r.values[ACCEL_S] < MAX_SPRINT_TIME for r in records)
+        v, p = default_vehicle(), default_pack()
+        times = _sprint_times(_force_terms(
+            replace(v, motor_torque_max=np.linspace(1e307, 1.7e308, 20)), p))
+        grip_capped = accel_time_0_100(replace(v, motor_torque_max=1e6), p)
+        assert 0 < grip_capped < MAX_SPRINT_TIME
+        assert times.tolist() == [grip_capped] * 20
 
     def test_largest_fleet_constructs(self):
         # construction only: synthesizing this fleet would take tens of GiB
@@ -507,7 +514,7 @@ class TestSynth:
 
     def test_numpy_integers_accepted(self):
         numpy = SynthConfig(n_samples=np.int32(7), seed=np.uint64(2**64 - 1),
-                            n_series_range=(np.int64(90), np.uint16(180)))
+                            n_parallel_range=(np.int64(4), np.uint16(26)))
         plain = SynthConfig(n_samples=7, seed=2**64 - 1)
         assert [r.values for r in synth_records(numpy)] == [r.values for r in synth_records(plain)]
 
@@ -547,16 +554,6 @@ def _outcome(generate, sc):
 
 
 @st.composite
-def _real_range(draw, lo, hi):
-    """A range near (lo, hi), or one anywhere in the positive floats."""
-    if draw(st.integers(0, 7)) == 0:
-        ends = sorted(draw(st.lists(st.floats(5e-324, 1e308), min_size=2, max_size=2)))
-        return tuple(ends)
-    low = lo * draw(st.floats(0.05, 4.0))
-    return low, low + (hi - lo) * draw(st.floats(1e-6, 4.0))
-
-
-@st.composite
 def _count_range(draw, lo, hi):
     """An integer range near (lo, hi), sometimes of numpy integers, or one up to 2**31."""
     if draw(st.integers(0, 7)) == 0:
@@ -572,63 +569,34 @@ _SEEDS = st.one_of(st.integers(0, 2**16), st.integers(2**63, 2**66))
 
 @st.composite
 def _synth_configs(draw):
-    """Generated SynthConfigs: defaults, the saturation fleet, zero jitter or noise, or new ranges."""
+    """Generated SynthConfigs: defaults, the saturation fleet, no noise, or new settings."""
     n, seed = draw(st.integers(1, 60)), draw(_SEEDS)
-    kind = draw(st.sampled_from(["default", "saturation", "no_jitter", "no_noise", "ranges"]))
+    kind = draw(st.sampled_from(["default", "saturation", "no_noise", "settings"]))
     if kind == "saturation":
         return saturation_synth_config(n, seed)
     sc = SynthConfig(n_samples=n, seed=seed)
-    if kind == "no_jitter":
-        return replace(sc, segment_jitter=0.0, noise_sd=0.2)
     if kind == "no_noise":
         return replace(sc, noise_sd=0.0)
     if kind == "default":
         return sc
-    settings_ = dict(
+    return replace(
+        sc,
         noise_sd=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.0, 1e3))),
-        segment_jitter=draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))),
-        n_series_range=draw(_count_range(*sc.n_series_range)),
         n_parallel_range=draw(_count_range(*sc.n_parallel_range)),
-        r_cell_range=draw(_real_range(*sc.r_cell_range)),
-        cell_capacity_range=draw(_real_range(*sc.cell_capacity_range)),
-        base_mass_range=draw(_real_range(*sc.base_mass_range)),
-        motor_torque_range=draw(_real_range(*sc.motor_torque_range)),
-        consumption_range=draw(_real_range(*sc.consumption_range)),
     )
-    try:
-        return replace(sc, **settings_)
-    except PhysicsError:  # a range too narrow for its floats: both generators refuse it alike
-        reject()
 
 
 class TestSynthMatchesOracle:
     """synth_records against the per-vehicle loop it replaced (tests/synth_oracle.py)."""
 
-    @settings(max_examples=120, deadline=None,
-              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @example(saturation_synth_config(60, 2**64 + 5))
-    @example(SynthConfig(n_samples=33, seed=2**64 - 1, segment_jitter=0.0, noise_sd=0.0))
-    @example(SynthConfig(n_samples=9, seed=4, motor_torque_range=(1e-3, 2e-3)))  # cannot move
-    @example(SynthConfig(n_samples=9, seed=4, base_mass_range=(1e6, 2e6)))  # too slow
+    @example(SynthConfig(n_samples=33, seed=2**64 - 1, noise_sd=0.0))
     @example(SynthConfig(n_samples=9, seed=4, noise_sd=800.0))  # noise overflows
-    @example(SynthConfig(n_samples=9, seed=4, consumption_range=(1e-320, 2e-320)))  # range_km inf
-    @example(SynthConfig(n_samples=9, seed=4, cell_capacity_range=(1e-320, 2e-320),
-                         consumption_range=(1e10, 2e10)))  # range_km 0
-    # int ends beyond 2**53: the torque's width is taken in ints, as Python does, and
-    # consumption's in floats, as Generator.uniform does
-    @example(SynthConfig(n_samples=9, seed=4, motor_torque_range=(2**53 + 1, 2**54),
-                         consumption_range=(1, 2**53 + 1)))
+    @example(SynthConfig(n_samples=9, seed=4, n_parallel_range=(2**31 - 1, 2**31)))  # too heavy
     @given(sc=_synth_configs())
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme ranges overflow the physics
     def test_bit_identical_to_oracle(self, sc):
-        expected = _outcome(reference_synth_records, sc)
-        if isinstance(expected, list) and not all(
-                0 < float.fromhex(bits) < math.inf for row in expected for _, bits in row):
-            # the oracle's silent 0 or infinite capacity or range is now an error
-            kind, text = _outcome(synth_records, sc)
-            assert kind is PhysicsError and "to 0 or infinity" in text
-            return
-        assert _outcome(synth_records, sc) == expected
+        assert _outcome(synth_records, sc) == _outcome(reference_synth_records, sc)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=_SEEDS, n=st.integers(2, 60), data=st.data())
@@ -673,5 +641,5 @@ class TestStreamSeeds:
 
 
 def test_perf_class_helper_consistency():
-    assert bin_acceleration(3.0) is PerfClass.HIGH
+    assert bin_accelerations([3.0]).tolist() == [PerfClass.HIGH]
     assert int(PerfClass.HIGH) == 2

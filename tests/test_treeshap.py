@@ -254,6 +254,36 @@ class TestRejectedInput:
         model = make_model([(0, 0, stump(0, 0.0, cover=(0.0, 2.0)))], [0.0, 0.0], 1)
         assert_matches_oracles(model, np.array([-1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry, what", [
+        (lambda m, x: explain_matrix(m, x), "attributions"),
+        (lambda m, x: interaction_values(m, x, np.zeros((1, 2, 2))), "interaction values"),
+    ], ids=["attributions", "interactions"])
+    def test_inflating_child_covers_named(self, entry, what):
+        # zero fractions 1e200 on feature 0 and 1e-200 on feature 1 along the left
+        # path: finite, as is its base term, but the weight times 1e200 is not
+        inner = TreeNode(cover=1e200, feature=1, threshold=0.0, gain=1.0,
+                         left=TreeNode(cover=1.0, weight=1e110),
+                         right=TreeNode(cover=1.0, weight=0.0))
+        root = TreeNode(cover=1.0, feature=0, threshold=0.0, gain=1.0, left=inner,
+                        right=TreeNode(cover=1.0, weight=0.0))
+        model = make_model([(0, 0, root)], [0.0, 0.0], 2, eta=1.0)
+        assert np.isfinite(treeshap._build_paths(model).base_value).all()
+        with pytest.raises(ModelInputError, match=f"model TreeSHAP {what} overflow"):
+            entry(model, np.array([[-1.0, -1.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_inflated_base_value_named(self):
+        # zero fractions 1e210 and 1e100 whose product, the path's base term, overflows
+        inner = TreeNode(cover=1e200, feature=1, threshold=0.0, gain=1.0,
+                         left=TreeNode(cover=1e300, weight=1.0),
+                         right=TreeNode(cover=1.0, weight=0.0))
+        root = TreeNode(cover=1e-10, feature=0, threshold=0.0, gain=1.0, left=inner,
+                        right=TreeNode(cover=1.0, weight=0.0))
+        model = make_model([(0, 0, root)], [0.0, 0.0], 2, eta=1.0)
+        with pytest.raises(ModelInputError, match="model TreeSHAP base values overflow"):
+            explain_matrix(model, np.zeros((1, 2)))
+
 
 class TestGlobalImportance:
     def _explanation(self, phi, names=None):
