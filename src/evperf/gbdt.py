@@ -851,16 +851,17 @@ def _check_model(model: Ensemble) -> None:
     be read.
 
     Each class's worst-case margin M, |base_score| plus learning_rate times
-    the sum over its trees of each tree's largest |leaf weight|, must lie
-    within the float maximum over 4 (d + 1), for d features. Every margin,
-    and every difference of two that softmax takes, is then finite. So is
-    TreeSHAP on covers as training makes them, where a split's children's
-    covers sum to its own: for a tree whose largest |leaf value| is v, a
-    path's terms sum over the tree's paths to at most v in the base value,
-    2v in an attribution and 2v in an interaction, so the base values lie
-    within M, the attributions within 2M and the interaction diagonals,
-    which subtract up to d - 1 interactions from an attribution, within
-    2dM, below half the float maximum.
+    the sum over its trees of each tree's largest |leaf weight|, must stay
+    within the float maximum over 4 (d + 1) for d features. Every margin,
+    and every difference of two margins that softmax takes, is then finite.
+    So is TreeSHAP on covers as training makes them, where a split's
+    children's covers sum to its own: for a tree whose largest |leaf value|
+    is v, the absolute values of its paths' terms sum to at most v in a base
+    value, 2v in an attribution and 2v in an interaction (Shapley-weighted
+    leaf values whose cover fractions sum to at most 1). Every partial sum
+    then stays within M for base values, 2M for attributions and, as a
+    diagonal subtracts up to d - 1 interactions from an attribution, 2dM
+    for interaction diagonals: below half the float maximum.
     """
     num_class, n_features = model.num_class, len(model.feature_names)
     if num_class != model.config.num_class:
