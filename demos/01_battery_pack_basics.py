@@ -6,14 +6,8 @@ peak power, and how voltage sag under load limits what the pack can deliver.
 
 from dataclasses import replace
 
-from evperf import (
-    PackConfig,
-    pack_max_power,
-    pack_resistance,
-    pack_voltage,
-    terminal_voltage,
-)
-from evperf.physics import ohmic_loss, pack_min_voltage
+from evperf import PackConfig, pack_max_power, pack_resistance, pack_voltage
+from evperf.physics import pack_min_voltage
 
 # A 400 V class pack: 96 cells in series, 30 strings in parallel.
 pack = PackConfig(
@@ -44,13 +38,15 @@ print(f"peak power           : {pack_max_power(pack_800v) / 1000:7.1f} kW")
 # Voltage sag: drawing current drops the terminal voltage by I*R and burns
 # I^2*R as heat. Parallel strings divide the resistance, taming both.
 print("\n== voltage sag at 500 A ==")
+i = 500.0
 for strings in (10, 20, 30, 60):
     p = replace(pack, n_parallel=strings)
     r = pack_resistance(p)
-    v_term = terminal_voltage(pack_voltage(p), 500.0, r)
+    v_term = pack_voltage(p) - i * r  # open-circuit voltage less the I*R sag
+    heat = i * i * r                  # resistive heating, W
     print(
         f"{strings:3d} strings: R={r * 1000:6.2f} mOhm  "
-        f"terminal={v_term:6.1f} V  heat={ohmic_loss(500.0, r) / 1000:6.1f} kW"
+        f"terminal={v_term:6.1f} V  heat={heat / 1000:6.1f} kW"
     )
 
 print("\nMore parallel strings -> lower resistance -> less sag, less heat,")

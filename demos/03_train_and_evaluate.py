@@ -6,13 +6,13 @@ metrics plus the confusion matrix. Writes confusion.csv/svg under
 demo_output/.
 """
 
+import csv
 from pathlib import Path
 
 import numpy as np
 
 from evperf import CLASS_NAMES, SynthConfig, TrainConfig, cross_validate, synth_dataset
 from evperf.figures import heatmap
-from evperf.metrics import confusion_to_csv
 
 out_dir = Path(__file__).resolve().parent.parent / "demo_output"
 out_dir.mkdir(exist_ok=True)
@@ -42,7 +42,9 @@ for i, row in enumerate(report.confusion):
     print(f"{CLASS_NAMES[i]:>6s}  " + "".join(f"{v:6d}" for v in row))
 
 with open(out_dir / "confusion.csv", "w", newline="") as fh:
-    confusion_to_csv(report.confusion, fh, CLASS_NAMES)
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["true\\pred", *CLASS_NAMES])
+    writer.writerows([name, *row] for name, row in zip(CLASS_NAMES, report.confusion.tolist()))
 (out_dir / "confusion.svg").write_text(
     heatmap(report.confusion.tolist(), CLASS_NAMES, CLASS_NAMES, "Pooled CV confusion matrix")
 )

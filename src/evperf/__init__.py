@@ -74,7 +74,6 @@ from .physics import (
     pack_voltage,
     synth_dataset,
     synth_records,
-    terminal_voltage,
     total_mass,
 )
 from .treeshap import (

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import json
 import keyword
 import logging
 import math
@@ -50,7 +51,7 @@ from .gbdt import (
     save_model,
     train,
 )
-from .metrics import confusion_to_csv, cross_validate, report_to_json
+from .metrics import cross_validate, report_to_dict
 from .physics import (
     DEFAULT_SWEEP_PARALLEL,
     PhysicsError,
@@ -63,7 +64,6 @@ from .physics import (
 from .treeshap import (
     dependence_data,
     explain_matrix,
-    explanations_to_csv,
     force_plot_data,
     global_importance,
     interaction_values,
@@ -287,9 +287,10 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _emit_figure(run: RunConfig, kind: str, write_csv, render_svg) -> None:
+def _emit_figure(run: RunConfig, kind: str, header: list[str], rows: Iterable[Iterable],
+                 render_svg) -> None:
     """Write <kind>.csv always and <kind>.svg when enabled."""
-    write_csv(run.out_dir / f"{kind}.csv")
+    _write_csv(run.out_dir / f"{kind}.csv", header, rows)
     if run.svg:
         with atomic_open(run.out_dir / f"{kind}.svg") as fh:
             fh.write(render_svg())
@@ -309,15 +310,13 @@ def cmd_train(run: RunConfig) -> None:
     )
     save_model(final, run.out_dir / "model.json")
     with atomic_open(run.out_dir / "metrics.json") as fh:
-        fh.write(report_to_json(report) + "\n")
+        fh.write(json.dumps(report_to_dict(report), indent=1, sort_keys=True) + "\n")
 
-    def write_confusion(path):
-        with atomic_open(path, newline="") as fh:
-            confusion_to_csv(report.confusion, fh, CLASS_NAMES)
-
+    cm = report.confusion.tolist()
     _emit_figure(
-        run, "confusion", write_confusion,
-        lambda: figures.heatmap(report.confusion.tolist(), CLASS_NAMES, CLASS_NAMES,
+        run, "confusion", ["true\\pred", *CLASS_NAMES],
+        [[name, *row] for name, row in zip(CLASS_NAMES, cm)],
+        lambda: figures.heatmap(cm, CLASS_NAMES, CLASS_NAMES,
                                 "Pooled cross-validation confusion matrix"),
     )
     print(f"samples: {dataset.n_samples}  folds: {run.folds}  rounds: {cfg.n_rounds}")
@@ -351,15 +350,21 @@ def cmd_explain(run: RunConfig) -> None:
     explained = explain_matrix(model, x, raw)
     high = int(PerfClass.HIGH)
 
-    with atomic_open(run.out_dir / "shap_values.csv", newline="") as fh:
-        explanations_to_csv(explained, fh, class_names=CLASS_NAMES)
+    # one row per sample x feature x class; csv writes each float by repr
+    labels = [CLASS_NAMES[k] for k in range(explained.phi.shape[2])]
+    _write_csv(
+        run.out_dir / "shap_values.csv", ["sample_id", "feature", "class", "value", "phi"],
+        ([sid, name, label, value, p]
+         for sid, (values, phi) in enumerate(zip(explained.values.tolist(), explained.phi.tolist()))
+         for name, value, per_class in zip(explained.feature_names, values, phi)
+         for label, p in zip(labels, per_class)),
+    )
 
     gains = gain_importance(model)
     gain_order = sorted(range(len(gains)), key=lambda i: (-gains[i], i))
     _emit_figure(
-        run, "gain_importance",
-        lambda p: _write_csv(p, ["feature", "total_gain"],
-                             [[model.feature_names[i], _fmt(gains[i])] for i in gain_order]),
+        run, "gain_importance", ["feature", "total_gain"],
+        [[model.feature_names[i], _fmt(gains[i])] for i in gain_order],
         lambda: figures.bar_chart([model.feature_names[i] for i in gain_order],
                                   [float(gains[i]) for i in gain_order],
                                   "Split-gain feature importance", xlabel="total gain"),
@@ -368,9 +373,8 @@ def cmd_explain(run: RunConfig) -> None:
     ranking = global_importance(explained)
     _emit_figure(
         run, "shap_importance",
-        lambda p: _write_csv(
-            p, ["feature", "mean_abs_phi"] + [f"mean_abs_phi_{c}" for c in CLASS_NAMES],
-            [[fi.name, _fmt(fi.overall)] + [_fmt(v) for v in fi.per_class] for fi in ranking]),
+        ["feature", "mean_abs_phi"] + [f"mean_abs_phi_{c}" for c in CLASS_NAMES],
+        [[fi.name, _fmt(fi.overall)] + [_fmt(v) for v in fi.per_class] for fi in ranking],
         lambda: figures.bar_chart([fi.name for fi in ranking], [fi.overall for fi in ranking],
                                   "Mean |phi| feature importance (margin space)",
                                   xlabel="mean |phi|"),
@@ -379,9 +383,8 @@ def cmd_explain(run: RunConfig) -> None:
     feat_idx = model.feature_names.index(run.feature)
     dep = dependence_data(explained, feat_idx, high)
     _emit_figure(
-        run, "dependence",
-        lambda p: _write_csv(p, [run.feature, f"phi_{CLASS_NAMES[high]}"],
-                             [[_fmt(v), _fmt(phi)] for v, phi in dep]),
+        run, "dependence", [run.feature, f"phi_{CLASS_NAMES[high]}"],
+        [[_fmt(v), _fmt(phi)] for v, phi in dep],
         lambda: figures.scatter(
             [v for v, _ in dep], [phi for _, phi in dep],
             f"Attribution vs {run.feature} ({CLASS_NAMES[high]} class, margin space)",
@@ -399,9 +402,8 @@ def cmd_explain(run: RunConfig) -> None:
             swarm_rows.append([s, names[i], names[j], _fmt(raw[s, i]), _fmt(value)])
             pair_groups.setdefault(f"{names[i]} x {names[j]}", []).append(value)
     _emit_figure(
-        run, "shap_swarm",
-        lambda p: _write_csv(p, ["sample_id", "feature_i", "feature_j", "value_i", "interaction_phi"],
-                             swarm_rows),
+        run, "shap_swarm", ["sample_id", "feature_i", "feature_j", "value_i", "interaction_phi"],
+        swarm_rows,
         lambda: figures.strip_plot(
             sorted(pair_groups.items()),
             f"Pairwise interaction values ({CLASS_NAMES[high]} class, margin space)",
@@ -415,8 +417,7 @@ def cmd_explain(run: RunConfig) -> None:
         force_rows.append(["contribution", e.name, _fmt(e.value), _fmt(e.phi), e.sign])
     force_rows.append(["margin", "", "", _fmt(force.margin), ""])
     _emit_figure(
-        run, "force",
-        lambda p: _write_csv(p, ["kind", "feature", "value", "phi", "sign"], force_rows),
+        run, "force", ["kind", "feature", "value", "phi", "sign"], force_rows,
         lambda: figures.force_chart(
             [(e.name, e.value, e.phi) for e in force.entries],
             force.base_value, force.margin,

@@ -363,7 +363,6 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
     for c in np.unique(y):
         idx = np.flatnonzero(y == c)
         perm = rng.permutation(idx)
-        for j, sample in enumerate(perm):
-            folds[sample] = (cursor + j) % k
+        folds[perm] = (cursor + np.arange(perm.size)) % k
         cursor = (cursor + idx.size) % k
     return folds

@@ -8,14 +8,17 @@ fit to the softmax cross-entropy gradients and Hessians.
 
 Split search follows XGBoost's presorted column blocks (Chen & Guestrin
 2016): each feature column is sorted once per fit, and a node keeps its rows
-as (d, m) blocks in each feature's value order and nothing else. ``train``
-builds the root's blocks once per fit and every tree starts from them. A
-split cuts the blocks into its children's, keeping the order, so a node is
-scored by cumulative sums, gain matrices and argmaxes over its blocks, with
-no sorting. Any block row lists a node's rows, so a leaf gives the margin
-update of its rows directly. A split on the last level cuts nothing: in the
-split feature's block row, the rows it sends left are a prefix, which is all
-its two leaves need.
+as (d, m) blocks in each feature's value order and nothing else. All a fit
+shares between its trees is ``root_blocks(features)``: the features by
+column, each column's stable sort order and the root's value blocks.
+``train`` builds them once and grows every tree from them, by
+``build_tree(blocks, g, h, cfg, row_weights)``, which writes each row's leaf
+weight into ``row_weights``. A split cuts the blocks into its children's,
+keeping the order, so a node is scored by cumulative sums, gain matrices and
+argmaxes over its blocks, with no sorting. Any block row lists a node's
+rows, so a leaf gives the margin update of its rows directly. A split on the
+last level cuts nothing: in the split feature's block row, the rows it sends
+left are a prefix, which is all its two leaves need.
 
 The cut is by index: the split's go-left flags are gathered in block order,
 one ``nonzero`` per side gives that side's positions, and ``take`` copies the
@@ -334,53 +337,45 @@ def _find_best_split(xs, order, gh, g_sum, h_sum, cfg):
     return float(gain), j, mid if below < mid <= above else above, float(g_left), float(h_left)
 
 
-def column_order(features: np.ndarray) -> np.ndarray:
-    """Row indices of each feature column in ascending value order, shape (d, n).
+def root_blocks(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A fit's state for ``build_tree``: its features by column and the root's blocks.
 
-    The sort is stable, so tied values keep their row order. ``build_tree``
-    takes it to share one sort between the trees grown on the same features.
+    Returns the (d, n) features by column ``x_t``, the row indices of each
+    column in ascending value order, and the root's value blocks, row j
+    holding ``x_t[j, order[j]]``. The sort is stable, so tied values keep
+    their row order. ``train`` builds them once per fit and grows every tree
+    from them.
     """
-    return np.argsort(np.asarray(features, dtype=float).T, axis=1, kind="stable")
-
-
-def _root_blocks(x: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The features by column, (d, n), and the root's value blocks: row j is x[order[j], j]."""
+    x = np.asarray(features, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"features must be a 2-D matrix, got shape {x.shape}")
     x_t = np.ascontiguousarray(x.T)
-    return x_t, x_t[np.arange(x_t.shape[0])[:, None], order]
+    order = np.argsort(x_t, axis=1, kind="stable")
+    return x_t, order, x_t[np.arange(x_t.shape[0])[:, None], order]
 
 
-def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig,
-               order: np.ndarray | None = None,
-               row_weights: np.ndarray | None = None,
-               blocks: tuple[np.ndarray, np.ndarray] | None = None) -> TreeNode:
-    """Grow one regression tree by exact greedy search.
+def build_tree(blocks: tuple[np.ndarray, np.ndarray, np.ndarray], g: np.ndarray, h: np.ndarray,
+               cfg: TrainConfig, row_weights: np.ndarray) -> TreeNode:
+    """Grow one regression tree by exact greedy search from a fit's ``root_blocks``.
 
     Growth stops at max_depth, when no candidate split has positive gain, or
     when every candidate leaves a child's Hessian below min_child_hessian,
-    floored at HESS_EPS. ``order`` is ``column_order(features)`` and
-    ``blocks`` is ``_root_blocks(features, order)``, each computed here when
-    not given; ``train`` computes both once per fit and shares them between
-    its trees. When ``row_weights`` is given, each of its n entries receives
+    floored at HESS_EPS. Each of the n entries of ``row_weights`` receives
     the weight of the leaf that row reached. Every gradient must be finite,
     and every Hessian finite and at least HESS_EPS, as
     ``mlogloss_grad_hess`` makes them; otherwise a ValueError names ``g`` or
     ``h``.
     """
-    x = np.asarray(features, dtype=float)
+    x_t, order, xs = blocks
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
-    if x.ndim != 2 or x.shape[0] != g.shape[0] or g.shape != h.shape:
+    d, n = x_t.shape
+    if g.shape != (n,) or h.shape != (n,):
         raise ValueError("features, gradients and Hessians must align row-wise")
-    n, d = x.shape
     if n == 0:  # a leaf of no rows has cover 0
         raise ValueError("cannot grow a tree on no rows")
-    if order is None:
-        order = column_order(x)
-    elif order.shape != (d, n):
-        raise ValueError(f"column order has shape {order.shape}, expected {(d, n)}")
-    if row_weights is not None and row_weights.shape != (n,):
+    if row_weights.shape != (n,):
         raise ValueError(f"row_weights has shape {row_weights.shape}, expected {(n,)}")
-    x_t, xs = _root_blocks(x, order) if blocks is None else blocks
     # Split search gathers and sums both statistics as one complex array. The
     # parts are assigned, not computed as g + 1j * h, which would turn a -0.0
     # gradient into +0.0.
@@ -420,8 +415,7 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
             found = _find_best_split(xs, order, gh, g_sum, node.cover, cfg)
             if found is None:
                 node.weight = leaf_weight(g_sum, node.cover, cfg)
-                if row_weights is not None:
-                    row_weights[order[0] if d else slice(None)] = node.weight
+                row_weights[order[0] if d else slice(None)] = node.weight
                 continue
             node.gain, f, node.threshold, g_left, h_left = found
             node.feature = f
@@ -429,10 +423,9 @@ def build_tree(features: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainCon
             if depth == last:
                 node.left.weight = leaf_weight(g_left, h_left, cfg)
                 node.right.weight = leaf_weight(g_sum - g_left, node.right.cover, cfg)
-                if row_weights is not None:
-                    c = xs[f].searchsorted(node.threshold)
-                    row_weights[order[f, :c]] = node.left.weight
-                    row_weights[order[f, c:]] = node.right.weight
+                c = xs[f].searchsorted(node.threshold)
+                row_weights[order[f, :c]] = node.left.weight
+                row_weights[order[f, c:]] = node.right.weight
                 continue
             left, right = _cut(x_t[f] < node.threshold, order, xs)
             pending.append((node.right, g_sum - g_left, *right, depth + 1))
@@ -618,14 +611,12 @@ def train(dataset: Dataset, cfg: TrainConfig) -> Ensemble:
 
     margins = np.tile(base_score, (n, 1))
     grown: list[tuple[int, int, TreeNode]] = []
-    order = column_order(x)
-    blocks = _root_blocks(x, order)
+    blocks = root_blocks(x)
     row_weights = np.empty(n)  # each row's leaf weight in the tree just grown
     for r in range(cfg.n_rounds):
         grad, hess = mlogloss_grad_hess(softmax(margins), y)
         for k in range(cfg.num_class):
-            grown.append((r, k, build_tree(x, grad[:, k], hess[:, k], cfg, order, row_weights,
-                                              blocks)))
+            grown.append((r, k, build_tree(blocks, grad[:, k], hess[:, k], cfg, row_weights)))
             margins[:, k] += cfg.learning_rate * row_weights
     return Ensemble(
         trees=node_table(grown),

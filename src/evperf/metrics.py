@@ -1,11 +1,14 @@
-"""Multiclass evaluation metrics and the stratified cross-validation harness."""
+"""Multiclass evaluation metrics and the stratified cross-validation harness.
+
+The module does no I/O: ``report_to_dict`` gives a report as plain values,
+and the CLI writes ``metrics.json`` from it and ``confusion.csv`` from the
+report's confusion matrix.
+"""
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import asdict, dataclass
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -201,15 +204,3 @@ def round_curve(dataset: Dataset, cfg: TrainConfig, k: int = 5, seed: int = 0) -
 def report_to_dict(report: MetricsReport) -> dict:
     return {**asdict(report), "confusion": report.confusion.tolist()}
 
-
-def report_to_json(report: MetricsReport) -> str:
-    return json.dumps(report_to_dict(report), indent=1, sort_keys=True)
-
-
-def confusion_to_csv(cm: np.ndarray, out: IO[str], class_names: Sequence[str] | None = None) -> None:
-    """Write the confusion matrix with labeled rows/columns."""
-    names = list(class_names) if class_names is not None else [str(i) for i in range(cm.shape[0])]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["true\\pred"] + names)
-    for i, row in enumerate(np.asarray(cm)):
-        writer.writerow([names[i]] + [int(v) for v in row])

@@ -158,16 +158,6 @@ def pack_max_power(p: PackConfig) -> float:
     return v_ocv * (v_ocv - pack_min_voltage(p)) / pack_resistance(p)
 
 
-def terminal_voltage(v_ocv: float, i: float, r: float) -> float:
-    """Terminal voltage under load: open-circuit voltage minus the I*R sag."""
-    return v_ocv - i * r
-
-
-def ohmic_loss(i: float, r: float) -> float:
-    """Resistive heating power I^2 * R in watts."""
-    return i * i * r
-
-
 def total_mass(v: VehicleParams, p: PackConfig) -> float:
     """Vehicle mass including all cells and proportional pack overhead."""
     return v.base_mass + p.cell_count * p.cell_mass * (1.0 + p.pack_overhead_mass_fraction)

@@ -23,8 +23,10 @@ x[None])[0]``).
 A batch's attributions are one ``Explanation``: the base value, the
 (n, d, K) attributions and the (n, d) feature values in input units. The
 derived analyses read its arrays: global importance ranking, dependence
-data and its binned slopes, and force-plot decompositions. The brute-force
-Shapley oracles that check the path set live with the tests.
+data and its binned slopes, and force-plot decompositions. The module does
+no I/O: the CLI writes ``shap_values.csv`` and the figures' data from these
+arrays. The brute-force Shapley oracles that check the path set live with
+the tests.
 
 Attributions live in margin (pre-softmax) space, where additivity is exact;
 downstream figure labels should say so.
@@ -32,10 +34,8 @@ downstream figure labels should say so.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
 
 import numpy as np
 
@@ -360,7 +360,8 @@ def explain_matrix(
     """The Explanation of every row of a feature matrix.
 
     Its values are raw_features, by default the features unscaled when the
-    model carries a scaler. For a path with L unique features
+    model carries a scaler; an unscaling that overflows raises
+    ModelInputError. For a path with L unique features
     (L <= max_depth), a batch of at least 2^L rows costs O(2^(L-1) L^2) per
     path once, for a table over its bit patterns, plus a gather of L values
     per row and path; a smaller batch costs O(L^3) per row and path. Either way
@@ -369,7 +370,11 @@ def explain_matrix(
     """
     features = check_features(model, features, 2)
     if raw_features is None and model.scaler is not None:
-        raw_features = features * model.scaler.std + model.scaler.mean
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below, by name
+            raw_features = features * model.scaler.std + model.scaler.mean
+        if not np.isfinite(raw_features).all():
+            raise ModelInputError("model scaler overflows unscaling the features to input "
+                                  "units; pass raw_features")
     return Explanation(
         base_value=_paths(model).base_value.copy(),
         phi=_phi(model, features),
@@ -536,17 +541,3 @@ def force_plot_data(explained: Explanation, row: int, class_index: int) -> Force
     base = float(explained.base_value[class_index])
     return ForcePlot(base_value=base, margin=base + float(phi.sum()), entries=entries)
 
-
-def explanations_to_csv(
-    explained: Explanation,
-    out: IO[str],
-    class_names: Sequence[str],
-) -> None:
-    """Write one row per sample x feature x class: row index, feature, class name, value, phi."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["sample_id", "feature", "class", "value", "phi"])
-    labels = [class_names[k] for k in range(explained.phi.shape[2])]
-    for sid, (values, phi) in enumerate(zip(explained.values.tolist(), explained.phi.tolist())):
-        for name, value, per_class in zip(explained.feature_names, values, phi):
-            for label, p in zip(labels, per_class):
-                writer.writerow([sid, name, label, repr(value), repr(p)])

@@ -8,6 +8,10 @@ run at install time, another return type would break the node count, and a
 command that reached a traced function by another name would leave its span
 empty; these tests show each in the unit suite. They also pin how often a
 command calls a traced function where a per-layer count depends on it.
+
+perfbench/checks.py keeps its own copies of evperf's constants, so that its
+oracles import nothing from evperf; the last tests show that the copies
+still equal evperf's values.
 """
 
 import importlib
@@ -17,22 +21,24 @@ from pathlib import Path
 
 import numpy as np
 
+from evperf import data, physics
 from evperf.cli import main
 from evperf.data import Dataset
 from evperf.gbdt import TrainConfig, train
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load_perfbench("tracing")
+checks = _load_perfbench("checks")
 
 
 def _lookup(module_name, attr):
@@ -105,3 +111,38 @@ def test_traced_explain_books_one_interactions_call(tmp_path):
     assert [span.name for span in tracer.spans].count("treeshap.interaction_values") == 1
     assert layers["treeshap.interaction_values.calls"] == 1
     assert layers["treeshap.explain_matrix.rows"] == 20
+
+
+def test_checks_vehicle_and_pack_copy_evperf_defaults():
+    v, p = physics.default_vehicle(), physics.default_pack()
+    assert checks.VEHICLE == dict(
+        base_mass=v.base_mass, c_d=v.c_d, frontal_area=v.frontal_area, c_rr=v.c_rr,
+        wheel_radius=v.wheel_radius, gear_ratio=v.gear_ratio, eta=v.driveline_efficiency,
+        torque=v.motor_torque_max, traction=v.traction_limit_accel, rho=physics.AIR_DENSITY,
+        g=physics.GRAVITY)
+    assert checks.PACK == dict(
+        n_series=p.n_series, r_cell=p.r_cell, v_cell=p.v_cell_nominal, v_min=p.v_cell_min,
+        cell_mass=p.cell_mass, r_inter=p.r_interconnects,
+        overhead=p.pack_overhead_mass_fraction)
+
+
+def test_checks_sprint_constants_copy_evperf():
+    assert checks.SWEEP_PARALLEL == physics.DEFAULT_SWEEP_PARALLEL
+    assert checks.SPEED_EPS == physics.SPEED_EPS
+    assert checks.TARGET_SPEED == physics.TARGET_SPEED
+
+
+def test_checks_synth_ranges_and_class_cutoffs_copy_evperf():
+    assert checks.SYNTH_RANGES == dict(
+        n_series=physics.N_SERIES_RANGE, n_parallel=physics.SynthConfig().n_parallel_range,
+        cell_capacity=physics.CELL_CAPACITY_RANGE, base_mass=physics.BASE_MASS_RANGE,
+        torque=physics.MOTOR_TORQUE_RANGE, consumption=physics.CONSUMPTION_RANGE)
+    assert checks.HIGH_MAX_S == data.HIGH_MAX_SECONDS
+    assert checks.MID_MAX_S == data.MID_MAX_SECONDS
+
+
+def test_checks_names_copy_evperf():
+    assert checks.CLASS_NAMES == data.CLASS_NAMES
+    assert checks.HIGH == data.PerfClass.HIGH
+    assert checks.FEATURES == data.DEFAULT_FEATURES
+    assert checks.ACCEL == data.ACCEL_S

@@ -9,12 +9,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evperf.cli import (
     OPTIONS,
     CliError,
+    _explain_features,
     _synth_config,
     _train_config,
     build_parser,
@@ -22,8 +24,10 @@ from evperf.cli import (
     main,
     resolve_config,
 )
-from evperf.data import ACCEL_S, CELL_COUNT, TORQUE_NM, DataError
+from evperf.data import ACCEL_S, CELL_COUNT, CLASS_NAMES, TORQUE_NM, DataError
+from evperf.gbdt import load_model
 from evperf.physics import PhysicsError
+from evperf.treeshap import explain_matrix
 
 FAST = ["--rounds", "8", "--depth", "3", "--n-samples", "60"]
 
@@ -69,6 +73,14 @@ class TestTrainCommand:
         assert len(metrics["folds"]) == 5
         out = capsys.readouterr().out
         assert "pooled accuracy" in out
+
+    def test_confusion_csv_layout(self, trained_dir):
+        # true classes as rows and predictions as columns, each labelled by its class name
+        lines = (trained_dir / "confusion.csv").read_text().splitlines()
+        cm = json.loads((trained_dir / "metrics.json").read_text())["confusion"]
+        assert lines[0] == "true\\pred,Low,Mid,High"
+        assert len(lines) == 1 + len(CLASS_NAMES)
+        assert lines[1:] == [",".join([name, *map(str, row)]) for name, row in zip(CLASS_NAMES, cm)]
 
     def test_model_bytes_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -183,6 +195,22 @@ class TestExplainCommand:
         for name in self.FIGURES:
             assert (out / f"{name}.csv").exists(), name
             assert (out / f"{name}.svg").exists(), name
+
+    def test_shap_values_csv_shape(self, trained_dir, tmp_path):
+        argv = ["explain", "--synth", "--model", str(trained_dir / "model.json"), "--out-dir",
+                str(tmp_path), "--n-samples", "4", "--swarm-samples", "0", "--no-svg"]
+        assert main(argv) == 0
+        model = load_model(trained_dir / "model.json")
+        raw, x = _explain_features(resolve_config(build_parser().parse_args(argv)), model)
+        explained = explain_matrix(model, x, raw)
+        rows = list(csv.reader(open(tmp_path / "shap_values.csv")))
+        assert rows[0] == ["sample_id", "feature", "class", "value", "phi"]
+        d, k = len(model.feature_names), model.num_class
+        assert len(rows) == 1 + 4 * d * k
+        assert rows[1][:3] == ["0", model.feature_names[0], CLASS_NAMES[0]]
+        # values and attributions round-trip exactly through repr
+        assert [float(r[3]) for r in rows[1:]] == np.repeat(explained.values, k).tolist()
+        assert [float(r[4]) for r in rows[1:]] == explained.phi.ravel().tolist()
 
     def test_dependence_row_count_and_no_svg(self, trained_dir, tmp_path):
         out = tmp_path / "explain"

@@ -19,7 +19,6 @@ from evperf.gbdt import (
     TrainConfig,
     TreeNode,
     build_tree,
-    column_order,
     leaf_weight,
     load_model,
     mlogloss_grad_hess,
@@ -30,6 +29,7 @@ from evperf.gbdt import (
     predict_margin_batch,
     predict_proba,
     predict_proba_batch,
+    root_blocks,
     save_model,
     softmax,
     staged_margins,
@@ -124,9 +124,15 @@ class TestGradHess:
             g_i, h_i = mlogloss_grad_hess(p[i], int(y[i]))
             assert g[i].tobytes() == g_i.tobytes() and h[i].tobytes() == h_i.tobytes()
 
+def _grow(x, g, h, cfg, weights=None):
+    """build_tree from the root blocks of x, as train grows each tree."""
+    x = np.asarray(x, dtype=float)
+    return build_tree(root_blocks(x), g, h, cfg, np.empty(len(x)) if weights is None else weights)
+
+
 def _two_row_gain(g_left, h_left, g_right, h_right, cfg):
     """The gain build_tree records for one split of a left row (G_L, H_L) from a right row (G_R, H_R)."""
-    root = build_tree([[0.0], [1.0]], [g_left, g_right], [h_left, h_right], replace(cfg, max_depth=1))
+    root = _grow([[0.0], [1.0]], [g_left, g_right], [h_left, h_right], replace(cfg, max_depth=1))
     assert root.is_leaf or root.left.cover == h_left and root.right.cover == h_right
     return root.gain
 
@@ -240,13 +246,13 @@ class TestBuildTree:
         x = np.ones((5, 2))
         g = np.arange(5.0)
         h = np.ones(5)
-        root = build_tree(x, g, h, TrainConfig())
+        root = _grow(x, g, h, TrainConfig())
         assert root.is_leaf
         assert root.cover == pytest.approx(5.0)
 
     def test_two_point_split(self):
         cfg = TrainConfig(reg_lambda=0.0, max_depth=1, min_child_hessian=0.0)
-        root = build_tree(np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]), np.ones(2), cfg)
+        root = _grow(np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]), np.ones(2), cfg)
         assert not root.is_leaf
         assert root.feature == 0
         assert root.threshold == pytest.approx(0.5)
@@ -257,7 +263,7 @@ class TestBuildTree:
         # duplicated columns give identical gains; the first feature must win
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         g = np.array([-1.0, -1.0, 1.0, 1.0])
-        root = build_tree(x, g, np.ones(4), TrainConfig(reg_lambda=0.0, max_depth=1))
+        root = _grow(x, g, np.ones(4), TrainConfig(reg_lambda=0.0, max_depth=1))
         assert root.feature == 0
         assert root.threshold == pytest.approx(1.5)
 
@@ -291,7 +297,7 @@ class TestBuildTree:
         x = np.array([[below], [above], [below], [above]])
         h = np.ones(4)
         weights = np.full(4, np.nan)
-        root = build_tree(x, [-1.0, 1.0, -1.0, 1.0], h, TrainConfig(max_depth=1), None, weights)
+        root = _grow(x, [-1.0, 1.0, -1.0, 1.0], h, TrainConfig(max_depth=1), weights)
         assert below < root.threshold <= above
         assert root.left.cover == root.right.cover == 2.0
         assert root.left.weight == pytest.approx(2 / 3) and root.right.weight == pytest.approx(-2 / 3)
@@ -309,19 +315,19 @@ class TestBuildTree:
     ])
     def test_rejects_bad_gradients_and_hessians(self, g, h, name):
         with pytest.raises(ValueError, match=f"^{name} must hold finite"):
-            build_tree(np.arange(3.0)[:, None], g, h, TrainConfig(reg_lambda=0.0))
+            _grow(np.arange(3.0)[:, None], g, h, TrainConfig(reg_lambda=0.0))
 
     def test_rejects_no_rows(self):
         with pytest.raises(ValueError, match="no rows"):
-            build_tree(np.empty((0, 2)), np.empty(0), np.empty(0), TrainConfig(reg_lambda=0.0))
+            _grow(np.empty((0, 2)), np.empty(0), np.empty(0), TrainConfig(reg_lambda=0.0))
 
     def test_hessians_at_the_floor_are_accepted(self):
-        root = build_tree(np.arange(3.0)[:, None], [1.0, 2.0, 3.0], [HESS_EPS] * 3, TrainConfig())
+        root = _grow(np.arange(3.0)[:, None], [1.0, 2.0, 3.0], [HESS_EPS] * 3, TrainConfig())
         assert root.cover == 3 * HESS_EPS
 
     def test_no_features_give_every_row_the_root_weight(self):
         weights = np.full(5, np.nan)
-        root = build_tree(np.empty((5, 0)), np.arange(5.0), np.ones(5), TrainConfig(), None, weights)
+        root = _grow(np.empty((5, 0)), np.arange(5.0), np.ones(5), TrainConfig(), weights)
         assert root.is_leaf and root.cover == 5.0
         assert np.array_equal(weights, np.full(5, root.weight))
 
@@ -343,7 +349,7 @@ class TestBuildTree:
             x = rng.normal(size=(40, 3))
             g = rng.normal(size=40)
             h = rng.uniform(0.01, 0.25, size=40)
-            self._structure_ok(build_tree(x, g, h, cfg), 0, cfg)
+            self._structure_ok(_grow(x, g, h, cfg), 0, cfg)
 
 
 class TestChildSums:
@@ -375,7 +381,7 @@ class TestChildSums:
             g = rng.normal(size=n)
             h = rng.uniform(0.05, 1.0, size=n)
             h[rng.random(n) < 0.2] = HESS_EPS
-            root = build_tree(x, g, h, cfg)
+            root = _grow(x, g, h, cfg)
             assert root.cover == float(np.add.reduce(h))
             self._check_covers(root, x, h, np.arange(n), least)
 
@@ -392,7 +398,7 @@ class TestChildSums:
                           n_rounds=1, num_class=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trees = [(0, k, build_tree(x, sign * g, h, cfg)) for k, sign in enumerate((1, -1))]
+            trees = [(0, k, _grow(x, sign * g, h, cfg)) for k, sign in enumerate((1, -1))]
             model = Ensemble(trees=node_table(trees), base_score=np.zeros(2), num_class=2,
                              feature_names=("x",), config=cfg)
             table = model.trees
@@ -485,7 +491,7 @@ def _walk(node, row):
 def _assert_row_weights_walked(x, g, h, cfg):
     """build_tree's row_weights hold, for every row, the weight of the leaf the row walks to."""
     weights = np.full(len(x), np.nan)
-    root = build_tree(x, g, h, cfg, column_order(x), weights)
+    root = _grow(x, g, h, cfg, weights)
     walked = np.array([_walk(root, row) for row in x])
     # bit for bit, so that 0.0 and -0.0 differ; NaN marks a row no leaf wrote
     assert weights.tobytes() == walked.tobytes()
@@ -532,7 +538,7 @@ class TestGrowthMatchesReference:
             g = rng.normal(size=n)
             h = rng.uniform(0.05, 1.0, size=n)
             expected = _ref_build_tree(x, g, h, cfg, sizes)
-            _assert_same_tree(build_tree(x, g, h, cfg), expected)
+            _assert_same_tree(_grow(x, g, h, cfg), expected)
             _assert_row_weights_walked(x, g, h, cfg)
         assert {1, 2} <= set(sizes)
         # One node larger than the default tile: 2,000 rows of tied values.
@@ -543,7 +549,7 @@ class TestGrowthMatchesReference:
         g = x[:, 0] - 2.0 + rng.normal(size=2000)
         h = rng.uniform(0.05, 1.0, size=2000)
         shallow = replace(cfg, max_depth=2)
-        tree = build_tree(x, g, h, shallow)
+        tree = _grow(x, g, h, shallow)
         _assert_same_tree(tree, _ref_build_tree(x, g, h, shallow, sizes))
         assert tree.feature == 0 and x.size > gbdt._TILE
         _assert_row_weights_walked(x, g, h, shallow)
@@ -554,14 +560,15 @@ class TestGrowthMatchesReference:
         g, h = rng.normal(size=80), rng.uniform(0.05, 1.0, size=80)
         cfg = TrainConfig(max_depth=3, reg_lambda=0.5)
         weights = np.full(80, np.nan)
-        root = build_tree(x, g, h, cfg, column_order(x), weights)
-        _assert_same_tree(root, build_tree(x, g, h, cfg))
+        blocks = root_blocks(x)
+        root = build_tree(blocks, g, h, cfg, weights)
+        _assert_same_tree(root, build_tree(blocks, g, h, cfg, np.empty(80)))
         walked = [_walk(root, row) for row in x]
         assert np.array_equal(weights, walked)
-        with pytest.raises(ValueError, match="column order"):
-            build_tree(x, g, h, cfg, column_order(x[:-1]))
+        with pytest.raises(ValueError, match="align row-wise"):
+            build_tree(root_blocks(x[:-1]), g, h, cfg, np.empty(79))
         with pytest.raises(ValueError, match="row_weights"):
-            build_tree(x, g, h, cfg, None, np.empty(79))
+            build_tree(blocks, g, h, cfg, np.empty(79))
 
     def test_physics_trees_bit_identical(self):
         ds = synth_dataset(SynthConfig(n_samples=150, seed=3))
@@ -570,7 +577,7 @@ class TestGrowthMatchesReference:
         h = rng.uniform(0.01, 0.25, size=ds.n_samples)
         for cfg in self.CONFIGS:
             expected = _ref_build_tree(ds.features, g, h, cfg, [])
-            _assert_same_tree(build_tree(ds.features, g, h, cfg), expected)
+            _assert_same_tree(_grow(ds.features, g, h, cfg), expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -666,9 +673,10 @@ def test_split_search_tiles_count_complex_values_twice():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3000, 5))
     g, h = rng.normal(size=3000), rng.uniform(0.05, 1.0, size=3000)
+    weights = np.empty(3000)
     tracemalloc.start()
     try:
-        build_tree(x, g, h, TrainConfig(max_depth=1))
+        build_tree(root_blocks(x), g, h, TrainConfig(max_depth=1), weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -682,9 +690,10 @@ def test_split_search_memory_stays_tiled():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(6600, 5))
     g, h = rng.normal(size=6600), rng.uniform(0.05, 1.0, size=6600)
+    weights = np.empty(6600)
     tracemalloc.start()
     try:
-        build_tree(x, g, h, TrainConfig(max_depth=1))
+        build_tree(root_blocks(x), g, h, TrainConfig(max_depth=1), weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -707,11 +716,11 @@ def test_growth_memory_stays_near_one_copy_of_the_blocks():
     for b in range(depth):
         g[b * peel:(b + 1) * peel] = 4.0 ** (depth - b) * (-1) ** b
     h = np.ones(n)
-    order = column_order(x)
+    blocks, weights = root_blocks(x), np.empty(n)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        root = build_tree(x, g, h, TrainConfig(max_depth=depth), order)
+        root = build_tree(blocks, g, h, TrainConfig(max_depth=depth), weights)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -12,7 +12,6 @@ from evperf.metrics import (
     _midranks,
     accuracy,
     confusion,
-    confusion_to_csv,
     cross_validate,
     mcc,
     mlogloss,
@@ -226,13 +225,3 @@ def test_round_curve_ends_on_cross_validated_mlogloss():
     assert curve.shape == (12,)
     assert curve[-1] == cross_validate(fleet, cfg, k=5, seed=0).mlogloss
 
-
-def test_confusion_csv_layout(tmp_path):
-    import io
-
-    buf = io.StringIO()
-    confusion_to_csv(np.array([[5, 1], [2, 7]]), buf, ["Low", "High"])
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "true\\pred,Low,High"
-    assert lines[1] == "Low,5,1"
-    assert lines[2] == "High,2,7"

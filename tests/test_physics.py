@@ -28,14 +28,12 @@ from evperf.physics import (
     default_pack,
     default_vehicle,
     diminishing_returns_sweep,
-    ohmic_loss,
     pack_max_power,
     pack_resistance,
     pack_voltage,
     saturation_synth_config,
     synth_dataset,
     synth_records,
-    terminal_voltage,
     total_mass,
 )
 from evperf.physics import (
@@ -104,11 +102,6 @@ class TestPackElectrical:
         assert pack_max_power(replace(p, n_parallel=8)) == pytest.approx(
             2.0 * pack_max_power(p), rel=1e-9
         )
-
-    def test_terminal_voltage_and_loss(self):
-        assert terminal_voltage(400.0, 0.0, 0.1) == 400.0
-        assert terminal_voltage(400.0, 100.0, 0.1) == pytest.approx(390.0)
-        assert ohmic_loss(100.0, 0.1) == pytest.approx(1000.0)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(PhysicsError):

@@ -1,6 +1,3 @@
-import csv
-import io
-
 import numpy as np
 import pytest
 
@@ -11,6 +8,7 @@ from evperf.gbdt import (
     ModelInputError,
     TrainConfig,
     TreeNode,
+    model_from_dict,
     model_to_dict,
     node_table,
     predict_margin,
@@ -23,7 +21,6 @@ from evperf.treeshap import (
     dependence_data,
     dependence_slopes,
     explain_matrix,
-    explanations_to_csv,
     force_plot_data,
     global_importance,
     interaction_values,
@@ -356,6 +353,20 @@ class TestDependence:
         values = [v for v, _ in dependence_data(exps, 0, 0)]
         assert values == [pytest.approx(12.0), pytest.approx(8.0)]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_unscaling_is_refused(self):
+        # a loadable scaler whose std[0] takes features * std + mean past the float range
+        fleet = synth_dataset(SynthConfig(n_samples=60))
+        scaler = fit_scaler(fleet.features)
+        x = apply_scaler(fleet.features, scaler)
+        doc = model_to_dict(train(Dataset(x, fleet.labels, fleet.feature_names, scaler=scaler),
+                                  TrainConfig(n_rounds=2, max_depth=2)))
+        doc["scaler"]["std"][0] = 1.7e308
+        model = model_from_dict(doc)
+        assert np.abs(x[:, 0]).max() > 1.1  # so that some row overflows
+        with pytest.raises(ModelInputError, match="^model scaler overflows"):
+            explain_matrix(model, x)
+
     @staticmethod
     def _curve(x, phi):
         """A one-feature, one-class Explanation with the given values and attributions."""
@@ -594,17 +605,3 @@ class TestForcePlot:
         with pytest.raises(IndexError):
             force_plot_data(self._explanation([1.0]), 0, 3)
 
-
-def test_explanations_csv_shape():
-    rng = np.random.default_rng(8)
-    model = random_model(rng, max_d=3)
-    d = len(model.feature_names)
-    x = rng.normal(size=(4, d))
-    exps = explain_matrix(model, x)
-    buf = io.StringIO()
-    explanations_to_csv(exps, buf, class_names=[f"c{k}" for k in range(model.num_class)])
-    rows = list(csv.reader(io.StringIO(buf.getvalue())))
-    assert rows[0] == ["sample_id", "feature", "class", "value", "phi"]
-    assert len(rows) == 1 + 4 * d * model.num_class
-    # values round-trip exactly through repr
-    assert float(rows[1][4]) == exps.phi[0, 0, 0]
