@@ -42,6 +42,7 @@ from .data import (
     read_alias_table,
 )
 from .gbdt import (
+    MAX_ROUNDS,
     Ensemble,
     TrainConfig,
     atomic_open,
@@ -137,7 +138,8 @@ OPTIONS = (
     Option("n_samples", int, SynthConfig.n_samples, _ALL, "synthetic sample count", minimum=1),
     Option("noise_sd", float, SynthConfig.noise_sd, _ALL, "synthetic log-time noise"),
     Option("folds", int, 5, ("train",), "cross-validation folds", minimum=2),
-    Option("rounds", int, TrainConfig.n_rounds, ("train",), "boosting rounds", minimum=1),
+    Option("rounds", int, TrainConfig.n_rounds, ("train",), "boosting rounds", minimum=1,
+           maximum=MAX_ROUNDS),
     Option("depth", int, TrainConfig.max_depth, ("train",), "max tree depth", minimum=1),
     Option("eta", float, TrainConfig.learning_rate, ("train",), "learning rate",
            minimum=0, maximum=1, exclusive=True),
@@ -342,6 +344,9 @@ def cmd_explain(run: RunConfig) -> None:
     if not Path(model_path).exists():
         raise CliError(f"model file not found: {model_path}")
     model = load_model(model_path)
+    if model.num_class != NUM_CLASSES:
+        raise CliError(f"model {model_path} has {model.num_class} classes; explain needs a "
+                       f"model of the {NUM_CLASSES} classes {', '.join(CLASS_NAMES)}")
     if run.feature not in model.feature_names:
         raise CliError(f"dependence feature {run.feature!r} not in model features "
                        f"{list(model.feature_names)}")

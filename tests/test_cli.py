@@ -24,9 +24,9 @@ from evperf.cli import (
     main,
     resolve_config,
 )
-from evperf.data import ACCEL_S, CELL_COUNT, CLASS_NAMES, TORQUE_NM, DataError
-from evperf.gbdt import load_model
-from evperf.physics import PhysicsError
+from evperf.data import ACCEL_S, CELL_COUNT, CLASS_NAMES, TORQUE_NM, DataError, Dataset
+from evperf.gbdt import MAX_ROUNDS, TrainConfig, load_model, save_model, train
+from evperf.physics import PhysicsError, SynthConfig, synth_dataset
 from evperf.treeshap import explain_matrix
 
 FAST = ["--rounds", "8", "--depth", "3", "--n-samples", "60"]
@@ -256,6 +256,21 @@ class TestExplainCommand:
         assert code == 2
         assert "model" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("num_class", [4, 2])
+    def test_model_not_of_the_three_classes_exit_2(self, tmp_path, capsys, num_class):
+        # explain labels Low, Mid and High; a loadable 4-class model once
+        # ended in an IndexError and exit 1
+        data = synth_dataset(SynthConfig(n_samples=80, seed=0))
+        data = Dataset(data.features, np.arange(80) % num_class, data.feature_names)
+        save_model(train(data, TrainConfig(n_rounds=2, max_depth=2, num_class=num_class)),
+                   tmp_path / "model.json")
+        code = run(["explain", "--synth", "--n-samples", "10", "--model", tmp_path / "model.json",
+                    "--out-dir", tmp_path / "x", "--no-svg"])
+        assert code == 2
+        assert f"has {num_class} classes; explain needs a model of the 3 classes Low, Mid, High" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_zero_cover_model_exit_2(self, trained_dir, tmp_path, capsys):
         doc = json.loads((trained_dir / "model.json").read_text())
         root = next(t["root"] for t in doc["trees"] if "feature" in t["root"])
@@ -325,6 +340,8 @@ class TestExplainCommand:
          "model config n_rounds must be an integer, got 8.0"),
         (lambda doc, tree: doc["config"].update(max_depth=4.5),
          "model config max_depth must be an integer, got 4.5"),
+        (lambda doc, tree: doc["config"].update(n_rounds=MAX_ROUNDS + 1),
+         f"model config n_rounds must be at most {MAX_ROUNDS}"),
         (lambda doc, tree: tree["root"].update(threshold="0.5"),
          "tree {index} is malformed: threshold must be a number, got '0.5'"),
         (lambda doc, tree: tree["root"].update(threshold=True),
@@ -372,9 +389,9 @@ class TestExplainCommand:
             "fractional_class_index", "string_num_class", "fractional_num_class", "int_trees",
             "null_trees", "int_feature_names", "null_feature_names", "overflowing_zero_fraction",
             "list_scaler", "list_config", "bool_learning_rate", "string_learning_rate",
-            "float_n_rounds", "fractional_max_depth", "string_threshold", "bool_threshold",
-            "string_cover", "string_gain", "string_leaf_weight", "string_base_score",
-            "string_scaler_mean", "string_scaler_std", "huge_integer_threshold",
+            "float_n_rounds", "fractional_max_depth", "n_rounds_over_budget", "string_threshold",
+            "bool_threshold", "string_cover", "string_gain", "string_leaf_weight",
+            "string_base_score", "string_scaler_mean", "string_scaler_std", "huge_integer_threshold",
             "huge_integer_reg_lambda", "list_feature_name", "int_feature_name", "round_999",
             "negative_round", "huge_integer_feature", "int64_overflow_feature",
             "huge_integer_round", "huge_integer_class_index", "overflowing_margin"])
@@ -568,8 +585,10 @@ class TestConfigResolution:
         (["synth", "--n-samples", "5"], "seven", "EVPERF_SEED", "synthetic.csv"),
         (["train", "--synth", *FAST, "--folds", "1"], None, "folds must be at least 2, got 1",
          "model.json"),
-        (["train", "--synth", *FAST, "--rounds", "0"], None, "rounds must be at least 1, got 0",
-         "model.json"),
+        (["train", "--synth", *FAST, "--rounds", "0"], None,
+         f"rounds must be in [1, {MAX_ROUNDS}], got 0", "model.json"),
+        (["train", "--synth", *FAST, "--rounds", "1000000000000"], None,
+         f"rounds must be in [1, {MAX_ROUNDS}], got 1000000000000", "model.json"),
         (["train", "--synth", *FAST, "--depth", "0"], None, "depth must be at least 1, got 0",
          "model.json"),
         (["synth", "--n-samples", "0"], None, "n_samples must be at least 1, got 0",
@@ -593,8 +612,9 @@ class TestConfigResolution:
     ], ids=["synth_noise_nan", "synth_noise_overflow", "train_lambda_nan", "train_lambda_inf",
             "train_alpha_nan", "train_gamma_nan", "explain_swarm_negative", "synth_seed_negative",
             "train_env_seed_negative", "synth_env_seed_not_int", "train_folds_1", "train_rounds_0",
-            "train_depth_0", "synth_n_samples_0", "synth_n_samples_above_2_32", "train_eta_0",
-            "train_eta_above_1", "train_eta_minus_inf", "train_lambda_negative",
+            "train_rounds_over_budget", "train_depth_0", "synth_n_samples_0",
+            "synth_n_samples_above_2_32", "train_eta_0", "train_eta_above_1", "train_eta_minus_inf",
+            "train_lambda_negative",
             "train_alpha_negative", "train_gamma_negative", "train_eta_nan"])
     def test_out_of_range_value_exit_2(self, trained_dir, tmp_path, capsys, monkeypatch, argv,
                                        env_seed, message, artifact):
@@ -860,6 +880,7 @@ class TestFuzzSettings:
     @example(key="seed", value="-4", in_file=True)
     @example(key="folds", value="1", in_file=False)
     @example(key="rounds", value="0", in_file=False)
+    @example(key="rounds", value="1000000000000", in_file=False)  # once ran until killed
     @example(key="depth", value="0", in_file=False)
     @example(key="n_samples", value="0", in_file=False)
     @example(key="n_samples", value="1" + "0" * 30, in_file=True)

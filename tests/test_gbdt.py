@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -15,6 +16,7 @@ from evperf import gbdt
 from evperf.data import DEFAULT_FEATURES, Dataset, ScalerParams
 from evperf.gbdt import (
     HESS_EPS,
+    MAX_ROUNDS,
     Ensemble,
     TrainConfig,
     TreeNode,
@@ -165,6 +167,12 @@ class TestSplitMath:
         with pytest.raises(ValueError, match="regularization terms must be finite"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [MAX_ROUNDS + 1, 10**12, np.int64(2**62), 10**400])
+    def test_n_rounds_is_bounded_by_its_budget(self, value):
+        with pytest.raises(ValueError, match=f"^n_rounds must be at most {MAX_ROUNDS}$"):
+            TrainConfig(n_rounds=value)
+        assert TrainConfig(n_rounds=MAX_ROUNDS).n_rounds == MAX_ROUNDS
+
 
 _INT_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "int"]
 _FLOAT_FIELDS = [f.name for f in fields(TrainConfig) if f.type == "float"]
@@ -223,7 +231,8 @@ class TestConfigTypes:
                   if data.draw(st.booleans())}
         bad = data.draw(st.none() | st.sampled_from(list(valid)), label="refused field")
         if bad is not None:
-            extra = [2.0, 2.5] if bad in _INT_FIELDS else [10**400]
+            extra = ([2.0, 2.5] + [10**400] * (bad == "n_rounds") if bad in _INT_FIELDS
+                     else [10**400])
             kwargs[bad] = data.draw(st.sampled_from(refused + extra), label=bad)
         try:
             cfg = TrainConfig(**kwargs)
@@ -668,7 +677,7 @@ def test_split_search_tiles_count_complex_values_twice():
     # numpy reports its buffers to tracemalloc, so the peak is deterministic.
     # A depth-1 tree on 3,000 x 5: the root's search gathers and sums 16-byte
     # complex values, so a 64 KiB tile holds one 3,000-value feature row and
-    # the fit peaks near 0.74 MiB; tiles of _TILE // m = 2 rows peak near
+    # the fit peaks at 0.579 MiB; tiles of _TILE // m = 2 rows peak near
     # 0.92 MiB, and the separate g and h arrays of 8-byte tiles near 0.88.
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3000, 5))
@@ -686,7 +695,7 @@ def test_split_search_tiles_count_complex_values_twice():
 def test_split_search_memory_stays_tiled():
     # numpy reports its buffers to tracemalloc, so the peak is deterministic.
     # The node's own (5, 6,600) blocks take 258 KiB each; a search holding
-    # whole-block temporaries peaks well above 3 MiB, a tiled one near 1.5 MiB.
+    # whole-block temporaries peaks well above 3 MiB, a tiled one at 1.268 MiB.
     rng = np.random.default_rng(0)
     x = rng.normal(size=(6600, 5))
     g, h = rng.normal(size=6600), rng.uniform(0.05, 1.0, size=6600)
@@ -829,6 +838,15 @@ class TestMonotoneInvariance:
 
 
 def _check_node_table(trees):
+    _check_node_table_shape(trees)
+    split = trees.feature >= 0
+    left, right = trees.left[split], trees.right[split]
+    np.testing.assert_allclose(trees.cover[split], trees.cover[left] + trees.cover[right],
+                               rtol=1e-9, atol=0)
+
+
+def _check_node_table_shape(trees):
+    """Pre-order links of a node table, whatever its values."""
     n = len(trees.feature)
     node = np.arange(n)
     split = trees.feature >= 0
@@ -837,8 +855,6 @@ def _check_node_table(trees):
     # pre-order: children after their parent, the left child first
     assert np.array_equal(left, node[split] + 1)
     assert np.all(right > left)
-    np.testing.assert_allclose(trees.cover[split], trees.cover[left] + trees.cover[right],
-                               rtol=1e-9, atol=0)
     # each tree's nodes lie between its root and the next tree's
     assert trees.root[0] == 0 and np.all(np.diff(trees.root) > 0)
     end = np.append(trees.root[1:], n)[np.searchsorted(trees.root, node[split], side="right") - 1]
@@ -961,6 +977,77 @@ class TestFlatten:
         self._node(doc, path)[key] = value
         with pytest.raises(ValueError, match="^model tree 9 is malformed: "):
             model_from_dict(doc)
+
+
+def _reference_node_doc(node):
+    """A grown node's model.json document, as node_table once built it for _flatten to parse."""
+    if node.is_leaf:
+        return {"cover": node.cover, "weight": node.weight}
+    return {
+        "cover": node.cover,
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "gain": node.gain,
+        "left": _reference_node_doc(node.left),
+        "right": _reference_node_doc(node.right),
+    }
+
+
+# signed zeros, subnormals and the float extremes, besides ordinary draws
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1.7e308, -1.7e308)
+
+
+def _edge_value(rng):
+    return float(rng.choice(_EDGE_VALUES)) if rng.random() < 0.4 else float(rng.normal())
+
+
+def _edge_tree(rng, depth, d):
+    """A tree of random shape whose every value may be an edge value; a leaf may carry a
+    stale threshold and gain, or a feature below -1, which the table drops."""
+    if depth == 0 or rng.random() < 0.3:
+        stale = {"threshold": _edge_value(rng), "gain": _edge_value(rng),
+                 "feature": int(rng.choice([-1, -3]))} if rng.random() < 0.3 else {}
+        return TreeNode(cover=_edge_value(rng), weight=_edge_value(rng), **stale)
+    return TreeNode(cover=_edge_value(rng), feature=int(rng.integers(0, d)),
+                    threshold=_edge_value(rng), gain=_edge_value(rng), weight=_edge_value(rng),
+                    left=_edge_tree(rng, depth - 1, d), right=_edge_tree(rng, depth - 1, d))
+
+
+class TestDirectWalk:
+    """node_table walks grown TreeNodes straight into the columns; the path it replaced
+    built a model.json document per tree and parsed it with _flatten."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_flatten_of_the_documents(self, seed):
+        rng = np.random.default_rng(seed)
+        grown = [(int(rng.integers(0, 5)), int(rng.integers(0, 4)),
+                  _edge_tree(rng, int(rng.integers(0, 8)), 5))
+                 for _ in range(int(rng.integers(1, 12)))]
+        trees = node_table(grown)
+        reference = gbdt._flatten([{"round": r, "class_index": k, "root": _reference_node_doc(t)}
+                                   for r, k, t in grown])
+        for name in _TABLE_FIELDS:
+            got, want = getattr(trees, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        _check_node_table_shape(trees)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, math.nan, np.int64(1), True])
+    def test_non_integer_feature_is_refused_by_name(self, value):
+        leaf = TreeNode(cover=1.0, weight=0.5)
+        bad = TreeNode(cover=2.0, feature=value, threshold=0.0, gain=1.0, left=leaf, right=leaf)
+        message = f"model tree 1 is malformed: feature must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            node_table([(0, 0, leaf), (0, 1, bad)])
+
+    def test_tree_deeper_than_the_recursion_limit(self):
+        node = TreeNode(cover=1.0, weight=0.0)
+        depth = sys.getrecursionlimit() + 100
+        for i in range(depth):
+            node = TreeNode(cover=1.0, feature=0, threshold=float(i), gain=1.0,
+                            left=TreeNode(cover=1.0, weight=1.0), right=node)
+        trees = node_table([(0, 0, node)])
+        assert trees.feature.size == 2 * depth + 1
+        _check_node_table_shape(trees)
 
 
 def _single_leaf_model(weight=2.0, eta=0.3, num_class=2):
