@@ -231,8 +231,9 @@ class TestConfigTypes:
                   if data.draw(st.booleans())}
         bad = data.draw(st.none() | st.sampled_from(list(valid)), label="refused field")
         if bad is not None:
-            extra = ([2.0, 2.5] + [10**400] * (bad == "n_rounds") if bad in _INT_FIELDS
-                     else [10**400])
+            extra = [2.0, 2.5] if bad in _INT_FIELDS else [10**400]
+            if bad == "n_rounds":
+                extra.append(10**400)  # beyond MAX_ROUNDS
             kwargs[bad] = data.draw(st.sampled_from(refused + extra), label=bad)
         try:
             cfg = TrainConfig(**kwargs)
