@@ -3,7 +3,8 @@
 Subcommands write CSV data files (always) and SVG figures (toggleable) under
 --out-dir with fixed names, each through ``atomic_open``, so a failed run
 leaves no truncated file. Exit codes: 0 success, 1 internal error, 2 user or
-configuration error.
+configuration error, or a command that ran out of memory (a ``MemoryError``),
+which names the sizes that bound a command's memory.
 """
 
 from __future__ import annotations
@@ -152,6 +153,9 @@ OPTIONS = (
            minimum=0),
 )
 
+# the settings that bound a command's memory, beside the size of its input
+_MEMORY_SIZES = ("n_samples", "swarm_samples", "rounds")
+
 RunConfig = make_dataclass(
     "RunConfig", [("command", str)] + [(opt.dest, opt.type) for opt in OPTIONS],
     namespace={"__doc__": "A resolved run: the subcommand and one field per OPTIONS row.",
@@ -262,7 +266,6 @@ def _train_config(run: RunConfig) -> TrainConfig:
         reg_alpha=run.alpha,
         gamma=run.gamma,
         num_class=NUM_CLASSES,
-        seed=run.seed,
     )
 
 
@@ -468,6 +471,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (CliError, DataError, PhysicsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        sizes = [f"--{opt.key.replace('_', '-')}" for opt in OPTIONS
+                 if opt.key in _MEMORY_SIZES and args.command in opt.commands]
+        smaller = ", or use a smaller --input" if args.command in _SOURCE else ""
+        print(f"error: evperf {args.command} ran out of memory; lower {' or '.join(sizes)}"
+              f"{smaller}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

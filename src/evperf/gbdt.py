@@ -62,10 +62,10 @@ Only the root's gradient and Hessian sums are reduced from rows, by two
 float64 ``np.add.reduce`` calls. A split's left child takes the winning
 candidate's prefix sums and its right child the parent's sums less those, so
 no node gathers or reduces its rows again, and a child's cover is exactly the
-Hessian that passed the min-child check. Candidates are ranked by their
-children's score S(G_L)^2/(H_L+lambda) + S(G_R)^2/(H_R+lambda) alone: the
-parent's S(G)^2/(H+lambda) is the same for every candidate of a node, so it
-is taken off once, for the winner's gain.
+Hessian that passed the check against ``MIN_CHILD_HESSIAN``. Candidates are
+ranked by their children's score S(G_L)^2/(H_L+lambda) +
+S(G_R)^2/(H_R+lambda) alone: the parent's S(G)^2/(H+lambda) is the same for
+every candidate of a node, so it is taken off once, for the winner's gain.
 
 Trees are grown as ``TreeNode`` graphs (slotted dataclasses) and then
 stored, once, in the ensemble's node table: flat arrays over every node of
@@ -108,7 +108,10 @@ from .data import DataError, Dataset, ScalerParams
 
 HESS_EPS = 1e-16  # floor on per-sample Hessians; keeps covers positive
 
-MODEL_FORMAT_VERSION = 1
+# least Hessian each child of a split carries (XGBoost's min_child_weight); above HESS_EPS
+MIN_CHILD_HESSIAN = 1e-3
+
+MODEL_FORMAT_VERSION = 2
 
 _TILE = 8192  # values per split-search or prediction temporary: 64 KiB of float64
 
@@ -124,13 +127,14 @@ class TrainConfig:
     """Boosting hyperparameters.
 
     reg_lambda/reg_alpha are the L2/L1 penalties on leaf weights; gamma is
-    the minimum gain a split must clear; min_child_hessian rejects splits
-    whose children carry too little Hessian mass. Each field takes only what
-    model.json holds, so that every config ``train`` accepts can be saved
-    and loaded: the int fields a Python int or a numpy integer, stored as an
-    int, and the float fields a number within the float range, a numpy one
-    stored as a float. A bool, a float in an int field (integral or not) or
-    a string raises a ValueError naming the field.
+    the minimum gain a split must clear. Every field is one a fit reads: the
+    least Hessian a child must carry is the constant ``MIN_CHILD_HESSIAN``,
+    and training draws no random numbers, so it takes no seed. Each field
+    takes only what model.json holds, so that every config ``train`` accepts
+    can be saved and loaded: the int fields a Python int or a numpy integer,
+    stored as an int, and the float fields a number within the float range,
+    a numpy one stored as a float. A bool, a float in an int field (integral
+    or not) or a string raises a ValueError naming the field.
 
     n_rounds is bounded by a work budget, ``MAX_ROUNDS``: 10,000 rounds of 3
     classes are 30,000 trees, about 10 s for one fit on a default 300-vehicle
@@ -147,9 +151,7 @@ class TrainConfig:
     reg_lambda: float = 1.0
     reg_alpha: float = 0.0
     gamma: float = 0.0
-    min_child_hessian: float = 1e-3
     num_class: int = 3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -173,7 +175,7 @@ class TrainConfig:
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         bad = [f"{name}={getattr(self, name)}"
-               for name in ("reg_lambda", "reg_alpha", "gamma", "min_child_hessian")
+               for name in ("reg_lambda", "reg_alpha", "gamma")
                if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0)]
         if bad:
             raise ValueError(f"regularization terms must be finite and non-negative: {', '.join(bad)}")
@@ -317,9 +319,9 @@ def _find_best_split(xs, order, gh, g_sum, h_sum, cfg):
     alone, with G_R = G - G_L and H_R = H - H_L from the node's sums
     ``g_sum``/``h_sum``, and the parent's score is taken off once, from those
     sums, for the winner's gain. A candidate is valid when both children's
-    Hessians reach ``min_child_hessian``, floored at ``HESS_EPS`` so that no
-    child's Hessian is zero; a dropped candidate's score may divide by zero,
-    so callers ignore numpy's divide and invalid warnings. The winner's
+    Hessians reach ``MIN_CHILD_HESSIAN``, which is above ``HESS_EPS``, so
+    that no child's Hessian is zero; a dropped candidate's score may divide
+    by zero, so callers ignore numpy's divide and invalid warnings. The winner's
     prefix sums G_L, H_L are returned as its left child's sums. Ties resolve
     to the lowest feature, then the lowest threshold: argmax scans a tile's
     scores row by row and returns the first maximum, and a later tile wins
@@ -328,7 +330,6 @@ def _find_best_split(xs, order, gh, g_sum, h_sum, cfg):
     d, m = xs.shape
     if d == 0 or m < 2:
         return None
-    least = max(cfg.min_child_hessian, HESS_EPS)
     step = max(1, _TILE // (2 * m))
     best = None  # (score, tile's first feature, flat index in the tile, G_L, H_L)
     for lo in range(0, d, step):
@@ -338,7 +339,7 @@ def _find_best_split(xs, order, gh, g_sum, h_sum, cfg):
         del sums  # frees the complex buffer before the score's temporaries
         h_r = h_sum - ch
         valid = x[:, :-1] < x[:, 1:]  # False where a value repeats, and at a NaN
-        valid &= np.minimum(ch, h_r) >= least  # both children's Hessians; a NaN fails
+        valid &= np.minimum(ch, h_r) >= MIN_CHILD_HESSIAN  # both children's; a NaN fails
         scores = _score(cg, ch, cfg)
         scores += _score(g_sum - cg, h_r, cfg)
         np.putmask(scores, ~valid, -np.inf)
@@ -381,8 +382,8 @@ def build_tree(blocks: tuple[np.ndarray, np.ndarray, np.ndarray], g: np.ndarray,
     """Grow one regression tree by exact greedy search from a fit's ``root_blocks``.
 
     Growth stops at max_depth, when no candidate split has positive gain, or
-    when every candidate leaves a child's Hessian below min_child_hessian,
-    floored at HESS_EPS. Each of the n entries of ``row_weights`` receives
+    when every candidate leaves a child's Hessian below MIN_CHILD_HESSIAN.
+    Each of the n entries of ``row_weights`` receives
     the weight of the leaf that row reached. Every gradient must be finite,
     and every Hessian finite and at least HESS_EPS, as
     ``mlogloss_grad_hess`` makes them; otherwise a ValueError names ``g`` or
@@ -961,17 +962,23 @@ def model_from_dict(doc: dict) -> Ensemble:
     """The model a model.json document describes.
 
     Raises ValueError naming what is wrong when the document or its scaler
-    is not an object, a key is missing, num_class is not an integer, trees
-    is not a list, feature_names is not a list of strings, base_score or the
-    scaler's mean or std is not a list of numbers, the config is not a
-    TrainConfig, or ``_check_model`` rejects the model.
+    is not an object, format_version is not the integer
+    ``MODEL_FORMAT_VERSION`` (an older model is to be retrained: version 1's
+    config held two keys that version 2 refuses), a key is missing,
+    num_class is not an integer, trees is not a list,
+    feature_names is not a list of strings, base_score or the scaler's mean
+    or std is not a list of numbers, the config is not a TrainConfig, or
+    ``_check_model`` rejects the model.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model document is {type(doc).__name__}, expected an object")
     version = doc.get("format_version")
+    if type(version) is not int:  # a bool or 2.0 is no version, though it compares equal to one
+        raise ValueError(f"model format_version must be an integer, got {version!r}")
     if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"model format version {version!r} is not supported; "
-                         f"expected {MODEL_FORMAT_VERSION}")
+        retrain = "; retrain the model with `evperf train`"
+        raise ValueError(f"model format version {version} is not supported; expected "
+                         f"{MODEL_FORMAT_VERSION}{retrain if version < MODEL_FORMAT_VERSION else ''}")
     missing = [k for k in ("num_class", "base_score", "feature_names", "config", "trees")
                if k not in doc]
     if missing:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from evperf.gbdt import _TILE, HESS_EPS, _score
+from evperf import gbdt
+from evperf.gbdt import _TILE, _score
 
 
 def reference_find_best_split(xs, order, g, h, g_sum, h_sum, cfg):
@@ -22,8 +23,8 @@ def reference_find_best_split(xs, order, g, h, g_sum, h_sum, cfg):
     feature j in ascending order, and ``order`` row j the rows they belong
     to, whose gradients and Hessians are gathered from the full ``g``/``h``.
     Candidates are midpoints between consecutive distinct values whose
-    children's Hessians both reach ``min_child_hessian``, floored at
-    ``HESS_EPS``. They are ranked by their children's scores, from one
+    children's Hessians both reach ``gbdt.MIN_CHILD_HESSIAN``, read at each
+    call, so that a test may patch it. They are ranked by their children's scores, from one
     cumulative sum per statistic, ``_TILE // m`` feature rows (at least one)
     at a time; the winner's gain takes off the parent's score from
     ``g_sum``/``h_sum``. Ties resolve to the lowest feature, then the lowest
@@ -33,7 +34,7 @@ def reference_find_best_split(xs, order, g, h, g_sum, h_sum, cfg):
     d, m = xs.shape
     if d == 0 or m < 2:
         return None
-    least = max(cfg.min_child_hessian, HESS_EPS)
+    least = gbdt.MIN_CHILD_HESSIAN
     step = max(1, _TILE // m)
     best = None  # (score, feature, position, G_L, H_L)
     for lo in range(0, d, step):

@@ -67,7 +67,9 @@ class TestTrainCommand:
         for name in ("model.json", "metrics.json", "confusion.csv", "confusion.svg"):
             assert (tmp_path / name).exists(), name
         doc = json.loads((tmp_path / "model.json").read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
+        assert sorted(doc["config"]) == ["gamma", "learning_rate", "max_depth", "n_rounds",
+                                         "num_class", "reg_alpha", "reg_lambda"]
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert set(metrics) >= {"accuracy", "roc_auc_macro_ovr", "mcc", "mlogloss", "confusion", "folds"}
         assert len(metrics["folds"]) == 5
@@ -88,6 +90,17 @@ class TestTrainCommand:
         assert run(["train", "--synth", "--out-dir", b, "--seed", "3", *FAST]) == 0
         for name in ("model.json", "metrics.json", "confusion.csv", "confusion.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_seed_leaves_model_unchanged(self, tmp_path):
+        # training draws no random numbers: the seed deals the CV folds alone
+        data_dir = tmp_path / "data"
+        assert run(["synth", "--out-dir", data_dir, "--n-samples", "60"]) == 0
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out, seed in ((a, "0"), (b, "7")):
+            assert run(["train", "--input", data_dir / "synthetic.csv", "--seed", seed,
+                        "--rounds", "8", "--depth", "3", "--no-svg", "--out-dir", out]) == 0
+        assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
+        assert (a / "metrics.json").read_bytes() != (b / "metrics.json").read_bytes()
 
     def test_csv_input_roundtrip(self, tmp_path):
         # floats survive the CSV via repr, so training from the emitted file
@@ -380,6 +393,17 @@ class TestExplainCommand:
         (lambda doc, tree: (doc["config"].update(learning_rate=1),
                             _rightmost_leaf(tree["root"]).update(weight=1.7e308)),
          "has a worst-case margin of 1.7e+308"),
+        # the document a model of format 1 would be: the config held seed and min_child_hessian
+        (lambda doc, tree: (doc.update(format_version=1),
+                            doc["config"].update(seed=0, min_child_hessian=1e-3)),
+         "model format version 1 is not supported; expected 2; retrain the model with "
+         "`evperf train`"),
+        (lambda doc, tree: doc.update(format_version=True),
+         "model format_version must be an integer, got True"),
+        (lambda doc, tree: doc.update(format_version=2.0),
+         "model format_version must be an integer, got 2.0"),
+        (lambda doc, tree: doc.update(format_version=3), "model format version 3 is not supported"),
+        (lambda doc, tree: doc["config"].update(seed=0), "model config is malformed"),
     ], ids=["feature_7", "feature_-2", "missing_left", "missing_round", "nan_threshold",
             "inf_leaf_weight", "missing_trees", "missing_config", "short_base_score",
             "short_scaler", "long_scaler", "dropped_tree", "unknown_config_key",
@@ -394,7 +418,9 @@ class TestExplainCommand:
             "string_base_score", "string_scaler_mean", "string_scaler_std", "huge_integer_threshold",
             "huge_integer_reg_lambda", "list_feature_name", "int_feature_name", "round_999",
             "negative_round", "huge_integer_feature", "int64_overflow_feature",
-            "huge_integer_round", "huge_integer_class_index", "overflowing_margin"])
+            "huge_integer_round", "huge_integer_class_index", "overflowing_margin",
+            "format_1", "bool_format_version", "float_format_version", "format_3",
+            "config_with_seed"])
     def test_malformed_model_exit_2(self, trained_dir, tmp_path, capsys, edit, message):
         doc = json.loads((trained_dir / "model.json").read_text())
         assert len(doc["feature_names"]) < 7 and doc["scaler"] is not None
@@ -493,6 +519,26 @@ def test_failed_replace_keeps_the_previous_artifact(trained_dir, tmp_path, capsy
     assert "disk gone" in capsys.readouterr().err
     assert (out / artifact).read_bytes() == b"previous run\r\n"
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("argv, target, advice", [
+    (["synth"], "synth_records", "lower --n-samples\n"),
+    (["train", "--synth", *FAST], "cross_validate",
+     "lower --n-samples or --rounds, or use a smaller --input\n"),
+    (["explain", "--synth", "--n-samples", "20", "--swarm-samples", "2"], "interaction_values",
+     "lower --n-samples or --swarm-samples, or use a smaller --input\n"),
+], ids=["synth", "train", "explain"])
+def test_memory_error_exit_2_names_the_sizes(trained_dir, tmp_path, capsys, monkeypatch, argv,
+                                             target, advice):
+    # a stand-in for a command that runs out of memory: nothing is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"evperf.cli.{target}", out_of_memory)
+    model = ["--model", trained_dir / "model.json"] if argv[0] == "explain" else []
+    assert run([*argv, *model, "--out-dir", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: evperf {argv[0]} ran out of memory; {advice}"
 
 
 @pytest.mark.filterwarnings("error")
@@ -742,7 +788,6 @@ class TestPrecedence:
         assert self.resolve(tmp_path, base).seed == 9
         assert self.resolve(tmp_path, base, file_text).seed == 8
         assert self.resolve(tmp_path, [*base, "--seed", "7"], file_text).seed == 7
-        assert _train_config(self.resolve(tmp_path, base, file_text)).seed == 8
 
     @pytest.mark.parametrize("command", ["train", "explain", "synth"])
     def test_svg_flag_file_default(self, tmp_path, command):

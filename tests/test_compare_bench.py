@@ -62,6 +62,31 @@ def test_higher_is_better():
     assert _verdict(parent, [p - 2 for p in parent], SCORE)["verdict"] == "regression"
 
 
+def test_per_seed_ratios_show_a_step_the_quartiles_hide(tmp_path, capsys):
+    # Seeds spread the parent's runs from 1.0 to 1.27 s, and the change is 5%
+    # faster on every seed: every pair is won, but the step is inside the
+    # parent's IQR, so the verdict stays "within bound" while the ratios
+    # read 0.95 on every seed.
+    parent = [1.0 + 0.03 * i for i in range(10)]
+    v = _verdict(parent, [0.95 * p for p in parent])
+    assert (v["won"], v["verdict"]) == (10, "within bound")
+    assert v["ratios"] == pytest.approx((0.95, 0.95, 0.95))
+    # the median and the range of unequal ratios; a parent of 0 gives no ratio
+    v = _verdict([0.0, 1.0, 2.0, 4.0], [1.0, 1.1, 1.8, 4.0])
+    assert v["ratios"] == pytest.approx((0.9, 1.0, 1.1))
+    assert _verdict([0.0], [1.0])["ratios"] is None
+    paths = []
+    for tag, values in (("parent", parent), ("change", [0.95 * p for p in parent])):
+        paths.append(tmp_path / f"BENCH_{tag}.json")
+        paths[-1].write_text(json.dumps(_doc([{m: value for m in (
+            "wall_s", "setup_s", "peak_rss_mib", "cv_mlogloss")} for value in values])))
+    assert compare_bench.main([str(p) for p in paths]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.split()[0] == "wall_s"
+    assert line.split("ratio ")[1].startswith("0.950 [0.950, 0.950]  won 10/10")
+    assert line.endswith("within bound")
+
+
 def test_pairs_match_by_seed_and_skip_unpaired_runs():
     parent = _doc([{"wall_s": 1.0 + 0.01 * s} for s in range(10)])
     # the change's runs come in reverse seed order, and it ran one more seed;

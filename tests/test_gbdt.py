@@ -162,7 +162,7 @@ class TestSplitMath:
         assert leaf_weight(0.5, 1.0, TrainConfig(reg_alpha=0.75)) == 0.0  # full shrinkage
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-    @pytest.mark.parametrize("field", ["reg_lambda", "reg_alpha", "gamma", "min_child_hessian"])
+    @pytest.mark.parametrize("field", ["reg_lambda", "reg_alpha", "gamma"])
     def test_regularization_must_be_finite_non_negative(self, field, value):
         with pytest.raises(ValueError, match="regularization terms must be finite"):
             TrainConfig(**{field: value})
@@ -196,10 +196,10 @@ class TestConfigTypes:
 
     def test_numpy_scalars_are_stored_as_python_numbers(self):
         cfg = TrainConfig(n_rounds=np.int64(2), max_depth=np.int32(3), num_class=np.uint8(3),
-                          seed=np.int64(-4), learning_rate=np.float32(0.5),
-                          reg_lambda=np.int64(2), gamma=np.float64(0.25))
-        assert cfg == TrainConfig(n_rounds=2, max_depth=3, num_class=3, seed=-4,
-                                  learning_rate=0.5, reg_lambda=2.0, gamma=0.25)
+                          learning_rate=np.float32(0.5), reg_lambda=np.int64(2),
+                          gamma=np.float64(0.25))
+        assert cfg == TrainConfig(n_rounds=2, max_depth=3, num_class=3, learning_rate=0.5,
+                                  reg_lambda=2.0, gamma=0.25)
         for f in fields(cfg):
             assert type(getattr(cfg, f.name)) is (int if f.type == "int" else float)
 
@@ -222,9 +222,9 @@ class TestConfigTypes:
             return (values | values.map(np.float64) | values.map(np.float32)
                     | ints(math.ceil(low), math.floor(high)))
 
-        valid = {"n_rounds": ints(1, 3), "max_depth": ints(1, 3) | st.just(10**6),
-                 "num_class": ints(2, 3), "seed": ints(-5, 5) | st.just(2**70),
-                 "learning_rate": floats(0.125, 1.0)}
+        valid = {"n_rounds": ints(1, 3),
+                 "max_depth": ints(1, 3) | st.just(10**6) | st.just(2**70),  # beyond int64
+                 "num_class": ints(2, 3), "learning_rate": floats(0.125, 1.0)}
         valid.update({name: floats(0.0, 2.0) for name in _FLOAT_FIELDS if name not in valid})
         refused = [True, np.True_, math.inf, math.nan, "2", -1]
         kwargs = {name: data.draw(strategy, label=name) for name, strategy in valid.items()
@@ -260,8 +260,9 @@ class TestBuildTree:
         assert root.is_leaf
         assert root.cover == pytest.approx(5.0)
 
-    def test_two_point_split(self):
-        cfg = TrainConfig(reg_lambda=0.0, max_depth=1, min_child_hessian=0.0)
+    def test_two_point_split(self, monkeypatch):
+        monkeypatch.setattr(gbdt, "MIN_CHILD_HESSIAN", HESS_EPS)
+        cfg = TrainConfig(reg_lambda=0.0, max_depth=1)
         root = _grow(np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]), np.ones(2), cfg)
         assert not root.is_leaf
         assert root.feature == 0
@@ -378,14 +379,14 @@ class TestChildSums:
         self._check_covers(node.left, x, h, rows[go_left], least)
         self._check_covers(node.right, x, h, rows[~go_left], least)
 
-    @pytest.mark.parametrize("cfg", [
-        TrainConfig(max_depth=5),
-        TrainConfig(max_depth=6, reg_lambda=0.0, min_child_hessian=0.0),
-        TrainConfig(max_depth=4, reg_alpha=0.3, gamma=0.05, min_child_hessian=0.5),
-    ])
-    def test_child_covers_are_prefix_sums(self, cfg):
+    @pytest.mark.parametrize("cfg, least", [
+        (TrainConfig(max_depth=5), gbdt.MIN_CHILD_HESSIAN),
+        (TrainConfig(max_depth=6, reg_lambda=0.0), HESS_EPS),
+        (TrainConfig(max_depth=4, reg_alpha=0.3, gamma=0.05), 0.5),
+    ], ids=["cfg0", "cfg1", "cfg2"])
+    def test_child_covers_are_prefix_sums(self, cfg, least, monkeypatch):
+        monkeypatch.setattr(gbdt, "MIN_CHILD_HESSIAN", least)
         rng = np.random.default_rng(11)
-        least = max(cfg.min_child_hessian, HESS_EPS)
         for n in (2, 9, 60, 400):
             x = rng.integers(0, 6, size=(n, 3)).astype(float)
             g = rng.normal(size=n)
@@ -396,16 +397,16 @@ class TestChildSums:
             self._check_covers(root, x, h, np.arange(n), least)
 
     @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
-    def test_child_hessians_floor_at_hess_eps(self, reg_lambda, tmp_path):
-        # The node's Hessian 1.0 + 1e-16 rounds to 1.0, so with no Hessian
-        # minimum the right child of the last candidate holds 1.0 - 1.0 = 0.0:
-        # with no L2 penalty its gain would be infinite, and with one its
-        # cover would be 0, which explain refuses.
+    def test_child_hessians_floor_at_hess_eps(self, reg_lambda, tmp_path, monkeypatch):
+        # The node's Hessian 1.0 + 1e-16 rounds to 1.0, so the right child of
+        # the last candidate holds 1.0 - 1.0 = 0.0. Even the lowest minimum,
+        # HESS_EPS, must refuse it: with no L2 penalty its gain would be
+        # infinite, and with one its cover would be 0, which explain refuses.
+        monkeypatch.setattr(gbdt, "MIN_CHILD_HESSIAN", HESS_EPS)
         x = np.arange(5.0)[:, None]
         g = np.array([0.3, -0.2, 0.1, 0.4, -0.5])
         h = np.array([0.25] * 4 + [HESS_EPS])
-        cfg = TrainConfig(min_child_hessian=0.0, reg_lambda=reg_lambda, max_depth=1,
-                          n_rounds=1, num_class=2)
+        cfg = TrainConfig(reg_lambda=reg_lambda, max_depth=1, n_rounds=1, num_class=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trees = [(0, k, _grow(x, sign * g, h, cfg)) for k, sign in enumerate((1, -1))]
@@ -438,7 +439,7 @@ def _ref_find_best_split(x_cols, g, h, rows, g_sum, h_sum, cfg):
     Candidates are ranked by their children's scores; the winner's gain takes
     off the parent's score once. Returns (gain, feature, threshold, G_L, H_L).
     """
-    least = max(cfg.min_child_hessian, HESS_EPS)
+    least = gbdt.MIN_CHILD_HESSIAN
     best = None  # (score, feature, threshold, G_L, H_L)
     for j, col in enumerate(x_cols):
         xj = col[rows]
@@ -520,25 +521,29 @@ def _assert_same_tree(a, b, path="root"):
 class TestGrowthMatchesReference:
     """build_tree equals the per-feature search it replaced, bit for bit."""
 
+    # (config, gbdt.MIN_CHILD_HESSIAN)
     CONFIGS = [
-        TrainConfig(max_depth=4),
-        TrainConfig(max_depth=8, reg_lambda=0.5, min_child_hessian=0.0),
-        TrainConfig(max_depth=6, reg_alpha=0.3, gamma=0.05, min_child_hessian=0.0),
-        TrainConfig(max_depth=5, reg_lambda=0.0, reg_alpha=0.1, gamma=0.2),
+        (TrainConfig(max_depth=4), gbdt.MIN_CHILD_HESSIAN),
+        (TrainConfig(max_depth=8, reg_lambda=0.5), HESS_EPS),
+        (TrainConfig(max_depth=6, reg_alpha=0.3, gamma=0.05), HESS_EPS),
+        (TrainConfig(max_depth=5, reg_lambda=0.0, reg_alpha=0.1, gamma=0.2),
+         gbdt.MIN_CHILD_HESSIAN),
         # children need more Hessian than one or two rows carry: rejects the edges
-        TrainConfig(max_depth=5, reg_lambda=2.0, min_child_hessian=1.5),
+        (TrainConfig(max_depth=5, reg_lambda=2.0), 1.5),
         # every split, or every split below the root, is on the last level and cuts nothing
-        TrainConfig(max_depth=1),
-        TrainConfig(max_depth=2, reg_lambda=0.5, min_child_hessian=0.0),
+        (TrainConfig(max_depth=1), gbdt.MIN_CHILD_HESSIAN),
+        (TrainConfig(max_depth=2, reg_lambda=0.5), HESS_EPS),
     ]
 
     # At the default tile size every node here but the large one is one tile;
     # at sizes 1 and 7 every node of more than a few rows spans several.
-    @pytest.mark.parametrize("cfg, tile", [
-        pytest.param(cfg, tile, id=f"cfg{i}" if tile == gbdt._TILE else f"cfg{i}-tile{tile}")
-        for i, cfg in enumerate(CONFIGS) for tile in (gbdt._TILE, 1, 7)])
-    def test_random_trees_bit_identical(self, cfg, tile, monkeypatch):
+    @pytest.mark.parametrize("cfg, least, tile", [
+        pytest.param(cfg, least, tile,
+                     id=f"cfg{i}" if tile == gbdt._TILE else f"cfg{i}-tile{tile}")
+        for i, (cfg, least) in enumerate(CONFIGS) for tile in (gbdt._TILE, 1, 7)])
+    def test_random_trees_bit_identical(self, cfg, least, tile, monkeypatch):
         monkeypatch.setattr(gbdt, "_TILE", tile)
+        monkeypatch.setattr(gbdt, "MIN_CHILD_HESSIAN", least)
         rng = np.random.default_rng(17)
         sizes = []
         for n in [1, 2, *rng.integers(3, 60, size=38)]:
@@ -580,12 +585,13 @@ class TestGrowthMatchesReference:
         with pytest.raises(ValueError, match="row_weights"):
             build_tree(blocks, g, h, cfg, np.empty(79))
 
-    def test_physics_trees_bit_identical(self):
+    def test_physics_trees_bit_identical(self, monkeypatch):
         ds = synth_dataset(SynthConfig(n_samples=150, seed=3))
         rng = np.random.default_rng(4)
         g = rng.normal(size=ds.n_samples)
         h = rng.uniform(0.01, 0.25, size=ds.n_samples)
-        for cfg in self.CONFIGS:
+        for cfg, least in self.CONFIGS:
+            monkeypatch.setattr(gbdt, "MIN_CHILD_HESSIAN", least)
             expected = _ref_build_tree(ds.features, g, h, cfg, [])
             _assert_same_tree(_grow(ds.features, g, h, cfg), expected)
 
@@ -634,18 +640,18 @@ _TILE_EDGES = sorted({m for half in (gbdt._TILE // 2, gbdt._TILE) for k in range
 @given(d=st.integers(1, 7), m=st.one_of(st.integers(1, 40), st.sampled_from(_TILE_EDGES)),
        levels=st.sampled_from([1, 2, 3, 6, 0]), twin=st.booleans(),
        reg_lambda=st.sampled_from([0.0, 1.0, 7.5]), reg_alpha=st.sampled_from([0.0, 0.3]),
-       gamma=st.sampled_from([0.0, 0.01]), min_child_hessian=st.sampled_from([0.0, 1e-3, 0.5, 2.0]),
+       gamma=st.sampled_from([0.0, 0.01]), least=st.sampled_from([HESS_EPS, 1e-3, 0.5, 2.0]),
        seed=st.integers(0, 2**32 - 1))
 @example(d=7, m=585, levels=2, twin=True, reg_lambda=1.0, reg_alpha=0.0, gamma=0.0,
-         min_child_hessian=1e-3, seed=0)
+         least=1e-3, seed=0)
 @example(d=7, m=586, levels=2, twin=True, reg_lambda=0.0, reg_alpha=0.3, gamma=0.01,
-         min_child_hessian=0.5, seed=1)
+         least=0.5, seed=1)
 @example(d=5, m=4097, levels=3, twin=True, reg_lambda=7.5, reg_alpha=0.0, gamma=0.0,
-         min_child_hessian=2.0, seed=2)
+         least=2.0, seed=2)
 @example(d=2, m=2, levels=1, twin=False, reg_lambda=1.0, reg_alpha=0.0, gamma=0.0,
-         min_child_hessian=0.0, seed=3)
+         least=HESS_EPS, seed=3)
 def test_packed_search_matches_separate_arrays(d, m, levels, twin, reg_lambda, reg_alpha,
-                                               gamma, min_child_hessian, seed):
+                                               gamma, least, seed):
     # A node of m rows out of a fit of a few more, held as build_tree holds
     # it. Few value levels (0: continuous values) give tied values, a twin of
     # feature 0 tied gains in another feature and often another tile, and
@@ -664,10 +670,10 @@ def test_packed_search_matches_separate_arrays(d, m, levels, twin, reg_lambda, r
     g_sum, h_sum = float(np.add.reduce(g[rows])), float(np.add.reduce(h[rows]))
     gh = np.empty(n, dtype=complex)
     gh.real, gh.imag = g, h
-    cfg = TrainConfig(reg_lambda=reg_lambda, reg_alpha=reg_alpha, gamma=gamma,
-                      min_child_hessian=min_child_hessian)
-    # with no L2 penalty and no Hessian floor, a child's Hessian can round to 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    cfg = TrainConfig(reg_lambda=reg_lambda, reg_alpha=reg_alpha, gamma=gamma)
+    # with no L2 penalty and a Hessian minimum of HESS_EPS, a child's Hessian can round to 0
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gbdt, "MIN_CHILD_HESSIAN", least)
         got = gbdt._find_best_split(xs, order, gh, g_sum, h_sum, cfg)
         want = reference_find_best_split(xs, order, g, h, g_sum, h_sum, cfg)
     # repr tells every float apart bit for bit, 0.0 from -0.0 included

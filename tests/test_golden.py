@@ -7,6 +7,7 @@ said wherever that is done.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -15,13 +16,17 @@ from evperf.gbdt import load_model, save_model
 
 SYNTHETIC_CSV_SHA256 = "d21e48515d40d7c6465a1920b752399b516dadcc038210439f8d93df0c4011e4"
 SWEEP_CSV_SHA256 = "3fb5b1b2810f5b3dd71055130a93675ce3880c9417f12271f938a1abd7de850a"
-MODEL_JSON_SHA256 = "014a4b165b42fe8f77fbd46646e0973ebb3e5609d8c3bec9e4e8a825049234ce"
+MODEL_JSON_SHA256 = "73dc9b1edf4c32b89fa3f83240e29ab7364af5aae24c42eebf55c821d968abfd"
 METRICS_JSON_SHA256 = "aff3da2f04e1896f4071dc34c5f2633e1dbd50e79feb0fd568c63184730b0d44"
+
+# The golden model.json as format 1 wrote it: format 2's document with format_version 1
+# and a config that also held seed 0 and min_child_hessian 0.001
+FORMAT_1_MODEL_JSON_SHA256 = "014a4b165b42fe8f77fbd46646e0973ebb3e5609d8c3bec9e4e8a825049234ce"
 
 # train --synth --seed 0 --rounds 5 --folds 2 --depth 6 --alpha 0.5 --gamma 0.1:
 # the L1 soft-threshold, the gain penalty and depth-6 trees
 REGULARIZED_SHA256 = {
-    "model.json": "f076ea8743051a28a314e6d81c4821429be97865e66c38dcd3e7b17dd798da6c",
+    "model.json": "4e936ca90dc117a4bbe50ca8797e25ee91c52f27bd5a8bb0890ebf8dabbe0360",
     "metrics.json": "88f5043f1c54d698d7b475d48b6e2ce091658476c2a706742a100451be4a9a67",
 }
 
@@ -83,6 +88,21 @@ def test_regularized_train_golden_hashes(tmp_path):
 def test_model_json_load_save_round_trip(train_dir, tmp_path):
     save_model(load_model(train_dir / "model.json"), tmp_path / "model.json")
     assert (tmp_path / "model.json").read_bytes() == (train_dir / "model.json").read_bytes()
+
+
+def test_format_1_golden_model_is_refused(train_dir, tmp_path, capsys):
+    doc = json.loads((train_dir / "model.json").read_text(encoding="utf-8"))
+    doc["format_version"] = 1
+    doc["config"].update(seed=0, min_child_hessian=1e-3)
+    old = tmp_path / "model.json"
+    old.write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
+    assert _sha256(old) == FORMAT_1_MODEL_JSON_SHA256
+    argv = ["explain", "--synth", "--seed", "0", "--model", str(old), "--no-svg",
+            "--out-dir", str(tmp_path / "explain")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("error: model format version 1 is not supported; "
+                                       "expected 2; retrain the model with `evperf train`\n")
+    assert not (tmp_path / "explain").exists()
 
 
 def test_explain_golden_hashes(train_dir, tmp_path):

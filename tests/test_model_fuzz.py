@@ -12,6 +12,7 @@ model, never 1.
 import copy
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -57,9 +58,11 @@ ROOT = ("trees", next(i for i, t in enumerate(DOC["trees"]) if i and "feature" i
 LEAF = ROOT  # its rightmost leaf
 while "right" in _at(DOC, LEAF):
     LEAF = (*LEAF, "right")
+NAMES = [p for p in PATHS if p[0] == "feature_names" and len(p) == 2]
+# DOC's own feature names, so that a set can repeat one
 VALUES = ["x", "0.5", True, False, None, [], [1.0], {}, {"cover": 1.0, "weight": 0.5},
           10**400, -10**400, 2**63, 2**64, -0.0, 1e-320, math.nan, math.inf, -math.inf,
-          0, -1, 7, 0.5, 1.7e308]
+          0, -1, 7, 0.5, 1.7e308, *DOC["feature_names"]]
 
 
 def _mutated(mutations):
@@ -131,12 +134,17 @@ TABLE = [
     [_set((*ROOT[:2], "round"), 2**70)], [_set((*ROOT[:2], "class_index"), 2**70)],
     [_set((*ROOT, "cover"), 0.0)],
     [_set(("config", "learning_rate"), 1), _set((*LEAF, "weight"), 1.7e308)],
+    [_set(("format_version",), 1), _set(("config", "seed"), 0),
+     _set(("config", "min_child_hessian"), 1e-3)],
+    [_set(("format_version",), True)], [_set(("format_version",), 2.0)],
+    [_set(("format_version",), 3)], [_set(("config", "seed"), 0)],
 ]
 
 MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), st.sampled_from(PATHS)),
     st.tuples(st.just("set"), st.sampled_from(PATHS), st.sampled_from(VALUES)),
     st.tuples(st.just("splice"), st.sampled_from(NODES), st.sampled_from(NODES)),
+    st.tuples(st.just("splice"), st.sampled_from(NAMES), st.sampled_from(NAMES)),
 )
 
 
@@ -162,6 +170,7 @@ def test_mutated_model_loads_or_is_refused_by_name(mutations):
         except ValueError as exc:  # ModelInputError is one too
             assert str(exc).startswith("model"), exc
             return
+        assert len(set(model.feature_names)) == len(model.feature_names)
         # the rows' columns cycled to the model's feature count; given as their own
         # raw values, as evperf explain gives its input rows, so no scaler unscales them
         x = ROWS[:, np.arange(len(model.feature_names)) % ROWS.shape[1]]
@@ -176,6 +185,21 @@ def test_mutated_model_loads_or_is_refused_by_name(mutations):
     for name in _TABLE_FIELDS:
         got, want = getattr(model.trees, name), expected[name]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), min_size=1, max_size=3))
+def test_repeated_feature_names_are_refused_by_name(splices):
+    # each splice copies one of DOC's names over an entry, the document's only fault
+    doc = _mutated([("splice", entry, name) for entry, name in splices])
+    names = doc["feature_names"]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if not repeated:  # a name copied onto itself, or the names permuted
+        assert model_from_dict(doc).feature_names == tuple(names)
+        return
+    first = re.escape(repr(repeated[0]))
+    with pytest.raises(ValueError, match=f"^model feature_names repeat {first}; names must be unique$"):
+        model_from_dict(doc)
 
 
 # test_cli.py runs explain on each row of its table; these are mutations it has none of

@@ -5,8 +5,9 @@
 Reads the ``runs`` of two files that ``tools/record_bench.py`` wrote, the
 parent's first, and the end-to-end metrics of ``BENCHMARK.json``. A pair is
 the two sides' runs of one workload and seed. For each workload and metric it
-prints the parent's median with its quartiles, the change's median, the pairs
-the change won (ties count for neither side), the relative change of the
+prints the parent's median with its quartiles, the change's median, the
+median and the range of the per-seed ratios change/parent, the pairs the
+change won (ties count for neither side), the relative change of the
 medians, and a verdict:
 
 - ``gain``: the change won at least 9 of 10 pairs, and the medians differ by
@@ -16,6 +17,11 @@ medians, and a verdict:
 - ``unresolved``: neither, and the parent's interquartile range is wider
   than the bound allows;
 - ``within bound``: anything else.
+
+The verdict reads the medians and the parent's quartiles alone. The per-seed
+ratios show what those hide: seed-to-seed workload spread can widen the
+parent's quartiles, so the same few-percent step, seen on every pair, may
+read as a gain on one recording and not on the next.
 
 Each workload's line also gives both sides' share of failed operations.
 
@@ -70,6 +76,7 @@ def verdict(parent: list[float], change: list[float], metric: dict) -> dict:
     q1, parent_median, q3 = quartiles(parent)
     change_median = statistics.median(change)
     won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    ratios = sorted(c / p for p, c in zip(parent, change) if p)
     worse_by = sign * (change_median - parent_median)
     scale = abs(parent_median)
     bound = metric["bound"] * scale
@@ -83,6 +90,7 @@ def verdict(parent: list[float], change: list[float], metric: dict) -> dict:
         kind = "within bound"
     return {"parent": (q1, parent_median, q3), "change": change_median, "won": won,
             "pairs": len(parent),
+            "ratios": (ratios[0], statistics.median(ratios), ratios[-1]) if ratios else None,
             "relative": (change_median - parent_median) / scale if scale else None,
             "verdict": kind}
 
@@ -149,8 +157,10 @@ def main(argv: list[str] | None = None) -> int:
         for name, v in row["metrics"].items():
             q1, median, q3 = v["parent"]
             relative = "n/a" if v["relative"] is None else f"{v['relative']:+.1%}"
+            ratios = ("n/a" if v["ratios"] is None else
+                      "{1:.3f} [{0:.3f}, {2:.3f}]".format(*v["ratios"]))
             print(f"  {name:13s} {median:.5g} [{q1:.5g}, {q3:.5g}] -> {v['change']:.5g}  "
-                  f"won {v['won']}/{v['pairs']}  {relative:>7s}  {v['verdict']}")
+                  f"ratio {ratios}  won {v['won']}/{v['pairs']}  {relative:>7s}  {v['verdict']}")
     reference = reference_s()
     for (workload, seed), row in traced(*docs, benchmark["per_layer"], reference).items():
         print(f"{workload} traced, seed {seed}: {KERNEL} {row['kernel'][0]:.5g} -> "
