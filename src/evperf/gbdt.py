@@ -383,11 +383,10 @@ def build_tree(blocks: tuple[np.ndarray, np.ndarray, np.ndarray], g: np.ndarray,
 
     Growth stops at max_depth, when no candidate split has positive gain, or
     when every candidate leaves a child's Hessian below MIN_CHILD_HESSIAN.
-    Each of the n entries of ``row_weights`` receives
-    the weight of the leaf that row reached. Every gradient must be finite,
-    and every Hessian finite and at least HESS_EPS, as
-    ``mlogloss_grad_hess`` makes them; otherwise a ValueError names ``g`` or
-    ``h``.
+    Each of the n entries of ``row_weights`` receives the weight of the leaf
+    that row reached. Every gradient must be finite, and every Hessian
+    finite and at least HESS_EPS, as ``mlogloss_grad_hess`` makes them;
+    otherwise a ValueError names ``g`` or ``h``.
     """
     x_t, order, xs = blocks
     g = np.asarray(g, dtype=float)
@@ -965,10 +964,10 @@ def model_from_dict(doc: dict) -> Ensemble:
     is not an object, format_version is not the integer
     ``MODEL_FORMAT_VERSION`` (an older model is to be retrained: version 1's
     config held two keys that version 2 refuses), a key is missing,
-    num_class is not an integer, trees is not a list,
-    feature_names is not a list of strings, base_score or the scaler's mean
-    or std is not a list of numbers, the config is not a TrainConfig, or
-    ``_check_model`` rejects the model.
+    num_class is not an integer, trees is not a list, feature_names is not a
+    list of strings, base_score or the scaler's mean or std is not a list of
+    numbers, the config is not a TrainConfig, or ``_check_model`` rejects
+    the model.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model document is {type(doc).__name__}, expected an object")
@@ -976,9 +975,11 @@ def model_from_dict(doc: dict) -> Ensemble:
     if type(version) is not int:  # a bool or 2.0 is no version, though it compares equal to one
         raise ValueError(f"model format_version must be an integer, got {version!r}")
     if version != MODEL_FORMAT_VERSION:
-        retrain = "; retrain the model with `evperf train`"
-        raise ValueError(f"model format version {version} is not supported; expected "
-                         f"{MODEL_FORMAT_VERSION}{retrain if version < MODEL_FORMAT_VERSION else ''}")
+        older = version < MODEL_FORMAT_VERSION
+        retrain = "; retrain the model with `evperf train`" if older else ""
+        shown = version if abs(version) < 10**9 else f"of {_digit_count(version)} digits"
+        raise ValueError(f"model format version {shown} is not supported; expected "
+                         f"{MODEL_FORMAT_VERSION}{retrain}")
     missing = [k for k in ("num_class", "base_score", "feature_names", "config", "trees")
                if k not in doc]
     if missing:

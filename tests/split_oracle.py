@@ -24,12 +24,13 @@ def reference_find_best_split(xs, order, g, h, g_sum, h_sum, cfg):
     to, whose gradients and Hessians are gathered from the full ``g``/``h``.
     Candidates are midpoints between consecutive distinct values whose
     children's Hessians both reach ``gbdt.MIN_CHILD_HESSIAN``, read at each
-    call, so that a test may patch it. They are ranked by their children's scores, from one
-    cumulative sum per statistic, ``_TILE // m`` feature rows (at least one)
-    at a time; the winner's gain takes off the parent's score from
-    ``g_sum``/``h_sum``. Ties resolve to the lowest feature, then the lowest
-    threshold: argmax scans a tile's scores row by row and returns the first
-    maximum, and a later tile wins only with a strictly greater score.
+    call, so that a test may patch it. They are ranked by their children's
+    scores, from one cumulative sum per statistic, ``_TILE // m`` feature
+    rows (at least one) at a time; the winner's gain takes off the parent's
+    score from ``g_sum``/``h_sum``. Ties resolve to the lowest feature, then
+    the lowest threshold: argmax scans a tile's scores row by row and returns
+    the first maximum, and a later tile wins only with a strictly greater
+    score.
     """
     d, m = xs.shape
     if d == 0 or m < 2:

@@ -1260,6 +1260,13 @@ class TestPersistence:
     def test_version_check(self):
         with pytest.raises(ValueError, match="format version"):
             model_from_dict({"format_version": 99})
+        # more digits than str() converts: the message counts them without it
+        with pytest.raises(ValueError, match="^model format version of 5001 digits is not "
+                                             "supported; expected 2$"):
+            model_from_dict({"format_version": 10**5000})
+        with pytest.raises(ValueError, match="^model format version of 5001 digits is not "
+                                             "supported; expected 2; retrain the model with"):
+            model_from_dict({"format_version": -10**5000})
 
     def test_overflowing_margin_refused_by_name(self):
         # class 0's two trees, every leaf at 1.7e308, learning rate 1: its margin overflows

@@ -58,8 +58,8 @@ ROOT = ("trees", next(i for i, t in enumerate(DOC["trees"]) if i and "feature" i
 LEAF = ROOT  # its rightmost leaf
 while "right" in _at(DOC, LEAF):
     LEAF = (*LEAF, "right")
-NAMES = [p for p in PATHS if p[0] == "feature_names" and len(p) == 2]
-# DOC's own feature names, so that a set can repeat one
+NAMES = [p for p in PATHS if p[0] == "feature_names" and len(p) == 2]  # each entry's path
+# with DOC's own feature names, so that a set can repeat one
 VALUES = ["x", "0.5", True, False, None, [], [1.0], {}, {"cover": 1.0, "weight": 0.5},
           10**400, -10**400, 2**63, 2**64, -0.0, 1e-320, math.nan, math.inf, -math.inf,
           0, -1, 7, 0.5, 1.7e308, *DOC["feature_names"]]
